@@ -46,10 +46,9 @@ _PUBLIC_API = {
     "VectorizationPlan": "repro.vectorizer",
     "EPILOGUE_STRATEGIES": "repro.vectorizer",
     "resolve_epilogue": "repro.vectorizer",
-    # Plan cache: content-addressed parse/plan/codegen reuse knobs.
+    # Plan cache: content-addressed parse/plan/codegen reuse.
     "plan_cache_stats": "repro.vectorizer.plancache",
     "clear_plan_caches": "repro.vectorizer.plancache",
-    "set_plan_cache_capacity": "repro.vectorizer.plancache",
     "plan_fingerprint": "repro.vectorizer.plancache",
     # Targets: ISA descriptions and intrinsic spelling resolution.
     "TargetISA": "repro.targets",
@@ -75,7 +74,6 @@ _PUBLIC_API = {
 _ALIASES = {
     "plan_cache_stats": "stats",
     "clear_plan_caches": "clear_caches",
-    "set_plan_cache_capacity": "set_capacity",
 }
 
 __all__ = sorted(_PUBLIC_API) + ["__version__"]

@@ -39,6 +39,7 @@ from repro.errors import CompileError, ParseError, ReproError
 from repro.alive.symexec import SymbolicExecutionError, SymbolicState, execute_symbolically
 from repro.intrinsics.registry import INTRINSIC_REGISTRY, registry_for_dtype
 from repro.lanetypes import INT32, LaneType
+from repro.memo import IdentityMemo
 from repro.smt.equiv import EquivalenceChecker, EquivalenceOutcome, SolverBudget
 from repro.smt.terms import Term, contains_poison
 from repro.transforms.c_unroll import CUnrollError, unroll_scalar_function
@@ -275,22 +276,14 @@ class AliveVerifier:
 #: Unrolling the scalar side is deterministic in (function, factor), and the
 #: c-unroll method re-runs for every candidate attempt against the *same*
 #: (cache-shared) scalar reference.  The unrolled tree is only ever walked
-#: read-only (symbolic execution); entries keep a strong reference to the
-#: input function so an id can never be silently reused.
-_UNROLL_MEMO: dict[tuple[int, int], tuple[ast.FunctionDef, ast.FunctionDef]] = {}
-_UNROLL_MEMO_CAPACITY = 256
+#: read-only (symbolic execution).
+_UNROLL_MEMO = IdentityMemo(256)
 
 
 def _cached_unroll(scalar_func: ast.FunctionDef, lanes: int) -> ast.FunctionDef:
-    key = (id(scalar_func), lanes)
-    entry = _UNROLL_MEMO.get(key)
-    if entry is not None and entry[0] is scalar_func:
-        return entry[1]
-    unrolled = unroll_scalar_function(scalar_func, factor=lanes)
-    if len(_UNROLL_MEMO) >= _UNROLL_MEMO_CAPACITY:
-        _UNROLL_MEMO.clear()
-    _UNROLL_MEMO[key] = (scalar_func, unrolled)
-    return unrolled
+    return _UNROLL_MEMO.get_or_compute(
+        scalar_func, lambda: unroll_scalar_function(scalar_func, factor=lanes),
+        salt=lanes)
 
 
 #: Scalar-side symbolic states repeat the same way: one kernel is verified
@@ -298,36 +291,27 @@ def _cached_unroll(scalar_func: ast.FunctionDef, lanes: int) -> ast.FunctionDef:
 #: scalar (or unrolled-scalar) tree over the same sizes and values.  States
 #: are read downstream (output pairs, UB events) but never mutated, and the
 #: hash-consed term graph makes sharing them cheap.
-_SYMEXEC_MEMO: dict[
-    tuple[int, tuple[tuple[str, int], ...], tuple[tuple[str, int], ...]],
-    tuple[ast.FunctionDef, SymbolicState],
-] = {}
-_SYMEXEC_MEMO_CAPACITY = 256
+_SYMEXEC_MEMO = IdentityMemo(256)
 
 
 def _cached_scalar_symexec(func: ast.FunctionDef, array_sizes: dict[str, int],
                            scalar_values: dict[str, int]) -> SymbolicState:
-    key = (id(func), tuple(sorted(array_sizes.items())), tuple(sorted(scalar_values.items())))
-    entry = _SYMEXEC_MEMO.get(key)
-    if entry is not None and entry[0] is func:
-        return entry[1]
-    state = execute_symbolically(func, array_sizes, scalar_values)
-    if len(_SYMEXEC_MEMO) >= _SYMEXEC_MEMO_CAPACITY:
-        _SYMEXEC_MEMO.clear()
-    _SYMEXEC_MEMO[key] = (func, state)
-    return state
+    return _SYMEXEC_MEMO.get_or_compute(
+        func, lambda: execute_symbolically(func, array_sizes, scalar_values),
+        salt=(tuple(sorted(array_sizes.items())), tuple(sorted(scalar_values.items()))))
 
 
-_LANES_MEMO: dict[tuple[int, str], tuple[ast.FunctionDef, int]] = {}
-_LANES_MEMO_CAPACITY = 512
+_LANES_MEMO = IdentityMemo(512)
 
 
 def _candidate_lanes(vector_func: ast.FunctionDef, dtype: LaneType = INT32) -> int:
     """Vector width of a candidate, inferred from the intrinsics it calls."""
-    key = (id(vector_func), dtype.name)
-    entry = _LANES_MEMO.get(key)
-    if entry is not None and entry[0] is vector_func:
-        return entry[1]
+    return _LANES_MEMO.get_or_compute(
+        vector_func, lambda: _candidate_lanes_uncached(vector_func, dtype),
+        salt=dtype.name)
+
+
+def _candidate_lanes_uncached(vector_func: ast.FunctionDef, dtype: LaneType) -> int:
     merged = registry_for_dtype(dtype)
     lanes = 0
     for node in ast.walk(vector_func):
@@ -335,11 +319,7 @@ def _candidate_lanes(vector_func: ast.FunctionDef, dtype: LaneType = INT32) -> i
             spec = merged.get(node.func) or INTRINSIC_REGISTRY.get(node.func)
             if spec is not None:
                 lanes = max(lanes, spec.lanes)
-    lanes = lanes or VECTOR_WIDTH
-    if len(_LANES_MEMO) >= _LANES_MEMO_CAPACITY:
-        _LANES_MEMO.clear()
-    _LANES_MEMO[key] = (vector_func, lanes)
-    return lanes
+    return lanes or VECTOR_WIDTH
 
 
 def _output_pairs(scalar_state: SymbolicState, vector_state: SymbolicState,

@@ -15,6 +15,7 @@ from repro.analysis.accesses import ArrayAccess, collect_accesses
 from repro.analysis.dependence import DependenceReport, analyze_dependences
 from repro.analysis.loops import LoopInfo, LoopNest, find_loops, find_main_loop
 from repro.cfront import ast_nodes as ast
+from repro.memo import IdentityMemo
 
 #: Figure 6 category names, in the order the paper lists them.
 CATEGORY_CONTROL_FLOW = "Control Flow"
@@ -109,22 +110,13 @@ def categorize(report: DependenceReport) -> str:
 
 #: Feature analysis is pure in the tree, and with parse results cache-shared
 #: the same function object is re-analyzed once per completion (difficulty
-#: scoring) and once per dialogue (the dependence report).  Entries keep a
-#: strong reference to the analyzed function, so the id key cannot be reused.
-_FEATURE_MEMO: dict[int, tuple[ast.FunctionDef, "KernelFeatures"]] = {}
-_FEATURE_MEMO_CAPACITY = 512
+#: scoring) and once per dialogue (the dependence report).
+_FEATURE_MEMO = IdentityMemo(512)
 
 
 def analyze_kernel(func: ast.FunctionDef) -> KernelFeatures:
     """Run loop discovery, access collection and dependence analysis on ``func``."""
-    entry = _FEATURE_MEMO.get(id(func))
-    if entry is not None and entry[0] is func:
-        return entry[1]
-    features = _analyze_kernel_uncached(func)
-    if len(_FEATURE_MEMO) >= _FEATURE_MEMO_CAPACITY:
-        _FEATURE_MEMO.clear()
-    _FEATURE_MEMO[id(func)] = (func, features)
-    return features
+    return _FEATURE_MEMO.get_or_compute(func, lambda: _analyze_kernel_uncached(func))
 
 
 def _analyze_kernel_uncached(func: ast.FunctionDef) -> KernelFeatures:

@@ -13,6 +13,7 @@ from collections.abc import Iterator
 
 from repro.cfront.ctypes import CType
 from repro.errors import SourceLocation
+from repro.memo import IdentityMemo
 
 
 @dataclass
@@ -317,6 +318,11 @@ def collect(node: AnyNode, node_type) -> list:
     return [n for n in walk(node) if isinstance(n, node_type)]
 
 
+#: The planner, interpreter, symbolic executor, verifier and vetter all ask
+#: about the same (cache-shared) functions, and each answer is a full walk.
+_DTYPE_MEMO = IdentityMemo(1024)
+
+
 def kernel_dtype(func: FunctionDef):
     """The lane element type a kernel is modelled at (a ``LaneType``).
 
@@ -328,6 +334,10 @@ def kernel_dtype(func: FunctionDef):
     not C's int promotion rules.  Mixing two different sized spellings in
     one kernel raises :class:`~repro.errors.CompileError`.
     """
+    return _DTYPE_MEMO.get_or_compute(func, lambda: _kernel_dtype_uncached(func))
+
+
+def _kernel_dtype_uncached(func: FunctionDef):
     from repro.errors import CompileError
     from repro.lanetypes import DEFAULT_LANE_TYPE, get_lane_type
 

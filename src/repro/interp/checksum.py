@@ -32,6 +32,7 @@ from repro.errors import (
 )
 from repro.interp.interpreter import ExecutionResult, run_function
 from repro.interp.randominit import InputSpec, TestVector, make_test_suite
+from repro.memo import IdentityMemo
 
 
 class ChecksumOutcome(enum.Enum):
@@ -118,13 +119,8 @@ def _execute(func: ast.FunctionDef, vector: TestVector) -> ExecutionResult:
 #: reference over the *same* seeded test suite once per candidate attempt.
 #: The interpreter copies array contents on allocation and ``outputs()``
 #: snapshots, so suites and results are safely shareable.  Keyed by the
-#: identity of the (cache-shared) scalar AST; the entry holds a strong
-#: reference to the function, so an id can never be silently reused.
-_SCALAR_MEMO: dict[
-    tuple[int, int, tuple[int, ...] | None, tuple[int, int]],
-    tuple[ast.FunctionDef, list[TestVector], list[ExecutionResult]],
-] = {}
-_SCALAR_MEMO_CAPACITY = 256
+#: identity of the (cache-shared) scalar AST.
+_SCALAR_MEMO = IdentityMemo(256)
 
 
 def _scalar_suite(
@@ -134,19 +130,14 @@ def _scalar_suite(
     value_range: tuple[int, int],
 ) -> tuple[list[TestVector], list[ExecutionResult]]:
     """The seeded test suite plus a lazily-filled list of scalar results."""
-    key = (id(scalar_func), seed,
-           tuple(trip_counts) if trip_counts is not None else None, value_range)
-    entry = _SCALAR_MEMO.get(key)
-    if entry is not None and entry[0] is scalar_func:
-        return entry[1], entry[2]
-    rng = random.Random(seed)
-    spec = InputSpec.from_function(scalar_func)
-    suite = make_test_suite(spec, rng, trip_counts=trip_counts, value_range=value_range)
-    results: list[ExecutionResult] = []
-    if len(_SCALAR_MEMO) >= _SCALAR_MEMO_CAPACITY:
-        _SCALAR_MEMO.clear()
-    _SCALAR_MEMO[key] = (scalar_func, suite, results)
-    return suite, results
+    def build() -> tuple[list[TestVector], list[ExecutionResult]]:
+        spec = InputSpec.from_function(scalar_func)
+        suite = make_test_suite(spec, random.Random(seed), trip_counts=trip_counts,
+                                value_range=value_range)
+        return suite, []
+
+    salt = (seed, tuple(trip_counts) if trip_counts is not None else None, value_range)
+    return _SCALAR_MEMO.get_or_compute(scalar_func, build, salt=salt)
 
 
 def _compare_outputs(

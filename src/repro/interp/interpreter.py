@@ -26,8 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from collections.abc import Mapping
 
-from functools import lru_cache
-
 from repro.cfront import ast_nodes as ast
 from repro.errors import CompileError, InterpreterError, UndefinedBehaviorError
 from repro.interp.memory import Memory, UBEvent
@@ -38,7 +36,7 @@ from repro.intrinsics.registry import (
     lookup_intrinsic,
 )
 from repro.intrinsics.values import PredValue, VecValue
-from repro.lanetypes import INT32, LaneType
+from repro.lanetypes import ALL_LANE_TYPES, LaneType
 from repro.targets import vector_type_lanes_for
 
 
@@ -101,7 +99,12 @@ class ExecutionResult:
 
 
 class Interpreter:
-    """Executes a single :class:`~repro.cfront.ast_nodes.FunctionDef`."""
+    """Executes a single :class:`~repro.cfront.ast_nodes.FunctionDef`.
+
+    ``memory`` must be modelled at the kernel's lane element type
+    (:func:`~repro.cfront.ast_nodes.kernel_dtype`), as :func:`run_function`
+    sets it up.
+    """
 
     def __init__(self, func: ast.FunctionDef, memory: Memory, scalars: Mapping[str, int],
                  max_steps: int = 2_000_000):
@@ -112,9 +115,9 @@ class Interpreter:
         self.steps = 0
         self.op_counts: Counter = Counter()
         #: The kernel's lane element type; every scalar wraps at its width.
-        self.dtype: LaneType = ast.kernel_dtype(func)
+        self.dtype: LaneType = memory.dtype
         self._wrap = self.dtype.wrap
-        self._binops = _scalar_binops_for(self.dtype)
+        self._binops = _SCALAR_BINOPS[self.dtype.name]
         self._bind_parameters(scalars)
 
     # -- setup ----------------------------------------------------------------
@@ -676,7 +679,6 @@ class Interpreter:
 #: Pure scalar operators (no UB to record) as a per-dtype dispatch table;
 #: ``/`` and ``%`` stay in ``_scalar_binop`` because a zero divisor records
 #: a UB event.  Shift counts mask to the lane width like the vector shifts.
-@lru_cache(maxsize=None)
 def _scalar_binops_for(dtype: LaneType) -> dict:
     wrap = dtype.wrap
     shift_mask = dtype.bits - 1
@@ -698,7 +700,7 @@ def _scalar_binops_for(dtype: LaneType) -> dict:
     }
 
 
-_SCALAR_BINOPS = _scalar_binops_for(INT32)
+_SCALAR_BINOPS = {dtype.name: _scalar_binops_for(dtype) for dtype in ALL_LANE_TYPES}
 
 #: Concrete-class dispatch tables for the interpretation hot path, built once
 #: at import.  ``stmt.__class__`` keys make each dispatch a single dict probe.

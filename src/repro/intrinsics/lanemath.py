@@ -11,10 +11,9 @@ and nowhere else.  The historical 32-bit spellings (``wrap32``,
 Beyond the scalar helpers, this module provides *bulk* kernels that evaluate
 a whole register per call: lanes as numpy arrays of the dtype's width (whose
 arithmetic wraps exactly like the scalar ``LaneType.wrap`` semantics),
-poison and predicate lanes as boolean arrays.  When numpy is unavailable the
-kernels fall back to :mod:`repro.intrinsics.purelanes`, the deliberately
-independent pure-Python reference that the property tests also compare
-against.
+poison and predicate lanes as boolean arrays.  The property tests compare
+every kernel against :mod:`repro.intrinsics.purelanes`, a deliberately
+independent pure-Python reference.
 
 Shift counts at or beyond the lane width are *defined* here — ``srl``/``sll``
 produce 0 and ``sra`` clamps to ``bits - 1``, matching the scalar oracle —
@@ -25,15 +24,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+import numpy as _np
+
 from repro.intrinsics import purelanes
 from repro.lanetypes import INT32, LaneType
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: Legacy 32-bit spellings: the default element type's constants/helpers.
 LANE_BITS = INT32.bits
@@ -72,39 +66,40 @@ BINARY_OPS = purelanes.BINARY_OPS
 UNARY_OPS = purelanes.UNARY_OPS
 SHIFT_OPS = purelanes.SHIFT_OPS
 
-if HAVE_NUMPY:
-    #: LaneType name -> (signed dtype, unsigned dtype, signed -1, signed 0).
-    _NP_TYPES = {
-        "int16": (_np.int16, _np.uint16, _np.int16(-1), _np.int16(0)),
-        "int32": (_np.int32, _np.uint32, _np.int32(-1), _np.int32(0)),
-        "int64": (_np.int64, _np.uint64, _np.int64(-1), _np.int64(0)),
+#: LaneType name -> (signed dtype, unsigned dtype, signed -1, signed 0).
+_NP_TYPES = {
+    "int16": (_np.int16, _np.uint16, _np.int16(-1), _np.int16(0)),
+    "int32": (_np.int32, _np.uint32, _np.int32(-1), _np.int32(0)),
+    "int64": (_np.int64, _np.uint64, _np.int64(-1), _np.int64(0)),
+}
+
+
+def _binary_kernels(neg1, zero):
+    return {
+        "add": _np.add,
+        "sub": _np.subtract,
+        "mul": _np.multiply,
+        "and": _np.bitwise_and,
+        "or": _np.bitwise_or,
+        "xor": _np.bitwise_xor,
+        "andnot": lambda a, b: _np.bitwise_and(_np.invert(a), b),
+        "max": _np.maximum,
+        "min": _np.minimum,
+        "cmpgt": lambda a, b: _np.where(a > b, neg1, zero),
+        "cmpeq": lambda a, b: _np.where(a == b, neg1, zero),
     }
 
-    def _binary_kernels(neg1, zero):
-        return {
-            "add": _np.add,
-            "sub": _np.subtract,
-            "mul": _np.multiply,
-            "and": _np.bitwise_and,
-            "or": _np.bitwise_or,
-            "xor": _np.bitwise_xor,
-            "andnot": lambda a, b: _np.bitwise_and(_np.invert(a), b),
-            "max": _np.maximum,
-            "min": _np.minimum,
-            "cmpgt": lambda a, b: _np.where(a > b, neg1, zero),
-            "cmpeq": lambda a, b: _np.where(a == b, neg1, zero),
-        }
 
-    #: LaneType name -> op -> numpy kernel (comparisons bake in the dtype's
-    #: own -1/0 so the result array keeps the element width).
-    _BINARY_KERNELS = {
-        name: _binary_kernels(neg1, zero)
-        for name, (_, _, neg1, zero) in _NP_TYPES.items()
-    }
+#: LaneType name -> op -> numpy kernel (comparisons bake in the dtype's
+#: own -1/0 so the result array keeps the element width).
+_BINARY_KERNELS = {
+    name: _binary_kernels(neg1, zero)
+    for name, (_, _, neg1, zero) in _NP_TYPES.items()
+}
 
-    _UNARY_KERNELS = {
-        "abs": _np.abs,
-    }
+_UNARY_KERNELS = {
+    "abs": _np.abs,
+}
 
 
 def _arr(lanes: Sequence[int], dtype: LaneType) -> "_np.ndarray":
@@ -135,8 +130,6 @@ def binary_lanes(op: str, a: Sequence[int], b: Sequence[int],
                  dtype: LaneType = INT32,
                  ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """Lane-wise binary op with wraparound; poison ORs lane-wise."""
-    if not HAVE_NUMPY:
-        return purelanes.binary_lanes(op, a, b, pa, pb, bits=dtype.bits)
     kernel = _BINARY_KERNELS[dtype.name][op]
     lanes = _lane_tuple(kernel(_arr(a, dtype), _arr(b, dtype)))
     return lanes, or_flags(pa, pb)
@@ -145,8 +138,6 @@ def binary_lanes(op: str, a: Sequence[int], b: Sequence[int],
 def unary_lanes(op: str, a: Sequence[int], pa: Sequence[bool],
                 dtype: LaneType = INT32,
                 ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    if not HAVE_NUMPY:
-        return purelanes.unary_lanes(op, a, pa, bits=dtype.bits)
     return _lane_tuple(_UNARY_KERNELS[op](_arr(a, dtype))), tuple(pa)
 
 
@@ -159,8 +150,6 @@ def shift_lanes(op: str, a: Sequence[int], count: int, pa: Sequence[bool],
     ``count >= dtype.bits`` produce 0 and ``sra`` clamps to ``bits - 1``,
     exactly like the scalar oracle.
     """
-    if not HAVE_NUMPY:
-        return purelanes.shift_lanes(op, a, count, pa, bits=dtype.bits)
     count = int(count)
     poison = tuple(pa)
     signed, unsigned = _NP_TYPES[dtype.name][:2]
@@ -188,8 +177,6 @@ def select_lanes(a: Sequence[int], b: Sequence[int], mask: Sequence[int],
     Byte index ``k`` of each operand lane corresponds across ``a``/``b``/
     ``mask``, so the uint8 reinterpretation is endianness-agnostic.
     """
-    if not HAVE_NUMPY:
-        return purelanes.select_lanes(a, b, mask, pa, pb, pm, bits=dtype.bits)
     signed = _NP_TYPES[dtype.name][0]
     bytes_a = _arr(a, dtype).view(_np.uint8)
     bytes_b = _arr(b, dtype).view(_np.uint8)
@@ -215,8 +202,6 @@ def pred_not_lanes(gov: Sequence[bool], p: Sequence[bool],
                    pg: Sequence[bool], pp: Sequence[bool],
                    ) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
     """Zeroing predicate NOT: active where ``gov`` is active and ``p`` isn't."""
-    if not HAVE_NUMPY:
-        return purelanes.pred_not_lanes(gov, p, pg, pp)
     lanes = _flag_tuple(_bools(gov) & ~_bools(p))
     return lanes, or_flags(pg, pp)
 
@@ -227,8 +212,6 @@ def pred_logic_lanes(op: str, gov: Sequence[bool],
                      pb: Sequence[bool],
                      ) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
     """Zeroing predicate AND/OR, governed by ``gov``."""
-    if not HAVE_NUMPY:
-        return purelanes.pred_logic_lanes(op, gov, a, b, pg, pa, pb)
     xa, xb = _bools(a), _bools(b)
     combined = (xa & xb) if op == "and" else (xa | xb)
     if op not in ("and", "or"):
@@ -243,9 +226,6 @@ def pred_cmp_lanes(op: str, gov: Sequence[bool],
                    dtype: LaneType = INT32,
                    ) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
     """Predicate-producing comparison; inactive lanes come back false."""
-    if not HAVE_NUMPY:
-        return purelanes.pred_cmp_lanes(op, gov, a, b, pg, pa, pb,
-                                        bits=dtype.bits)
     xa, xb = _arr(a, dtype), _arr(b, dtype)
     if op == "cmpgt":
         compared = xa > xb
@@ -268,8 +248,6 @@ def psel_lanes(pred: Sequence[bool], a: Sequence[int], b: Sequence[int],
                dtype: LaneType = INT32,
                ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """Predicate-selected blend: active lanes from ``a``, inactive from ``b``."""
-    if not HAVE_NUMPY:
-        return purelanes.psel_lanes(pred, a, b, pg, pa, pb, bits=dtype.bits)
     active = _bools(pred)
     lanes = _lane_tuple(_np.where(active, _arr(a, dtype), _arr(b, dtype)))
     if not (any(pg) or any(pa) or any(pb)):
@@ -285,9 +263,6 @@ def pred_merge_lanes(op: str, pred: Sequence[bool],
                      dtype: LaneType = INT32,
                      ) -> tuple[tuple[int, ...], tuple[bool, ...]]:
     """Merging predicated arithmetic: inactive lanes keep the first operand."""
-    if not HAVE_NUMPY:
-        return purelanes.pred_merge_lanes(op, pred, a, b, pg, pa, pb,
-                                          bits=dtype.bits)
     active = _bools(pred)
     xa = _arr(a, dtype)
     computed = _BINARY_KERNELS[dtype.name][op](xa, _arr(b, dtype))

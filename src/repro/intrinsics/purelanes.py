@@ -8,8 +8,6 @@ inputs and require bit-identical results — so this module must NOT import
 the numpy kernels (or :mod:`repro.lanetypes`), and it keeps its
 own wraparound helpers parameterized by a raw ``bits`` count rather than
 sharing the :class:`LaneType` descriptors.
-
-It also serves as the runtime fallback when numpy is unavailable.
 """
 
 from __future__ import annotations

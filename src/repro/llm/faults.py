@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.cfront import ast_nodes as ast
 from repro.cfront.printer import function_to_c
+from repro.memo import Memo
 from repro.targets import ALL_TARGETS, TargetISA, resolve_intrinsic
 
 
@@ -166,19 +167,15 @@ def _zero_call(isa: TargetISA) -> ast.Call:
 
 #: ``applicable_faults`` is pure in its source text, and the synthetic LLM
 #: asks about the same (plan-cached) candidate once per faulty attempt.
-_APPLICABLE_MEMO: dict[str, list[FaultKind]] = {}
-_APPLICABLE_MEMO_CAPACITY = 1024
+_APPLICABLE_MEMO = Memo(1024)
 
 
 def applicable_faults(vectorized_source: str) -> list[FaultKind]:
     """Which fault kinds can be expressed on this particular candidate."""
-    cached = _APPLICABLE_MEMO.get(vectorized_source)
-    if cached is not None:
-        return list(cached)
-    faults = _applicable_faults_uncached(vectorized_source)
-    if len(_APPLICABLE_MEMO) >= _APPLICABLE_MEMO_CAPACITY:
-        _APPLICABLE_MEMO.clear()
-    _APPLICABLE_MEMO[vectorized_source] = faults
+    faults = _APPLICABLE_MEMO.get(vectorized_source)
+    if faults is None:
+        faults = _APPLICABLE_MEMO.put(vectorized_source,
+                                      _applicable_faults_uncached(vectorized_source))
     return list(faults)
 
 
@@ -206,8 +203,7 @@ def _applicable_faults_uncached(vectorized_source: str) -> list[FaultKind]:
 
 
 def _count_for_loops(source: str) -> int:
-    # Read-only walk, so the shared-AST cache is safe here (candidate sources
-    # are usually renderer output and already seeded).
+    # Read-only walk, so the shared-AST cache is safe here.
     from repro.vectorizer.plancache import cached_parse
 
     try:
@@ -226,8 +222,8 @@ def apply_fault(vectorized_source: str, kind: FaultKind, rng: random.Random) -> 
     """
     if kind is FaultKind.COMPILE_ERROR:
         return _inject_compile_error(vectorized_source, rng)
-    # A private copy of the (usually cache-seeded) tree: the mutators below
-    # edit in place, and the shared AST must never be touched.
+    # A private copy of the shared tree: the mutators below edit in place,
+    # and the shared AST must never be touched.
     from repro.vectorizer.plancache import cached_parse
 
     func = copy.deepcopy(cached_parse(vectorized_source))
@@ -249,14 +245,7 @@ def apply_fault(vectorized_source: str, kind: FaultKind, rng: random.Random) -> 
         changed = False
     if not changed:
         return vectorized_source
-    mutated_source = function_to_c(func, include_header=True)
-    # ``func`` was parsed fresh above (never from the shared-AST cache — the
-    # mutators edit it in place) and is final now; seed the parse cache so the
-    # tester/verifier reuse this tree instead of re-parsing the rendering.
-    from repro.vectorizer.plancache import seed_parse
-
-    seed_parse(mutated_source, func)
-    return mutated_source
+    return function_to_c(func, include_header=True)
 
 
 def _inject_compile_error(source: str, rng: random.Random) -> str:

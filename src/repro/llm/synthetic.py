@@ -40,13 +40,9 @@ from repro.errors import ParseError, ReproError
 from repro.llm.client import CompletionRequest, LLMClient, LLMCompletion
 from repro.llm.faults import FaultProfile, applicable_faults, apply_fault
 from repro.llm.prompts import has_dependence_feedback, has_tester_feedback
+from repro.memo import IdentityMemo
 from repro.targets import TargetISA, get_target, resolve_target_setting
-from repro.vectorizer.plancache import (
-    cached_parse,
-    cached_plan,
-    cached_vectorize,
-    seed_parse,
-)
+from repro.vectorizer.plancache import cached_parse, cached_plan, cached_vectorize
 from repro.analysis.loops import find_main_loop
 
 
@@ -168,21 +164,21 @@ class SyntheticLLM(LLMClient):
         if has_dependence_feedback(request.prompt) or has_tester_feedback(request.prompt):
             success_rate *= 2.0
         if rng.random() < success_rate:
-            blocked = _memoized_builder(
-                "blocked", scalar_func, target.lanes,
-                lambda: _blocked_rewrite(scalar_func, target.lanes))
+            blocked = _BUILDER_MEMO.get_or_compute(
+                scalar_func, lambda: _blocked_rewrite(scalar_func, target.lanes),
+                salt=("blocked", target.lanes))
             if blocked is not None:
                 return LLMCompletion(
                     code=blocked, annotations={"mode": "blocked_rewrite", "reason": reason}
                 )
         if rng.random() < self.config.broken_compile_rate:
-            broken = _memoized_builder(
-                "uncompilable", scalar_func, target.name,
-                lambda: _uncompilable_attempt(scalar_func, target))
+            broken = _BUILDER_MEMO.get_or_compute(
+                scalar_func, lambda: _uncompilable_attempt(scalar_func, target),
+                salt=("uncompilable", target.name))
             return LLMCompletion(code=broken, annotations={"mode": "broken_compile", "reason": reason})
-        broken = _memoized_builder(
-            "broken", scalar_func, target.lanes,
-            lambda: _broken_attempt(scalar_func, target.lanes))
+        broken = _BUILDER_MEMO.get_or_compute(
+            scalar_func, lambda: _broken_attempt(scalar_func, target.lanes),
+            salt=("broken", target.lanes))
         return LLMCompletion(code=broken, annotations={"mode": "broken_wrong", "reason": reason})
 
 
@@ -193,23 +189,8 @@ class SyntheticLLM(LLMClient):
 #: The three builders below are deterministic in (scalar function, lane
 #: count / target); the rng only decides *which* builder a completion uses.
 #: Hard kernels are retried many times per campaign, so each rebuild was
-#: pure repeat work.  Entries hold a strong reference to the input function,
-#: protecting the id-based key from reuse.
-_BUILDER_MEMO: dict[tuple[str, int, object], tuple[ast.FunctionDef, str | None]] = {}
-_BUILDER_MEMO_CAPACITY = 512
-
-
-def _memoized_builder(kind: str, scalar_func: ast.FunctionDef, salt: object,
-                      build) -> str | None:
-    key = (kind, id(scalar_func), salt)
-    entry = _BUILDER_MEMO.get(key)
-    if entry is not None and entry[0] is scalar_func:
-        return entry[1]
-    source = build()
-    if len(_BUILDER_MEMO) >= _BUILDER_MEMO_CAPACITY:
-        _BUILDER_MEMO.clear()
-    _BUILDER_MEMO[key] = (scalar_func, source)
-    return source
+#: pure repeat work.
+_BUILDER_MEMO = IdentityMemo(512)
 
 
 def _blocked_rewrite(scalar_func: ast.FunctionDef, lanes: int = 8) -> str | None:
@@ -256,9 +237,7 @@ def _blocked_rewrite(scalar_func: ast.FunctionDef, lanes: int = 8) -> str | None
     )
     replacement = ast.Block(body=[outer_loop, epilogue])
     _replace_in(func.body, loop.node, replacement)
-    source = function_to_c(func, include_header=True)
-    seed_parse(source, func)
-    return source
+    return function_to_c(func, include_header=True)
 
 
 def _broken_attempt(scalar_func: ast.FunctionDef, lanes: int = 8) -> str:
@@ -272,9 +251,7 @@ def _broken_attempt(scalar_func: ast.FunctionDef, lanes: int = 8) -> str:
             value=ast.IntLiteral(value=lanes),
         )
         loop.node.step = new_step
-    source = function_to_c(func, include_header=True)
-    seed_parse(source, func)
-    return source
+    return function_to_c(func, include_header=True)
 
 
 def _uncompilable_attempt(scalar_func: ast.FunctionDef,

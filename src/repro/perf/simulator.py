@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 from repro.analysis.features import analyze_kernel
 from repro.cfront import ast_nodes as ast
-from repro.cfront.cparser import parse_function
 from repro.compilers.base import CompilerDecision, SimulatedCompiler
 from repro.compilers.suites import all_compilers
 from repro.interp.interpreter import run_function
 from repro.interp.randominit import InputSpec, make_test_vector
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel, cost_model_for
 from repro.targets import TargetISA, get_target
+from repro.vectorizer.plancache import cached_parse
 from repro.vectorizer.planner import VECTOR_WIDTH
 
 
@@ -72,7 +72,7 @@ def _execute_for_counts(func: ast.FunctionDef, n: int, seed: int):
 def estimate_cycles(code: str | ast.FunctionDef, n: int = 256, seed: int = 11,
                     cost_model: CostModel = DEFAULT_COST_MODEL) -> float:
     """Estimated cycles of one execution of ``code`` with trip count ``n``."""
-    func = code if isinstance(code, ast.FunctionDef) else parse_function(code)
+    func = code if isinstance(code, ast.FunctionDef) else cached_parse(code)
     result = _execute_for_counts(func, n, seed)
     return cost_model.cycles_for(result.op_counts)
 
@@ -115,7 +115,7 @@ def measure_kernel(
     isa = get_target(target)
     if cost_model is None:
         cost_model = cost_model_for(isa)
-    scalar_func = parse_function(scalar_code)
+    scalar_func = cached_parse(scalar_code)
     features = analyze_kernel(scalar_func)
     scalar_cycles = estimate_cycles(scalar_func, n=n, seed=seed, cost_model=cost_model)
     llm_cycles = estimate_cycles(llm_code, n=n, seed=seed, cost_model=cost_model)

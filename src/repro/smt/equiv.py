@@ -25,6 +25,7 @@ import enum
 import random
 from dataclasses import dataclass
 
+from repro.memo import Memo
 from repro.smt.bitblast import BitBlaster, UnsupportedTerm
 from repro.smt.sat import CDCLSolver, SATResult, SATStatistics
 from repro.smt.terms import (
@@ -230,10 +231,7 @@ def normalize_term(term: Term) -> Term:
     key = (active_bits(), term)
     cached = _NORMALIZE_CACHE.get(key)
     if cached is None:
-        cached = _normalize_node(term)
-        if len(_NORMALIZE_CACHE) > _NORMALIZE_CACHE_CAP:
-            _NORMALIZE_CACHE.clear()
-        _NORMALIZE_CACHE[key] = cached
+        cached = _NORMALIZE_CACHE.put(key, _normalize_node(term))
     return cached
 
 
@@ -279,7 +277,7 @@ def _normalize_node(term: Term) -> Term:
     return mk(term.kind, *normalized_args)
 
 
-_ORDERING_KEY_CACHE: dict[Term, tuple] = {}
+_ORDERING_KEY_CACHE = Memo(200_000)
 
 
 def _ordering_key(term: Term) -> tuple:
@@ -288,20 +286,16 @@ def _ordering_key(term: Term) -> tuple:
     # Tuples share the child keys by reference and compare lazily.
     key = _ORDERING_KEY_CACHE.get(term)
     if key is None:
-        key = (
+        key = _ORDERING_KEY_CACHE.put(term, (
             term.kind.value,
             term.value if term.value is not None else 0,
             term.name or "",
             tuple(_ordering_key(a) for a in term.args),
-        )
-        if len(_ORDERING_KEY_CACHE) > _NORMALIZE_CACHE_CAP:
-            _ORDERING_KEY_CACHE.clear()
-        _ORDERING_KEY_CACHE[term] = key
+        ))
     return key
 
 
-_NORMALIZE_CACHE: dict[tuple[int, Term], Term] = {}
-_NORMALIZE_CACHE_CAP = 200_000
+_NORMALIZE_CACHE = Memo(200_000)
 
 
 def cached_normalize(term: Term) -> Term:

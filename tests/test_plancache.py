@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cfront.cparser import parse_function
 from repro.vectorizer import plancache
 from repro.vectorizer.planner import RejectionReason
 
@@ -40,7 +39,6 @@ def fresh_caches():
     plancache.clear_caches()
     yield
     plancache.clear_caches()
-    plancache.set_capacity(plancache.DEFAULT_CAPACITY)
 
 
 class TestParseCache:
@@ -69,32 +67,6 @@ class TestParseCache:
         # The very same exception instance comes back: messages stay stable.
         assert second.value is first.value
         assert plancache.stats.parse_hits == 1
-
-    def test_seed_parse_turns_reparse_into_a_hit(self):
-        func = parse_function(SRC)
-        plancache.seed_parse(SRC, func)
-        got = plancache.cached_parse(SRC)
-        assert got is func
-        assert plancache.stats.parse_hits == 1
-        assert plancache.stats.parse_misses == 0
-
-    def test_seed_parse_does_not_replace_existing_entry(self):
-        first = plancache.cached_parse(SRC)
-        other = parse_function(SRC)
-        plancache.seed_parse(SRC, other)
-        assert plancache.cached_parse(SRC) is first
-
-    def test_capacity_overflow_clears_instead_of_growing(self):
-        plancache.set_capacity(1)
-        first = plancache.cached_parse(SRC)
-        plancache.cached_parse(SRC_OTHER)  # overflow: cache reset to 1 entry
-        again = plancache.cached_parse(SRC)
-        assert again is not first
-        assert plancache.stats.parse_misses == 3
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            plancache.set_capacity(0)
 
 
 class TestFingerprint:

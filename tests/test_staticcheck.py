@@ -12,8 +12,10 @@ import random
 import pytest
 
 from repro.llm.faults import FaultKind, FaultProfile, apply_fault, applicable_faults
+from repro.memo import clear_all
 from repro.staticcheck import Diagnostic, Severity, StaticReport, check_candidate
 from repro.tsvc import load_kernel
+from repro.vectorizer import plancache
 from repro.vectorizer.plancache import cached_parse, cached_vectorize
 
 
@@ -223,6 +225,30 @@ class TestNewFaultKinds:
         picks_ext = [profile.sample_kind(random.Random(s), extended)
                      for s in range(40)]
         assert picks_base == picks_ext
+
+
+class TestSharedParse:
+    """The vetter judges the one shared parse of the exact candidate text."""
+
+    def test_vetting_parses_through_the_shared_cache(self):
+        kernel, source = golden("vsumr")
+        other = apply_fault(source, FaultKind.DROP_ACC_INIT, random.Random(0))
+        clear_all()
+        misses = plancache.stats.parse_misses
+        check_candidate(source, scalar_source=kernel.source)
+        assert plancache.stats.parse_misses == misses + 2
+        check_candidate(other, scalar_source=kernel.source)
+        assert plancache.stats.parse_misses == misses + 3
+
+    def test_renderer_built_candidates_keep_their_anchors(self):
+        kernel, source = golden("vsumr")
+        mutated = apply_fault(source, FaultKind.DROP_ACC_INIT, random.Random(0))
+        report = check_candidate(mutated, target="avx2", epilogue="scalar",
+                                 scalar_source=kernel.source)
+        rendered = [d.render() for d in report.diagnostics
+                    if d.rule_id == "use-before-init"]
+        assert rendered
+        assert rendered[0].startswith("11:43: error: [use-before-init]")
 
 
 class TestScreeningIntegration:
