@@ -226,8 +226,9 @@ def main() -> int:
     scale_workers = [int(w) for w in args.scale_workers.split(",") if w.strip()]
     reference_signature = None
     for workers in scale_workers:
-        scale_runner = CampaignRunner(CampaignConfig(workers=workers))
-        report = scale_runner.run(target=args.scale_target)
+        scale_runner = CampaignRunner(CampaignConfig(workers=workers,
+                                                     target=args.scale_target))
+        report = scale_runner.run()
         all_summaries.extend(scale_runner.summaries)
         summary = report.summary
         sig = signature(report)

@@ -1,10 +1,17 @@
-"""Setuptools shim.
+"""Setuptools build configuration for the ``repro`` package.
 
-The primary build configuration lives in pyproject.toml; this file exists so
-that ``pip install -e .`` works in offline environments whose pip cannot
-build PEP 660 editable wheels (no ``wheel`` package available).
+``pip install .`` (or ``pip install -e .``) installs the ``repro`` package
+from ``src/``; a checkout also runs as is with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.1.0",
+    description="Reproduction of LLM-Vectorizer: LLM-Based Verified Loop Vectorizer (CGO 2025)",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -45,7 +45,8 @@ _PUBLIC_API = {
     "plan_vectorization": "repro.vectorizer",
     "VectorizationPlan": "repro.vectorizer",
     "EPILOGUE_STRATEGIES": "repro.vectorizer",
-    "resolve_epilogue": "repro.vectorizer",
+    # Run settings: the one object every layer below a campaign takes.
+    "RunSpec": "repro.runspec",
     # Plan cache: content-addressed parse/plan/codegen reuse.
     "plan_cache_stats": "repro.vectorizer.plancache",
     "clear_plan_caches": "repro.vectorizer.plancache",

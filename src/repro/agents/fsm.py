@@ -21,6 +21,7 @@ from repro.agents.tester_agent import CompilerTesterAgent
 from repro.agents.user_proxy import UserProxyAgent
 from repro.agents.vectorizer_agent import VectorizerAgent
 from repro.llm.client import LLMClient
+from repro.runspec import RunSpec
 
 
 class FSMState(enum.Enum):
@@ -40,18 +41,6 @@ class FSMConfig:
     temperature: float = 1.0
     checksum_seed: int = 0
     trip_counts: list[int] | None = None
-    #: Target ISA name the agents vectorize for.  ``None`` means "inherit":
-    #: the tool/campaign layer resolves the active target through
-    #: :func:`repro.targets.resolve_target_setting` and pins it here.
-    target: str | None = None
-    #: Epilogue strategy the agents request (``"scalar"``, ``"masked"`` or
-    #: ``"predicated"``); pinned by the tool/campaign layer like ``target``.
-    epilogue: str = "scalar"
-    #: What the static candidate vetter contributes before checksum testing:
-    #: ``"off"`` (not run), ``"advisory"`` (reports attached, acceptance
-    #: unchanged) or ``"screen"`` (error-severity candidates rejected before
-    #: any execution).
-    static_check: str = "advisory"
 
 
 @dataclass
@@ -87,22 +76,24 @@ class FSMResult:
 
 
 class VectorizationFSM:
-    """Drives the three agents until acceptance or the attempt budget runs out."""
+    """Drives the three agents until acceptance or the attempt budget runs out.
+
+    ``spec`` (target, epilogue, dtype, static-check mode) is handed to all
+    three agents unchanged.
+    """
 
     def __init__(self, llm: LLMClient, kernel_name: str, scalar_code: str,
-                 config: FSMConfig | None = None):
+                 config: FSMConfig | None = None, *, spec: RunSpec = RunSpec()):
         self.config = config or FSMConfig()
         self.kernel_name = kernel_name
         self.scalar_code = scalar_code
         self.llm = llm
-        self.user_proxy = UserProxyAgent(kernel_name, scalar_code, target=self.config.target)
+        self.user_proxy = UserProxyAgent(kernel_name, scalar_code, spec=spec)
         self.vectorizer = VectorizerAgent(llm, kernel_name, scalar_code,
-                                          self.config.temperature, target=self.config.target,
-                                          epilogue=self.config.epilogue)
+                                          self.config.temperature, spec=spec)
         self.tester = CompilerTesterAgent(
             scalar_code, seed=self.config.checksum_seed, trip_counts=self.config.trip_counts,
-            static_check=self.config.static_check, target=self.config.target,
-            epilogue=self.config.epilogue,
+            spec=spec,
         )
         self.state = FSMState.INIT
 
@@ -162,6 +153,7 @@ class VectorizationFSM:
 
 
 def run_fsm_on_kernel(llm: LLMClient, kernel_name: str, scalar_code: str,
-                      config: FSMConfig | None = None) -> FSMResult:
+                      config: FSMConfig | None = None, *,
+                      spec: RunSpec = RunSpec()) -> FSMResult:
     """Convenience wrapper: build the FSM for one kernel and run it."""
-    return VectorizationFSM(llm, kernel_name, scalar_code, config).run()
+    return VectorizationFSM(llm, kernel_name, scalar_code, config, spec=spec).run()

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.agents.base import Agent, Message
 from repro.interp.checksum import ChecksumOutcome, checksum_testing
 from repro.perf import profile
+from repro.runspec import RunSpec
 
 #: The per-candidate outcome of a screen-mode static rejection; sits next
 #: to the :class:`~repro.interp.checksum.ChecksumOutcome` values in attempt
@@ -19,7 +20,7 @@ class CompilerTesterAgent(Agent):
     example inputs, expected and actual output arrays — for the vectorizer to
     attempt a repair, matching the s453 walkthrough of Section 4.4.2.
 
-    ``static_check`` selects what the rule-based linter contributes:
+    ``spec.static_check`` selects what the rule-based linter contributes:
 
     * ``"off"`` — not run at all;
     * ``"advisory"`` (default) — the :class:`~repro.staticcheck.StaticReport`
@@ -33,30 +34,27 @@ class CompilerTesterAgent(Agent):
     name = "tester"
 
     def __init__(self, scalar_code: str, seed: int = 0,
-                 trip_counts: list[int] | None = None,
-                 static_check: str = "advisory",
-                 target: str | None = None, epilogue: str = "scalar"):
+                 trip_counts: list[int] | None = None, *,
+                 spec: RunSpec = RunSpec()):
         self.scalar_code = scalar_code
         self.seed = seed
         self.trip_counts = trip_counts
-        self.static_check = static_check
-        self.target = target
-        self.epilogue = epilogue
+        self.spec = spec
 
     def _vet(self, candidate: str):
         from repro.staticcheck import check_candidate
 
         with profile.stage("staticcheck"):
             return check_candidate(
-                candidate, target=self.target, epilogue=self.epilogue,
+                candidate, target=self.spec.target, epilogue=self.spec.epilogue,
                 scalar_source=self.scalar_code)
 
     def respond(self, message: Message, history: list[Message]) -> Message:
         candidate = message.payload.get("candidate_code", "")
         static_report = None
-        if self.static_check != "off":
+        if self.spec.static_check != "off":
             static_report = self._vet(candidate)
-            if self.static_check == "screen" and static_report.has_errors:
+            if self.spec.static_check == "screen" and static_report.has_errors:
                 return Message(
                     sender=self.name,
                     recipient="vectorizer",

@@ -6,6 +6,7 @@ from repro.agents.base import Agent, Message
 from repro.analysis.features import analyze_kernel
 from repro.errors import ReproError
 from repro.llm.prompts import build_vectorization_prompt
+from repro.runspec import RunSpec
 from repro.vectorizer.plancache import cached_parse
 
 
@@ -19,15 +20,15 @@ class UserProxyAgent(Agent):
 
     name = "user_proxy"
 
-    def __init__(self, kernel_name: str, scalar_code: str, target: str | None = None):
+    def __init__(self, kernel_name: str, scalar_code: str, *, spec: RunSpec = RunSpec()):
         self.kernel_name = kernel_name
         self.scalar_code = scalar_code
-        self.target = target
+        self.spec = spec
 
     def initial_message(self) -> Message:
         dependence_report = self._dependence_report()
         prompt = build_vectorization_prompt(self.scalar_code, dependence_report,
-                                            target=self.target)
+                                            target=self.spec.target)
         return Message(
             sender=self.name,
             recipient="vectorizer",

@@ -5,6 +5,7 @@ from __future__ import annotations
 from repro.agents.base import Agent, Message
 from repro.llm.client import CompletionRequest, LLMClient
 from repro.llm.prompts import build_repair_prompt
+from repro.runspec import RunSpec
 
 
 class VectorizerAgent(Agent):
@@ -14,14 +15,12 @@ class VectorizerAgent(Agent):
     name = "vectorizer"
 
     def __init__(self, llm: LLMClient, kernel_name: str, scalar_code: str,
-                 temperature: float = 1.0, target: str | None = None,
-                 epilogue: str = "scalar"):
+                 temperature: float = 1.0, *, spec: RunSpec = RunSpec()):
         self.llm = llm
         self.kernel_name = kernel_name
         self.scalar_code = scalar_code
         self.temperature = temperature
-        self.target = target
-        self.epilogue = epilogue
+        self.spec = spec
         self.last_candidate: str | None = None
 
     def respond(self, message: Message, history: list[Message]) -> Message:
@@ -32,7 +31,7 @@ class VectorizerAgent(Agent):
             feedback = message.content
             prompt = build_repair_prompt(
                 self.scalar_code, self.last_candidate or "", feedback,
-                target=self.target,
+                target=self.spec.target,
             )
         request = CompletionRequest(
             prompt=prompt,
@@ -41,8 +40,7 @@ class VectorizerAgent(Agent):
             num_completions=1,
             temperature=self.temperature,
             feedback=feedback,
-            target=self.target,
-            epilogue=self.epilogue,
+            spec=self.spec,
         )
         completion = self.llm.complete(request)[0]
         self.last_candidate = completion.code

@@ -42,9 +42,9 @@ from repro.lanetypes import INT32, LaneType
 from repro.memo import IdentityMemo
 from repro.smt.equiv import EquivalenceChecker, EquivalenceOutcome, SolverBudget
 from repro.smt.terms import Term, contains_poison
+from repro.targets import DEFAULT_TARGET
 from repro.transforms.c_unroll import CUnrollError, unroll_scalar_function
 from repro.transforms.spatial import spatial_access_summary
-from repro.vectorizer.planner import VECTOR_WIDTH
 
 
 class VerificationOutcome(enum.Enum):
@@ -319,7 +319,7 @@ def _candidate_lanes_uncached(vector_func: ast.FunctionDef, dtype: LaneType) -> 
             spec = merged.get(node.func) or INTRINSIC_REGISTRY.get(node.func)
             if spec is not None:
                 lanes = max(lanes, spec.lanes)
-    return lanes or VECTOR_WIDTH
+    return lanes or DEFAULT_TARGET.lanes
 
 
 def _output_pairs(scalar_state: SymbolicState, vector_state: SymbolicState,

@@ -36,6 +36,7 @@ from repro.pipeline.campaign import (
     is_error_result,
 )
 from repro.pipeline.cache import config_fingerprint
+from repro.runspec import RunSpec
 from repro.tsvc import LoadedKernel, load_suite
 
 
@@ -119,14 +120,14 @@ def checksum_kernel_job(task: KernelTask) -> dict:
     """Campaign job: sample ``n`` completions for one kernel and classify each."""
     payload = task.payload
     model = SyntheticLLM(replace(payload["llm_config"], seed=task.seed))
-    target = payload.get("target", "avx2")
+    spec = payload["spec"]
     request = CompletionRequest(
-        prompt=build_vectorization_prompt(task.scalar_code, target=target),
+        prompt=build_vectorization_prompt(task.scalar_code, target=spec.target),
         kernel_name=task.kernel,
         scalar_code=task.scalar_code,
         num_completions=payload["num_completions"],
         temperature=payload["temperature"],
-        target=target,
+        spec=spec,
     )
     completions = model.complete(request)
     outcomes, first_plausible = classify_completions(
@@ -167,23 +168,21 @@ def run_checksum_evaluation(
     checksum_seed: int = 0,
     temperature: float = 1.0,
     campaign: CampaignRunner | CampaignConfig | None = None,
-    target: str = "avx2",
 ) -> ChecksumEvaluation:
     """Generate ``num_completions`` per kernel and classify each by checksum testing.
 
     With a :class:`SyntheticLLM` (or None), kernels run through the campaign
     engine with per-kernel derived seeds.  An arbitrary :class:`LLMClient`
     instance cannot be shipped to worker processes, so it falls back to the
-    serial in-process path with shared client state.  ``target`` selects the
-    ISA the completions are requested for; it is salted into the cache
-    fingerprint.
+    serial in-process path with shared client state.  Completions are
+    requested with the campaign's run settings (``campaign.config.spec``):
+    its target ISA, epilogue strategy and element type.
     """
-    from repro.targets import get_target
-
-    target = get_target(target).name
+    runner = as_campaign_runner(campaign)
+    spec = runner.config.spec
     if llm is not None and not isinstance(llm, SyntheticLLM):
         return _run_serial_with_instance(llm, num_completions, kernels, checksum_seed,
-                                         temperature, target)
+                                         temperature, spec)
 
     llm_config = llm.config if isinstance(llm, SyntheticLLM) else SyntheticLLMConfig()
     payload = {
@@ -191,19 +190,20 @@ def run_checksum_evaluation(
         "num_completions": num_completions,
         "checksum_seed": checksum_seed,
         "temperature": temperature,
-        "target": target,
+        "spec": spec,
     }
     # The fingerprint excludes ``num_completions`` so that a larger stored
-    # batch is *found* for a smaller request and sliced to its prefix.
+    # batch is *found* for a smaller request and sliced to its prefix.  The
+    # element type is already in the kernel name and source, and the static
+    # check plays no part in sampling.
     config_hash = config_fingerprint(
-        {"llm": llm_config, "checksum_seed": checksum_seed, "temperature": temperature},
-        target=target,
+        {"llm": llm_config, "checksum_seed": checksum_seed, "temperature": temperature,
+         "target": spec.target, "epilogue": spec.epilogue},
     )
-    runner = as_campaign_runner(campaign)
     tasks = runner.suite_tasks(kernels, payload, config_hash, base_seed=llm_config.seed)
     report = runner.run_tasks(
         checksum_kernel_job, tasks, label="checksum-eval",
-        cache_accept=_accept_batch, cache_adapt=_slice_batch, target=target,
+        cache_accept=_accept_batch, cache_adapt=_slice_batch,
     )
     # Error records (a kernel whose job raised) carry no outcomes; the
     # campaign summary still counts them, so they are reported, not silent.
@@ -227,19 +227,19 @@ def _run_serial_with_instance(
     kernels: list[str] | None,
     checksum_seed: int,
     temperature: float,
-    target: str = "avx2",
+    spec: RunSpec,
 ) -> ChecksumEvaluation:
     """Serial fallback for LLM clients that cannot be reconstructed per worker."""
-    suite: list[LoadedKernel] = load_suite(kernels)
+    suite: list[LoadedKernel] = load_suite(kernels, dtype=spec.dtype)
     records: list[KernelChecksumRecord] = []
     for kernel in suite:
         request = CompletionRequest(
-            prompt=build_vectorization_prompt(kernel.source, target=target),
+            prompt=build_vectorization_prompt(kernel.source, target=spec.target),
             kernel_name=kernel.name,
             scalar_code=kernel.source,
             num_completions=num_completions,
             temperature=temperature,
-            target=target,
+            spec=spec,
         )
         completions = llm.complete(request)
         outcomes, first_plausible = classify_completions(

@@ -30,6 +30,7 @@ from repro.pipeline.campaign import (
     is_error_result,
 )
 from repro.pipeline.cache import config_fingerprint
+from repro.runspec import RunSpec
 from repro.tsvc import load_suite
 
 
@@ -84,7 +85,8 @@ def fsm_kernel_job(task: KernelTask) -> dict:
     """Campaign job: run the multi-agent FSM on one kernel with its derived seed."""
     payload = task.payload
     llm = SyntheticLLM(replace(payload["llm_config"], seed=task.seed))
-    result = run_fsm_on_kernel(llm, task.kernel, task.scalar_code, payload["fsm_config"])
+    result = run_fsm_on_kernel(llm, task.kernel, task.scalar_code, payload["fsm_config"],
+                               spec=payload["spec"])
     return {
         "kernel": task.kernel,
         "accepted": result.accepted,
@@ -102,33 +104,22 @@ def run_fsm_evaluation(
 ) -> FSMEvaluation:
     """Run the multi-agent FSM over the suite and collect RQ4 statistics.
 
-    The target ISA resolves through the pipeline's single rule: an
-    explicitly-set ``config.target`` wins, an unset one inherits the
-    campaign config's target, and the pipeline default applies last.  The
-    resolved name is pinned into the FSM config, so the jobs and the
-    campaign summary label can never disagree.
+    The agents run with the campaign's run settings
+    (``campaign.config.spec``), so the jobs and the campaign summary label
+    can never disagree about the target.
     """
-    from repro.targets import resolve_target_setting
-
     fsm_config = config or FSMConfig()
-    campaign_target = None
-    if isinstance(campaign, (CampaignRunner, CampaignConfig)):
-        campaign_config = campaign.config if isinstance(campaign, CampaignRunner) else campaign
-        campaign_target = campaign_config.target
-    resolved = resolve_target_setting(fsm_config.target, campaign_target).name
-    if fsm_config.target != resolved:
-        fsm_config = replace(fsm_config, target=resolved)
+    runner = as_campaign_runner(campaign)
+    spec = runner.config.spec
     if llm is not None and not isinstance(llm, SyntheticLLM):
-        return _run_serial_with_instance(llm, kernels, fsm_config)
+        return _run_serial_with_instance(llm, kernels, fsm_config, spec)
 
     llm_config = llm.config if isinstance(llm, SyntheticLLM) else SyntheticLLMConfig()
-    payload = {"llm_config": llm_config, "fsm_config": fsm_config}
-    runner = as_campaign_runner(campaign)
+    payload = {"llm_config": llm_config, "fsm_config": fsm_config, "spec": spec}
     tasks = runner.suite_tasks(
         kernels, payload, config_fingerprint(payload), base_seed=llm_config.seed
     )
-    report = runner.run_tasks(fsm_kernel_job, tasks, label="fsm-eval",
-                              target=fsm_config.target)
+    report = runner.run_tasks(fsm_kernel_job, tasks, label="fsm-eval")
     # Error records carry no FSM fields; the summary's verdict counts
     # still surface them, so a partial campaign yields partial statistics.
     records = [
@@ -146,12 +137,12 @@ def run_fsm_evaluation(
 
 
 def _run_serial_with_instance(
-    llm: LLMClient, kernels: list[str] | None, fsm_config: FSMConfig
+    llm: LLMClient, kernels: list[str] | None, fsm_config: FSMConfig, spec: RunSpec
 ) -> FSMEvaluation:
     """Serial fallback for LLM clients that cannot be reconstructed per worker."""
     evaluation = FSMEvaluation()
-    for kernel in load_suite(kernels):
-        result = run_fsm_on_kernel(llm, kernel.name, kernel.source, fsm_config)
+    for kernel in load_suite(kernels, dtype=spec.dtype):
+        result = run_fsm_on_kernel(llm, kernel.name, kernel.source, fsm_config, spec=spec)
         evaluation.results.append(
             FSMKernelRecord(
                 kernel=result.kernel_name,

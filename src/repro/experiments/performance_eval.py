@@ -24,7 +24,6 @@ from repro.pipeline.campaign import (
     is_error_result,
 )
 from repro.pipeline.cache import config_fingerprint
-from repro.targets import get_target
 from repro.tsvc import load_kernel
 
 COMPILER_NAMES = ("GCC", "Clang", "ICC")
@@ -93,7 +92,7 @@ def performance_kernel_job(task: KernelTask) -> dict:
         llm_code=task.candidate_code,
         n=payload["trip_count"],
         seed=payload["seed"],
-        target=payload.get("target"),
+        target=payload["target"],
     )
     return {
         "kernel": performance.kernel,
@@ -119,20 +118,16 @@ def run_performance_evaluation(
     trip_count: int = 256,
     seed: int = 11,
     campaign: CampaignRunner | CampaignConfig | None = None,
-    target: str | None = None,
 ) -> PerformanceEvaluation:
     """Measure every verified (kernel -> vectorized source) pair against the baselines.
 
-    ``target`` prices the candidates with that ISA's cost tables (and salts
-    the cache fingerprint); the default keeps the paper's AVX2 pricing.
+    The candidates are priced with the cost tables of the campaign's target
+    ISA (``campaign.config.spec.target``; AVX2, the paper's setup, by
+    default).
     """
-    payload = {"trip_count": trip_count, "seed": seed}
-    # Canonicalize before salting so alias spellings ("avx", "AVX2") share
-    # the same cache entries as the canonical name.
-    canonical = get_target(target).name if target is not None else None
-    if canonical is not None:
-        payload["target"] = canonical
-    config_hash = config_fingerprint(payload, target=canonical)
+    runner = as_campaign_runner(campaign)
+    payload = {"trip_count": trip_count, "seed": seed, "target": runner.config.spec.target}
+    config_hash = config_fingerprint(payload)
     tasks = [
         KernelTask(
             kernel=kernel_name,
@@ -144,9 +139,7 @@ def run_performance_evaluation(
         )
         for kernel_name, vectorized_source in sorted(verified_candidates.items())
     ]
-    runner = as_campaign_runner(campaign)
-    report = runner.run_tasks(performance_kernel_job, tasks, label="performance-eval",
-                              target=canonical or "avx2")
+    report = runner.run_tasks(performance_kernel_job, tasks, label="performance-eval")
     # Error records carry no cycle measurements; the campaign summary still
     # counts them, so a partial measurement run yields partial speedups.
     performances = [

@@ -14,6 +14,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass, field
 
+from repro.runspec import RunSpec
+
 
 @dataclass(frozen=True)
 class CompletionRequest:
@@ -26,14 +28,9 @@ class CompletionRequest:
     temperature: float = 1.0
     #: Extra context the agents attach (dependence analysis, test feedback).
     feedback: str = ""
-    #: Target ISA name the completion should use.  ``None`` means "inherit":
-    #: the single default-resolution rule in
-    #: :func:`repro.targets.resolve_target_setting` applies, so requests,
-    #: prompts and tool configs cannot disagree about the active target.
-    target: str | None = None
-    #: Epilogue strategy the completion should use (``"scalar"``, ``"masked"``
-    #: or ``"predicated"``; see :data:`repro.vectorizer.EPILOGUE_STRATEGIES`).
-    epilogue: str = "scalar"
+    #: The run's settings; the completion targets ``spec.target`` and uses
+    #: the ``spec.epilogue`` tail strategy.
+    spec: RunSpec = RunSpec()
 
 
 @dataclass(frozen=True)

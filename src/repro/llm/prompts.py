@@ -12,7 +12,7 @@ our reproduction, matching Section 4.4.1).
 
 from __future__ import annotations
 
-from repro.targets import TargetISA, resolve_target_setting
+from repro.targets import TargetISA, get_target
 
 DEPENDENCE_SECTION_HEADER = "Dependence analysis from the compiler:"
 FEEDBACK_SECTION_HEADER = "Feedback from checksum-based testing:"
@@ -30,7 +30,7 @@ def build_vectorization_prompt(
     target: "TargetISA | str | None" = None,
 ) -> str:
     """The initial prompt asking for a vectorized program for one target ISA."""
-    isa = resolve_target_setting(target)
+    isa = get_target(target)
     lines = [
         f"You are an expert in SIMD programming with {isa.display_name} compiler intrinsics.",
         "Rewrite the following scalar C function into an equivalent vectorized C",
@@ -62,7 +62,7 @@ def build_repair_prompt(
     target: "TargetISA | str | None" = None,
 ) -> str:
     """The re-vectorization prompt carrying tester feedback (repair loop)."""
-    isa = resolve_target_setting(target)
+    isa = get_target(target)
     lines = [
         f"The previous {isa.display_name} vectorization attempt was not equivalent to the",
         "scalar code. Produce a corrected vectorized C function.",

@@ -41,7 +41,7 @@ from repro.llm.client import CompletionRequest, LLMClient, LLMCompletion
 from repro.llm.faults import FaultProfile, applicable_faults, apply_fault
 from repro.llm.prompts import has_dependence_feedback, has_tester_feedback
 from repro.memo import IdentityMemo
-from repro.targets import TargetISA, get_target, resolve_target_setting
+from repro.targets import TargetISA, get_target
 from repro.vectorizer.plancache import cached_parse, cached_plan, cached_vectorize
 from repro.analysis.loops import find_main_loop
 
@@ -51,7 +51,6 @@ class SyntheticLLMConfig:
     """Calibration of the synthetic model."""
 
     seed: int = 2024
-    temperature: float = 1.0
     fault_profile: FaultProfile = field(default_factory=FaultProfile)
     #: Per-completion probability of producing a *correct but unvectorized*
     #: blocked rewrite for kernels the vectorizer cannot handle (this is what
@@ -115,8 +114,8 @@ class SyntheticLLM(LLMClient):
 
     def _one_completion(self, request: CompletionRequest, index: int) -> LLMCompletion:
         rng = self._rng_for(request, index)
-        target = resolve_target_setting(getattr(request, "target", None))
-        epilogue = getattr(request, "epilogue", "scalar")
+        target = get_target(request.spec.target)
+        epilogue = request.spec.epilogue
         try:
             scalar_func = cached_parse(request.scalar_code)
         except (ParseError, ReproError):

@@ -23,9 +23,8 @@ from repro.compilers.suites import all_compilers
 from repro.interp.interpreter import run_function
 from repro.interp.randominit import InputSpec, make_test_vector
 from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel, cost_model_for
-from repro.targets import TargetISA, get_target
+from repro.targets import DEFAULT_TARGET, TargetISA, get_target
 from repro.vectorizer.plancache import cached_parse
-from repro.vectorizer.planner import VECTOR_WIDTH
 
 
 @dataclass
@@ -79,7 +78,7 @@ def estimate_cycles(code: str | ast.FunctionDef, n: int = 256, seed: int = 11,
 
 def baseline_cycles(scalar_cycles: float, decision: CompilerDecision,
                     trip_count: int, scalar_efficiency: float = 1.0,
-                    vector_width: int = VECTOR_WIDTH) -> float:
+                    vector_width: int = DEFAULT_TARGET.lanes) -> float:
     """Cycles for a baseline compiler, given the scalar-execution estimate.
 
     ``scalar_efficiency`` captures how much faster than the naive estimate the

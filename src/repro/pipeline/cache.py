@@ -53,20 +53,13 @@ def content_key(*parts: str) -> str:
     return digest.hexdigest()
 
 
-def config_fingerprint(obj: Any, target: str | None = None,
-                       dtype: str | None = None) -> str:
+def config_fingerprint(obj: Any) -> str:
     """A stable fingerprint of a (nested dataclass) configuration object.
 
-    ``target`` salts the fingerprint with a target-ISA name.  Multi-target
-    campaigns share one cache file, and several configuration objects (e.g.
-    the performance-eval payload) do not themselves carry the target; salting
-    the fingerprint guarantees that per-ISA verdicts can never collide on a
-    cached entry even then.
-
-    ``dtype`` salts it with the campaign's lane element type the same way.
-    ``int32`` (and ``None``) add no salt, so every fingerprint minted before
-    the dtype axis existed stays byte-identical and old cache files resume
-    cleanly; int16/int64 campaigns get their own key space.
+    Everything a job's outcome depends on must be inside ``obj`` — the
+    vectorize payload carries its :class:`~repro.runspec.RunSpec`, the
+    experiment payloads their target — so campaigns with different settings
+    never collide on a cached entry.
     """
     import dataclasses
 
@@ -84,12 +77,7 @@ def config_fingerprint(obj: Any, target: str | None = None,
             return value
         return repr(value)
 
-    parts = [json.dumps(normalize(obj), sort_keys=True)]
-    if target is not None:
-        parts.append(f"target:{target}")
-    if dtype is not None and dtype != "int32":
-        parts.append(f"dtype:{dtype}")
-    return content_key(*parts)
+    return content_key(json.dumps(normalize(obj), sort_keys=True))
 
 
 @dataclass

@@ -67,9 +67,9 @@ from repro.pipeline.scheduler import (
     dispatch_batches,
     resolve_batch_setting,
 )
-from repro.lanetypes import get_lane_type
 from repro.pipeline.verdict import Verdict
-from repro.targets import get_target, resolve_target_setting, target_names
+from repro.runspec import RunSpec
+from repro.targets import get_target, target_names
 
 JobFn = Callable[["KernelTask"], dict]
 
@@ -211,28 +211,22 @@ class CampaignConfig:
     store_path: str | Path | None = None
     #: Reuse records found in the result store from a previous, interrupted run.
     resume: bool = True
-    #: Target ISA name the campaign vectorizes for; ``None`` means "inherit"
-    #: (the single default-resolution rule in
-    #: :func:`repro.targets.resolve_target_setting` applies).  The resolved
-    #: target is folded into every cache-key fingerprint, so multi-target
-    #: campaigns can share one cache/store without colliding on a verdict.
-    target: str | None = None
-    #: Epilogue strategy campaigns vectorize with (``"scalar"``, ``"masked"``
-    #: or ``"predicated"``).  A vectorizer config requesting a non-default
-    #: epilogue wins over this setting, mirroring the target precedence.
+    #: The four run settings, set here once and read by every layer below
+    #: through :attr:`spec`.  ``target`` is the ISA the campaign vectorizes
+    #: for.  ``epilogue`` is the tail strategy (``"scalar"``, ``"masked"``
+    #: or ``"predicated"``).  ``dtype`` is the lane element type
+    #: (``"int16"``, ``"int32"`` or ``"int64"``); non-default dtypes load
+    #: the suite retargeted, with sized ``<stdint.h>`` spellings and
+    #: dtype-suffixed kernel names.  ``static_check`` is the vetting mode:
+    #: ``"off"`` skips the rule-based linter, ``"advisory"`` attaches its
+    #: reports and per-rule counters with every verdict bit-identical to
+    #: ``"off"``, and ``"screen"`` rejects error-severity candidates before
+    #: any execution (outcome ``static_reject``).  The spec is part of every
+    #: vectorize task's fingerprint, so campaigns with different settings
+    #: can share one cache and store without colliding on a verdict.
+    target: str = "avx2"
     epilogue: str = "scalar"
-    #: Lane element type the campaign models kernels at (``"int16"``,
-    #: ``"int32"`` or ``"int64"``).  Non-default dtypes load the suite
-    #: retargeted — sized ``<stdint.h>`` spellings, dtype-suffixed kernel
-    #: names — and salt every config fingerprint, so per-dtype verdicts can
-    #: never collide in a shared cache or store.
     dtype: str = "int32"
-    #: Static candidate vetting mode: ``"off"`` skips the rule-based linter,
-    #: ``"advisory"`` (default) attaches its reports and per-rule counters
-    #: while leaving every verdict bit-identical to the unvetted pipeline,
-    #: ``"screen"`` fast-rejects error-severity candidates before any
-    #: execution (outcome ``static_reject``).  A vectorizer config requesting
-    #: a non-default mode wins over this setting, mirroring ``epilogue``.
     static_check: str = "advisory"
     #: Abort the campaign on the first failing job (the pre-fault-tolerance
     #: behaviour).  Off by default: failures become error records instead.
@@ -274,12 +268,16 @@ class CampaignConfig:
     #: speed-up; ``None`` keeps the cache process-local.
     solve_cache_path: str | Path | None = None
 
-    def resolved_target_name(self) -> str:
-        return resolve_target_setting(self.target).name
+    def __post_init__(self) -> None:
+        # Build the spec once up front: an unknown setting raises here,
+        # before any kernel runs.
+        _ = self.spec
 
-    def resolved_dtype(self) -> str:
-        """Canonical lane-type name (aliases like ``int64_t`` normalize)."""
-        return get_lane_type(self.dtype).name
+    @property
+    def spec(self) -> RunSpec:
+        """The run settings as the one object every layer below takes."""
+        return RunSpec(target=self.target, epilogue=self.epilogue,
+                       dtype=self.dtype, static_check=self.static_check)
 
     def resolved_shard(self) -> "ShardSpec | None":
         return ShardSpec.parse(self.shard) if self.shard is not None else None
@@ -475,7 +473,7 @@ class CampaignRunner:
         shard = self.config.resolved_shard()
         if shard is not None:
             tasks = [task for task in tasks if shard.contains(task.kernel)]
-        resolved_target = target or self.config.resolved_target_name()
+        resolved_target = target or self.config.spec.target
 
         store = self.store
         stored = store.load() if self.config.resume else {}
@@ -563,58 +561,28 @@ class CampaignRunner:
 
     # -- the flagship campaign: vectorize-and-verify the suite ---------------------
 
-    def run(self, names: list[str] | None = None, vectorizer_config=None, *,
-            target: str | None = None) -> CampaignReport:
+    def run(self, names: list[str] | None = None, vectorizer_config=None) -> CampaignReport:
         """Run the full FSM -> checksum -> formal-verification pipeline per kernel.
 
         Per-kernel seeds derive from the synthetic LLM's seed (as in the
         experiment harnesses), so varying ``config.llm.seed`` varies the
-        sampled completions and the cache keys coherently.  ``target``
-        (default: the campaign config's target) selects the ISA; it is folded
-        into both the vectorizer configuration and the cache fingerprint.
-        The epilogue strategy resolves the same way: a vectorizer config
-        requesting a non-default epilogue wins, else the campaign config's
-        ``epilogue`` setting applies.
+        sampled completions and the cache keys coherently.  The run settings
+        are the campaign config's :attr:`CampaignConfig.spec`.
         """
-        tasks, isa_name = self.vectorize_tasks(names, vectorizer_config,
-                                               target=target)
-        return self.run_tasks(vectorize_kernel_job, tasks, label="vectorize",
-                              target=isa_name)
+        return self._run_vectorize(names, vectorizer_config, self.config.spec)
 
-    def vectorize_tasks(self, names: list[str] | None = None, vectorizer_config=None,
-                        *, target: str | None = None) -> tuple[list[KernelTask], str]:
-        """The exact tasks (and resolved ISA name) :meth:`run` would execute.
+    def vectorize_tasks(self, names: list[str] | None = None,
+                        vectorizer_config=None) -> list[KernelTask]:
+        """The exact tasks :meth:`run` would execute.
 
         This is the content-addressing half of the flagship campaign split
         out from the execution half: every task's ``config_hash`` is the
-        target-salted fingerprint of the fully-resolved vectorizer config,
+        fingerprint of the vectorizer config together with the run spec,
         so incremental re-verification (:mod:`repro.pipeline.incremental`)
         can ask "which of these keys does a store already answer?" without
         running anything.
         """
-        from repro.pipeline.runner import LLMVectorizerConfig
-
-        # One resolution rule, most to least specific: the explicit argument,
-        # then a vectorizer config with a set target, then the campaign
-        # config, then the pipeline default.
-        isa = resolve_target_setting(
-            target,
-            vectorizer_config.target if vectorizer_config is not None else None,
-            self.config.target,
-        )
-        config = vectorizer_config or LLMVectorizerConfig()
-        if config.target != isa.name:
-            config = replace(config, target=isa.name)
-        if config.epilogue == "scalar" and self.config.epilogue != "scalar":
-            config = replace(config, epilogue=self.config.epilogue)
-        if config.static_check == "advisory" and self.config.static_check != "advisory":
-            config = replace(config, static_check=self.config.static_check)
-        tasks = self.suite_tasks(names, payload=config,
-                                 config_hash=config_fingerprint(
-                                     config, target=isa.name,
-                                     dtype=self.config.resolved_dtype()),
-                                 base_seed=config.llm.seed)
-        return tasks, isa.name
+        return self._vectorize_tasks(names, vectorizer_config, self.config.spec)
 
     def run_multi_target(self, names: list[str] | None = None, *, vectorizer_config=None,
                          targets: list[str] | None = None) -> dict[str, CampaignReport]:
@@ -622,15 +590,33 @@ class CampaignRunner:
 
         Each target runs as its own campaign (its workers fan out over the
         process pool as usual) against the same content-addressed cache and
-        JSONL store; the target-salted fingerprints keep their entries
-        disjoint.  Returns an ordered mapping target name -> report, so
-        per-target summaries can be compared side by side.
+        JSONL store, with the campaign spec's other settings unchanged; the
+        spec is fingerprinted, so their entries stay disjoint.  Returns an
+        ordered mapping target name -> report, so per-target summaries can
+        be compared side by side.
         """
         names_in_order = [get_target(t).name for t in (targets or target_names())]
+        spec = self.config.spec
         return {
-            name: self.run(names, vectorizer_config=vectorizer_config, target=name)
+            name: self._run_vectorize(names, vectorizer_config, replace(spec, target=name))
             for name in names_in_order
         }
+
+    def _run_vectorize(self, names: list[str] | None, vectorizer_config,
+                       spec: RunSpec) -> CampaignReport:
+        tasks = self._vectorize_tasks(names, vectorizer_config, spec)
+        return self.run_tasks(vectorize_kernel_job, tasks, label="vectorize",
+                              target=spec.target)
+
+    def _vectorize_tasks(self, names: list[str] | None, vectorizer_config,
+                         spec: RunSpec) -> list[KernelTask]:
+        from repro.pipeline.runner import LLMVectorizerConfig
+
+        config = vectorizer_config or LLMVectorizerConfig()
+        payload = {"config": config, "spec": spec}
+        return self.suite_tasks(names, payload=payload,
+                                config_hash=config_fingerprint(payload),
+                                base_seed=config.llm.seed)
 
     def suite_tasks(
         self,
@@ -650,7 +636,7 @@ class CampaignRunner:
 
         seed = self.config.seed if base_seed is None else base_seed
         tasks = []
-        for kernel in load_suite(names, dtype=self.config.resolved_dtype()):
+        for kernel in load_suite(names, dtype=self.config.spec.dtype):
             candidate = candidates.get(kernel.name) if candidates is not None else None
             if candidates is not None and candidate is None:
                 continue
@@ -818,8 +804,8 @@ class CampaignRunner:
             wall_clock_seconds=wall_clock,
             workers=execution.workers,
             verdict_counts=count_verdicts(records),
-            target=target or self.config.resolved_target_name(),
-            dtype=self.config.resolved_dtype(),
+            target=target or self.config.spec.target,
+            dtype=self.config.spec.dtype,
             shard=shard,
             stage_seconds=dict(stage_seconds or {}),
             batch_size=execution.batch_size,
@@ -881,9 +867,9 @@ def vectorize_kernel_job(task: KernelTask) -> dict:
     from repro.pipeline.runner import LLMVectorizer
     from repro.tsvc import load_kernel
 
-    config = replace(task.payload, llm=replace(task.payload.llm, seed=task.seed))
-    tool = LLMVectorizer(config)
-    return kernel_result_record(tool.vectorize(load_kernel(task.kernel)))
+    config = task.payload["config"]
+    tool = LLMVectorizer(replace(config, llm=replace(config.llm, seed=task.seed)))
+    return kernel_result_record(tool.vectorize(load_kernel(task.kernel), task.payload["spec"]))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A full-matrix CI sweep re-runs the whole suite after *every* change, but
 most changes invalidate almost nothing: the campaign cache keys are
 content-addressed — each task's key folds in the kernel source, the
-candidate code, the derived seed and the target-salted
-``config_fingerprint`` of the fully-resolved vectorizer configuration — so
+candidate code, the derived seed and the ``config_fingerprint`` of the
+vectorizer configuration together with the campaign's run spec — so
 a planner/codegen/target/epilogue edit changes exactly the keys of the work
 it affects, and an existing JSONL store already answers every key it
 doesn't.  This module turns that property into a workflow:
@@ -55,7 +55,7 @@ class IncrementalPlan:
     """The fingerprint diff between a configuration and an existing store."""
 
     label: str
-    #: Resolved target ISA the tasks were fingerprinted for.
+    #: Target ISA the tasks were fingerprinted for.
     target: str
     #: Kernels whose content-addressed key the store already answers; their
     #: verdicts splice straight from the store.
@@ -96,20 +96,18 @@ def plan_reverify(
     names: list[str] | None = None,
     *,
     vectorizer_config=None,
-    target: str | None = None,
     config: CampaignConfig | None = None,
 ) -> IncrementalPlan:
     """Diff the current configuration's task keys against a store — dry run.
 
     Builds exactly the tasks :meth:`CampaignRunner.run` would execute for
-    this (kernels, vectorizer config, target) and checks which keys the
-    store already answers.  Executes nothing and writes nothing.  Error
-    records count as *changed* when the config would retry them
+    these kernels, this vectorizer config and ``config.spec``, and checks
+    which keys the store already answers.  Executes nothing and writes
+    nothing.  Error records count as *changed* when the config would retry them
     (``retry_errors``, the default), mirroring the resume semantics.
     """
     runner = _runner_for(store_path, config)
-    tasks, isa_name = runner.vectorize_tasks(names, vectorizer_config,
-                                             target=target)
+    tasks = runner.vectorize_tasks(names, vectorizer_config)
     stored = _ResultStore(store_path).load()
     retry_errors = runner.config.retry_errors
     unchanged: list[str] = []
@@ -120,7 +118,7 @@ def plan_reverify(
             unchanged.append(task.kernel)
         else:
             changed.append(task.kernel)
-    return IncrementalPlan(label=VECTORIZE_LABEL, target=isa_name,
+    return IncrementalPlan(label=VECTORIZE_LABEL, target=runner.config.spec.target,
                            unchanged=unchanged, changed=changed)
 
 
@@ -129,7 +127,6 @@ def reverify(
     names: list[str] | None = None,
     *,
     vectorizer_config=None,
-    target: str | None = None,
     config: CampaignConfig | None = None,
 ) -> "tuple[IncrementalPlan, CampaignReport]":
     """Execute only the kernels whose fingerprints changed; splice the rest.
@@ -143,9 +140,9 @@ def reverify(
     did (0 for an up-to-date store).
     """
     plan = plan_reverify(store_path, names, vectorizer_config=vectorizer_config,
-                         target=target, config=config)
+                         config=config)
     runner = _runner_for(store_path, config)
-    report = runner.run(names, vectorizer_config=vectorizer_config, target=target)
+    report = runner.run(names, vectorizer_config=vectorizer_config)
     return plan, report
 
 

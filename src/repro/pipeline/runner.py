@@ -16,28 +16,21 @@ from repro.llm.client import LLMClient
 from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
 from repro.pipeline.equivalence import EquivalencePipeline, PipelineReport
 from repro.pipeline.verdict import Verdict
-from repro.targets import resolve_target_setting
+from repro.runspec import RunSpec
 from repro.tsvc import LoadedKernel
 
 
 @dataclass
 class LLMVectorizerConfig:
-    """Top-level configuration of the end-to-end tool."""
+    """Top-level configuration of the end-to-end tool.
+
+    The run settings (target, epilogue, dtype, static check) are not part
+    of it: they travel as one :class:`~repro.runspec.RunSpec`.
+    """
 
     fsm: FSMConfig = field(default_factory=FSMConfig)
     llm: SyntheticLLMConfig = field(default_factory=SyntheticLLMConfig)
     run_verification: bool = True
-    checksum_seed: int = 0
-    #: Target ISA name the tool vectorizes for.  ``None`` means "unset":
-    #: campaign-level targets apply, and unresolved settings fall through
-    #: :func:`repro.targets.resolve_target_setting` to the pipeline default.
-    target: str | None = None
-    #: Epilogue strategy candidates are generated with (``"scalar"``,
-    #: ``"masked"`` or ``"predicated"``); pinned into the FSM config per run.
-    epilogue: str = "scalar"
-    #: Static candidate vetting mode (``"off"``, ``"advisory"``,
-    #: ``"screen"``); pinned into the FSM config per run like ``epilogue``.
-    static_check: str = "advisory"
 
 
 @dataclass
@@ -75,22 +68,11 @@ class LLMVectorizer:
     def __init__(self, config: LLMVectorizerConfig | None = None, llm: LLMClient | None = None):
         self.config = config or LLMVectorizerConfig()
         self.llm = llm or SyntheticLLM(self.config.llm)
-        self.pipeline = EquivalencePipeline(checksum_seed=self.config.checksum_seed)
+        self.pipeline = EquivalencePipeline()
 
-    def vectorize(self, kernel: LoadedKernel) -> KernelRunResult:
-        """Run the full tool on one kernel."""
-        return self._vectorize_for(kernel, resolve_target_setting(self.config.target).name)
-
-    def _vectorize_for(self, kernel: LoadedKernel, target: str) -> KernelRunResult:
-        """Run the tool on one kernel for an explicit target ISA."""
-        fsm_config = self.config.fsm
-        if fsm_config.target != target:
-            fsm_config = replace(fsm_config, target=target)
-        if fsm_config.epilogue != self.config.epilogue:
-            fsm_config = replace(fsm_config, epilogue=self.config.epilogue)
-        if fsm_config.static_check != self.config.static_check:
-            fsm_config = replace(fsm_config, static_check=self.config.static_check)
-        fsm = VectorizationFSM(self.llm, kernel.name, kernel.source, fsm_config)
+    def vectorize(self, kernel: LoadedKernel, spec: RunSpec = RunSpec()) -> KernelRunResult:
+        """Run the full tool on one kernel with the run settings ``spec``."""
+        fsm = VectorizationFSM(self.llm, kernel.name, kernel.source, self.config.fsm, spec=spec)
         fsm_result = fsm.run()
         pipeline_report = None
         if fsm_result.accepted and self.config.run_verification and fsm_result.final_code:
@@ -117,23 +99,18 @@ class LLMVectorizer:
         cannot be reconstructed inside worker processes, so it runs the
         serial in-process path (shared client, no caching) instead.
         """
-        from repro.pipeline.campaign import CampaignConfig, CampaignReport, CampaignRunner
+        from repro.pipeline.campaign import as_campaign_runner
 
+        runner = as_campaign_runner(campaign)
         if not isinstance(self.llm, SyntheticLLM):
-            # Same precedence as the campaign path: an explicitly-set tool
-            # target wins, otherwise the campaign config's target applies.
-            campaign_target = (getattr(campaign, "config", campaign).target
-                               if campaign is not None else None)
-            isa = resolve_target_setting(self.config.target, campaign_target)
-            return self._vectorize_suite_serial(names, isa.name)
+            return self._vectorize_suite_serial(names, runner.config.spec)
         # The live client's config wins over self.config.llm (they differ when
         # an already-configured SyntheticLLM instance was injected).
         config = replace(self.config, llm=self.llm.config)
-        runner = CampaignRunner(campaign or CampaignConfig())
         return runner.run(names, vectorizer_config=config)
 
     def _vectorize_suite_serial(self, names: list[str] | None,
-                                target: str = "avx2") -> "CampaignReport":
+                                spec: RunSpec) -> "CampaignReport":
         """Serial fallback for LLM clients that cannot be shipped to workers."""
         import time
 
@@ -148,14 +125,15 @@ class LLMVectorizer:
 
         started = time.perf_counter()
         records = []
-        for kernel in load_suite(names):
-            result = kernel_result_record(self._vectorize_for(kernel, target))
+        for kernel in load_suite(names, dtype=spec.dtype):
+            result = kernel_result_record(self.vectorize(kernel, spec))
             records.append(CampaignRecord(kernel=kernel.name, key="", result=result))
         summary = CampaignSummary(
             label="vectorize", kernels=len(records), executed=len(records),
             cache_hits=0, cache_misses=0, resumed=0,
             wall_clock_seconds=time.perf_counter() - started, workers=1,
             verdict_counts=count_verdicts(records),
-            target=target,
+            target=spec.target,
+            dtype=spec.dtype,
         )
         return CampaignReport(label="vectorize", records=records, summary=summary)

@@ -30,7 +30,7 @@ from collections.abc import Iterable, Iterator
 
 from repro.perf.profile import merge_counts
 from repro.pipeline.cache import iter_jsonl_dicts
-from repro.targets import resolve_target_setting
+from repro.targets import DEFAULT_TARGET
 from repro.pipeline.campaign import (
     SOURCE_STORE,
     CampaignRecord,
@@ -271,11 +271,10 @@ def report_from_store(path: str | Path, label: str | None = None,
         wall_clock_seconds=sum(s.get("wall_clock_seconds", 0.0) for s in matching),
         workers=max((s.get("workers", 1) for s in matching), default=1),
         verdict_counts=count_verdicts(records),
-        # The fallback for a store with no target stamps goes through the
-        # one default-resolution rule — never a hardcoded ISA name.
+        # A store with no target stamps falls back to the pipeline default
+        # target — never a hardcoded ISA name.
         target=(target or (targets.pop() if len(targets) == 1
-                           else ("mixed" if targets
-                                 else resolve_target_setting().name))),
+                           else ("mixed" if targets else DEFAULT_TARGET.name))),
         dtype=(dtypes.pop() if len(dtypes) == 1
                else ("mixed" if dtypes else "int32")),
         shard=None,  # a merged report covers the whole suite again

@@ -32,7 +32,6 @@ from repro.targets.isa import (
     get_target,
     known_intrinsic_spellings,
     resolve_intrinsic,
-    resolve_target_setting,
     target_names,
     vector_type_lanes,
     vector_type_lanes_for,
@@ -61,7 +60,6 @@ __all__ = [
     "get_target",
     "known_intrinsic_spellings",
     "resolve_intrinsic",
-    "resolve_target_setting",
     "target_names",
     "vector_type_lanes",
     "vector_type_lanes_for",

@@ -957,21 +957,6 @@ def get_target(target: "TargetISA | str | None") -> TargetISA:
     return _BY_NAME[canonical]
 
 
-def resolve_target_setting(*settings: "TargetISA | str | None") -> TargetISA:
-    """The single default-resolution rule for layered target settings.
-
-    Walks ``settings`` from most to least specific (e.g. explicit argument,
-    tool config, campaign config) and resolves the first one that is set;
-    when every layer is unset (``None``), the pipeline default applies.
-    Agents, prompts, the synthetic LLM and the campaign engine all resolve
-    through here, so they cannot disagree about the active target.
-    """
-    for setting in settings:
-        if setting is not None:
-            return get_target(setting)
-    return DEFAULT_TARGET
-
-
 def resolve_intrinsic(name: str) -> tuple[TargetISA, str]:
     """Invert an intrinsic spelling: ``(owning target, generic op)``.
 

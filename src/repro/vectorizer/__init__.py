@@ -13,7 +13,6 @@ from repro.vectorizer.planner import (
     RejectionReason,
     VectorizationPlan,
     plan_vectorization,
-    resolve_epilogue,
 )
 from repro.vectorizer.codegen import generate_vectorized_function, vectorize_kernel
 
@@ -22,7 +21,6 @@ __all__ = [
     "RejectionReason",
     "VectorizationPlan",
     "plan_vectorization",
-    "resolve_epilogue",
     "generate_vectorized_function",
     "vectorize_kernel",
 ]

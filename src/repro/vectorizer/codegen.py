@@ -9,7 +9,7 @@ The generator rewrites the innermost loop of a kernel into
 * reduction finalization (horizontal combine back into the scalar), and
 * a scalar *epilogue loop* that finishes the remaining ``n mod lanes``
   iterations with the original loop body — or, when the plan carries
-  ``masked_epilogue``, one masked tail iteration that retires the remainder
+  ``epilogue="masked"``, one masked tail iteration that retires the remainder
   with the target's masked loads/stores instead of a scalar loop,
 
 which is exactly the shape of the GPT-4 generated code in the paper's
@@ -30,13 +30,7 @@ from repro.cfront.ctypes import CType, INT
 from repro.cfront.printer import expr_to_c, function_to_c
 from repro.lanetypes import INT32, LaneType
 from repro.targets import TargetISA, get_target
-from repro.vectorizer.planner import (
-    ReductionInfo,
-    VectorizationPlan,
-    VECTOR_WIDTH,  # noqa: F401  (re-exported for backwards compatibility)
-    plan_vectorization,
-    resolve_epilogue,
-)
+from repro.vectorizer.planner import ReductionInfo, VectorizationPlan, plan_vectorization
 
 
 class InfeasibleVectorization(Exception):
@@ -854,7 +848,7 @@ def _build_masked_tail(plan: VectorizationPlan, iterator: str,
 
 def _build_predicated_loop_region(func: ast.FunctionDef,
                                   plan: VectorizationPlan) -> ast.Block:
-    """The ``predicated_loop`` epilogue strategy: one ``whilelt``-governed
+    """The ``"predicated"`` epilogue strategy: one ``whilelt``-governed
     loop replaces the vector loop, the scalar epilogue *and* the masked
     tail.
 
@@ -899,7 +893,7 @@ def _build_predicated_loop_region(func: ast.FunctionDef,
 
 def _build_vector_loop_region(func: ast.FunctionDef, plan: VectorizationPlan) -> ast.Block:
     """Build the block that replaces the original main loop."""
-    if plan.predicated_loop:
+    if plan.epilogue == "predicated":
         return _build_predicated_loop_region(func, plan)
     loop = plan.features.main_loop
     iterator = loop.iterator
@@ -924,7 +918,7 @@ def _build_vector_loop_region(func: ast.FunctionDef, plan: VectorizationPlan) ->
     region.extend(builder.accumulator_decls)
     region.append(vector_loop)
     region.extend(_reduction_finalize(builder))
-    if plan.masked_epilogue:
+    if plan.epilogue == "masked":
         region.append(_build_masked_tail(plan, iterator, builder.existing_names, loop))
     else:
         epilogue_cond = ast.BinOp(op=loop.end_op, left=_ident(iterator),
@@ -992,18 +986,13 @@ def _find_matching_loop(new_func: ast.FunctionDef, old_func: ast.FunctionDef,
 def vectorize_kernel(func: ast.FunctionDef,
                      target: "TargetISA | str | None" = None,
                      *,
-                     epilogue: str | None = None,
-                     masked_epilogue: bool | None = None,
-                     predicated_loop: bool | None = None) -> VectorizationResult | None:
+                     epilogue: str = "scalar") -> VectorizationResult | None:
     """Plan and generate SIMD code for ``func`` on ``target`` (default AVX2);
     returns None when infeasible.  ``epilogue`` selects the tail strategy:
     ``"scalar"`` (the default remainder loop), ``"masked"`` (one masked tail
     iteration — targets with masked memory operations only) or
     ``"predicated"`` (a ``whilelt``-governed predicated main loop with no
-    epilogue at all — predicate-register targets only).  The boolean
-    ``masked_epilogue`` / ``predicated_loop`` flags are deprecated shims
-    that warn and forward."""
-    epilogue = resolve_epilogue(epilogue, masked_epilogue, predicated_loop)
+    epilogue at all — predicate-register targets only)."""
     plan = plan_vectorization(func, get_target(target), epilogue=epilogue)
     if not plan.feasible:
         return None

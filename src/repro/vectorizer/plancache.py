@@ -82,9 +82,9 @@ def plan_fingerprint(source: str, target: "TargetISA | str | None",
                      epilogue: str = "scalar") -> tuple[str, str, str]:
     """The vectorize-cache key: source SHA salted with target and epilogue.
 
-    The salt mirrors the campaign cache's target-salted config fingerprints:
-    two targets (or two epilogue strategies) planning the same kernel source
-    must never share an entry.
+    The salt mirrors the campaign cache, whose fingerprints cover the run
+    spec: two targets (or two epilogue strategies) planning the same kernel
+    source must never share an entry.
     """
     return (source_key(source), get_target(target).name, epilogue)
 

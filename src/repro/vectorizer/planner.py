@@ -20,7 +20,6 @@ masking is select-based and purely in-register).
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 from repro.analysis.accesses import affine_index
@@ -31,45 +30,10 @@ from repro.lanetypes import DEFAULT_LANE_TYPE, INT32, LaneType
 from repro.targets import DEFAULT_TARGET, TargetISA, get_target
 from repro.vectorizer.normalize import normalize_body
 
-#: Lane count of the default (AVX2) target, kept for backwards compatibility;
-#: target-aware code should use ``plan.target.lanes`` instead.
-VECTOR_WIDTH = DEFAULT_TARGET.lanes
-
 #: The three epilogue strategies: the default scalar remainder loop, one
 #: masked tail iteration (``"masked"``), or a ``whilelt``-governed predicated
 #: main loop that subsumes every tail (``"predicated"``).
 EPILOGUE_STRATEGIES = ("scalar", "masked", "predicated")
-
-
-def resolve_epilogue(epilogue: str | None = None,
-                     masked_epilogue: bool | None = None,
-                     predicated_loop: bool | None = None,
-                     _stacklevel: int = 3) -> str:
-    """Resolve the requested epilogue strategy, honouring the deprecated flags.
-
-    The old mutually-exclusive booleans (``masked_epilogue=True`` /
-    ``predicated_loop=True``) warn and forward to the ``epilogue=`` spelling;
-    conflicting requests raise ``ValueError`` exactly as they always did.
-    """
-    if masked_epilogue is not None or predicated_loop is not None:
-        warnings.warn(
-            "masked_epilogue=/predicated_loop= are deprecated; use "
-            "epilogue='masked' or epilogue='predicated' instead",
-            DeprecationWarning, stacklevel=_stacklevel)
-    if masked_epilogue and predicated_loop:
-        raise ValueError("masked_epilogue and predicated_loop are mutually "
-                         "exclusive epilogue strategies")
-    legacy = ("masked" if masked_epilogue
-              else "predicated" if predicated_loop else None)
-    if epilogue is None:
-        epilogue = legacy if legacy is not None else "scalar"
-    elif legacy is not None and legacy != epilogue:
-        raise ValueError(f"conflicting epilogue requests: epilogue="
-                         f"{epilogue!r} vs the deprecated {legacy} flag")
-    if epilogue not in EPILOGUE_STRATEGIES:
-        raise ValueError(f"unknown epilogue strategy {epilogue!r}; expected "
-                         f"one of {EPILOGUE_STRATEGIES}")
-    return epilogue
 
 
 class RejectionReason(enum.Enum):
@@ -99,8 +63,7 @@ class RejectionReason(enum.Enum):
     MASKED_TAIL_ON_PREDICATED = ("epilogue='masked' is subsumed on {isa}: "
                                  "predicate-governed loops retire the remainder "
                                  "without a separate tail iteration — request "
-                                 "epilogue='predicated' (formerly "
-                                 "predicated_loop=True) instead")
+                                 "epilogue='predicated' instead")
     PREDICATED_LOOP_UNSUPPORTED = ("epilogue='predicated' needs predicate "
                                    "registers governing memory and loop exit "
                                    "(whilelt / ptest / predicated loads and "
@@ -172,16 +135,6 @@ class VectorizationPlan:
     epilogue: str = "scalar"
 
     @property
-    def masked_epilogue(self) -> bool:
-        """Deprecated spelling: True when ``epilogue == "masked"``."""
-        return self.epilogue == "masked"
-
-    @property
-    def predicated_loop(self) -> bool:
-        """Deprecated spelling: True when ``epilogue == "predicated"``."""
-        return self.epilogue == "predicated"
-
-    @property
     def rejection_text(self) -> str:
         if self.reason is None:
             return ""
@@ -205,9 +158,7 @@ def _reject(reason: RejectionReason, features: KernelFeatures | None = None,
 def plan_vectorization(func: ast.FunctionDef,
                        target: TargetISA | str | None = None,
                        *,
-                       epilogue: str | None = None,
-                       masked_epilogue: bool | None = None,
-                       predicated_loop: bool | None = None) -> VectorizationPlan:
+                       epilogue: str = "scalar") -> VectorizationPlan:
     """Analyze ``func`` and return a vectorization plan or a rejection.
 
     ``target`` selects the ISA whose lane count and operation set legality is
@@ -217,16 +168,15 @@ def plan_vectorization(func: ast.FunctionDef,
     operations only), or ``"predicated"`` (a ``whilelt``-governed main loop
     that subsumes both the vector-loop bound adjustment and every tail —
     predicate-register targets only).  Both non-default strategies support
-    plain/if-converted loop shapes only.  The boolean ``masked_epilogue`` /
-    ``predicated_loop`` flags are deprecated shims that warn and forward.
+    plain/if-converted loop shapes only.
     """
     from repro.perf.profile import stage
 
+    if epilogue not in EPILOGUE_STRATEGIES:
+        raise ValueError(f"unknown epilogue strategy {epilogue!r}; expected "
+                         f"one of {EPILOGUE_STRATEGIES}")
     with stage("plan"):
-        return _plan_vectorization(
-            func, target,
-            epilogue=resolve_epilogue(epilogue, masked_epilogue, predicated_loop),
-        )
+        return _plan_vectorization(func, target, epilogue=epilogue)
 
 
 def _plan_vectorization(func: ast.FunctionDef,
@@ -265,7 +215,7 @@ def _check_masked_epilogue(plan: VectorizationPlan, loop) -> VectorizationPlan:
     final partial block, so the target must be able to express masked memory
     at all — on NEON-class targets the rejection names that gap explicitly,
     and on predicate-first targets it points at the strictly stronger
-    ``predicated_loop`` strategy instead — and the loop shape must be one
+    ``"predicated"`` strategy instead — and the loop shape must be one
     the tail generator handles (reductions and induction vectors would need
     masked accumulator merges).
     """

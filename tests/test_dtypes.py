@@ -13,6 +13,7 @@ import pytest
 from repro.alive.verifier import AliveVerifier, VerificationOutcome
 from repro.pipeline.cache import config_fingerprint
 from repro.pipeline.campaign import CampaignConfig, CampaignRunner, CampaignSummary
+from repro.runspec import RunSpec
 from repro.smt import solvecache
 from repro.tsvc import load_kernel, load_suite
 from repro.tsvc.loader import dtype_kernel_name, retarget_spec, split_kernel_name
@@ -87,15 +88,14 @@ class TestLoaderRetarget:
 
 class TestDtypeFingerprints:
     def test_int32_salt_is_identity(self):
-        """Every fingerprint minted before the dtype axis stays valid."""
-        obj = {"a": 1}
-        assert config_fingerprint(obj) == config_fingerprint(obj, dtype="int32")
-        assert (config_fingerprint(obj, target="avx2")
-                == config_fingerprint(obj, target="avx2", dtype="int32"))
+        """Spelling out the default dtype, or an alias of it, keys the same
+        entries as leaving it unset."""
+        assert (config_fingerprint(RunSpec())
+                == config_fingerprint(RunSpec(dtype="int32"))
+                == config_fingerprint(RunSpec(dtype="int32_t")))
 
     def test_non_default_dtypes_salt_distinctly(self):
-        obj = {"a": 1}
-        prints = {config_fingerprint(obj, target="avx2", dtype=d)
+        prints = {config_fingerprint(RunSpec(dtype=d))
                   for d in ("int32", "int16", "int64")}
         assert len(prints) == 3
 
@@ -103,8 +103,7 @@ class TestDtypeFingerprints:
         keys = {}
         for dtype in ("int32", "int16", "int64"):
             runner = CampaignRunner(CampaignConfig(workers=1, dtype=dtype))
-            tasks, _ = runner.vectorize_tasks(["s000"])
-            (task,) = tasks
+            (task,) = runner.vectorize_tasks(["s000"])
             keys[dtype] = task.cache_key("vectorize")
         assert len(set(keys.values())) == 3
 

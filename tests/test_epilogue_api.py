@@ -1,57 +1,43 @@
-"""Tests for the ``epilogue=`` keyword and its deprecated boolean shims."""
+"""Tests for the ``epilogue=`` keyword of the planner, codegen and RunSpec."""
 
 import warnings
 
 import pytest
 
+from repro.runspec import RunSpec
 from repro.tsvc import load_kernel
 from repro.vectorizer import (
     EPILOGUE_STRATEGIES,
     plan_vectorization,
-    resolve_epilogue,
     vectorize_kernel,
 )
 
 
 class TestResolveEpilogue:
     def test_default_is_scalar(self):
+        func = load_kernel("s000").function
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_epilogue() == "scalar"
+            assert plan_vectorization(func).epilogue == "scalar"
+        assert RunSpec().epilogue == "scalar"
 
     @pytest.mark.parametrize("strategy", EPILOGUE_STRATEGIES)
     def test_new_spelling_passes_through_without_warning(self, strategy):
+        func = load_kernel("s000").function
+        target = "sve128" if strategy == "predicated" else "avx2"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_epilogue(strategy) == strategy
+            assert plan_vectorization(func, target, epilogue=strategy).epilogue == strategy
+            assert RunSpec(target=target, epilogue=strategy).epilogue == strategy
 
     def test_unknown_strategy_rejected(self):
+        func = load_kernel("s000").function
         with pytest.raises(ValueError, match="unknown epilogue strategy"):
-            resolve_epilogue("vectorized-tail")
-
-    @pytest.mark.parametrize("flags,expected", [
-        ({"masked_epilogue": True}, "masked"),
-        ({"predicated_loop": True}, "predicated"),
-        ({"masked_epilogue": False}, "scalar"),
-        ({"predicated_loop": False}, "scalar"),
-    ])
-    def test_deprecated_flags_warn_and_forward(self, flags, expected):
-        with pytest.warns(DeprecationWarning, match="epilogue="):
-            assert resolve_epilogue(**flags) == expected
-
-    def test_both_flags_true_still_conflict(self):
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ValueError, match="mutually"):
-            resolve_epilogue(masked_epilogue=True, predicated_loop=True)
-
-    def test_new_spelling_conflicting_with_flag_rejected(self):
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(ValueError, match="conflicting"):
-            resolve_epilogue("masked", predicated_loop=True)
-
-    def test_new_spelling_agreeing_with_flag_is_allowed(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_epilogue("masked", masked_epilogue=True) == "masked"
+            plan_vectorization(func, epilogue="vectorized-tail")
+        with pytest.raises(ValueError, match="unknown epilogue strategy"):
+            vectorize_kernel(func, epilogue="vectorized-tail")
+        with pytest.raises(ValueError, match="unknown epilogue strategy"):
+            RunSpec(epilogue="vectorized-tail")
 
 
 class TestPlannerShims:
@@ -60,15 +46,6 @@ class TestPlannerShims:
         plan = plan_vectorization(func, "sve128", epilogue="predicated")
         assert plan.feasible
         assert plan.epilogue == "predicated"
-        assert plan.predicated_loop is True
-        assert plan.masked_epilogue is False
-
-    def test_deprecated_flag_warns_and_matches_new_spelling(self):
-        func = load_kernel("s000").function
-        with pytest.warns(DeprecationWarning):
-            legacy = plan_vectorization(func, "sve128", predicated_loop=True)
-        modern = plan_vectorization(func, "sve128", epilogue="predicated")
-        assert legacy.epilogue == modern.epilogue == "predicated"
 
     def test_keyword_only(self):
         func = load_kernel("s000").function
@@ -77,15 +54,6 @@ class TestPlannerShims:
 
 
 class TestCodegenShims:
-    def test_deprecated_flag_generates_identical_code(self):
-        func = load_kernel("s000").function
-        with pytest.warns(DeprecationWarning):
-            legacy = vectorize_kernel(func, "sve128", predicated_loop=True)
-        modern = vectorize_kernel(func, "sve128", epilogue="predicated")
-        assert legacy is not None and modern is not None
-        assert legacy.source == modern.source
-        assert "whilelt" in modern.source
-
     def test_scalar_default_emits_no_warning(self):
         func = load_kernel("s000").function
         with warnings.catch_warnings():

@@ -6,7 +6,6 @@ import json
 from repro.pipeline import (
     CampaignConfig,
     CampaignRunner,
-    LLMVectorizerConfig,
     ResultCache,
     compact_store,
     content_key,
@@ -60,15 +59,14 @@ class TestPlanReverify:
     def test_config_change_refingerprints_every_kernel(self, tmp_path):
         store = tmp_path / "campaign.jsonl"
         _seed_store(store)
-        plan = plan_reverify(store, KERNELS,
-                             vectorizer_config=LLMVectorizerConfig(epilogue="masked"))
+        plan = plan_reverify(store, KERNELS, config=CampaignConfig(epilogue="masked"))
         assert plan.unchanged == []
         assert plan.changed == KERNELS
 
     def test_target_change_refingerprints_every_kernel(self, tmp_path):
         store = tmp_path / "campaign.jsonl"
         _seed_store(store)
-        plan = plan_reverify(store, KERNELS, target="neon")
+        plan = plan_reverify(store, KERNELS, config=CampaignConfig(target="neon"))
         assert plan.target == "neon"
         assert plan.changed == KERNELS
 

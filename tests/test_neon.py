@@ -37,7 +37,6 @@ from repro.targets import (
     get_target,
     known_intrinsic_spellings,
     resolve_intrinsic,
-    resolve_target_setting,
 )
 from repro.tsvc import load_kernel
 from repro.vectorizer import vectorize_kernel
@@ -331,9 +330,9 @@ class TestMaskedTail:
     def test_masked_tail_replaces_the_scalar_epilogue(self, target, kernel):
         isa = get_target(target)
         loaded = load_kernel(kernel)
-        result = vectorize_kernel(loaded.function, isa, masked_epilogue=True)
+        result = vectorize_kernel(loaded.function, isa, epilogue="masked")
         assert result is not None
-        assert result.plan.masked_epilogue
+        assert result.plan.epilogue == "masked"
         assert isa.intrinsic("maskload") in result.source
         assert isa.intrinsic("maskstore") in result.source
         assert result.source.count("for (") == 1  # vector loop only, no epilogue
@@ -343,7 +342,7 @@ class TestMaskedTail:
     def test_masked_tail_matches_scalar_on_unaligned_trip_counts(self, target, kernel):
         isa = get_target(target)
         loaded = load_kernel(kernel)
-        result = vectorize_kernel(loaded.function, isa, masked_epilogue=True)
+        result = vectorize_kernel(loaded.function, isa, epilogue="masked")
         n = isa.lanes + isa.lanes // 2 + 1  # never a multiple of the width
         pointer_params = [p.name for p in loaded.function.params
                          if p.param_type.is_pointer]
@@ -360,14 +359,14 @@ class TestMaskedTail:
         """The tail removes the paper's trip-count alignment assumption: the
         bounded validator proves equivalence at an unaligned bound."""
         loaded = load_kernel("s000")
-        result = vectorize_kernel(loaded.function, "avx2", masked_epilogue=True)
+        result = vectorize_kernel(loaded.function, "avx2", epilogue="masked")
         verifier = AliveVerifier(VerifierConfig(trip_count=13))
         report = verifier.check_with_alive_unroll(loaded.source, result.source)
         assert report.outcome is VerificationOutcome.EQUIVALENT
 
     def test_neon_masked_tail_rejected_with_gap_message(self):
         plan = plan_vectorization(load_kernel("s000").function, NEON,
-                                  masked_epilogue=True)
+                                  epilogue="masked")
         assert not plan.feasible
         assert plan.reason is RejectionReason.MASKED_MEMORY
         assert "NEON" in plan.rejection_text
@@ -376,7 +375,7 @@ class TestMaskedTail:
 
     def test_masked_tail_rejects_reductions(self):
         plan = plan_vectorization(load_kernel("vsumr").function, "avx2",
-                                  masked_epilogue=True)
+                                  epilogue="masked")
         assert not plan.feasible
         assert plan.reason is RejectionReason.MASKED_TAIL_SHAPE
 
@@ -434,28 +433,24 @@ class TestTargetOwnedFaults:
 
 
 class TestTargetDefaultResolution:
-    def test_resolution_walks_most_to_least_specific(self):
-        assert resolve_target_setting() is DEFAULT_TARGET
-        assert resolve_target_setting(None, None) is DEFAULT_TARGET
-        assert resolve_target_setting(None, "neon") is NEON
-        assert resolve_target_setting("neon", "sse4") is NEON
-        assert resolve_target_setting(NEON, None) is NEON
-
     def test_unset_layers_cannot_disagree(self):
-        """Request, tool config, FSM config and campaign config all default
-        to None ("inherit"); only the shared rule supplies the default."""
-        from repro.agents.fsm import FSMConfig
+        """Request, tool, FSM and campaign hold no copy of the target: the
+        campaign config's one setting defaults to the pipeline default, and
+        every layer below reads it from the same RunSpec."""
+        from repro.agents.fsm import FSMConfig, VectorizationFSM
         from repro.llm.client import CompletionRequest
+        from repro.llm.synthetic import SyntheticLLM
         from repro.pipeline.campaign import CampaignConfig
-        from repro.pipeline.runner import LLMVectorizerConfig
+        from repro.runspec import RunSpec
 
         assert CompletionRequest(prompt="p", kernel_name="k",
-                                 scalar_code="c").target is None
-        assert LLMVectorizerConfig().target is None
-        assert FSMConfig().target is None
-        assert CampaignConfig().target is None
-        assert CampaignConfig().resolved_target_name() == DEFAULT_TARGET.name
-        assert CampaignConfig(target="neon").resolved_target_name() == "neon"
+                                 scalar_code="c").spec == RunSpec()
+        assert CampaignConfig().spec == RunSpec()
+        assert RunSpec().target == DEFAULT_TARGET.name
+        assert CampaignConfig(target="neon").spec.target == "neon"
+        assert not hasattr(FSMConfig(), "target")
+        fsm = VectorizationFSM(SyntheticLLM(), "k", "c")
+        assert fsm.tester.spec is fsm.vectorizer.spec is fsm.user_proxy.spec
 
     def test_synthetic_llm_resolves_an_unset_request_to_the_default(self):
         from repro.llm.client import CompletionRequest

@@ -105,10 +105,9 @@ class TestMergedCampaign:
         for i in range(2):
             store = tmp_path / f"shard{i}.jsonl"
             stores.append(store)
-            runner = CampaignRunner(CampaignConfig(workers=2, shard=f"{i}/2",
-                                                   store_path=store))
             for target in targets:
-                runner.run(subset, target=target)
+                CampaignRunner(CampaignConfig(workers=2, shard=f"{i}/2", target=target,
+                                              store_path=store)).run(subset)
 
         merged_path = merge_stores(stores, tmp_path / "merged.jsonl")
         for target in targets:
@@ -328,17 +327,16 @@ class TestStoreMerging:
         assert set(report.by_kernel()) == {"b"}
 
     def test_summary_target_fallback_uses_the_default_resolution_rule(self, tmp_path):
-        """A store whose summaries carry no target resolves through
-        repro.targets.resolve_target_setting — the PR 3 one-default-rule
-        invariant — not through a hardcoded ISA name."""
-        from repro.targets import resolve_target_setting
+        """A store whose summaries carry no target falls back to the
+        pipeline default target, not to a hardcoded ISA name."""
+        from repro.targets import DEFAULT_TARGET
 
         store = tmp_path / "s.jsonl"
         store.write_text(json.dumps(
             {"type": "result", "campaign": "c", "kernel": "a", "key": "k1",
              "result": {"kernel": "a", "verdict": "equivalent"}}) + "\n")
         report = report_from_store(store)
-        assert report.summary.target == resolve_target_setting().name
+        assert report.summary.target == DEFAULT_TARGET.name
 
 
 class TestShardedResume:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.llm.faults import FaultKind, FaultProfile, apply_fault, applicable_faults
 from repro.memo import clear_all
+from repro.runspec import RunSpec
 from repro.staticcheck import Diagnostic, Severity, StaticReport, check_candidate
 from repro.tsvc import load_kernel
 from repro.vectorizer import plancache
@@ -319,8 +320,8 @@ class TestScreeningIntegration:
         llm = SyntheticLLM(SyntheticLLMConfig(seed=3, fault_profile=profile))
         kernel = load_kernel("s453")
         result = VectorizationFSM(
-            llm, kernel.name, kernel.source,
-            FSMConfig(max_attempts=4, static_check="screen")).run()
+            llm, kernel.name, kernel.source, FSMConfig(max_attempts=4),
+            spec=RunSpec(static_check="screen")).run()
         assert not result.accepted
         assert all(r.outcome == "static_reject" for r in result.history)
         assert all(r.static_flags == {"naive-induction": 1} for r in result.history)
@@ -338,7 +339,7 @@ class TestScreeningIntegration:
 
         kernel, source = golden("s000")
         mutated = apply_fault(source, FaultKind.MISSING_EPILOGUE, random.Random(0))
-        tester = CompilerTesterAgent(kernel.source, static_check="advisory")
+        tester = CompilerTesterAgent(kernel.source, spec=RunSpec(static_check="advisory"))
         reply = tester.respond(
             Message("vectorizer", "tester", "", {"candidate_code": mutated}), [])
         assert reply.payload["outcome"] != "static_reject"

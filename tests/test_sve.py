@@ -9,7 +9,7 @@ Covers the PR-5 acceptance surface:
   predicated tails *sound* where NEON's select-legalization was not: an
   inactive lane at the region boundary never touches memory and records no
   UB, concretely and symbolically;
-* the third epilogue strategy, ``predicated_loop``: a ``whilelt``-governed
+* the third epilogue strategy, ``epilogue="predicated"``: a ``whilelt``-governed
   loop with a ``ptest`` exit replaces the vector loop, the scalar epilogue
   and the masked tail — the verifier proves it at unaligned trip counts;
 * simulated vector lengths: the same kernel vectorizes at VL128 and VL256
@@ -243,7 +243,7 @@ void kernel(int * a, int n)
 
 
 # ---------------------------------------------------------------------------
-# the predicated_loop epilogue strategy
+# the predicated epilogue strategy
 # ---------------------------------------------------------------------------
 
 
@@ -255,9 +255,9 @@ class TestPredicatedLoop:
     def test_predicated_loop_replaces_every_epilogue(self, target, kernel):
         isa = get_target(target)
         loaded = load_kernel(kernel)
-        result = vectorize_kernel(loaded.function, isa, predicated_loop=True)
+        result = vectorize_kernel(loaded.function, isa, epilogue="predicated")
         assert result is not None
-        assert result.plan.predicated_loop
+        assert result.plan.epilogue == "predicated"
         assert isa.intrinsic("whilelt") in result.source
         assert isa.intrinsic("ptest_any") in result.source
         assert isa.intrinsic("pload") in result.source
@@ -271,7 +271,7 @@ class TestPredicatedLoop:
             self, target, kernel):
         isa = get_target(target)
         loaded = load_kernel(kernel)
-        result = vectorize_kernel(loaded.function, isa, predicated_loop=True)
+        result = vectorize_kernel(loaded.function, isa, epilogue="predicated")
         for n in (isa.lanes + isa.lanes // 2 + 1, 1, isa.lanes - 1):
             scalar, vector = _unaligned_run(loaded, result.source, n)
             assert not vector.has_ub, (kernel, target, n, vector.ub_events)
@@ -282,7 +282,7 @@ class TestPredicatedLoop:
         """The acceptance bar: the bounded validator proves the predicated
         loop at a trip count that is a multiple of no register width."""
         loaded = load_kernel("s000")
-        result = vectorize_kernel(loaded.function, target, predicated_loop=True)
+        result = vectorize_kernel(loaded.function, target, epilogue="predicated")
         verifier = AliveVerifier(VerifierConfig(trip_count=13))
         report = verifier.check_with_alive_unroll(loaded.source, result.source)
         assert report.outcome is VerificationOutcome.EQUIVALENT
@@ -303,7 +303,7 @@ class TestPredicatedLoop:
             outcomes = []
             for isa in SVE_TARGETS:
                 result = vectorize_kernel(loaded.function, isa,
-                                          predicated_loop=True)
+                                          epilogue="predicated")
                 verifier = AliveVerifier(VerifierConfig(trip_count=13))
                 outcomes.append(funnel(verifier, loaded.source, result.source))
             assert outcomes[0] == outcomes[1] == VerificationOutcome.EQUIVALENT
@@ -313,7 +313,7 @@ class TestPredicatedLoop:
         memory: the plain strategy loads/stores through an all-true
         governing predicate."""
         result = vectorize_kernel(load_kernel("s271").function, SVE128)
-        assert not result.plan.predicated_loop
+        assert result.plan.epilogue == "scalar"
         assert SVE128.intrinsic("ptrue") in result.source
         assert SVE128.intrinsic("pload") in result.source
         assert SVE128.intrinsic("pcmpgt") in result.source
@@ -324,7 +324,7 @@ class TestPredicatedLoop:
         from repro.perf.costmodel import cost_model_for
 
         loaded = load_kernel("s000")
-        result = vectorize_kernel(loaded.function, SVE128, predicated_loop=True)
+        result = vectorize_kernel(loaded.function, SVE128, epilogue="predicated")
         _, vector = _unaligned_run(loaded, result.source, 13)
         counts = vector.op_counts
         assert counts["vec_whilelt"] >= 4   # one per iteration plus preheader
@@ -342,7 +342,7 @@ class TestPredicatedLoop:
 
         kernel = load_kernel("s000")
         candidate = vectorize_kernel(kernel.function, SVE256,
-                                     predicated_loop=True)
+                                     epilogue="predicated")
         perf = measure_kernel(kernel.name, kernel.source, candidate.source,
                               n=256, target=SVE256)
         assert perf.scalar_cycles > perf.llm_cycles
@@ -357,7 +357,7 @@ class TestEpilogueStrategyLegality:
     @pytest.mark.parametrize("target", ["sse4", "neon", "avx2", "avx512"])
     def test_predicated_loop_rejected_off_predicate_targets(self, target):
         plan = plan_vectorization(load_kernel("s000").function, target,
-                                  predicated_loop=True)
+                                  epilogue="predicated")
         assert not plan.feasible
         assert plan.reason is RejectionReason.PREDICATED_LOOP_UNSUPPORTED
         assert get_target(target).display_name in plan.rejection_text
@@ -366,22 +366,17 @@ class TestEpilogueStrategyLegality:
     @pytest.mark.parametrize("target", SVE_NAMES)
     def test_masked_tail_redirected_on_sve(self, target):
         plan = plan_vectorization(load_kernel("s000").function, target,
-                                  masked_epilogue=True)
+                                  epilogue="masked")
         assert not plan.feasible
         assert plan.reason is RejectionReason.MASKED_TAIL_ON_PREDICATED
-        assert "predicated_loop" in plan.rejection_text
+        assert "epilogue='predicated'" in plan.rejection_text
 
     @pytest.mark.parametrize("kernel", ["vsumr", "s453"])
     def test_predicated_loop_shape_restrictions(self, kernel):
         plan = plan_vectorization(load_kernel(kernel).function, "sve128",
-                                  predicated_loop=True)
+                                  epilogue="predicated")
         assert not plan.feasible
         assert plan.reason is RejectionReason.PREDICATED_LOOP_SHAPE
-
-    def test_strategies_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            plan_vectorization(load_kernel("s000").function, "sve128",
-                               masked_epilogue=True, predicated_loop=True)
 
     @pytest.mark.parametrize("target", SVE_NAMES)
     def test_registry_carries_every_predicated_op(self, target):
@@ -401,7 +396,7 @@ class TestEpilogueStrategyLegality:
 class TestSveFaults:
     def _candidate(self, kernel="s271", predicated=True):
         return vectorize_kernel(load_kernel(kernel).function, SVE128,
-                                predicated_loop=predicated).source
+                                epilogue="predicated" if predicated else "scalar").source
 
     def test_faults_apply_in_sve_spelling(self):
         source = self._candidate()

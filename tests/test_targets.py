@@ -10,6 +10,7 @@ from repro.perf.costmodel import DEFAULT_COST_MODEL, cost_model_for
 from repro.perf.simulator import measure_kernel
 from repro.pipeline.cache import config_fingerprint
 from repro.pipeline.campaign import CampaignConfig, CampaignRunner
+from repro.runspec import RunSpec
 from repro.targets import (
     ALL_TARGETS,
     AVX2,
@@ -123,7 +124,7 @@ class TestTargetAwareLLM:
         request = CompletionRequest(
             prompt=build_vectorization_prompt(kernel.source, target=isa),
             kernel_name=kernel.name, scalar_code=kernel.source,
-            num_completions=4, target=target,
+            num_completions=4, spec=RunSpec(target=target),
         )
         completions = llm.complete(request)
 
@@ -249,7 +250,10 @@ class TestMultiTargetCampaign:
         assert serial.by_kernel() == parallel.by_kernel()
 
     def test_fingerprint_salting_separates_targets(self):
+        """The run spec is fingerprinted, so every target keys its own tasks."""
+        hashes = {CampaignRunner(CampaignConfig(workers=1, target=name))
+                  .vectorize_tasks(["s000"])[0].config_hash for name in target_names()}
+        assert len(hashes) == len(target_names())
         payload = {"trip_count": 256, "seed": 11}
-        fingerprints = {config_fingerprint(payload, target=name) for name in target_names()}
-        fingerprints.add(config_fingerprint(payload))
-        assert len(fingerprints) == len(target_names()) + 1
+        assert len({config_fingerprint({**payload, "target": name})
+                    for name in target_names()}) == len(target_names())
