@@ -39,8 +39,8 @@ Environment knobs (all optional):
 ``REPRO_BENCH_TARGETS``
     comma-separated target ISAs for the multi-target campaign benchmark
     (``sse4,neon,avx2,avx512``; ``all`` expands to every registered
-    target, which is also the default).  All targets share the session
-    cache/store; the target-salted fingerprints keep their entries
+    target, which is also the default).  All targets share the session's
+    result store; the target-salted fingerprints keep their entries
     disjoint.
 ``REPRO_BENCH_JSON``
     when set, write every campaign summary of the session (throughput,

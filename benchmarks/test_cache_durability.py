@@ -1,16 +1,16 @@
-"""Benchmark: the fsync cost of the persistent result cache.
+"""Benchmark: the fsync cost of the campaign's result store.
 
-The seed cache fsync'd every entry — ~600 fsyncs for a 149-kernel x
-4-target campaign — and that durability is now a knob
-(``ResultCache(flush_interval=N)``; the campaign engine flushes at the end
-of every ``run_tasks`` call).  This benchmark measures the per-put cost of
-the durable default against batched and end-of-run syncing, and verifies
-that every mode persists every entry.
+Every line the store appends — one per completed task, plus one summary per
+run — goes through one handle that stays open for the run and is flushed
+and fsync'd, so even a machine crash loses at most the line being written.
+This benchmark times a 400-task campaign whose jobs are trivial, so the
+appends dominate, and checks that a new runner resumes every record.
 """
 
 import time
 
-from repro.pipeline import ResultCache, content_key
+from repro.pipeline import CampaignConfig, CampaignRunner
+from repro.pipeline.campaign import KernelTask
 
 ENTRIES = 400
 #: A payload the size of a realistic per-kernel verdict record.
@@ -18,33 +18,24 @@ VALUE = {"kernel": "s000", "verdict": "equivalent", "attempts": 3,
          "final_code_sha": "0" * 64, "stage_outcomes": {"Alive2": "equivalent"}}
 
 
-def _time_puts(path, flush_interval: int) -> float:
-    cache = ResultCache(path, flush_interval=flush_interval)
+def _verdict(task: KernelTask) -> dict:
+    return {**VALUE, "kernel": task.kernel}
+
+
+def test_fsynced_store_appends_all_reload(tmp_path):
+    path = tmp_path / "campaign.jsonl"
+    tasks = [KernelTask(kernel=f"k{i:03d}", scalar_code="", seed=0, config_hash="cfg")
+             for i in range(ENTRIES)]
     started = time.perf_counter()
-    for i in range(ENTRIES):
-        cache.put(content_key(f"key-{i}"), VALUE)
-    cache.flush()
+    first = CampaignRunner(CampaignConfig(workers=1, store_path=path)).run_tasks(
+        _verdict, tasks, label="durability")
     elapsed = time.perf_counter() - started
-    cache.close()
-    return elapsed
+    # One line per record plus the run's summary.
+    assert len(path.read_text().splitlines()) == ENTRIES + 1
 
-
-def test_batched_fsync_beats_per_entry_fsync(tmp_path):
-    durable = _time_puts(tmp_path / "durable.jsonl", flush_interval=1)
-    batched = _time_puts(tmp_path / "batched.jsonl", flush_interval=64)
-    end_of_run = _time_puts(tmp_path / "end.jsonl", flush_interval=0)
-
-    for name in ("durable", "batched", "end"):
-        reloaded = ResultCache(tmp_path / f"{name}.jsonl")
-        assert len(reloaded) == ENTRIES, name
-        assert reloaded.peek(content_key("key-7")) == VALUE
-
-    per_put = {"flush_interval=1": durable / ENTRIES,
-               "flush_interval=64": batched / ENTRIES,
-               "flush_interval=0": end_of_run / ENTRIES}
-    print("\ncache put cost (s/entry): "
-          + ", ".join(f"{k}: {v:.2e}" for k, v in per_put.items()))
-    # Timing asserts flake on fast tmpfs, so this only guards the absurd:
-    # batching must never be an order of magnitude *slower* than per-entry.
-    assert batched < durable * 10
-    assert end_of_run < durable * 10
+    again = CampaignRunner(CampaignConfig(workers=1, store_path=path)).run_tasks(
+        _verdict, tasks, label="durability")
+    assert again.summary.executed == 0
+    assert again.summary.resumed == ENTRIES
+    assert again.results() == first.results()
+    print(f"\nstore append cost: {elapsed / (ENTRIES + 1):.2e} s/line (fsync'd)")

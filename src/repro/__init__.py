@@ -30,7 +30,6 @@ _PUBLIC_API = {
     "CampaignRunner": "repro.pipeline",
     "CampaignReport": "repro.pipeline",
     "CampaignSummary": "repro.pipeline",
-    "ResultCache": "repro.pipeline",
     "Verdict": "repro.pipeline",
     "merge_stores": "repro.pipeline",
     "report_from_store": "repro.pipeline",

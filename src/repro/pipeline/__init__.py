@@ -3,7 +3,7 @@
 from repro.pipeline.verdict import Verdict
 from repro.pipeline.equivalence import EquivalencePipeline, PipelineReport
 from repro.pipeline.runner import KernelRunResult, LLMVectorizer, LLMVectorizerConfig
-from repro.pipeline.cache import CacheStats, ResultCache, config_fingerprint, content_key
+from repro.pipeline.cache import config_fingerprint, content_key
 from repro.pipeline.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -15,7 +15,7 @@ from repro.pipeline.campaign import (
     is_error_result,
     shard_of,
 )
-from repro.pipeline.shard import merge_caches, merge_stores, report_from_store, store_live_entries
+from repro.pipeline.shard import merge_stores, report_from_store, store_live_entries
 from repro.pipeline.scheduler import ExecutionStats, next_batch_size, resolve_batch_setting
 from repro.pipeline.incremental import (
     CompactionStats,
@@ -32,8 +32,6 @@ __all__ = [
     "KernelRunResult",
     "LLMVectorizer",
     "LLMVectorizerConfig",
-    "CacheStats",
-    "ResultCache",
     "config_fingerprint",
     "content_key",
     "CampaignConfig",
@@ -45,7 +43,6 @@ __all__ = [
     "derive_kernel_seed",
     "is_error_result",
     "shard_of",
-    "merge_caches",
     "merge_stores",
     "report_from_store",
     "store_live_entries",

@@ -17,13 +17,13 @@ engine makes the shape a first-class subsystem:
   ``(base seed, kernel name)`` (the LLM seed for the vectorize and
   experiment campaigns), so per-kernel results are byte-identical at any
   parallelism level and in any completion order;
-* **caching** — results are stored in a content-addressed
-  :class:`~repro.pipeline.cache.ResultCache` keyed on the kernel source,
-  the candidate code where one exists, the configuration fingerprint and
-  the derived seed, so re-runs and pass@k re-estimation skip work that is
-  already settled;
-* **resumability** — every completed task is appended to a JSONL result
-  store; an interrupted campaign picks up where it left off;
+* **caching and resumability** — every result lives in one
+  content-addressed result store keyed on the kernel source, the candidate
+  code where one exists, the configuration fingerprint and the derived
+  seed, so re-runs and pass@k re-estimation skip work that is already
+  settled; with ``store_path`` set, each completed task is also appended
+  (and fsync'd) to a JSONL file, so an interrupted campaign picks up where
+  it left off;
 * **fault tolerance** — a raising job does not abort the campaign: the
   failure becomes a first-class error record (``verdict="error"`` with the
   message and traceback) that is persisted, counted and reported like any
@@ -46,21 +46,19 @@ and non-picklable payloads are also accepted.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
 import time
 import traceback as traceback_module
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import KW_ONLY, dataclass, field, replace
 from pathlib import Path
 from collections.abc import Callable
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.perf.profile import counter_delta, merge_counts, merge_stage_seconds
-from repro.pipeline.cache import CacheStats, ResultCache, config_fingerprint, content_key
+from repro.pipeline.cache import config_fingerprint, content_key, iter_jsonl_dicts
 from repro.pipeline.scheduler import (
     AUTO_BATCH,
     ExecutionStats,
@@ -159,7 +157,7 @@ def count_verdicts(records: list["CampaignRecord"]) -> dict[str, int]:
 
 
 def as_campaign_runner(campaign: "CampaignRunner | CampaignConfig | None") -> "CampaignRunner":
-    """Accept a runner (shared cache), a config, or None (fresh defaults)."""
+    """Accept a runner (shared store), a config, or None (fresh defaults)."""
     if isinstance(campaign, CampaignRunner):
         return campaign
     return CampaignRunner(campaign)
@@ -205,12 +203,10 @@ class CampaignConfig:
     _: KW_ONLY
     #: Base seed; each kernel derives its own seed from (seed, kernel name).
     seed: int = 0
-    #: JSONL file backing the content-addressed result cache (optional).
-    cache_path: str | Path | None = None
-    #: JSONL result store for resumability and offline inspection (optional).
+    #: JSONL file backing the runner's result store (optional): every
+    #: completed task is appended and fsync'd, and a later runner on the same
+    #: path reuses each record on it instead of re-running the task.
     store_path: str | Path | None = None
-    #: Reuse records found in the result store from a previous, interrupted run.
-    resume: bool = True
     #: The four run settings, set here once and read by every layer below
     #: through :attr:`spec`.  ``target`` is the ISA the campaign vectorizes
     #: for.  ``epilogue`` is the tail strategy (``"scalar"``, ``"masked"``
@@ -231,7 +227,7 @@ class CampaignConfig:
     #: Abort the campaign on the first failing job (the pre-fault-tolerance
     #: behaviour).  Off by default: failures become error records instead.
     fail_fast: bool = False
-    #: Re-execute kernels whose cached/stored result is an error record
+    #: Re-execute kernels whose stored result is an error record
     #: (errors are persisted for accounting, but a resumed run retries them
     #: rather than letting one crash poison every future run).  Set False to
     #: reuse error records like any other result.
@@ -246,10 +242,6 @@ class CampaignConfig:
     #: seeds derive from kernel names — so N shard stores merge back into a
     #: report bit-identical to the unsharded run (:mod:`repro.pipeline.shard`).
     shard: "ShardSpec | str | None" = None
-    #: fsync cadence of the persistent result cache: 1 syncs every entry
-    #: (maximally durable), N batches every N entries, 0 syncs only at the
-    #: end of each ``run_tasks`` call.
-    cache_flush_interval: int = 1
     #: How many kernel tasks one worker dispatch carries.  ``"auto"`` (the
     #: default) uses guided self-scheduling — early batches large to
     #: amortize pickle/IPC, late batches shrinking toward singletons so the
@@ -257,10 +249,6 @@ class CampaignConfig:
     #: one-task-per-dispatch).  Batch size never changes a result: seeds
     #: derive from kernel names, so any batching is bit-identical.
     batch_size: int | str = AUTO_BATCH
-    #: Pre-seed each pool worker's plan cache (parse table + small SMT
-    #: constants) with the campaign's scalar sources before its first
-    #: batch.  Purely a warm-up; results are identical either way.
-    warm_workers: bool = True
     #: JSONL file persisting the solved-query cache
     #: (:mod:`repro.smt.solvecache`) across campaigns: loaded before tasks
     #: run, saved (with everything the fleet solved) afterwards.  A hit
@@ -314,7 +302,7 @@ class CampaignSummary:
     wall_clock_seconds: float
     #: Workers *actually used* by this run — 1 on the serial path, the
     #: pool width after clamping to the pending task count otherwise, and 0
-    #: when everything came from cache/store (no worker ran at all).  The
+    #: when everything came from the store (no worker ran at all).  The
     #: configured width lives on the config; reporting it here used to
     #: overstate fully-cached and clamped runs.
     workers: int
@@ -435,13 +423,11 @@ class CampaignReport:
 class CampaignRunner:
     """Runs per-kernel jobs over a suite with caching, resume and fan-out."""
 
-    def __init__(self, config: CampaignConfig | None = None, cache: ResultCache | None = None):
+    def __init__(self, config: CampaignConfig | None = None):
         self.config = config or CampaignConfig()
-        self.cache = cache if cache is not None else ResultCache(
-            self.config.cache_path, flush_interval=self.config.cache_flush_interval)
-        #: The JSONL result store, shared by every run of this runner; it
-        #: parses the file once and tracks appends incrementally, so
-        #: ``run_multi_target`` no longer re-reads the whole store per target.
+        #: The one content-addressed map from cache key to result, shared by
+        #: every run of this runner and backed by ``config.store_path`` when
+        #: set; it parses the file once and tracks appends incrementally.
         self.store = _ResultStore(self.config.store_path)
         #: Every summary this runner produced, in run order — the raw
         #: material for benchmark trajectories (``REPRO_BENCH_JSON``).
@@ -466,7 +452,6 @@ class CampaignRunner:
         request); ``cache_adapt`` then shapes the stored value to the request.
         """
         started = time.perf_counter()
-        window_before = self.cache.reset_stats()
         accept = cache_accept or (lambda cached, task: True)
         adapt = cache_adapt or (lambda cached, task: cached)
 
@@ -476,7 +461,7 @@ class CampaignRunner:
         resolved_target = target or self.config.spec.target
 
         store = self.store
-        stored = store.load() if self.config.resume else {}
+        stored = store.load()
 
         def reusable(result: dict | None, task: KernelTask) -> bool:
             if result is None:
@@ -490,41 +475,35 @@ class CampaignRunner:
             # slice; they pass through verbatim.
             return result if is_error_result(result) else adapt(result, task)
 
+        # One lookup per task: a reusable entry is a cache hit, and the first
+        # reuse of an entry read from ``store_path`` also counts as resumed.
+        # Anything else (absent, too few stored completions, a retryable
+        # error record) is a miss, and every miss executes.
         records: dict[str, CampaignRecord] = {}
         pending: list[tuple[KernelTask, str]] = []
-        resumed = 0
+        hits = resumed = 0
         for task in tasks:
             key = task.cache_key(label)
-            cached = self.cache.get(key)
-            if reusable(cached, task):
-                records[key] = CampaignRecord(task.kernel, key, shape(cached, task), SOURCE_CACHE)
+            found = stored.get(key)
+            if not reusable(found, task):
+                pending.append((task, key))
                 continue
-            if cached is not None:
-                # An entry existed but cannot serve this request (e.g. too few
-                # stored completions, or a retryable error record); count it
-                # as the miss it effectively is.
-                self.cache.stats.hits -= 1
-                self.cache.stats.misses += 1
-            from_store = stored.get(key)
-            if reusable(from_store, task):
-                resumed += 1
-                self.cache.put(key, from_store)
-                records[key] = CampaignRecord(task.kernel, key, shape(from_store, task), SOURCE_STORE)
-                continue
-            pending.append((task, key))
+            hits += 1
+            source = SOURCE_STORE if store.claim_resumed(key) else SOURCE_CACHE
+            resumed += source == SOURCE_STORE
+            records[key] = CampaignRecord(task.kernel, key, shape(found, task), source)
 
         stage_totals: dict[str, float] = {}
 
         def persist(task: KernelTask, key: str, result: dict) -> None:
             # The job's per-stage timings ride back on a sentinel key; pull
-            # them into the campaign accumulator BEFORE the result is cached,
-            # stored or recorded — results must stay timing-free so they are
+            # them into the campaign accumulator BEFORE the result is stored
+            # or recorded — results must stay timing-free so they are
             # byte-identical at any worker count and across re-runs.
             if isinstance(result, dict):
                 merge_stage_seconds(stage_totals, result.pop(STAGE_SECONDS_KEY, None))
             # Persist as each task completes (not after the pool drains), so
             # a killed campaign keeps everything that actually finished.
-            self.cache.put(key, result)
             store.append(label, task.kernel, key, result, target=resolved_target)
             records[key] = CampaignRecord(task.kernel, key, shape(result, task), SOURCE_RUN)
 
@@ -533,29 +512,24 @@ class CampaignRunner:
 
             solvecache.load(self.config.solve_cache_path)
 
-        executed = len(pending)
-        execution = self._execute(job, pending, label, persist)
-        if self.config.solve_cache_path is not None:
-            from repro.smt import solvecache
+        # The store's append handle lives for this run only, so idle
+        # runners hold no file descriptors (it reopens on the next append).
+        try:
+            execution = self._execute(job, pending, label, persist)
+            if self.config.solve_cache_path is not None:
+                from repro.smt import solvecache
 
-            solvecache.save(self.config.solve_cache_path)
-        # close() both fsyncs anything pending and releases the append
-        # handle, so idle runners hold no file descriptors between runs
-        # (the cache reopens lazily on the next put).
-        self.cache.close()
-
-        run_stats = self.cache.reset_stats()
-        self.cache.stats = window_before
-        self.cache.stats.merge(run_stats)
-
-        ordered = [records[task.cache_key(label)] for task in tasks]
-        summary = self._summarize(label, ordered, run_stats, resumed,
-                                  executed, time.perf_counter() - started,
-                                  target=resolved_target,
-                                  shard=str(shard) if shard is not None else None,
-                                  stage_seconds=stage_totals,
-                                  execution=execution)
-        store.append_summary(summary)
+                solvecache.save(self.config.solve_cache_path)
+            ordered = [records[task.cache_key(label)] for task in tasks]
+            summary = self._summarize(label, ordered, hits, resumed,
+                                      len(pending), time.perf_counter() - started,
+                                      target=resolved_target,
+                                      shard=str(shard) if shard is not None else None,
+                                      stage_seconds=stage_totals,
+                                      execution=execution)
+            store.append_summary(summary)
+        finally:
+            store.close()
         self.summaries.append(summary)
         return CampaignReport(label=label, records=ordered, summary=summary)
 
@@ -586,11 +560,11 @@ class CampaignRunner:
 
     def run_multi_target(self, names: list[str] | None = None, *, vectorizer_config=None,
                          targets: list[str] | None = None) -> dict[str, CampaignReport]:
-        """Fan one suite run out as per-ISA campaigns sharing this runner's cache.
+        """Fan one suite run out as per-ISA campaigns sharing this runner's store.
 
         Each target runs as its own campaign (its workers fan out over the
-        process pool as usual) against the same content-addressed cache and
-        JSONL store, with the campaign spec's other settings unchanged; the
+        process pool as usual) against the same content-addressed result
+        store, with the campaign spec's other settings unchanged; the
         spec is fingerprinted, so their entries stay disjoint.  Returns an
         ordered mapping target name -> report, so per-target summaries can
         be compared side by side.
@@ -668,19 +642,21 @@ class CampaignRunner:
         batches off one shared queue, so IPC amortizes over the batch and
         the tail balances across the fleet instead of straggling behind a
         static partition.  A broken worker pool orphans its unfinished
-        batches; the orphans are resubmitted per task, bisecting to isolate
-        a repeat offender — a task that still breaks its own singleton pool
-        after ``max_pool_retries`` retries becomes an error record (or
-        aborts the campaign under ``fail_fast``).  Returns what actually
-        happened: workers used, batches dispatched, fleet plan-cache stats.
+        batches; the orphans are re-dispatched one task per batch,
+        bisecting to isolate a repeat offender — a task that still breaks its
+        own singleton pool after ``max_pool_retries`` retries becomes an
+        error record (or aborts the campaign under ``fail_fast``).  Returns
+        what actually happened: workers used, batches dispatched, fleet
+        plan-cache and solver stats.
         """
+        from repro.smt import solvecache
+
         stats = ExecutionStats()
         if not pending:
             return stats
         fail_fast = self.config.fail_fast
         workers = min(self.config.effective_workers(), len(pending))
         if workers <= 1:
-            from repro.smt import solvecache
             from repro.vectorizer import plancache
 
             stats.workers = 1
@@ -696,24 +672,23 @@ class CampaignRunner:
 
         stats.workers = workers
         stats.batch_size = self.config.resolved_batch_size()
-        warm_sources = None
-        warm_solve_entries = None
-        if self.config.warm_workers:
-            from repro.smt import solvecache
+        # Every pool of this pass starts with the same warm-up: the distinct
+        # scalar sources in first-seen order (each pre-parsed once per
+        # worker) and every solved query the parent knows (loaded from the
+        # persisted file and/or adopted from earlier campaigns).
+        warm_sources = tuple(dict.fromkeys(
+            task.scalar_code for task, _ in pending if task.scalar_code))
+        warm_solve_entries = solvecache.export_entries()
 
-            # Distinct scalar sources, first-seen order: the initializer
-            # pre-parses each one once per worker.
-            warm_sources = tuple(dict.fromkeys(
-                task.scalar_code for task, _ in pending if task.scalar_code))
-            # Ship every solved query the parent knows (loaded from the
-            # persisted file and/or adopted from earlier campaigns) so
-            # workers start with a warm solve cache too.
-            warm_solve_entries = solvecache.export_entries()
-        orphaned = dispatch_batches(
-            job, pending, label=label, workers=workers,
-            batch_setting=stats.batch_size, fail_fast=fail_fast,
-            on_result=on_result, stats=stats, warm_sources=warm_sources,
-            warm_solve_entries=warm_solve_entries)
+        def dispatch(batch: list[tuple[KernelTask, str]],
+                     batch_setting: "int | str") -> list[tuple[KernelTask, str]]:
+            return dispatch_batches(
+                job, batch, label=label, workers=min(workers, len(batch)),
+                batch_setting=batch_setting, fail_fast=fail_fast,
+                on_result=on_result, stats=stats, warm_sources=warm_sources,
+                warm_solve_entries=warm_solve_entries)
+
+        orphaned = dispatch(pending, stats.batch_size)
         if not orphaned:
             return stats
 
@@ -724,11 +699,13 @@ class CampaignRunner:
         # instead corners the culprit: halves without it complete, the half
         # with it shrinks to a singleton pool that only it can break, and
         # only that singleton consumes retries (``max_pool_retries``) before
-        # erroring out.
+        # erroring out.  Recovery dispatches one task per batch through the
+        # same dispatcher, so re-run tasks report their counters like any
+        # other batch.
         retries: dict[str, int] = {}
 
         def run_resilient(batch: list[tuple[KernelTask, str]]) -> None:
-            remaining = self._execute_pool(job, batch, label, on_result, workers)
+            remaining = dispatch(batch, 1)
             if not remaining:
                 return
             if len(remaining) > 1:
@@ -750,42 +727,7 @@ class CampaignRunner:
         run_resilient(orphaned)
         return stats
 
-    def _execute_pool(
-        self,
-        job: JobFn,
-        pending: list[tuple[KernelTask, str]],
-        label: str,
-        on_result: Callable[[KernelTask, str, dict], None],
-        workers: int,
-    ) -> list[tuple[KernelTask, str]]:
-        """One process-pool pass; returns the tasks a broken pool orphaned.
-
-        The pool can break at any point — even while tasks are still being
-        submitted (``submit`` itself raises then) — so the whole pass is
-        guarded: every task that did not complete is reported back as
-        orphaned, never lost.
-        """
-        completed: set[str] = set()
-        # A pool broken mid-submission leaves everything not completed
-        # orphaned; the caller re-dispatches those.
-        with contextlib.suppress(BrokenProcessPool), \
-                ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = {pool.submit(_run_job, job, task, label, self.config.fail_fast):
-                       (task, key) for task, key in pending}
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(outstanding, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task, key = futures[future]
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        continue
-                    completed.add(key)
-                    on_result(task, key, result)
-        return [(task, key) for task, key in pending if key not in completed]
-
-    def _summarize(self, label: str, records: list[CampaignRecord], stats: CacheStats,
+    def _summarize(self, label: str, records: list[CampaignRecord], hits: int,
                    resumed: int, executed: int, wall_clock: float,
                    target: str | None = None, shard: str | None = None,
                    stage_seconds: dict[str, float] | None = None,
@@ -798,8 +740,9 @@ class CampaignRunner:
             label=label,
             kernels=len(records),
             executed=executed,
-            cache_hits=stats.hits,
-            cache_misses=stats.misses,
+            cache_hits=hits,
+            # Every lookup that found nothing reusable executed.
+            cache_misses=executed,
             resumed=resumed,
             wall_clock_seconds=wall_clock,
             workers=execution.workers,
@@ -912,40 +855,49 @@ def _attach_stage_seconds(result: dict, before: dict[str, float],
 
 
 class _ResultStore:
-    """Append-only JSONL store of completed task results plus run summaries.
+    """The runner's one content-addressed map from cache key to result.
 
-    The store parses its file at most once per instance: :meth:`load` caches
-    the key -> result map and :meth:`append` updates it incrementally, so a
-    runner making many ``run_tasks`` calls (``run_multi_target``, the
-    experiment harnesses) re-reads nothing.  A *new* runner on the same path
-    still sees everything previous runners appended.
+    The map always lives in memory.  With a ``path`` it is also backed by an
+    append-only JSONL file of result lines plus one summary line per run.
+    :meth:`load` parses the file at most once per instance and
+    :meth:`append` updates the map incrementally, so a runner making many
+    ``run_tasks`` calls (``run_multi_target``, the experiment harnesses)
+    re-reads nothing, while a *new* runner on the same path still sees
+    everything earlier runners appended.  Each line goes through one handle
+    that stays open for the run and is flushed and fsync'd, so even a
+    machine crash loses at most the line being written; :meth:`close` ends
+    the run.
     """
 
     def __init__(self, path: str | Path | None):
         self.path = Path(path) if path is not None else None
-        self._loaded: dict[str, dict] | None = None
+        self._results: dict[str, dict] | None = None
+        #: Keys read from ``path`` whose entry no run has reused yet.
+        self._unclaimed: set[str] = set()
+        self._handle: BinaryIO | None = None
 
     def load(self) -> dict[str, dict]:
         """Map cache key -> result for every completed task on record."""
-        if self._loaded is None:
-            self._loaded = self._read()
-        return self._loaded
+        if self._results is None:
+            self._results = {}
+            if self.path is not None and self.path.exists():
+                for entry in iter_jsonl_dicts(self.path):
+                    if entry.get("type") == "result":
+                        self._results[str(entry["key"])] = entry["result"]
+            self._unclaimed = set(self._results)
+        return self._results
 
-    def _read(self) -> dict[str, dict]:
-        if self.path is None or not self.path.exists():
-            return {}
-        from repro.pipeline.cache import iter_jsonl_dicts
-
-        stored: dict[str, dict] = {}
-        for entry in iter_jsonl_dicts(self.path):
-            if entry.get("type") == "result":
-                stored[str(entry["key"])] = entry["result"]
-        return stored
+    def claim_resumed(self, key: str) -> bool:
+        """True on the first reuse of an entry that was read from the file."""
+        if key in self._unclaimed:
+            self._unclaimed.remove(key)
+            return True
+        return False
 
     def append(self, label: str, kernel: str, key: str, result: dict,
                target: str | None = None) -> None:
-        if self._loaded is not None:
-            self._loaded[key] = result
+        self.load()[key] = result
+        self._unclaimed.discard(key)
         entry = {"type": "result", "campaign": label, "kernel": kernel,
                  "key": key, "result": result}
         if target is not None:
@@ -955,9 +907,30 @@ class _ResultStore:
     def append_summary(self, summary: CampaignSummary) -> None:
         self._write({"type": "summary", **summary.as_dict()})
 
+    def close(self) -> None:
+        """Release the append handle; the next append reopens it."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
     def _write(self, entry: dict) -> None:
         if self.path is None:
             return
+        if self._handle is None:
+            self._handle = self._open()
+        self._handle.write(json.dumps(entry).encode() + b"\n")
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
+
+    def _open(self) -> BinaryIO:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry) + "\n")
+        handle = self.path.open("ab")
+        if handle.tell():
+            # A crash mid-append leaves a final line with no newline.  Start
+            # on a fresh line, or this run's first record would be glued onto
+            # the torn one and dropped with it on the next read.
+            with self.path.open("rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                if tail.read(1) != b"\n":
+                    handle.write(b"\n")
+        return handle

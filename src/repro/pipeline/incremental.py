@@ -86,9 +86,9 @@ class IncrementalPlan:
 
 def _runner_for(store_path: str | Path,
                 config: CampaignConfig | None) -> CampaignRunner:
-    """A runner bound to ``store_path`` with resume on (the splice source)."""
+    """A runner bound to ``store_path`` (the splice source)."""
     config = config or CampaignConfig()
-    return CampaignRunner(replace(config, store_path=store_path, resume=True))
+    return CampaignRunner(replace(config, store_path=store_path))
 
 
 def plan_reverify(
@@ -131,13 +131,13 @@ def reverify(
 ) -> "tuple[IncrementalPlan, CampaignReport]":
     """Execute only the kernels whose fingerprints changed; splice the rest.
 
-    Runs the flagship vectorize campaign against ``store_path`` with resume
-    on: the store answers every unchanged key, the changed kernels go
-    through the ordinary engine (work-stealing batches, fault tolerance,
-    persistence), and the returned report is bit-identical to a
-    from-scratch run of the same configuration.  The plan tells you what
-    the run is about to do; ``report.summary.executed`` confirms what it
-    did (0 for an up-to-date store).
+    Runs the flagship vectorize campaign against ``store_path``: the store
+    answers every unchanged key, the changed kernels go through the
+    ordinary engine (work-stealing batches, fault tolerance, persistence),
+    and the returned report is bit-identical to a from-scratch run of the
+    same configuration.  The plan tells you what the run is about to do;
+    ``report.summary.executed`` confirms what it did (0 for an up-to-date
+    store).
     """
     plan = plan_reverify(store_path, names, vectorizer_config=vectorizer_config,
                          config=config)

@@ -34,11 +34,12 @@ queue**:
 
 None of this can change a result: per-kernel seeds derive from kernel
 names, so verdicts are bit-identical at any worker count, batch size and
-completion order.  Fault tolerance is layered the same way as before: a
-broken pool orphans the unfinished tasks (a mid-batch worker death orphans
-the whole batch — its unsent results died with it), and the campaign
-engine's per-task bisection recovery corners a poison task exactly as it
-did with per-task dispatch.
+completion order.  Fault tolerance is layered on top: a broken pool
+orphans the unfinished tasks (a mid-batch worker death orphans the whole
+batch — its unsent results died with it), and the campaign engine's
+bisection recovery re-dispatches them through :func:`dispatch_batches`
+one task per batch, so a poison task is cornered while every re-run task
+still ships its counters and solved queries like any other batch.
 """
 
 from __future__ import annotations
@@ -189,30 +190,29 @@ def dispatch_batches(
     fail_fast: bool,
     on_result: "Callable[[KernelTask, str, dict], None]",
     stats: ExecutionStats,
-    warm_sources: tuple[str, ...] | None = None,
-    warm_solve_entries: "list | None" = None,
+    warm_sources: tuple[str, ...],
+    warm_solve_entries: "list | tuple" = (),
 ) -> "list[tuple[KernelTask, str]]":
     """Run ``pending`` through one warm pool via dynamic batch claims.
 
-    Returns the tasks a broken pool orphaned (empty on a clean pass).  The
-    pool can break at any point — while submitting, between batches, mid
-    batch — so the whole pass is guarded: any task whose result did not
-    come back is reported as orphaned, never lost.  ``on_result`` fires in
-    completion order as each batch envelope lands, so a killed campaign
-    keeps every batch that finished.
+    Every worker starts with :func:`warm_worker` over ``warm_sources`` and
+    ``warm_solve_entries``.  Returns the tasks a broken pool orphaned (empty
+    on a clean pass); the campaign engine re-dispatches those through this
+    same function, one task per batch.  The pool can break at any point —
+    while submitting, between batches, mid batch — so the whole pass is
+    guarded: any task whose result did not come back is reported as
+    orphaned, never lost.  ``on_result`` fires in completion order as each
+    batch envelope lands, so a killed campaign keeps every batch that
+    finished.
     """
     from repro.smt import solvecache
 
     claimable = deque(pending)
     completed: set[str] = set()
 
-    initializer = warm_worker if warm_sources is not None else None
-    initargs = ((warm_sources, tuple(warm_solve_entries or ()))
-                if warm_sources is not None else ())
-
     try:
-        with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
-                                 initargs=initargs) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=warm_worker,
+                                 initargs=(warm_sources, tuple(warm_solve_entries))) as pool:
             inflight: dict = {}
 
             def claim_and_submit() -> None:

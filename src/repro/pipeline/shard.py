@@ -10,9 +10,8 @@ workflow:
 
 * :func:`merge_stores` concatenates shard result stores into one JSONL
   store, deduplicating records by cache key (and refusing to merge stores
-  that *disagree* on a key, which would mean non-identical configs);
-* :func:`merge_caches` does the same for persistent result-cache files, so
-  a follow-up campaign on any machine starts fully warm;
+  that *disagree* on a key, which would mean non-identical configs); a
+  campaign pointed at the merged store starts fully warm on any machine;
 * :func:`report_from_store` reconstructs a combined
   :class:`~repro.pipeline.campaign.CampaignReport` — per-kernel records in
   canonical suite order plus an aggregated summary — from a (merged or
@@ -119,48 +118,6 @@ def merge_stores(paths: Iterable[str | Path], out_path: str | Path) -> Path:
             handle.write(json.dumps(results[key]) + "\n")
         for summary in summaries:
             handle.write(json.dumps(summary) + "\n")
-    return out
-
-
-def merge_caches(paths: Iterable[str | Path], out_path: str | Path) -> Path:
-    """Merge persistent result-cache JSONL files, deduplicating by key.
-
-    Same conflict rules as :func:`merge_stores`: within one file a later
-    entry supersedes an earlier one (replaying the appends), an error record
-    loses to a real result across files, and two files carrying *different
-    real* values for one content-addressed key refuse to merge — a silently
-    wrong cache entry would poison every warm-started campaign after it.
-    """
-    out = Path(out_path)
-    entries: dict[str, dict] = {}
-    order: list[str] = []
-    for path in paths:
-        file_entries: dict[str, dict] = {}
-        for entry in _iter_entries(Path(path)):
-            if "key" in entry:
-                file_entries[str(entry["key"])] = entry
-        for key, entry in file_entries.items():
-            if key not in entries:
-                entries[key] = entry
-                order.append(key)
-                continue
-            existing = entries[key]
-            if existing.get("value") == entry.get("value"):
-                continue
-            if is_error_result(existing.get("value")):
-                if not is_error_result(entry.get("value")):
-                    entries[key] = entry
-                continue
-            if is_error_result(entry.get("value")):
-                continue
-            raise ValueError(
-                f"cache files disagree on key {key[:16]}...: the shards did "
-                "not run identical campaign configurations"
-            )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as handle:
-        for key in order:
-            handle.write(json.dumps(entries[key]) + "\n")
     return out
 
 

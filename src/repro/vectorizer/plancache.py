@@ -1,8 +1,8 @@
 """Content-addressed parse + plan cache for the verification hot path.
 
-The campaign layer's :class:`~repro.pipeline.cache.ResultCache` deduplicates
-whole per-kernel *results*; this module is its in-process counterpart one
-level down: N candidates × M attempts × K pipeline stages that share one
+The campaign layer's result store (:mod:`repro.pipeline.campaign`)
+deduplicates whole per-kernel *results*; this module is its in-process
+counterpart one level down: N candidates × M attempts × K pipeline stages that share one
 piece of source text reuse a single parse, and every completion the
 synthetic LLM produces for one (kernel, target, epilogue) triple reuses a
 single vectorization plan + generated function.  Profiling showed repeated

@@ -1,6 +1,8 @@
 """Tests for the campaign engine: caching, determinism, resume, accounting,
 fault tolerance."""
 
+import dataclasses
+import inspect
 import json
 import os
 
@@ -12,11 +14,10 @@ from repro.pipeline import (
     CampaignConfig,
     CampaignRunner,
     LLMVectorizerConfig,
-    ResultCache,
     content_key,
     derive_kernel_seed,
 )
-from repro.pipeline.campaign import KernelTask
+from repro.pipeline.campaign import KernelTask, vectorize_kernel_job
 
 # A mixed TSVC subset: easy, reduction, dependence, control-flow and hard
 # (unvectorizable) kernels — enough variety to exercise every verdict path.
@@ -38,6 +39,20 @@ def _job_fine(task: KernelTask) -> dict:
     return {"kernel": task.kernel, "verdict": "equivalent"}
 
 
+def _job_empty(task: KernelTask) -> dict:
+    return {}
+
+
+def _job_killing_s000_once(task: KernelTask) -> dict:
+    """``s000`` hard-kills its worker on its first attempt only; every
+    attempt that survives runs the real vectorize job."""
+    marker = task.payload["marker"]
+    if task.kernel == "s000" and not os.path.exists(marker):
+        open(marker, "w").close()
+        os._exit(1)
+    return vectorize_kernel_job(task)
+
+
 def _job_killing_worker(task: KernelTask) -> dict:
     """Kernel 'killer' hard-kills its worker process (simulated segfault).
 
@@ -55,110 +70,80 @@ def _job_killing_worker(task: KernelTask) -> dict:
 
 
 class TestResultCache:
-    def test_miss_then_hit_accounting(self):
-        cache = ResultCache()
-        key = content_key("a", "b")
-        assert cache.get(key) is None
-        cache.put(key, {"x": 1})
-        assert cache.get(key) == {"x": 1}
-        assert cache.stats.misses == 1
-        assert cache.stats.hits == 1
-        assert cache.stats.hit_rate == 0.5
+    """The runner's result cache is its one store: in memory, and fsync'd
+    JSONL on disk when ``store_path`` is set."""
 
     def test_content_key_is_separator_unambiguous(self):
         assert content_key("ab", "c") != content_key("a", "bc")
         assert content_key("a", "b") != content_key("ab")
 
     def test_jsonl_persistence_roundtrip(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        first = ResultCache(path)
-        first.put(content_key("k1"), {"v": 1})
-        first.put(content_key("k2"), {"v": 2})
-        reloaded = ResultCache(path)
-        assert len(reloaded) == 2
-        assert reloaded.peek(content_key("k1")) == {"v": 1}
+        store = tmp_path / "campaign.jsonl"
+        tasks = _suite_tasks(["a", "b"])
+        first = CampaignRunner(CampaignConfig(workers=1, store_path=store)).run_tasks(
+            _job_fine, tasks, label="trip")
+        reloaded = CampaignRunner(CampaignConfig(workers=1, store_path=store))
+        assert reloaded.store.load() == {record.key: record.result
+                                         for record in first.records}
+        report = reloaded.run_tasks(_job_empty, tasks, label="trip")
+        assert report.summary.executed == 0
+        assert report.results() == first.results()
 
     def test_truncated_trailing_line_is_tolerated(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(path)
-        cache.put(content_key("k1"), {"v": 1})
-        cache.close()
-        with path.open("a") as handle:
-            handle.write('{"key": "half-writ')  # simulated crash mid-append
-        reloaded = ResultCache(path)
-        assert reloaded.peek(content_key("k1")) == {"v": 1}
-        assert len(reloaded) == 1
+        store = tmp_path / "campaign.jsonl"
+        tasks = _suite_tasks(["a", "b"])
+        CampaignRunner(CampaignConfig(workers=1, store_path=store)).run_tasks(
+            _job_fine, tasks, label="torn")
+        with store.open("a") as handle:
+            handle.write('{"type": "result", "key": "half-writ')  # crash mid-append
+        resumed = CampaignRunner(CampaignConfig(workers=1, store_path=store))
+        assert len(resumed.store.load()) == 2
+        report = resumed.run_tasks(_job_fine, tasks, label="torn")
+        assert report.summary.executed == 0
+        assert report.summary.resumed == 2
 
-    def test_batched_flush_interval_persists_everything(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(path, flush_interval=8)
-        for i in range(20):
-            cache.put(content_key(f"k{i}"), {"v": i})
-        cache.flush()
-        reloaded = ResultCache(path)
-        assert len(reloaded) == 20
-        assert reloaded.peek(content_key("k7")) == {"v": 7}
+    def test_first_record_after_a_torn_line_survives(self, tmp_path):
+        """The next run starts on a fresh line: its first record used to be
+        glued onto the torn one, dropped with it, and executed again."""
+        store = tmp_path / "campaign.jsonl"
+        seeded, extra = _suite_tasks(["a", "b"]), _suite_tasks(["c", "d"])
+        CampaignRunner(CampaignConfig(workers=1, store_path=store)).run_tasks(
+            _job_fine, seeded, label="torn")
+        with store.open("a") as handle:
+            handle.write('{"type": "result", "key": "half-writ')
+        after_crash = CampaignRunner(CampaignConfig(workers=1, store_path=store))
+        assert after_crash.run_tasks(_job_fine, seeded + extra,
+                                     label="torn").summary.executed == 2
+        again = CampaignRunner(CampaignConfig(workers=1, store_path=store))
+        report = again.run_tasks(_job_fine, seeded + extra, label="torn")
+        assert report.summary.executed == 0
+        assert report.summary.resumed == 4
 
-    def test_flush_interval_batches_fsyncs(self, tmp_path, monkeypatch):
-        import repro.pipeline.cache as cache_module
+    def test_falsy_result_persists_and_resumes(self, tmp_path):
+        """``{}`` is a result like any other: it persists and resumes, never
+        mistaken for "key absent"."""
+        store = tmp_path / "campaign.jsonl"
+        tasks = _suite_tasks(["a", "b"])
+        CampaignRunner(CampaignConfig(workers=1, store_path=store)).run_tasks(
+            _job_empty, tasks, label="falsy")
+        resumed = CampaignRunner(CampaignConfig(workers=1, store_path=store))
+        report = resumed.run_tasks(_job_fine, tasks, label="falsy")
+        assert report.summary.executed == 0
+        assert report.summary.resumed == 2
+        assert report.results() == [{}, {}]
+
+    def test_one_fsync_per_appended_line(self, tmp_path, monkeypatch):
+        import repro.pipeline.campaign as campaign_module
 
         syncs = []
-        monkeypatch.setattr(cache_module.os, "fsync", lambda fd: syncs.append(fd))
-
-        durable = ResultCache(tmp_path / "durable.jsonl", flush_interval=1)
-        for i in range(10):
-            durable.put(content_key(f"d{i}"), i)
-        assert len(syncs) == 10  # the seed behaviour: one fsync per entry
-
-        syncs.clear()
-        batched = ResultCache(tmp_path / "batched.jsonl", flush_interval=5)
-        for i in range(10):
-            batched.put(content_key(f"b{i}"), i)
-        assert len(syncs) == 2
-        batched.flush()  # nothing pending: the 10th put just synced
-        assert len(syncs) == 2
-
-        syncs.clear()
-        lazy = ResultCache(tmp_path / "lazy.jsonl", flush_interval=0)
-        for i in range(10):
-            lazy.put(content_key(f"l{i}"), i)
-        assert syncs == []
-        lazy.flush()
-        assert len(syncs) == 1
-
-    def test_flush_interval_is_validated(self):
-        with pytest.raises(ValueError):
-            ResultCache(flush_interval=-1)
-
-    def test_none_and_falsy_values_persist_and_resume(self, tmp_path):
-        """A legitimately-``None`` (or otherwise falsy) value is a result like
-        any other: it must reach the JSONL file, not be conflated with "key
-        absent" and silently dropped (which forced resumed runs to redo the
-        work)."""
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(path)
-        for key, value in (("none", None), ("zero", 0), ("empty", {}),
-                           ("false", False)):
-            cache.put(content_key(key), value)
-        cache.close()
-        lines = [line for line in path.read_text().splitlines() if line]
-        assert len(lines) == 4
-        reloaded = ResultCache(path)
-        assert len(reloaded) == 4
-        for key, value in (("none", None), ("zero", 0), ("empty", {}),
-                           ("false", False)):
-            assert reloaded.peek(content_key(key)) == value
-            assert content_key(key) in reloaded
-
-    def test_duplicate_put_still_skips_the_append(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(path)
-        cache.put(content_key("k"), {"v": 1})
-        cache.put(content_key("k"), {"v": 1})  # identical: no second line
-        cache.put(content_key("n"), None)
-        cache.put(content_key("n"), None)      # identical None: ditto
-        cache.close()
-        assert len(path.read_text().splitlines()) == 2
+        monkeypatch.setattr(campaign_module.os, "fsync", lambda fd: syncs.append(fd))
+        store = tmp_path / "campaign.jsonl"
+        runner = CampaignRunner(CampaignConfig(workers=1, store_path=store))
+        runner.run_tasks(_job_fine, _suite_tasks(["a", "b", "c"]), label="sync")
+        runner.run_tasks(_job_fine, _suite_tasks(["a", "d"]), label="sync")
+        lines = store.read_text().splitlines()
+        assert len(lines) == 4 + 2  # four results, one summary per run
+        assert len(syncs) == len(lines)
 
 
 class TestDeterminism:
@@ -203,8 +188,8 @@ class TestCaching:
 
     def test_persistent_cache_file_survives_runner_restarts(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        first = CampaignRunner(CampaignConfig(workers=2, cache_path=path)).run(SUBSET[:4])
-        second = CampaignRunner(CampaignConfig(workers=2, cache_path=path)).run(SUBSET[:4])
+        first = CampaignRunner(CampaignConfig(workers=2, store_path=path)).run(SUBSET[:4])
+        second = CampaignRunner(CampaignConfig(workers=2, store_path=path)).run(SUBSET[:4])
         assert second.summary.cache_hit_rate == 1.0
         assert second.results() == first.results()
 
@@ -224,14 +209,6 @@ class TestResume:
         # The reference run from scratch agrees with the resumed one.
         scratch = CampaignRunner(CampaignConfig(workers=2)).run(SUBSET)
         assert scratch.results() == report.results()
-
-    def test_resume_disabled_reruns_everything(self, tmp_path):
-        store = tmp_path / "campaign.jsonl"
-        CampaignRunner(CampaignConfig(workers=1, store_path=store)).run(SUBSET[:3])
-        fresh = CampaignRunner(CampaignConfig(workers=1, store_path=store, resume=False))
-        report = fresh.run(SUBSET[:3])
-        assert report.summary.resumed == 0
-        assert report.summary.executed == 3
 
     def test_store_records_results_and_summaries(self, tmp_path):
         store = tmp_path / "campaign.jsonl"
@@ -365,6 +342,27 @@ class TestFaultTolerance:
         assert "pool" in by_kernel["killer"]["error"]
         assert by_kernel["a"]["verdict"] == "equivalent"
 
+    def test_tasks_rerun_after_a_pool_crash_keep_their_counters(self, tmp_path):
+        """Recovery re-dispatches through the batch dispatcher: re-run tasks
+        start warm, ship their plan-cache counters and count as batches, so
+        the summary's counters match a clean run's."""
+        from repro import memo
+
+        marker = str(tmp_path / "killed-once")
+        tasks = [dataclasses.replace(task, payload={**task.payload, "marker": marker})
+                 for task in CampaignRunner().vectorize_tasks(["s000", "s111"])]
+        memo.clear_all()
+        clean = CampaignRunner(CampaignConfig(workers=2)).run_tasks(
+            vectorize_kernel_job, tasks, label="vectorize")
+        memo.clear_all()
+        crashed = CampaignRunner(CampaignConfig(workers=2)).run_tasks(
+            _job_killing_s000_once, tasks, label="vectorize")
+        assert os.path.exists(marker)
+        assert crashed.results() == clean.results()
+        assert clean.summary.plan_cache
+        assert crashed.summary.plan_cache == clean.summary.plan_cache
+        assert crashed.summary.batches > clean.summary.batches
+
     def test_poison_task_takes_no_collateral_damage(self):
         """One instantly-segfaulting task among many innocents: bisection
         recovery corners it alone; every other task still completes."""
@@ -451,3 +449,25 @@ class TestInjectedClients:
         assert llm.invocation_count >= 2
         assert report.summary.kernels == 2
         assert all(r["plausible"] for r in report.results())
+
+
+class TestOneResultStore:
+    """Regrowth guard: the campaign store is the runner's only result map."""
+
+    def test_config_declares_no_second_store(self):
+        declared = {f.name for f in dataclasses.fields(CampaignConfig)}
+        assert not declared & {"cache_path", "resume", "cache_flush_interval",
+                               "warm_workers"}
+
+    def test_runner_takes_no_cache(self):
+        assert "cache" not in inspect.signature(CampaignRunner.__init__).parameters
+        assert not hasattr(CampaignRunner, "_execute_pool")
+
+    def test_no_cache_names_are_exported(self):
+        import repro
+        import repro.pipeline
+
+        deleted = {"ResultCache", "CacheStats", "merge_caches"}
+        for module in (repro, repro.pipeline):
+            assert not deleted & set(module.__all__), module.__name__
+            assert not any(hasattr(module, name) for name in deleted), module.__name__

@@ -1,14 +1,12 @@
 """Tests for incremental re-verification (fingerprint diffing against a
-store) and store/cache compaction."""
+store) and store compaction."""
 
 import json
 
 from repro.pipeline import (
     CampaignConfig,
     CampaignRunner,
-    ResultCache,
     compact_store,
-    content_key,
     plan_reverify,
     report_from_store,
     reverify,
@@ -30,8 +28,8 @@ def _seed_store(store, names=KERNELS):
 
 # Module-level jobs for the compaction tests (picklable, distinguishable).
 
-def _job_plausible(task: KernelTask) -> dict:
-    return {"kernel": task.kernel, "verdict": "plausible"}
+def _job_raising(task: KernelTask) -> dict:
+    raise ValueError(f"injected failure on {task.kernel}")
 
 
 def _job_equivalent(task: KernelTask) -> dict:
@@ -126,11 +124,10 @@ class TestCompaction:
     def test_compact_drops_superseded_records_and_summaries(self, tmp_path):
         store = tmp_path / "campaign.jsonl"
         names = ["a", "b", "c", "d"]
-        CampaignRunner(CampaignConfig(workers=1, store_path=store,
-                                      resume=False)).run_tasks(
-            _job_plausible, _tasks(names), label="compact")
-        CampaignRunner(CampaignConfig(workers=1, store_path=store,
-                                      resume=False)).run_tasks(
+        # An error-then-retry run supersedes every first-pass record.
+        CampaignRunner(CampaignConfig(workers=1, store_path=store)).run_tasks(
+            _job_raising, _tasks(names), label="compact")
+        CampaignRunner(CampaignConfig(workers=1, store_path=store)).run_tasks(
             _job_equivalent, _tasks(names), label="compact")
 
         before = report_from_store(store)
@@ -153,11 +150,10 @@ class TestCompaction:
     def test_out_path_leaves_the_source_store_untouched(self, tmp_path):
         store = tmp_path / "campaign.jsonl"
         names = ["a", "b"]
-        CampaignRunner(CampaignConfig(workers=1, store_path=store,
-                                      resume=False)).run_tasks(
-            _job_plausible, _tasks(names), label="compact")
-        CampaignRunner(CampaignConfig(workers=1, store_path=store,
-                                      resume=False)).run_tasks(
+        # An error-then-retry run supersedes every first-pass record.
+        CampaignRunner(CampaignConfig(workers=1, store_path=store)).run_tasks(
+            _job_raising, _tasks(names), label="compact")
+        CampaignRunner(CampaignConfig(workers=1, store_path=store)).run_tasks(
             _job_equivalent, _tasks(names), label="compact")
         source_bytes = store.read_bytes()
 
@@ -174,9 +170,8 @@ class TestCompaction:
         zero jobs and reports identically."""
         store = tmp_path / "campaign.jsonl"
         _seed_store(store)
-        # A forced re-run doubles every result line and adds a summary.
-        CampaignRunner(CampaignConfig(workers=1, store_path=store,
-                                      resume=False)).run(KERNELS)
+        # Duplicating the store doubles every result line and its summary.
+        store.write_text(store.read_text() * 2)
         before = report_from_store(store)
         stats = compact_store(store)
         assert stats.records_before == 2 * len(KERNELS)
@@ -187,16 +182,3 @@ class TestCompaction:
         assert plan.up_to_date
         assert report.summary.executed == 0
         assert _signature(report) == _signature(before)
-
-    def test_result_cache_compact_keeps_the_latest_value(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        cache = ResultCache(path)
-        cache.put(content_key("k"), {"v": 1})
-        cache.put(content_key("k"), {"v": 2})
-        cache.put(content_key("j"), {"v": 3})
-        dropped = cache.compact()
-        assert dropped == 1
-        assert len(path.read_text().splitlines()) == 2
-        reloaded = ResultCache(path)
-        assert reloaded.peek(content_key("k")) == {"v": 2}
-        assert reloaded.peek(content_key("j")) == {"v": 3}

@@ -476,7 +476,7 @@ class TestNeonEndToEnd:
         from repro.pipeline.campaign import CampaignConfig, CampaignRunner
 
         runner = CampaignRunner(CampaignConfig(
-            workers=1, target="neon", cache_path=tmp_path / "cache.jsonl"))
+            workers=1, target="neon", store_path=tmp_path / "cache.jsonl"))
         report = runner.run(self.KERNELS)
         assert report.summary.target == "neon"
         verdicts = {r.kernel: r.result["verdict"] for r in report.records}
@@ -493,7 +493,7 @@ class TestNeonEndToEnd:
         from repro.pipeline.campaign import CampaignConfig, CampaignRunner
 
         runner = CampaignRunner(CampaignConfig(workers=1,
-                                               cache_path=tmp_path / "c.jsonl"))
+                                               store_path=tmp_path / "c.jsonl"))
         reports = runner.run_multi_target(["s000"])
         assert list(reports) == TARGET_NAMES
         assert reports["neon"].summary.target == "neon"

@@ -9,7 +9,6 @@ from repro.pipeline import (
     CampaignConfig,
     CampaignRunner,
     ShardSpec,
-    merge_caches,
     merge_stores,
     report_from_store,
     shard_of,
@@ -209,32 +208,6 @@ class TestStoreMerging:
         entry = json.loads(merged.read_text().splitlines()[0])
         assert entry["result"]["verdict"] == "equivalent"
 
-    def test_merge_caches_deduplicates_by_key(self, tmp_path):
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        a.write_text(json.dumps({"key": "k1", "value": 1}) + "\n")
-        b.write_text(json.dumps({"key": "k1", "value": 1}) + "\n"
-                     + json.dumps({"key": "k2", "value": 2}) + "\n")
-        merged = merge_caches([a, b], tmp_path / "m.jsonl")
-        lines = [json.loads(line) for line in merged.read_text().splitlines()]
-        assert {line["key"] for line in lines} == {"k1", "k2"}
-        assert len(lines) == 2
-
-    def test_merge_caches_refuses_conflicting_values(self, tmp_path):
-        """A silently-wrong merged cache entry would poison every warm start,
-        so conflicting real values refuse exactly like store conflicts."""
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        a.write_text(json.dumps({"key": "k1", "value": {"verdict": "equivalent"}}) + "\n")
-        b.write_text(json.dumps({"key": "k1", "value": {"verdict": "not_equivalent"}}) + "\n")
-        with pytest.raises(ValueError, match="disagree"):
-            merge_caches([a, b], tmp_path / "m.jsonl")
-        # ... but an error record resolves to the real result, either order.
-        b.write_text(json.dumps(
-            {"key": "k1", "value": {"verdict": "error", "error": "boom"}}) + "\n")
-        for files in ([a, b], [b, a]):
-            merged = merge_caches(files, tmp_path / "m.jsonl")
-            entry = json.loads(merged.read_text().splitlines()[0])
-            assert entry["value"]["verdict"] == "equivalent"
-
     def test_report_from_store_requires_label_when_ambiguous(self, tmp_path):
         store = tmp_path / "s.jsonl"
         store.write_text(
@@ -250,22 +223,6 @@ class TestStoreMerging:
     def test_missing_store_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             merge_stores([tmp_path / "nope.jsonl"], tmp_path / "m.jsonl")
-
-    def test_merge_caches_round_trips_none_and_falsy_values(self, tmp_path):
-        """Caches persisting legitimately-falsy values (None, 0, {}) must
-        merge verbatim — never be confused with absent or error entries."""
-        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        a.write_text(json.dumps({"key": "knone", "value": None}) + "\n"
-                     + json.dumps({"key": "kzero", "value": 0}) + "\n")
-        b.write_text(json.dumps({"key": "knone", "value": None}) + "\n"
-                     + json.dumps({"key": "kempty", "value": {}}) + "\n")
-        merged = merge_caches([a, b], tmp_path / "m.jsonl")
-        lines = {json.loads(line)["key"]: json.loads(line)
-                 for line in merged.read_text().splitlines()}
-        assert set(lines) == {"knone", "kzero", "kempty"}
-        assert lines["knone"]["value"] is None
-        assert lines["kzero"]["value"] == 0
-        assert lines["kempty"]["value"] == {}
 
     def test_summary_only_store_merges_without_records(self, tmp_path):
         """A shard that resumed a fully-cached run appends only a summary;
@@ -299,14 +256,6 @@ class TestStoreMerging:
         merged = merge_stores([a, b], tmp_path / "m.jsonl")
         entry = json.loads(merged.read_text().splitlines()[0])
         assert entry["result"]["error"] == "ValueError: first"
-        # ... and for caches, same rule on "value" entries.
-        a.write_text(json.dumps(
-            {"key": "k1", "value": {"verdict": "error", "error": "first"}}) + "\n")
-        b.write_text(json.dumps(
-            {"key": "k1", "value": {"verdict": "error", "error": "second"}}) + "\n")
-        merged_cache = merge_caches([a, b], tmp_path / "mc.jsonl")
-        entry = json.loads(merged_cache.read_text().splitlines()[0])
-        assert entry["value"]["error"] == "first"
 
     def test_unlabeled_records_do_not_fabricate_a_label(self, tmp_path):
         """A record with no campaign field must stay unlabeled: stringifying

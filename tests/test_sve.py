@@ -475,7 +475,7 @@ class TestSveEndToEnd:
         from repro.pipeline.campaign import CampaignConfig, CampaignRunner
 
         runner = CampaignRunner(CampaignConfig(
-            workers=1, target=target, cache_path=tmp_path / "cache.jsonl"))
+            workers=1, target=target, store_path=tmp_path / "cache.jsonl"))
         report = runner.run(self.KERNELS)
         assert report.summary.target == target
         verdicts = {r.kernel: r.result["verdict"] for r in report.records}
@@ -493,7 +493,7 @@ class TestSveEndToEnd:
         from repro.pipeline.campaign import CampaignConfig, CampaignRunner
 
         runner = CampaignRunner(CampaignConfig(
-            workers=1, cache_path=tmp_path / "cache.jsonl"))
+            workers=1, store_path=tmp_path / "cache.jsonl"))
         reports = runner.run_multi_target(self.KERNELS,
                                           targets=["sve128", "sve256"])
         assert list(reports) == ["sve128", "sve256"]
@@ -511,7 +511,7 @@ class TestSveEndToEnd:
         from repro.pipeline.campaign import CampaignConfig, CampaignRunner
 
         runner = CampaignRunner(CampaignConfig(workers=1,
-                                               cache_path=tmp_path / "c.jsonl"))
+                                               store_path=tmp_path / "c.jsonl"))
         reports = runner.run_multi_target(["s000"])
         assert "sve128" in reports and "sve256" in reports
         assert reports["sve128"].summary.target == "sve128"

@@ -211,8 +211,7 @@ class TestMultiTargetCampaign:
     KERNELS = ["s000", "vsumr", "s271"]
 
     def test_one_invocation_covers_all_targets_over_a_shared_cache(self, tmp_path):
-        config = CampaignConfig(workers=1, cache_path=tmp_path / "cache.jsonl",
-                                store_path=tmp_path / "store.jsonl")
+        config = CampaignConfig(workers=1, store_path=tmp_path / "store.jsonl")
         runner = CampaignRunner(config)
         reports = runner.run_multi_target(self.KERNELS)
 
@@ -227,7 +226,7 @@ class TestMultiTargetCampaign:
         assert len(all_keys) == len(set(all_keys))
 
         # A re-run over the same cache is a pure cache hit for every target.
-        rerun = CampaignRunner(CampaignConfig(workers=1, cache_path=tmp_path / "cache.jsonl"))
+        rerun = CampaignRunner(CampaignConfig(workers=1, store_path=tmp_path / "store.jsonl"))
         reports2 = rerun.run_multi_target(self.KERNELS)
         for report in reports2.values():
             assert report.summary.executed == 0
