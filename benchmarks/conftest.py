@@ -6,7 +6,7 @@ the Table 2, Table 3, Figure 5, and Figure 6 targets, exactly mirroring how
 the paper's experiments build on one another.
 
 All suite-scale work goes through the campaign engine: kernels fan out over
-a process pool and share one session-scoped content-addressed result cache,
+a process pool and share one session-scoped content-addressed result store,
 so re-running a benchmark target reuses everything the earlier targets
 already settled.  Per-kernel results are derived-seed deterministic, i.e.
 identical at any worker count.
@@ -47,7 +47,9 @@ Environment knobs (all optional):
     cache hit-rates, verdict counts per target) to a benchmark JSON file —
     ``1``/``true`` selects the default ``BENCH_campaign.json`` at the repo
     root, any other value is used as the output path.  This is what feeds
-    the perf trajectory across runs.
+    the perf trajectory across runs; each entry is stamped with
+    ``perf_gate.machine_score()``, the CPU probe the perf gate normalises
+    its throughput floors by.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ def _bench_json_path() -> Path | None:
 
 @pytest.fixture(scope="session")
 def bench_campaign() -> CampaignRunner:
-    """One campaign runner (and thus one result cache) for the whole session.
+    """One campaign runner (and thus one result store) for the whole session.
 
     With ``REPRO_BENCH_JSON`` set, every campaign summary the session
     produced is written out at teardown so the perf trajectory accumulates.
@@ -152,7 +154,7 @@ def bench_campaign() -> CampaignRunner:
     yield runner
     path = _bench_json_path()
     if path is not None and runner.summaries:
-        from repro.perf.profile import machine_score
+        from perf_gate import machine_score
         from repro.reporting.campaign import write_bench_json
 
         write_bench_json(runner.summaries, path, machine_score=machine_score())

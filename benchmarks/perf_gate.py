@@ -3,9 +3,9 @@
 Runs the standard 11-kernel vectorize suite serially on every target, then
 a parallel-scaling sweep of the *full* TSVC suite (``--scale-workers``,
 default 1/2/4/8, through the work-stealing batch dispatcher), appends every
-fresh summary (with per-stage timings, batch counts, fleet plan-cache
-stats, and this machine's CPU probe score) to ``BENCH_campaign.json``, and
-fails when any of
+fresh summary (with batch counts, fleet plan-cache and solver counters,
+and this machine's CPU probe score) to ``BENCH_campaign.json``, and fails
+when any of
 
 - a target's serial kernels/sec drops more than ``--tolerance`` (default
   20%) below the machine-normalised floor for that (target, kernel-count)
@@ -13,21 +13,25 @@ fails when any of
 - a scaling run's effective kernels/sec drops more than ``--tolerance``
   below the machine-normalised floor for its (target, workers,
   kernel-count) configuration,
-- a fully-fresh run's solve-stage seconds rise more than ``--tolerance``
-  above the machine-normalised solve floor for its configuration (the
-  solver fast path must not regress),
+- a fully-fresh run's solver work — SAT cache misses, propagations or
+  conflicts — exceeds the lowest committed count for its configuration
+  (the solver fast path must not regress),
 - any scaling run's verdicts or final-code SHAs differ from the serial
   member of the sweep (parallel dispatch must be bit-identical), or
 - the paper-default AVX2 campaign's verdicts or final-code SHAs drift from
   the golden record pinned in ``tests/test_sve.py``.
 
-Floors are a machine-normalised ratchet: committed entries carry the
-``machine_score`` CPU probe of the box that recorded them, and each floor
-is scaled by (current score / recorded score) before the tolerance is
-applied.  A uniformly slower container therefore doesn't read as a code
-regression, while a genuine slowdown still does.  Entries recorded before
-machine scoring (no ``machine_score`` key) are kept as history but no
-longer gate.
+Throughput floors are a machine-normalised ratchet: committed entries
+carry the :func:`machine_score` CPU probe of the box that recorded them,
+and each floor is scaled by (current score / recorded score) before the
+tolerance is applied.  A uniformly slower container therefore doesn't
+read as a code regression, while a genuine slowdown still does.  Entries
+recorded before machine scoring (no ``machine_score`` key) are kept as
+history but no longer gate.  Solver counts are deterministic and the
+same on every machine, so their ceilings take neither scaling nor
+``--tolerance``: any growth is a regression.  Per-layer timings are not
+this script's business: ``python3 perfbench/run.py --trace 1`` measures
+them.
 
 Usage:  PYTHONPATH=src python benchmarks/perf_gate.py [--tolerance 0.2]
                   [--baseline BENCH_campaign.json] [--json BENCH_campaign.json]
@@ -39,8 +43,10 @@ Exit status 0 on pass, 1 on regression or drift.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -50,10 +56,41 @@ sys.path.insert(0, str(REPO_ROOT / "tests"))
 from test_multi_target import DEFAULT_KERNELS  # noqa: E402
 from test_sve import AVX2_GOLDEN  # noqa: E402
 
-from repro.perf.profile import machine_score  # noqa: E402
 from repro.pipeline import CampaignConfig, CampaignRunner  # noqa: E402
 from repro.reporting.campaign import write_bench_json  # noqa: E402
 from repro.targets import ALL_TARGETS  # noqa: E402
+
+#: The solver-work counters the ceiling gates: query batches that reached
+#: the SAT stage, and the CDCL work spent on them.
+SOLVER_WORK = ("cache_misses", "propagations", "conflicts")
+
+
+def machine_score(repeats: int = 3) -> float:
+    """A deterministic single-core CPU probe, in arbitrary probe-runs/second.
+
+    Benchmark entries record the probe score of the machine that produced
+    them, so throughput ratchets can scale their floors by the ratio of the
+    current machine's score to the recording machine's — a uniformly slower
+    container no longer reads as a code regression, while a genuine
+    slowdown of one target still does.  The workload (an
+    interpreter-bound integer loop plus a fixed hash chain, mirroring the
+    pure-Python pipeline's profile) is fixed; the best of ``repeats`` runs
+    is kept to shave scheduler noise.
+    """
+    payload = bytes(range(256)) * 64
+    best = 0.0
+    for _ in range(max(1, repeats)):
+        started = time.perf_counter()
+        digest = payload
+        for _ in range(16):
+            digest = hashlib.sha256(digest).digest()
+        acc = 0
+        for value in range(150_000):
+            acc = (acc * 1103515245 + value) & 0xFFFFFFFF
+        elapsed = time.perf_counter() - started
+        if elapsed > 0.0:
+            best = max(best, 1.0 / elapsed)
+    return round(best, 2)
 
 
 def baseline_rates(path: Path) -> dict[tuple[str, int, int], tuple[float, float]]:
@@ -97,42 +134,49 @@ def baseline_rates(path: Path) -> dict[tuple[str, int, int], tuple[float, float]
     return best
 
 
-def baseline_solve_seconds(path: Path) -> dict[tuple[str, int, int], tuple[float, float]]:
-    """Best committed (solve-stage seconds, machine_score) per configuration.
+def baseline_solver_work(path: Path) -> dict[tuple[str, int, int], dict[str, int]]:
+    """Lowest committed solver work per configuration.
 
     Keyed like :func:`baseline_rates` — (target, workers, kernel count) —
     and restricted the same way: fully-fresh runs (``executed == kernels``)
-    carrying a ``machine_score``.  The slot keeps the lowest
-    machine-normalised solve time, so the solve stage ratchets downward the
-    way throughput ratchets upward.  The gate script's phase order is
-    deterministic, so each configuration's solve-cache warmth is identical
-    across sessions and the comparison is like-for-like.
+    carrying a ``machine_score``.  Each :data:`SOLVER_WORK` counter keeps
+    its lowest committed value, so solver work ratchets downward the way
+    throughput ratchets upward.  The counts are deterministic: the gate
+    script's phase order is fixed, so each configuration's solve-cache
+    warmth is identical across sessions and the comparison is
+    like-for-like.
+
+    A summary lists only the counters that moved, and omits ``solver``
+    altogether when the run did no solver work; entries recorded before
+    the counters existed omit it too.  So each configuration is judged
+    against its entries that carry counters, with a missing counter read
+    as zero.  A configuration with no such entry gets a zero ceiling: every
+    configuration in the committed file has runs recorded since the
+    counters existed, so for it a missing ``solver`` means no solver work.
     """
     if not path.exists():
         return {}
     entries = json.loads(path.read_text(encoding="utf-8")).get("campaigns", [])
-    best: dict[tuple[str, int, int], tuple[float, float]] = {}
+    best: dict[tuple[str, int, int], dict[str, int] | None] = {}
     for entry in entries:
         target = entry.get("target")
         workers = entry.get("workers", 1)
         kernels = entry.get("kernels", 0)
         score = entry.get("machine_score")
-        stages = entry.get("stage_seconds")
         if (not target or not isinstance(workers, int) or workers < 1
                 or not kernels or entry.get("executed") != kernels
-                or not isinstance(score, (int, float)) or score <= 0
-                or not isinstance(stages, dict)):
-            continue
-        seconds = stages.get("solve")
-        if not isinstance(seconds, (int, float)) or seconds < 0:
+                or not isinstance(score, (int, float)) or score <= 0):
             continue
         key = (target, workers, kernels)
+        solver = entry.get("solver")
+        if not isinstance(solver, dict):
+            best.setdefault(key, None)
+            continue
+        counts = {name: int(solver.get(name, 0)) for name in SOLVER_WORK}
         slot = best.get(key)
-        # Normalised solve time = seconds * score (a slower box is allowed
-        # proportionally more wall clock); keep the lowest.
-        if slot is None or float(seconds) * float(score) < slot[0] * slot[1]:
-            best[key] = (float(seconds), float(score))
-    return best
+        best[key] = counts if slot is None else {
+            name: min(slot[name], counts[name]) for name in SOLVER_WORK}
+    return {key: slot or dict.fromkeys(SOLVER_WORK, 0) for key, slot in best.items()}
 
 
 def signature(report) -> list[tuple]:
@@ -160,7 +204,7 @@ def main() -> int:
     args = parser.parse_args()
 
     floors = baseline_rates(args.baseline)
-    solve_floors = baseline_solve_seconds(args.baseline)
+    solver_ceilings = baseline_solver_work(args.baseline)
     score = machine_score()
     print(f"machine score: {score:.1f} (floors scale by current/recorded score)")
     failures: list[str] = []
@@ -181,30 +225,27 @@ def main() -> int:
                 f"(recorded {base_rate:.1f} at score {base_score:.1f})")
         return f"  floor {minimum:.1f} (normalised baseline {scaled:.1f})"
 
-    def gate_solve(kind: str, key: tuple[str, int, int], summary) -> str:
-        """The solve-stage ceiling: fresh runs must not regress the stage.
+    def gate_solver(kind: str, key: tuple[str, int, int], summary) -> str:
+        """The solver-work ceiling: fresh runs must not regress the solver.
 
-        Only fully-fresh runs gate (a cached run has no solve stage to
-        measure); a missing baseline slot records without judging.  A
-        half-second absolute grace rides on top of the fractional
-        tolerance: sub-second solve stages are dominated by scheduling
-        noise, and the ceiling exists to catch multi-second regressions.
+        Only fully-fresh runs gate (a cached run solves nothing); a missing
+        baseline slot records without judging.  The counts carry no noise,
+        so no tolerance applies.
         """
         if summary.executed != summary.kernels:
             return ""
-        seconds = summary.stage_seconds.get("solve")
-        slot = solve_floors.get(key)
-        if slot is None or not isinstance(seconds, (int, float)):
+        slot = solver_ceilings.get(key)
+        if slot is None:
             return ""
-        base_seconds, base_score = slot
-        scaled = base_seconds * (base_score / score)
-        maximum = scaled * (1.0 + args.tolerance) + 0.5
-        if seconds > maximum:
-            failures.append(
-                f"{kind}: solve stage took {seconds:.2f}s, >{args.tolerance:.0%} "
-                f"above the machine-normalised baseline {scaled:.2f}s "
-                f"(recorded {base_seconds:.2f}s at score {base_score:.1f})")
-        return f"  solve {seconds:.2f}s (ceiling {maximum:.2f}s)"
+        work = {name: summary.solver.get(name, 0) for name in SOLVER_WORK}
+        for name in SOLVER_WORK:
+            if work[name] > slot[name]:
+                failures.append(
+                    f"{kind}: {work[name]} solver {name}, above the lowest "
+                    f"committed count {slot[name]}")
+        return ("  solver " + "/".join(str(work[name]) for name in SOLVER_WORK)
+                + " (lowest committed "
+                + "/".join(str(slot[name]) for name in SOLVER_WORK) + ")")
 
     # Phase 1: the serial per-target ratchet on the 11-kernel suite.
     targets = [isa.name for isa in ALL_TARGETS]
@@ -214,11 +255,10 @@ def main() -> int:
 
     for target, report in reports.items():
         summary = report.summary
-        line = (f"{target:<8} w=1  {summary.kernels_per_second:8.1f} kernels/s "
-                f"(stages: {sum(summary.stage_seconds.values()):.3f}s profiled)")
+        line = f"{target:<8} w=1  {summary.kernels_per_second:8.1f} kernels/s"
         line += gate(target, (target, 1, summary.kernels),
                      summary.kernels_per_second)
-        line += gate_solve(f"{target} solve", (target, 1, summary.kernels), summary)
+        line += gate_solver(target, (target, 1, summary.kernels), summary)
         print(line)
 
     # Phase 2: the parallel-scaling sweep — full suite, one fresh runner per
@@ -246,8 +286,8 @@ def main() -> int:
                 f"batch_size={summary.batch_size})")
         line += gate(f"{args.scale_target} workers={workers}",
                      (args.scale_target, workers, summary.kernels), rate)
-        line += gate_solve(f"{args.scale_target} workers={workers} solve",
-                           (args.scale_target, workers, summary.kernels), summary)
+        line += gate_solver(f"{args.scale_target} workers={workers}",
+                            (args.scale_target, workers, summary.kernels), summary)
         print(line)
 
     write_bench_json(all_summaries, args.json, machine_score=score)

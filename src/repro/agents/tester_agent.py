@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.agents.base import Agent, Message
 from repro.interp.checksum import ChecksumOutcome, checksum_testing
-from repro.perf import profile
 from repro.runspec import RunSpec
 
 #: The per-candidate outcome of a screen-mode static rejection; sits next
@@ -41,19 +40,15 @@ class CompilerTesterAgent(Agent):
         self.trip_counts = trip_counts
         self.spec = spec
 
-    def _vet(self, candidate: str):
-        from repro.staticcheck import check_candidate
-
-        with profile.stage("staticcheck"):
-            return check_candidate(
-                candidate, target=self.spec.target, epilogue=self.spec.epilogue,
-                scalar_source=self.scalar_code)
-
     def respond(self, message: Message, history: list[Message]) -> Message:
         candidate = message.payload.get("candidate_code", "")
         static_report = None
         if self.spec.static_check != "off":
-            static_report = self._vet(candidate)
+            from repro.staticcheck import check_candidate
+
+            static_report = check_candidate(
+                candidate, target=self.spec.target, epilogue=self.spec.epilogue,
+                scalar_source=self.scalar_code)
             if self.spec.static_check == "screen" and static_report.has_errors:
                 return Message(
                     sender=self.name,

@@ -856,10 +856,8 @@ def execute_symbolically(
     final states over the same symbolic inputs — exactly what the refinement
     check needs.
     """
-    from repro.perf.profile import stage
-
     dtype = ast.kernel_dtype(func)
-    with stage("symexec"), modeled_bits(dtype.bits):
+    with modeled_bits(dtype.bits):
         state = SymbolicState()
         for param in func.params:
             if param.param_type.is_pointer:

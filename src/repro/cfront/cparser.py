@@ -429,14 +429,21 @@ def _flatten_decl_group(stmt: ast.Stmt) -> list[ast.Stmt]:
 
 
 def _parse_int(token: Token) -> int:
+    """The value of a numeric literal, read the way C reads it.
+
+    ``0x`` is hexadecimal and any other leading ``0`` is octal (``010`` is
+    8, and ``08`` is rejected).  Float literals occasionally appear
+    (``sum = 0.0;``); TSVC integer kernels only ever use them with integral
+    values.
+    """
     text = token.text.rstrip("uUlL")
     try:
         if text.lower().startswith("0x"):
             return int(text, 16)
         if "." in text:
-            # Float literals occasionally appear (``sum = 0.;``); TSVC integer
-            # kernels only ever use them with integral values.
             return int(float(text))
+        if text.startswith("0"):
+            return int(text, 8)
         return int(text, 10)
     except ValueError as exc:
         raise ParseError(f"invalid numeric literal {token.text!r}", token.location) from exc
@@ -449,10 +456,7 @@ def parse_program(source: str) -> ast.Program:
 
 def parse_function(source: str) -> ast.FunctionDef:
     """Parse a source snippet expected to contain exactly one function."""
-    from repro.perf.profile import stage
-
-    with stage("parse"):
-        program = parse_program(source)
+    program = parse_program(source)
     if len(program.functions) != 1:
         raise ParseError(f"expected exactly one function, found {len(program.functions)}")
     return program.functions[0]

@@ -55,6 +55,10 @@ KEYWORDS = frozenset(
     }
 ) | frozenset(VECTOR_TYPE_LANES) | PREDICATE_TYPE_NAMES
 
+# C digits are ASCII only: ``str.isdigit`` would also accept "\u0663" and
+# friends, which ``int()`` then reads as decimal digits.
+_DIGITS = frozenset("0123456789")
+
 # Multi-character punctuators, longest first so maximal munch works.
 _PUNCTUATORS = [
     "<<=",
@@ -194,11 +198,11 @@ def _lex_number(cursor: _Cursor) -> Token:
         while cursor.peek() and cursor.peek() in "0123456789abcdefABCDEF":
             cursor.advance()
     else:
-        while cursor.peek().isdigit():
+        while cursor.peek() in _DIGITS:
             cursor.advance()
-        if cursor.peek() == "." and cursor.peek(1).isdigit():
+        if cursor.peek() == "." and cursor.peek(1) in _DIGITS:
             cursor.advance()
-            while cursor.peek().isdigit():
+            while cursor.peek() in _DIGITS:
                 cursor.advance()
     # Integer suffixes are accepted and discarded.  (peek() returns "" at
     # end of input, and "" is a substring of any string — guard against it.)
@@ -243,7 +247,7 @@ def iter_tokens(source: str) -> Iterator[Token]:
             yield Token(TokenKind.EOF, "", cursor.location())
             return
         char = cursor.peek()
-        if char.isdigit():
+        if char in _DIGITS:
             yield _lex_number(cursor)
         elif char.isalpha() or char == "_":
             yield _lex_ident(cursor)

@@ -746,11 +746,8 @@ def run_function(
     an isolated memory region (plus guard zone).  ``scalars`` maps value
     parameters such as ``n``.
     """
-    from repro.perf.profile import stage
-
-    with stage("interp"):
-        memory = Memory(dtype=ast.kernel_dtype(func))
-        for name, values in arrays.items():
-            memory.allocate(name, len(values), values, guard=guard)
-        interpreter = Interpreter(func, memory, scalars, max_steps=max_steps)
-        return interpreter.run()
+    memory = Memory(dtype=ast.kernel_dtype(func))
+    for name, values in arrays.items():
+        memory.allocate(name, len(values), values, guard=guard)
+    interpreter = Interpreter(func, memory, scalars, max_steps=max_steps)
+    return interpreter.run()

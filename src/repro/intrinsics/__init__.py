@@ -12,7 +12,6 @@ name (or, for the dtype-free x86 ``si``-typed spellings, with the kernel's
 declared element type).
 """
 
-from repro.intrinsics.lanemath import LANE_BITS, to_unsigned32, wrap32
 from repro.lanetypes import (
     ALL_LANE_TYPES,
     DEFAULT_LANE_TYPE,
@@ -44,7 +43,6 @@ __all__ = [
     "INTRINSIC_REGISTRY",
     "TARGET_REGISTRIES",
     "IntrinsicSpec",
-    "LANE_BITS",
     "LaneType",
     "PredValue",
     "VecValue",
@@ -55,6 +53,4 @@ __all__ = [
     "lookup_intrinsic",
     "registry_for",
     "registry_for_dtype",
-    "to_unsigned32",
-    "wrap32",
 ]

@@ -4,9 +4,7 @@ Every layer that models lane values — the intrinsic semantics, the concrete
 interpreter, the memory model and the symbolic executor's constant folding —
 agrees on one definition of two's-complement wraparound, owned by the
 :class:`~repro.lanetypes.LaneType` descriptors and applied here
-and nowhere else.  The historical 32-bit spellings (``wrap32``,
-``to_unsigned32``, ``LANE_BITS``) remain as thin aliases of the default
-:data:`~repro.lanetypes.INT32` descriptor.
+and nowhere else.
 
 Beyond the scalar helpers, this module provides *bulk* kernels that evaluate
 a whole register per call: lanes as numpy arrays of the dtype's width (whose
@@ -28,13 +26,6 @@ import numpy as _np
 
 from repro.intrinsics import purelanes
 from repro.lanetypes import INT32, LaneType
-
-#: Legacy 32-bit spellings: the default element type's constants/helpers.
-LANE_BITS = INT32.bits
-LANE_MASK = INT32.mask
-SIGN_BIT = INT32.sign_bit
-wrap32 = INT32.wrap
-to_unsigned32 = INT32.to_unsigned
 
 
 def lane_active(mask_value: int, dtype: LaneType = INT32) -> bool:

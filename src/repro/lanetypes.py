@@ -2,9 +2,9 @@
 
 A :class:`LaneType` describes one integer element type a vector register can
 be carved into — its bit width, its C spelling, and its numpy dtype name.
-Everything that used to be hardwired to 32 bits (``wrap32``, ``LANE_BITS``,
-``numpy.int32`` kernels, ``_epi32``/``_s32`` spellings, 32-bit symexec
-terms) is parameterized by these descriptors instead, the same way
+Everything that used to be hardwired to 32 bits (lane wraparound, the lane
+width, ``numpy.int32`` kernels, ``_epi32``/``_s32`` spellings, 32-bit
+symexec terms) is parameterized by these descriptors instead, the same way
 :class:`repro.targets.TargetISA` made vector *width* a data axis.
 
 Three types ship: :data:`INT16`, :data:`INT32` (the default — the paper's

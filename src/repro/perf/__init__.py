@@ -1,4 +1,4 @@
-"""Performance model: instruction cost tables, the cycle simulator, profiling.
+"""Performance model: instruction cost tables and the cycle simulator.
 
 Wall-clock measurement on AVX2 hardware is replaced by an instruction-level
 cycle estimate over the operations the interpreter actually executed.  The
@@ -6,35 +6,28 @@ model only needs to be faithful *relatively*: who wins and by roughly what
 factor, which is determined by (a) whether each baseline compiler vectorizes
 the loop at all and (b) the instruction mix of the vector body.
 
-:mod:`repro.perf.profile` additionally times the verification pipeline
-itself (per-stage wall clock: parse/plan/codegen/interp/symexec/solve).
-The package exports lazily (PEP 562): the profiling hooks are imported from
-the lowest-level modules (parser, interpreter, symbolic executor), so the
-package ``__init__`` must not eagerly pull the simulator — which imports
-those same modules — back in.
+This package models the *vectorized code's* speed.  The pipeline's own
+speed is measured from outside the process by ``perfbench/``
+(``python3 perfbench/run.py --trace 1`` gives per-layer self times).
 """
 
 from __future__ import annotations
 
-import importlib
+from repro.perf.costmodel import DEFAULT_COST_MODEL, CostModel
+from repro.perf.simulator import (
+    KernelPerformance,
+    SpeedupRecord,
+    estimate_cycles,
+    measure_kernel,
+    speedups_for_kernel,
+)
 
-_EXPORTS = {
-    "CostModel": "costmodel",
-    "DEFAULT_COST_MODEL": "costmodel",
-    "KernelPerformance": "simulator",
-    "SpeedupRecord": "simulator",
-    "estimate_cycles": "simulator",
-    "measure_kernel": "simulator",
-    "speedups_for_kernel": "simulator",
-}
-
-__all__ = [*_EXPORTS, "profile"]
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module_name}"), name)
-    globals()[name] = value
-    return value
+__all__ = [
+    "CostModel",
+    "DEFAULT_COST_MODEL",
+    "KernelPerformance",
+    "SpeedupRecord",
+    "estimate_cycles",
+    "measure_kernel",
+    "speedups_for_kernel",
+]

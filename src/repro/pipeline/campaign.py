@@ -57,12 +57,13 @@ from pathlib import Path
 from collections.abc import Callable
 from typing import Any, BinaryIO
 
-from repro.perf.profile import counter_delta, merge_counts, merge_stage_seconds
 from repro.pipeline.cache import config_fingerprint, content_key, iter_jsonl_dicts
 from repro.pipeline.scheduler import (
     AUTO_BATCH,
     ExecutionStats,
+    counter_delta,
     dispatch_batches,
+    merge_counts,
     resolve_batch_setting,
 )
 from repro.pipeline.verdict import Verdict
@@ -70,12 +71,6 @@ from repro.runspec import RunSpec
 from repro.targets import get_target, target_names
 
 JobFn = Callable[["KernelTask"], dict]
-
-#: Sentinel key a job's per-stage timings travel back under.  ``run_tasks``
-#: pops it into the campaign accumulator before the result is cached or
-#: recorded, so persisted results stay timing-free (and byte-identical
-#: across worker counts and re-runs).
-STAGE_SECONDS_KEY = "_stage_seconds"
 
 #: Result-source tags recorded on every :class:`CampaignRecord`.
 SOURCE_RUN = "run"
@@ -249,12 +244,6 @@ class CampaignConfig:
     #: one-task-per-dispatch).  Batch size never changes a result: seeds
     #: derive from kernel names, so any batching is bit-identical.
     batch_size: int | str = AUTO_BATCH
-    #: JSONL file persisting the solved-query cache
-    #: (:mod:`repro.smt.solvecache`) across campaigns: loaded before tasks
-    #: run, saved (with everything the fleet solved) afterwards.  A hit
-    #: returns exactly what a fresh solve would, so persistence is purely a
-    #: speed-up; ``None`` keeps the cache process-local.
-    solve_cache_path: str | Path | None = None
 
     def __post_init__(self) -> None:
         # Build the spec once up front: an unknown setting raises here,
@@ -315,10 +304,6 @@ class CampaignSummary:
     dtype: str = "int32"
     #: ``"i/n"`` when the run covered one shard of the suite; None otherwise.
     shard: str | None = None
-    #: Wall-clock seconds spent per pipeline stage (parse/plan/codegen/
-    #: interp/symexec/solve) across the freshly executed tasks, accumulated
-    #: from the per-job profiles (:mod:`repro.perf.profile`).
-    stage_seconds: dict[str, float] = field(default_factory=dict)
     #: The batch-size setting the dispatcher ran with (``"auto"`` or an
     #: int); None when no batched dispatch happened (serial path, or
     #: nothing pending).
@@ -389,8 +374,6 @@ class CampaignSummary:
             "target": self.target,
             "dtype": self.dtype,
             "verdict_counts": dict(self.verdict_counts),
-            "stage_seconds": {name: round(seconds, 6)
-                              for name, seconds in sorted(self.stage_seconds.items())},
             **({"shard": self.shard} if self.shard is not None else {}),
             **({"batch_size": self.batch_size} if self.batch_size is not None else {}),
             **({"batches": self.batches} if self.batches else {}),
@@ -493,39 +476,21 @@ class CampaignRunner:
             resumed += source == SOURCE_STORE
             records[key] = CampaignRecord(task.kernel, key, shape(found, task), source)
 
-        stage_totals: dict[str, float] = {}
-
         def persist(task: KernelTask, key: str, result: dict) -> None:
-            # The job's per-stage timings ride back on a sentinel key; pull
-            # them into the campaign accumulator BEFORE the result is stored
-            # or recorded — results must stay timing-free so they are
-            # byte-identical at any worker count and across re-runs.
-            if isinstance(result, dict):
-                merge_stage_seconds(stage_totals, result.pop(STAGE_SECONDS_KEY, None))
             # Persist as each task completes (not after the pool drains), so
             # a killed campaign keeps everything that actually finished.
             store.append(label, task.kernel, key, result, target=resolved_target)
             records[key] = CampaignRecord(task.kernel, key, shape(result, task), SOURCE_RUN)
 
-        if self.config.solve_cache_path is not None:
-            from repro.smt import solvecache
-
-            solvecache.load(self.config.solve_cache_path)
-
         # The store's append handle lives for this run only, so idle
         # runners hold no file descriptors (it reopens on the next append).
         try:
             execution = self._execute(job, pending, label, persist)
-            if self.config.solve_cache_path is not None:
-                from repro.smt import solvecache
-
-                solvecache.save(self.config.solve_cache_path)
             ordered = [records[task.cache_key(label)] for task in tasks]
             summary = self._summarize(label, ordered, hits, resumed,
                                       len(pending), time.perf_counter() - started,
                                       target=resolved_target,
                                       shard=str(shard) if shard is not None else None,
-                                      stage_seconds=stage_totals,
                                       execution=execution)
             store.append_summary(summary)
         finally:
@@ -674,8 +639,8 @@ class CampaignRunner:
         stats.batch_size = self.config.resolved_batch_size()
         # Every pool of this pass starts with the same warm-up: the distinct
         # scalar sources in first-seen order (each pre-parsed once per
-        # worker) and every solved query the parent knows (loaded from the
-        # persisted file and/or adopted from earlier campaigns).
+        # worker) and every solved query the parent knows (adopted from
+        # earlier campaigns).
         warm_sources = tuple(dict.fromkeys(
             task.scalar_code for task, _ in pending if task.scalar_code))
         warm_solve_entries = solvecache.export_entries()
@@ -730,7 +695,6 @@ class CampaignRunner:
     def _summarize(self, label: str, records: list[CampaignRecord], hits: int,
                    resumed: int, executed: int, wall_clock: float,
                    target: str | None = None, shard: str | None = None,
-                   stage_seconds: dict[str, float] | None = None,
                    execution: ExecutionStats | None = None) -> CampaignSummary:
         execution = execution or ExecutionStats()
         static_flags: dict[str, int] = {}
@@ -750,7 +714,6 @@ class CampaignRunner:
             target=target or self.config.spec.target,
             dtype=self.config.spec.dtype,
             shard=shard,
-            stage_seconds=dict(stage_seconds or {}),
             batch_size=execution.batch_size,
             batches=execution.batches,
             plan_cache=dict(execution.plan_cache),
@@ -815,43 +778,22 @@ def vectorize_kernel_job(task: KernelTask) -> dict:
     return kernel_result_record(tool.vectorize(load_kernel(task.kernel), task.payload["spec"]))
 
 
-# ---------------------------------------------------------------------------
-# the JSONL result store
-# ---------------------------------------------------------------------------
-
-
 def _run_job(job: JobFn, task: KernelTask, label: str, fail_fast: bool = False) -> dict:
-    from repro.perf import profile
-
-    before = profile.snapshot()
+    """Run one job; a raising job becomes its error record (unless fail-fast)."""
     try:
-        result = job(task)
+        return job(task)
     except Exception as error:
         if fail_fast:
             raise RuntimeError(
                 f"campaign {label!r}: job failed on kernel {task.kernel!r}: {error}"
             ) from error
-        result = error_result(task, label, error,
-                              traceback_text=traceback_module.format_exc())
-    return _attach_stage_seconds(result, before, profile.snapshot())
+        return error_result(task, label, error,
+                            traceback_text=traceback_module.format_exc())
 
 
-def _attach_stage_seconds(result: dict, before: dict[str, float],
-                          after: dict[str, float]) -> dict:
-    """Annotate ``result`` with the stage seconds this job accounted for.
-
-    Snapshot deltas (not resets) so inline execution (``workers=1``) never
-    clobbers profiling state accumulated outside the campaign engine.
-    """
-    if not isinstance(result, dict):
-        return result
-    delta = {name: round(seconds - before.get(name, 0.0), 6)
-             for name, seconds in after.items()
-             if seconds > before.get(name, 0.0)}
-    if delta:
-        result = dict(result)
-        result[STAGE_SECONDS_KEY] = delta
-    return result
+# ---------------------------------------------------------------------------
+# the JSONL result store
+# ---------------------------------------------------------------------------
 
 
 class _ResultStore:

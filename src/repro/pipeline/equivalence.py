@@ -47,11 +47,8 @@ _OUTCOME_TO_VERDICT = {
 class EquivalencePipeline:
     """Runs Algorithm 1; construct once and reuse across kernels."""
 
-    def __init__(self, verifier_config: VerifierConfig | None = None,
-                 checksum_seed: int = 0, checksum_trip_counts: list[int] | None = None):
+    def __init__(self, verifier_config: VerifierConfig | None = None):
         self.verifier = AliveVerifier(verifier_config)
-        self.checksum_seed = checksum_seed
-        self.checksum_trip_counts = checksum_trip_counts
 
     def check_equivalence(self, scalar_code: str, vectorized_code: str,
                           skip_checksum: bool = False) -> PipelineReport:
@@ -60,10 +57,7 @@ class EquivalencePipeline:
 
         checksum_report = None
         if not skip_checksum:
-            checksum_report = checksum_testing(
-                scalar_code, vectorized_code,
-                seed=self.checksum_seed, trip_counts=self.checksum_trip_counts,
-            )
+            checksum_report = checksum_testing(scalar_code, vectorized_code)
             stage_outcomes["checksum"] = checksum_report.outcome.value
             if checksum_report.outcome is ChecksumOutcome.CANNOT_COMPILE:
                 return PipelineReport(

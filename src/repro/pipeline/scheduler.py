@@ -27,10 +27,13 @@ queue**:
   worker pays the cold-cache cost on its first batch; and because one pool
   serves the whole campaign, caches keep warming batch over batch;
 * **fleet accounting** — every batch envelope carries the worker's
-  plan-cache counter *delta* for that batch; the campaign engine folds the
-  deltas into a fleet-wide tally, so
+  plan-cache and solver counter *deltas* for that batch
+  (:func:`counter_delta`); the campaign engine folds them into a
+  fleet-wide tally (:func:`merge_counts`), so
   :class:`~repro.pipeline.campaign.CampaignSummary` reports true
   cross-process hit rates instead of the parent's (always-cold) zeros.
+  Counters travel beside the results, never inside them: a job's result
+  is stored exactly as the job returned it.
 
 None of this can change a result: per-kernel seeds derive from kernel
 names, so verdicts are bit-identical at any worker count, batch size and
@@ -52,8 +55,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import TYPE_CHECKING
-
-from repro.perf.profile import counter_delta, merge_counts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.campaign import JobFn, KernelTask
@@ -92,6 +93,27 @@ def next_batch_size(remaining: int, workers: int, setting: "int | str") -> int:
         return min(int(setting), remaining)
     guided = math.ceil(remaining / max(1, workers * STEAL_FACTOR))
     return max(1, min(MAX_AUTO_BATCH, guided, remaining))
+
+
+def counter_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
+    """The per-counter growth between two snapshots (zero entries dropped)."""
+    return {name: after[name] - before.get(name, 0)
+            for name in after
+            if after[name] - before.get(name, 0) > 0}
+
+
+def merge_counts(total: dict[str, int], part: dict[str, int] | None) -> dict[str, int]:
+    """Accumulate one integer-counter breakdown into ``total``.
+
+    Workers report per-batch counter deltas (:func:`counter_delta`) and the
+    campaign engine folds them into one fleet-wide tally with this; it also
+    sums per-rule static-vetter counts across records and shard summaries.
+    """
+    if part:
+        for name, value in part.items():
+            if isinstance(value, int) and not isinstance(value, bool):
+                total[name] = total.get(name, 0) + value
+    return total
 
 
 @dataclass
@@ -148,10 +170,10 @@ def run_task_batch(job: "JobFn", tasks: "list[KernelTask]", label: str,
                    fail_fast: bool) -> dict:
     """Worker entry point: run one batch serially, return one envelope.
 
-    The envelope carries the per-task results (in batch order, each with
-    its stage-seconds annotation), the worker's plan-cache and solver
-    counter deltas for this batch, the solved-query cache entries the batch
-    discovered (so the parent can adopt and persist them), and — under
+    The envelope carries the per-task results (in batch order, exactly as
+    each job returned them), the worker's plan-cache and solver counter
+    deltas for this batch, the solved-query cache entries the batch
+    discovered (so the parent can adopt them), and — under
     ``fail_fast`` — the first failure, after which the batch stops
     (completed results still ship, so the parent can persist them before
     aborting).
@@ -238,8 +260,8 @@ def dispatch_batches(
                     merge_counts(stats.plan_cache, envelope.get("plan_cache"))
                     merge_counts(stats.solver, envelope.get("solver"))
                     # Adopt the batch's freshly solved queries: later
-                    # campaigns (and the persisted solve-cache file) see
-                    # them, and the next pool's initializer re-ships them.
+                    # campaigns see them, and the next pool's initializer
+                    # re-ships them.
                     solvecache.seed_entries(envelope.get("solve_cache") or ())
                     for (task, key), result in zip(batch, envelope["results"]):
                         completed.add(key)

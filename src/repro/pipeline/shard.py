@@ -27,8 +27,8 @@ import json
 from pathlib import Path
 from collections.abc import Iterable, Iterator
 
-from repro.perf.profile import merge_counts
 from repro.pipeline.cache import iter_jsonl_dicts
+from repro.pipeline.scheduler import merge_counts
 from repro.targets import DEFAULT_TARGET
 from repro.pipeline.campaign import (
     SOURCE_STORE,

@@ -1,8 +1,9 @@
 """Renderers for campaign-level summaries.
 
 The campaign engine reports the numbers the ROADMAP steers by — verdict
-counts, wall clock, cache hit-rate, throughput — and these helpers print
-them in the same aligned-text style as the paper tables.
+counts, wall clock, cache hit-rate, throughput, fleet solver work — and
+these helpers print them in the same aligned-text style as the paper
+tables.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.perf.profile import merge_stage_seconds
 from repro.pipeline.campaign import CampaignReport, CampaignSummary, is_error_result
+from repro.pipeline.scheduler import merge_counts
 from repro.reporting.tables import render_table
 
 
@@ -29,10 +30,9 @@ def write_bench_json(summaries: "list[CampaignSummary]", path: "str | Path",
     deduplicated list.  An unreadable existing file is replaced rather
     than crashing the session teardown.
 
-    ``machine_score`` — the recording machine's
-    :func:`repro.perf.profile.machine_score` probe — is stamped onto each
-    *new* entry when given.  Ratchets (``benchmarks/perf_gate.py``) scale
-    their throughput floors by the current-to-recorded score ratio, so
+    ``machine_score`` — the recording machine's CPU probe score — is
+    stamped onto each *new* entry when given.  ``benchmarks/perf_gate.py``
+    scales its throughput floors by the current-to-recorded score ratio, so
     entries written on a slow container don't spuriously fail a fast one
     and vice versa.  Entries without a score are kept as history but
     cannot be machine-normalised.
@@ -60,26 +60,15 @@ def write_bench_json(summaries: "list[CampaignSummary]", path: "str | Path",
         seen.add(fingerprint)
         deduplicated.append(entry)
     campaigns = deduplicated
-    # Per-stage totals across every campaign in the file.  Entries written
-    # by older sessions have no "stage_seconds" key; they simply contribute
-    # nothing, so pre-existing files remain readable and meaningful.
-    stage_totals: dict[str, float] = {}
+    # Counter totals across every campaign in the file.  Entries written by
+    # older sessions may lack a counter; they simply contribute nothing, so
+    # pre-existing files remain readable and meaningful.
     solver_totals: dict[str, int] = {}
     static_totals: dict[str, int] = {}
     for entry in campaigns:
-        stages = entry.get("stage_seconds")
-        if isinstance(stages, dict):
-            merge_stage_seconds(stage_totals, stages)
-        solver = entry.get("solver")
-        if isinstance(solver, dict):
-            for name, count in solver.items():
-                if isinstance(count, int):
-                    solver_totals[name] = solver_totals.get(name, 0) + count
-        flags = entry.get("static_flags")
-        if isinstance(flags, dict):
-            for rule, count in flags.items():
-                if isinstance(count, int):
-                    static_totals[rule] = static_totals.get(rule, 0) + count
+        for totals, counts in ((solver_totals, entry.get("solver")),
+                               (static_totals, entry.get("static_flags"))):
+            merge_counts(totals, counts if isinstance(counts, dict) else None)
     payload = {
         "campaigns": campaigns,
         "totals": {
@@ -88,8 +77,6 @@ def write_bench_json(summaries: "list[CampaignSummary]", path: "str | Path",
             "executed": sum(c.get("executed", 0) for c in campaigns),
             "wall_clock_seconds": round(
                 sum(c.get("wall_clock_seconds", 0.0) for c in campaigns), 4),
-            "stage_seconds": {name: round(seconds, 4)
-                              for name, seconds in sorted(stage_totals.items())},
             # Fleet solver work across the file: solve-cache traffic plus
             # raw CDCL counters, same provenance as plan_cache totals.
             **({"solver": dict(sorted(solver_totals.items()))}
@@ -177,8 +164,6 @@ def render_campaign_summary(summary: CampaignSummary, title: str = "") -> str:
     ]
     for verdict, count in sorted(summary.verdict_counts.items()):
         rows.append({"Metric": f"Verdict: {verdict}", "Value": count})
-    for name, seconds in sorted(summary.stage_seconds.items()):
-        rows.append({"Metric": f"Stage: {name}", "Value": f"{seconds:.3f}s"})
     for rule, count in sorted(summary.static_flags.items()):
         rows.append({"Metric": f"Static: {rule}", "Value": count})
     return render_table(rows, title=title or f"Campaign summary ({summary.label})")

@@ -298,16 +298,11 @@ def _ordering_key(term: Term) -> tuple:
 _NORMALIZE_CACHE = Memo(200_000)
 
 
-def cached_normalize(term: Term) -> Term:
-    """Alias of :func:`normalize_term`, which is memoized at every node."""
-    return normalize_term(term)
-
-
 def terms_structurally_equal(left: Term, right: Term) -> bool:
     """Equality after canonical normalization (a sound full-width proof)."""
     if left == right:
         return True
-    return cached_normalize(left) == cached_normalize(right)
+    return normalize_term(left) == normalize_term(right)
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +369,7 @@ class EquivalenceChecker:
 
     def check_pair(self, source: Term, target: Term) -> EquivalenceResult:
         """Is ``source == target`` for all variable assignments?"""
-        from repro.perf.profile import stage
-
-        with stage("solve"), modeled_bits(self.model_bits):
+        with modeled_bits(self.model_bits):
             return self._check_pair(source, target)
 
     def _check_pair(self, source: Term, target: Term) -> EquivalenceResult:
@@ -405,9 +398,7 @@ class EquivalenceChecker:
         single batched random-refutation pass runs over the survivors before
         any of them is handed to the SAT stage.
         """
-        from repro.perf.profile import stage
-
-        with stage("solve"), modeled_bits(self.model_bits):
+        with modeled_bits(self.model_bits):
             return self._check_pairs(pairs)
 
     def _check_pairs(self, pairs: list[tuple[Term, Term]]) -> EquivalenceResult:

@@ -12,10 +12,9 @@ Keying on the full input set is what makes the cache safe under any
 scheduling: a hit can only occur where a fresh solve would have received
 bit-identical inputs, so it returns bit-identical output, and campaign
 results stay independent of worker count, batch size and completion order.
-The payoff is cross-target and cross-run reuse: the two simulated SVE
-vector lengths (``sve128``/``sve256``) emit identical query batches today
-and used to solve every one of them twice, and a persisted cache
-(:func:`save`/:func:`load`) carries solved queries across campaigns.
+The payoff is cross-target and cross-campaign reuse within a process: the
+two simulated SVE vector lengths (``sve128``/``sve256``) emit identical
+query batches today and used to solve every one of them twice.
 
 Entries are plain JSON-serializable dicts, so they ship through the warm
 worker initializer and come back in batch envelopes exactly like the plan
@@ -26,9 +25,7 @@ the fleet-wide solver counters (decisions/conflicts/learned/restarts) that
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from collections.abc import Iterable
 
 from repro.memo import Memo
@@ -135,7 +132,7 @@ def export_entries() -> list[tuple[str, dict]]:
 
 
 def seed_entries(entries: "Iterable[tuple[str, dict]]") -> None:
-    """Adopt entries discovered elsewhere (another worker or a saved file).
+    """Adopt entries discovered elsewhere (the parent or another worker).
 
     Seeding counts as stores only for genuinely new keys and never touches
     the hit/miss counters — it is bookkeeping, not solving.
@@ -152,37 +149,3 @@ def clear_caches() -> None:
     stats.cache_hits = stats.cache_misses = stats.cache_stores = 0
     stats.decisions = stats.propagations = 0
     stats.conflicts = stats.learned_clauses = stats.restarts = 0
-
-
-def save(path: "str | Path") -> int:
-    """Persist the live entries as JSONL; returns the number written."""
-    entries = export_entries()
-    payload = "".join(json.dumps({"key": key, "record": record},
-                                 sort_keys=True) + "\n"
-                      for key, record in entries)
-    Path(path).write_text(payload, encoding="utf-8")
-    return len(entries)
-
-
-def load(path: "str | Path") -> int:
-    """Seed the cache from a JSONL file; returns the number adopted.
-
-    Missing files are fine (first run); malformed lines are skipped — a
-    truncated cache file costs re-solving, never correctness.
-    """
-    file = Path(path)
-    if not file.exists():
-        return 0
-    adopted = 0
-    for line in file.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        try:
-            entry = json.loads(line)
-            key, record = entry["key"], entry["record"]
-        except (json.JSONDecodeError, KeyError, TypeError):
-            continue
-        if isinstance(key, str) and isinstance(record, dict) and key not in _CACHE:
-            seed_entries([(key, record)])
-            adopted += 1
-    return adopted

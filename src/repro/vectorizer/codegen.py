@@ -957,19 +957,16 @@ def generate_vectorized_function(func: ast.FunctionDef, plan: VectorizationPlan)
     realizable (the planner is optimistic about a few patterns, e.g. min/max
     reductions, that only code generation can fully validate).
     """
-    from repro.perf.profile import stage
-
     if not plan.feasible or plan.features is None or plan.features.main_loop is None:
         raise InfeasibleVectorization(plan.rejection_text or "no feasible plan")
-    with stage("codegen"):
-        region = _build_vector_loop_region(func, plan)
-        # Work on a copy of the original function: the original loop node
-        # identity is preserved inside the copy via a parallel walk.
-        new_func = copy.deepcopy(func)
-        original_loop = plan.features.main_loop.node
-        target = _find_matching_loop(new_func, func, original_loop)
-        new_func.body = _replace_loop(new_func.body, target, region)
-        return new_func
+    region = _build_vector_loop_region(func, plan)
+    # Work on a copy of the original function: the original loop node
+    # identity is preserved inside the copy via a parallel walk.
+    new_func = copy.deepcopy(func)
+    original_loop = plan.features.main_loop.node
+    target = _find_matching_loop(new_func, func, original_loop)
+    new_func.body = _replace_loop(new_func.body, target, region)
+    return new_func
 
 
 def _find_matching_loop(new_func: ast.FunctionDef, old_func: ast.FunctionDef,

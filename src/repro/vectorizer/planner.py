@@ -170,18 +170,9 @@ def plan_vectorization(func: ast.FunctionDef,
     predicate-register targets only).  Both non-default strategies support
     plain/if-converted loop shapes only.
     """
-    from repro.perf.profile import stage
-
     if epilogue not in EPILOGUE_STRATEGIES:
         raise ValueError(f"unknown epilogue strategy {epilogue!r}; expected "
                          f"one of {EPILOGUE_STRATEGIES}")
-    with stage("plan"):
-        return _plan_vectorization(func, target, epilogue=epilogue)
-
-
-def _plan_vectorization(func: ast.FunctionDef,
-                        target: TargetISA | str | None = None,
-                        *, epilogue: str) -> VectorizationPlan:
     isa = get_target(target)
     try:
         dtype = ast.kernel_dtype(func)

@@ -1,10 +1,12 @@
 """Tests for the campaign engine: caching, determinism, resume, accounting,
 fault tolerance."""
 
+import ast
 import dataclasses
 import inspect
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
 from repro.pipeline import (
     CampaignConfig,
     CampaignRunner,
+    CampaignSummary,
     LLMVectorizerConfig,
     content_key,
     derive_kernel_seed,
@@ -471,3 +474,84 @@ class TestOneResultStore:
         for module in (repro, repro.pipeline):
             assert not deleted & set(module.__all__), module.__name__
             assert not any(hasattr(module, name) for name in deleted), module.__name__
+
+
+class TestOneTimingInstrument:
+    """Regrowth guard: per-layer timing lives in ``perfbench/`` alone.
+
+    The pipeline carries no in-tree profiler, summaries carry no stage
+    timings, and a job's result travels from the job to the store unchanged.
+    """
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def _is_stage_call(self, node) -> bool:
+        return isinstance(node, ast.Call) and (
+            (isinstance(node.func, ast.Name) and node.func.id == "stage")
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == "stage"))
+
+    def test_no_module_imports_a_profiler_or_brackets_a_stage(self):
+        profilers = {"profile", "cProfile"}
+        offenders = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                where = f"{path.relative_to(self.SRC)}:{getattr(node, 'lineno', 0)}"
+                if isinstance(node, ast.Import):
+                    if any(alias.name.split(".")[-1] in profilers for alias in node.names):
+                        offenders.append(where)
+                elif isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                    if ((node.module or "").split(".")[-1] in profilers
+                            or names & (profilers | {"stage"})):
+                        offenders.append(where)
+                elif isinstance(node, (ast.With, ast.AsyncWith)):
+                    if any(self._is_stage_call(item.context_expr) for item in node.items):
+                        offenders.append(where)
+        assert offenders == []
+        assert not (self.SRC / "perf" / "profile.py").exists()
+
+    def test_summary_and_config_carry_no_timing_or_second_store(self):
+        summary_fields = {f.name for f in dataclasses.fields(CampaignSummary)}
+        assert "stage_seconds" not in summary_fields
+        config_fields = {f.name for f in dataclasses.fields(CampaignConfig)}
+        assert "solve_cache_path" not in config_fields
+        import repro.pipeline.campaign as campaign_module
+        assert not hasattr(campaign_module, "STAGE_SECONDS_KEY")
+
+    def test_job_results_reach_the_store_unchanged(self, tmp_path):
+        from repro.pipeline.campaign import _run_job
+        from repro.pipeline.scheduler import run_task_batch
+
+        store = tmp_path / "campaign.jsonl"
+        runner = CampaignRunner(CampaignConfig(workers=1, store_path=store))
+        report = runner.run(["s000"])
+        [task] = runner.vectorize_tasks(["s000"])
+        stored = [entry["result"] for entry in map(json.loads, store.read_text().splitlines())
+                  if entry.get("type") == "result"]
+        assert stored == [report.records[0].result]
+
+        direct = _run_job(vectorize_kernel_job, task, "vectorize")
+        envelope = run_task_batch(vectorize_kernel_job, [task], "vectorize", False)
+        assert set(envelope) == {"results", "plan_cache", "solver", "solve_cache", "failure"}
+        for result in (direct, envelope["results"][0]):
+            assert json.dumps(result, sort_keys=True) == json.dumps(stored[0], sort_keys=True)
+
+    def test_deleted_shims_stay_deleted(self):
+        import importlib
+
+        import repro.intrinsics
+        import repro.intrinsics.lanemath as lanemath
+        import repro.smt.equiv as equiv
+        from repro.pipeline import EquivalencePipeline
+        from repro.smt import solvecache
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.intrinsics.avx2")
+        legacy = {"LANE_BITS", "LANE_MASK", "SIGN_BIT", "wrap32", "to_unsigned32"}
+        for module in (lanemath, repro.intrinsics):
+            assert not any(hasattr(module, name) for name in legacy), module.__name__
+        assert not legacy & set(repro.intrinsics.__all__)
+        assert not hasattr(equiv, "cached_normalize")
+        assert not hasattr(solvecache, "save") and not hasattr(solvecache, "load")
+        parameters = inspect.signature(EquivalencePipeline).parameters
+        assert not {"checksum_seed", "checksum_trip_counts"} & set(parameters)

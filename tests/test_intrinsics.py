@@ -17,10 +17,9 @@ from repro.intrinsics import (
     is_intrinsic,
     lookup_intrinsic,
     registry_for,
-    wrap32,
 )
-from repro.intrinsics.avx2 import LANES
-from repro.targets import ALL_TARGETS, get_target
+from repro.lanetypes import INT32
+from repro.targets import ALL_TARGETS, AVX2, get_target
 
 
 @pytest.fixture(params=[t.name for t in ALL_TARGETS])
@@ -41,14 +40,14 @@ def _pattern(isa, period=4):
 
 class TestWrap32:
     def test_wraps_positive_overflow(self):
-        assert wrap32(2**31) == -(2**31)
+        assert INT32.wrap(2**31) == -(2**31)
 
     def test_wraps_negative(self):
-        assert wrap32(-(2**31) - 1) == 2**31 - 1
+        assert INT32.wrap(-(2**31) - 1) == 2**31 - 1
 
     def test_identity_in_range(self):
-        assert wrap32(12345) == 12345
-        assert wrap32(-12345) == -12345
+        assert INT32.wrap(12345) == 12345
+        assert INT32.wrap(-12345) == -12345
 
 
 class TestVecValue:
@@ -76,10 +75,10 @@ class TestVecValue:
 
     def test_avx2_register_values_are_plain_vecvalues(self):
         # The historical M256Value shim is gone: an AVX2 register is just a
-        # width-8 VecValue, and the legacy ``LANES`` constant agrees.
-        assert LANES == 8
-        assert VecValue.splat(7, LANES).lanes == (7,) * 8
-        assert VecValue.zero(LANES).lanes == (0,) * 8
+        # width-8 VecValue, and the AVX2 target's lane count agrees.
+        assert AVX2.lanes == 8
+        assert VecValue.splat(7, AVX2.lanes).lanes == (7,) * 8
+        assert VecValue.zero(AVX2.lanes).lanes == (0,) * 8
         import repro.intrinsics.values as values_module
         assert not hasattr(values_module, "M256Value")
 
@@ -95,7 +94,7 @@ class TestPureIntrinsics:
         a = VecValue.splat(2**20, isa.lanes)
         b = VecValue.splat(2**20, isa.lanes)
         out = apply_pure_intrinsic(isa.intrinsic("mul"), [a, b])
-        assert out.lanes == (wrap32(2**40),) * isa.lanes
+        assert out.lanes == (INT32.wrap(2**40),) * isa.lanes
 
     def test_cmpgt_produces_full_lane_masks(self, isa):
         a = _vec(isa, _pattern(isa))
@@ -131,9 +130,9 @@ class TestPureIntrinsics:
                         "predicates; there is no byte-granular mask view")
         a = VecValue.splat(0, isa.lanes)
         b = VecValue.splat(-1, isa.lanes)
-        mask = VecValue.splat(wrap32(0x80000000), isa.lanes)
+        mask = VecValue.splat(INT32.wrap(0x80000000), isa.lanes)
         out = apply_pure_intrinsic(isa.intrinsic("select"), [a, b, mask])
-        assert out.lanes == (wrap32(0xFF000000),) * isa.lanes
+        assert out.lanes == (INT32.wrap(0xFF000000),) * isa.lanes
 
     def test_blendv_propagates_mask_and_selected_poison(self, isa):
         width = isa.lanes

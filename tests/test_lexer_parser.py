@@ -45,6 +45,32 @@ class TestLexer:
         with pytest.raises(LexError):
             tokenize("int $x;")
 
+    @pytest.mark.parametrize("source", ["1\u0663", "\u0663", "x = 4\u0662;"])
+    def test_non_ascii_digits_are_not_number_characters(self, source):
+        # "\u0663" (ARABIC-INDIC DIGIT THREE) passes str.isdigit(), and int()
+        # would read "1\u0663" as 13; C only has ASCII digits.
+        with pytest.raises(LexError):
+            tokenize(source)
+
+
+class TestIntegerLiterals:
+    @pytest.mark.parametrize("source, value", [
+        ("0", 0), ("00", 0), ("010", 8), ("017u", 15), ("0777L", 511),
+    ])
+    def test_c_radix_rules(self, source, value):
+        literal = parse_expression(source)
+        assert isinstance(literal, ast.IntLiteral)
+        assert literal.value == value
+
+    @pytest.mark.parametrize("source", ["08", "09", "0128", "0x"])
+    def test_invalid_literals_raise_parse_error(self, source):
+        with pytest.raises(ParseError, match="invalid numeric literal"):
+            parse_expression(source)
+
+    @pytest.mark.parametrize("source, value", [("0.5", 0), ("0.0", 0), ("2.0", 2)])
+    def test_float_literals_keep_their_integral_part(self, source, value):
+        assert parse_expression(source).value == value
+
 
 class TestExpressionParsing:
     def test_precedence_of_mul_over_add(self):

@@ -49,6 +49,34 @@ class TestEquivalencePipeline:
         assert report.verdict is Verdict.EQUIVALENT
 
 
+def _scale_kernel(factor: str) -> str:
+    return ("void k(int *a, int *b, int n) {\n"
+            "    for (int i = 0; i < n; i++) {\n"
+            f"        a[i] = b[i] * {factor};\n"
+            "    }\n"
+            "}\n")
+
+
+class TestOctalLiteralVerdicts:
+    """A leading-zero literal is octal in C, so ``b[i] * 010`` scales by 8."""
+
+    def setup_method(self):
+        self.pipeline = EquivalencePipeline()
+
+    def test_octal_ten_is_equivalent_to_eight(self):
+        report = self.pipeline.check_equivalence(_scale_kernel("010"), _scale_kernel("8"))
+        assert report.verdict is Verdict.EQUIVALENT
+
+    def test_octal_ten_is_not_equivalent_to_decimal_ten(self):
+        report = self.pipeline.check_equivalence(_scale_kernel("010"), _scale_kernel("10"))
+        assert report.verdict is Verdict.NOT_EQUIVALENT
+
+    def test_invalid_octal_candidate_does_not_compile(self):
+        report = self.pipeline.check_equivalence(_scale_kernel("8"), _scale_kernel("08"))
+        assert report.verdict is Verdict.NOT_EQUIVALENT
+        assert report.stage_outcomes == {"checksum": "cannot_compile"}
+
+
 class TestLLMVectorizerTool:
     def test_end_to_end_on_motivating_example(self):
         tool = LLMVectorizer(LLMVectorizerConfig(llm=SyntheticLLMConfig(seed=2024)))

@@ -214,23 +214,6 @@ class TestSolveCache:
         assert solvecache.stats.cache_hits == 0
         assert solvecache.stats.cache_misses == 2
 
-    def test_persistence_round_trip(self, tmp_path):
-        budget = SolverBudget(sat_bitwidth=5)
-        first = EquivalenceChecker(budget)._sat_check(*self.pair())
-        path = tmp_path / "solvecache.jsonl"
-        assert solvecache.save(path) == 1
-        solvecache.clear_caches()
-        assert solvecache.load(path) == 1
-        reloaded = EquivalenceChecker(budget)._sat_check(*self.pair())
-        assert solvecache.stats.cache_hits == 1
-        assert reloaded.outcome is first.outcome
-
-    def test_load_missing_and_malformed_files(self, tmp_path):
-        assert solvecache.load(tmp_path / "absent.jsonl") == 0
-        broken = tmp_path / "broken.jsonl"
-        broken.write_text('not json\n{"key": 1}\n', encoding="utf-8")
-        assert solvecache.load(broken) == 0
-
     def test_seeding_is_not_solving(self):
         EquivalenceChecker(SolverBudget(sat_bitwidth=5))._sat_check(*self.pair())
         entries = solvecache.export_entries()

@@ -304,10 +304,6 @@ class TestScreeningIntegration:
         if per_record:
             assert "static_flags" in advisory.summary.as_dict()
 
-    def test_staticcheck_stage_seconds_recorded(self):
-        advisory = self._campaign("advisory")
-        assert advisory.summary.stage_seconds.get("staticcheck", 0.0) > 0.0
-
     def test_screen_mode_rejects_persistent_fault_as_static_reject(self):
         from repro.agents import FSMConfig, VectorizationFSM
         from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
