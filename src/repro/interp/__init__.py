@@ -1,7 +1,7 @@
 """Concrete execution substrate: memory model, interpreter and checksum testing."""
 
 from repro.interp.memory import ArrayRegion, Memory, UBEvent
-from repro.interp.interpreter import ExecutionResult, Interpreter, run_function
+from repro.interp.interpreter import ExecutionResult, run_function
 from repro.interp.checksum import ChecksumOutcome, ChecksumReport, checksum_testing
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "Memory",
     "UBEvent",
     "ExecutionResult",
-    "Interpreter",
     "run_function",
     "ChecksumOutcome",
     "ChecksumReport",

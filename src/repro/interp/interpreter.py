@@ -1,42 +1,55 @@
-"""Tree-walking interpreter for the C subset, including SIMD intrinsics.
+"""Closure-compiling interpreter for the C subset, including SIMD intrinsics.
 
 The interpreter executes both the scalar TSVC kernels and the vectorized
 candidates.  It is the execution substrate behind checksum-based testing
 (Section 2.1 of the paper) and behind the performance model (operation counts
 collected during execution feed the cycle cost model in :mod:`repro.perf`).
 
+Each :class:`~repro.cfront.ast_nodes.FunctionDef` is compiled once into
+nested Python closures (Feeley & Lapalme, "Using closures for code
+generation", 1987) and the closures are memoized on the identity of the
+shared AST.  Everything that depends only on the program is resolved at
+compile time: node dispatch, operator strings, the kernel dtype's scalar
+operator table, intrinsic specs and arities, and vector-type lane counts.
+What depends on the run — the flat variable scope, the memory, the step
+budget and the operation counts — lives on one per-run state object that
+every closure takes.  Compilation itself never fails: a construct that
+cannot execute compiles to a closure that raises when it is reached, so
+code that never runs never raises.  :func:`run_function` is the only entry.
+
 Semantics notes:
 
 * all integer arithmetic is two's-complement wraparound at the kernel's lane
   element width (:func:`repro.cfront.ast_nodes.kernel_dtype`; 32-bit by
   default) — the subset models one uniform element width per kernel, not
-  C's int promotion rules;
+  C's int promotion rules; ``/`` and ``%`` truncate toward zero exactly;
 * pointers are ``(region, offset)`` pairs — distinct arrays never alias,
   matching the non-aliasing assumption the paper establishes for parameters;
 * out-of-bounds accesses inside the guard zone yield poison and are recorded
   as UB events rather than crashing (this is what lets checksum testing miss
   the s124-style bug that symbolic verification catches);
-* ``goto`` is supported for forward jumps to labels declared in an enclosing
-  statement sequence, which covers the TSVC control-flow kernels.
+* ``goto`` jumps to the first label of that name in an enclosing statement
+  sequence, forward or backward, which covers the TSVC control-flow kernels.
+
+Every executed step ticks an operation category: ``steps`` counts the ticks
+and ``op_counts`` sums them per category in first-use order, which is the
+order :meth:`repro.perf.costmodel.CostModel.cycles_for` adds them up in.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
-from collections.abc import Mapping
 
 from repro.cfront import ast_nodes as ast
 from repro.errors import CompileError, InterpreterError, UndefinedBehaviorError
 from repro.interp.memory import Memory, UBEvent
 from repro.intrinsics.lanemath import lane_active
-from repro.intrinsics.registry import (
-    apply_pure_intrinsic,
-    is_intrinsic,
-    lookup_intrinsic,
-)
+from repro.intrinsics.registry import apply_pure_spec, is_intrinsic, lookup_intrinsic
 from repro.intrinsics.values import PredValue, VecValue
-from repro.lanetypes import ALL_LANE_TYPES, LaneType
+from repro.lanetypes import LaneType, trunc_div
+from repro.memo import IdentityMemo
 from repro.targets import vector_type_lanes_for
 
 
@@ -53,25 +66,7 @@ class Pointer:
 
 Value = int | Pointer | VecValue | PredValue
 
-
-class _BreakSignal(Exception):
-    pass
-
-
-class _ContinueSignal(Exception):
-    pass
-
-
-class _ReturnSignal(Exception):
-    def __init__(self, value: Value | None):
-        self.value = value
-        super().__init__("return")
-
-
-class _GotoSignal(Exception):
-    def __init__(self, label: str):
-        self.label = label
-        super().__init__(f"goto {label}")
+_NULL = Pointer("__null__", 0)
 
 
 @dataclass
@@ -98,639 +93,931 @@ class ExecutionResult:
         return self.memory.checksum()
 
 
-class Interpreter:
-    """Executes a single :class:`~repro.cfront.ast_nodes.FunctionDef`.
+# ---------------------------------------------------------------------------
+# run-time state and control signals
+# ---------------------------------------------------------------------------
 
-    ``memory`` must be modelled at the kernel's lane element type
-    (:func:`~repro.cfront.ast_nodes.kernel_dtype`), as :func:`run_function`
-    sets it up.
-    """
 
-    def __init__(self, func: ast.FunctionDef, memory: Memory, scalars: Mapping[str, int],
-                 max_steps: int = 2_000_000):
-        self.func = func
+class _Run:
+    """Per-run state every compiled closure takes as its one argument."""
+
+    __slots__ = ("scope", "memory", "counts", "left", "max_steps", "ret")
+
+    def __init__(self, scope: dict[str, Value], memory: Memory, max_steps: int):
+        self.scope = scope
         self.memory = memory
-        self.scope: dict[str, Value] = {}
+        #: Operation counts in first-use order; a ``Counter`` increments
+        #: several times slower than a ``defaultdict``.
+        self.counts: defaultdict[str, int] = defaultdict(int)
+        #: Steps still allowed; one step past the budget raises.
+        self.left = max_steps
         self.max_steps = max_steps
-        self.steps = 0
-        self.op_counts: Counter = Counter()
-        #: The kernel's lane element type; every scalar wraps at its width.
-        self.dtype: LaneType = memory.dtype
-        self._wrap = self.dtype.wrap
-        self._binops = _SCALAR_BINOPS[self.dtype.name]
-        self._bind_parameters(scalars)
+        self.ret: Value | None = None
 
-    # -- setup ----------------------------------------------------------------
 
-    def _bind_parameters(self, scalars: Mapping[str, int]) -> None:
-        for param in self.func.params:
-            if param.param_type.is_pointer:
-                if not self.memory.has_region(param.name):
-                    raise CompileError(
-                        f"no array provided for pointer parameter {param.name!r}"
-                    )
-                self.scope[param.name] = Pointer(param.name, 0)
-            else:
-                if param.name not in scalars:
-                    raise CompileError(f"no value provided for scalar parameter {param.name!r}")
-                self.scope[param.name] = self._wrap(int(scalars[param.name]))
-
-    # -- bookkeeping ----------------------------------------------------------
-
-    def _tick(self, category: str, amount: int = 1) -> None:
-        self.steps += 1
-        self.op_counts[category] += amount
-        if self.steps > self.max_steps:
-            raise InterpreterError(
-                f"execution exceeded {self.max_steps} steps (possible infinite loop)"
-            )
-
-    # -- public entry ----------------------------------------------------------
-
-    def run(self) -> ExecutionResult:
-        return_value: Value | None = None
-        try:
-            self._exec_stmt(self.func.body)
-        except _ReturnSignal as signal:
-            return_value = signal.value
-        except _GotoSignal as signal:
-            raise InterpreterError(f"goto to unknown label {signal.label!r}") from signal
-        return ExecutionResult(
-            memory=self.memory,
-            return_value=return_value,
-            op_counts=self.op_counts,
-            steps=self.steps,
+def _tick(st: _Run, category: str, amount: int = 1) -> None:
+    """One executed step, counted ``amount`` times under ``category``."""
+    st.left -= 1
+    st.counts[category] += amount
+    if st.left < 0:
+        raise InterpreterError(
+            f"execution exceeded {st.max_steps} steps (possible infinite loop)"
         )
 
-    # -- statements -------------------------------------------------------------
 
-    def _exec_stmt(self, stmt: ast.Stmt) -> None:
-        # Dispatch on the concrete node class: one dict probe instead of a
-        # cascade of isinstance checks on the interpretation hot path.
-        handler = _STMT_HANDLERS.get(stmt.__class__)
-        if handler is None:
-            raise InterpreterError(f"cannot execute statement {type(stmt).__name__}")
-        handler(self, stmt)
+class _Signal:
+    """Non-local control flow, returned (never raised) by statement closures.
 
-    def _exec_block(self, stmt: ast.Block) -> None:
-        self._exec_sequence(stmt.body)
+    Statement closures return None — or, for an expression statement, the
+    expression's value — on normal completion, and a signal otherwise.
+    """
 
-    def _exec_expr_stmt(self, stmt: ast.ExprStmt) -> None:
-        self._eval(stmt.expr)
+    __slots__ = ("label",)
 
-    def _exec_if(self, stmt: ast.If) -> None:
-        self._tick("branch")
-        if self._truth(self._eval(stmt.cond)):
-            self._exec_stmt(stmt.then)
-        elif stmt.otherwise is not None:
-            self._exec_stmt(stmt.otherwise)
+    def __init__(self, label: str | None = None):
+        self.label = label
 
-    def _exec_return(self, stmt: ast.Return) -> None:
-        value = self._eval(stmt.value) if stmt.value is not None else None
-        raise _ReturnSignal(value)
 
-    def _exec_break(self, stmt: ast.Break) -> None:
-        raise _BreakSignal()
+_BREAK = _Signal()
+_CONTINUE = _Signal()
+_RETURN = _Signal()
 
-    def _exec_continue(self, stmt: ast.Continue) -> None:
-        raise _ContinueSignal()
 
-    def _exec_goto(self, stmt: ast.Goto) -> None:
-        raise _GotoSignal(stmt.label)
+class _BreakSignal(Exception):
+    """``break`` outside any loop, escaping the function."""
 
-    def _exec_label(self, stmt: ast.Label) -> None:
-        self._exec_stmt(stmt.stmt)
 
-    def _exec_sequence(self, stmts: list[ast.Stmt]) -> None:
-        """Execute a statement list, resolving forward ``goto`` jumps locally."""
-        index = 0
-        while index < len(stmts):
-            stmt = stmts[index]
-            try:
-                self._exec_stmt(stmt)
-            except _GotoSignal as signal:
-                target = self._find_label(stmts, signal.label)
-                if target is None:
-                    raise
-                index = target
-                continue
-            index += 1
+class _ContinueSignal(Exception):
+    """``continue`` outside any loop, escaping the function."""
 
-    @staticmethod
-    def _find_label(stmts: list[ast.Stmt], label: str) -> int | None:
+
+#: Compiled code: closures over the per-run state.
+ExprFn = Callable[[_Run], Value]
+StmtFn = Callable[[_Run], object]
+
+
+# ---------------------------------------------------------------------------
+# value helpers
+# ---------------------------------------------------------------------------
+
+
+def _as_int(value: Value) -> int:
+    if value.__class__ is int:
+        return value
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return value
+    if isinstance(value, VecValue):
+        raise InterpreterError("a vector value was used where a scalar was expected")
+    if isinstance(value, PredValue):
+        raise InterpreterError(
+            "a predicate value was used where a scalar was expected "
+            "(query it with a ptest intrinsic)"
+        )
+    if isinstance(value, Pointer):
+        raise InterpreterError("a pointer value was used where a scalar was expected")
+    raise InterpreterError(f"unexpected value of type {type(value).__name__}")
+
+
+def _truth(value: Value) -> bool:
+    if value.__class__ is int:
+        return value != 0
+    if isinstance(value, Pointer):
+        return value.region != "__null__"
+    return _as_int(value) != 0
+
+
+def _pointer_arith(op: str, left: Value, right: Value, wrap) -> Value:
+    if isinstance(left, Pointer) and isinstance(right, Pointer):
+        if op == "-" and left.region == right.region:
+            return wrap(left.offset - right.offset)
+        if op in ("==", "!="):
+            same = left == right
+            return (1 if same else 0) if op == "==" else (0 if same else 1)
+        raise InterpreterError(f"unsupported pointer-pointer operation {op!r}")
+    if isinstance(left, Pointer):
+        delta = _as_int(right)
+        if op == "+":
+            return left.advanced(delta)
+        if op == "-":
+            return left.advanced(-delta)
+    if isinstance(right, Pointer) and op == "+":
+        return right.advanced(_as_int(left))
+    raise InterpreterError(f"unsupported pointer arithmetic {op!r}")
+
+
+def _raiser(error: type[Exception], message: str) -> Callable[..., Value]:
+    """A closure that raises ``error(message)`` each time it is reached."""
+    def fail(*_args):
+        raise error(message)
+    return fail
+
+
+def _scalar_ops(dtype: LaneType) -> dict[str, Callable[[_Run, int, int], int]]:
+    """Pure scalar operators at ``dtype``, in the ``(state, lhs, rhs)`` form
+    of :meth:`_Compiler.arithmetic`.
+
+    ``/`` and ``%`` are compiled separately because a zero divisor records
+    a UB event.  Shift counts mask to the lane width like the vector shifts.
+    """
+    wrap, count = dtype.wrap, dtype.bits - 1
+    return {
+        "+": lambda st, a, b: wrap(a + b),
+        "-": lambda st, a, b: wrap(a - b),
+        "*": lambda st, a, b: wrap(a * b),
+        "<": lambda st, a, b: 1 if a < b else 0,
+        ">": lambda st, a, b: 1 if a > b else 0,
+        "<=": lambda st, a, b: 1 if a <= b else 0,
+        ">=": lambda st, a, b: 1 if a >= b else 0,
+        "==": lambda st, a, b: 1 if a == b else 0,
+        "!=": lambda st, a, b: 1 if a != b else 0,
+        "&": lambda st, a, b: wrap(a & b),
+        "|": lambda st, a, b: wrap(a | b),
+        "^": lambda st, a, b: wrap(a ^ b),
+        "<<": lambda st, a, b: wrap(a << (b & count)),
+        ">>": lambda st, a, b: wrap(a >> (b & count)),
+    }
+
+
+def _category(op: str) -> str:
+    return "scalar_mul" if op in ("*", "/", "%") else "scalar_arith"
+
+
+# ---------------------------------------------------------------------------
+# the compiler
+# ---------------------------------------------------------------------------
+
+
+class _Compiler:
+    """Compiles one function's statements and expressions into closures."""
+
+    def __init__(self, dtype: LaneType):
+        self.dtype = dtype
+        self.wrap = dtype.wrap
+        self.ops = _scalar_ops(dtype)
+
+    # -- statements ---------------------------------------------------------
+
+    def stmt(self, node: ast.Stmt) -> StmtFn:
+        method = _STMT_COMPILERS.get(node.__class__)
+        if method is None:
+            return _raiser(InterpreterError, f"cannot execute statement {type(node).__name__}")
+        return method(self, node)
+
+    def block(self, node: ast.Block) -> StmtFn:
+        return self.sequence(node.body)
+
+    def sequence(self, stmts: list[ast.Stmt]) -> StmtFn:
+        """A statement list, resolving ``goto`` to its own labels locally."""
+        body = tuple(self.stmt(stmt) for stmt in stmts)
+        labels: dict[str, int] = {}
         for position, stmt in enumerate(stmts):
-            if isinstance(stmt, ast.Label) and stmt.name == label:
-                return position
-        return None
+            if isinstance(stmt, ast.Label):
+                labels.setdefault(stmt.name, position)
+        if not labels:
+            if len(body) == 1:
+                return body[0]
 
-    def _exec_decl(self, decl: ast.Decl) -> None:
-        if decl.array_size is not None:
-            size = self._as_int(self._eval(decl.array_size))
-            if size < 0:
-                raise UndefinedBehaviorError(f"negative array size for {decl.name!r}", "bad-alloc")
-            self.memory.allocate(decl.name, size)
-            self.scope[decl.name] = Pointer(decl.name, 0)
-            self._tick("alloc")
-            return
-        if decl.init is not None:
-            value = self._eval(decl.init)
-        elif decl.var_type.is_vector:
-            lanes = vector_type_lanes_for(decl.var_type.name, self.dtype)
+            def run_sequence(st: _Run):
+                for run in body:
+                    signal = run(st)
+                    if signal.__class__ is _Signal:
+                        return signal
+                return None
+            return run_sequence
+
+        def run_labelled(st: _Run):
+            index, end = 0, len(body)
+            while index < end:
+                signal = body[index](st)
+                if signal.__class__ is _Signal:
+                    target = labels.get(signal.label)
+                    if target is None:
+                        return signal
+                    index = target
+                    continue
+                index += 1
+            return None
+        return run_labelled
+
+    def expr_stmt(self, node: ast.ExprStmt) -> StmtFn:
+        # An expression's value is never a signal, so it serves as "done".
+        return self.expr(node.expr)
+
+    def if_stmt(self, node: ast.If) -> StmtFn:
+        cond, then = self.expr(node.cond), self.stmt(node.then)
+        otherwise = self.stmt(node.otherwise) if node.otherwise is not None else None
+
+        def run_if(st: _Run):
+            _tick(st, "branch")
+            if _truth(cond(st)):
+                return then(st)
+            if otherwise is not None:
+                return otherwise(st)
+            return None
+        return run_if
+
+    def return_stmt(self, node: ast.Return) -> StmtFn:
+        value = self.expr(node.value) if node.value is not None else None
+
+        def run_return(st: _Run):
+            st.ret = value(st) if value is not None else None
+            return _RETURN
+        return run_return
+
+    def break_stmt(self, node: ast.Break) -> StmtFn:
+        return lambda st: _BREAK
+
+    def continue_stmt(self, node: ast.Continue) -> StmtFn:
+        return lambda st: _CONTINUE
+
+    def goto_stmt(self, node: ast.Goto) -> StmtFn:
+        signal = _Signal(node.label)
+        return lambda st: signal
+
+    def label_stmt(self, node: ast.Label) -> StmtFn:
+        return self.stmt(node.stmt)
+
+    def decl(self, node: ast.Decl) -> StmtFn:
+        name, var_type = node.name, node.var_type
+        if node.array_size is not None:
+            size_of = self.expr(node.array_size)
+
+            def run_alloc(st: _Run):
+                size = _as_int(size_of(st))
+                if size < 0:
+                    raise UndefinedBehaviorError(f"negative array size for {name!r}", "bad-alloc")
+                st.memory.allocate(name, size)
+                st.scope[name] = Pointer(name, 0)
+                _tick(st, "alloc")
+            return run_alloc
+        if node.init is not None:
+            init = self.expr(node.init)
+        elif var_type.is_vector:
+            lanes = vector_type_lanes_for(var_type.name, self.dtype)
             if not lanes:
                 # Scalable vector types carry no width of their own; only an
                 # initializer's intrinsic can supply one.
-                raise CompileError(
-                    f"declaration of scalable vector {decl.name!r} needs an "
+                init = _raiser(
+                    CompileError,
+                    f"declaration of scalable vector {name!r} needs an "
                     f"initializer (the width travels with the intrinsics, "
-                    f"not with {decl.var_type})"
+                    f"not with {var_type})",
                 )
-            value = VecValue.zero(lanes, dtype=self.dtype)
-        elif decl.var_type.is_predicate:
-            raise CompileError(
-                f"declaration of predicate {decl.name!r} needs an initializer "
-                f"(predicate widths travel with the intrinsics)"
+            else:
+                dtype = self.dtype
+                init = lambda st: VecValue.zero(lanes, dtype=dtype)  # noqa: E731
+        elif var_type.is_predicate:
+            init = _raiser(
+                CompileError,
+                f"declaration of predicate {name!r} needs an initializer "
+                f"(predicate widths travel with the intrinsics)",
             )
-        elif decl.var_type.is_pointer:
-            value = Pointer("__null__", 0)
+        elif var_type.is_pointer:
+            init = lambda st: _NULL  # noqa: E731
         else:
-            value = 0
-        self.scope[decl.name] = self._coerce_for_type(value, decl.var_type)
-        self._tick("decl")
+            init = lambda st: 0  # noqa: E731
+        coerce = self.coercion(var_type)
 
-    def _exec_for(self, loop: ast.ForLoop) -> None:
-        if loop.init is not None:
-            self._exec_stmt(loop.init)
-        while True:
-            if loop.cond is not None:
-                self._tick("branch")
-                if not self._truth(self._eval(loop.cond)):
-                    break
-            try:
-                self._exec_stmt(loop.body)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                pass
-            self.op_counts["loop_iteration"] += 1
-            if loop.step is not None:
-                self._eval(loop.step)
+        def run_decl(st: _Run):
+            st.scope[name] = coerce(init(st))
+            _tick(st, "decl")
+        return run_decl
 
-    def _exec_while(self, loop: ast.WhileLoop) -> None:
-        while True:
-            self._tick("branch")
-            if not self._truth(self._eval(loop.cond)):
-                break
-            try:
-                self._exec_stmt(loop.body)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                continue
-            self.op_counts["loop_iteration"] += 1
+    def for_loop(self, node: ast.ForLoop) -> StmtFn:
+        init = self.stmt(node.init) if node.init is not None else None
+        cond = self.expr(node.cond) if node.cond is not None else None
+        step = self.expr(node.step) if node.step is not None else None
+        body = self.stmt(node.body)
 
-    def _exec_do_while(self, loop: ast.DoWhileLoop) -> None:
-        while True:
-            try:
-                self._exec_stmt(loop.body)
-            except _BreakSignal:
-                break
-            except _ContinueSignal:
-                pass
-            self.op_counts["loop_iteration"] += 1
-            self._tick("branch")
-            if not self._truth(self._eval(loop.cond)):
-                break
+        def run_for(st: _Run):
+            if init is not None:
+                signal = init(st)
+                if signal.__class__ is _Signal:
+                    return signal
+            while True:
+                if cond is not None:
+                    _tick(st, "branch")
+                    if not _truth(cond(st)):
+                        return None
+                signal = body(st)
+                if signal.__class__ is _Signal:
+                    if signal is _BREAK:
+                        return None
+                    if signal is not _CONTINUE:
+                        return signal
+                st.counts["loop_iteration"] += 1
+                if step is not None:
+                    step(st)
+        return run_for
 
-    # -- expressions --------------------------------------------------------------
+    def while_loop(self, node: ast.WhileLoop) -> StmtFn:
+        cond, body = self.expr(node.cond), self.stmt(node.body)
 
-    def _eval(self, expr: ast.Expr) -> Value:
-        # Same single-probe dispatch as ``_exec_stmt``.
-        handler = _EVAL_HANDLERS.get(expr.__class__)
-        if handler is None:
-            raise InterpreterError(f"cannot evaluate expression {type(expr).__name__}")
-        return handler(self, expr)
+        def run_while(st: _Run):
+            while True:
+                _tick(st, "branch")
+                if not _truth(cond(st)):
+                    return None
+                signal = body(st)
+                if signal.__class__ is _Signal:
+                    if signal is _BREAK:
+                        return None
+                    if signal is _CONTINUE:
+                        continue
+                    return signal
+                st.counts["loop_iteration"] += 1
+        return run_while
 
-    def _eval_literal(self, expr: ast.IntLiteral) -> int:
-        return self._wrap(expr.value)
+    def do_while_loop(self, node: ast.DoWhileLoop) -> StmtFn:
+        body, cond = self.stmt(node.body), self.expr(node.cond)
 
-    def _eval_identifier(self, expr: ast.Identifier) -> Value:
-        return self._load_identifier(expr.name)
+        def run_do_while(st: _Run):
+            while True:
+                signal = body(st)
+                if signal.__class__ is _Signal:
+                    if signal is _BREAK:
+                        return None
+                    if signal is not _CONTINUE:
+                        return signal
+                st.counts["loop_iteration"] += 1
+                _tick(st, "branch")
+                if not _truth(cond(st)):
+                    return None
+        return run_do_while
 
-    def _eval_ternary(self, expr: ast.TernaryOp) -> Value:
-        self._tick("branch")
-        if self._truth(self._eval(expr.cond)):
-            return self._eval(expr.then)
-        return self._eval(expr.otherwise)
+    # -- expressions --------------------------------------------------------
 
-    def _load_identifier(self, name: str) -> Value:
-        if name not in self.scope:
-            raise CompileError(f"use of undeclared identifier {name!r}")
-        self._tick("scalar_read", 0)
-        return self.scope[name]
+    def expr(self, node: ast.Expr) -> ExprFn:
+        method = _EXPR_COMPILERS.get(node.__class__)
+        if method is None:
+            return _raiser(InterpreterError, f"cannot evaluate expression {type(node).__name__}")
+        return method(self, node)
 
-    def _eval_array_load(self, expr: ast.ArrayRef) -> int:
-        pointer, index = self._resolve_element(expr)
-        value, poison = self.memory.load(pointer.region, pointer.offset + index)
-        self._tick("scalar_load")
-        if poison:
-            # The concrete value is still produced (as on hardware); the UB
-            # event has already been recorded by the memory model.
+    def literal(self, node: ast.IntLiteral) -> ExprFn:
+        raw, wrap = node.value, self.wrap
+        if raw.__class__ is int:
+            value = wrap(raw)
+            return lambda st: value
+        return lambda st: wrap(raw)
+
+    def identifier(self, node: ast.Identifier) -> ExprFn:
+        name = node.name
+
+        def load_identifier(st: _Run):
+            if name not in st.scope:
+                raise CompileError(f"use of undeclared identifier {name!r}")
+            _tick(st, "scalar_read", 0)
+            return st.scope[name]
+        return load_identifier
+
+    def element(self, node: ast.ArrayRef) -> Callable[[_Run], tuple[Pointer, int]]:
+        """``base[index]`` resolved to ``(pointer, index)``."""
+        base_of, index_of = self.expr(node.base), self.expr(node.index)
+
+        def resolve(st: _Run):
+            base = base_of(st)
+            index = _as_int(index_of(st))
+            if not isinstance(base, Pointer):
+                raise InterpreterError("array subscript applied to a non-pointer value")
+            return base, index
+        return resolve
+
+    def array_load(self, node: ast.ArrayRef) -> ExprFn:
+        resolve = self.element(node)
+
+        def load_element(st: _Run):
+            pointer, index = resolve(st)
+            value = st.memory.load(pointer.region, pointer.offset + index)[0]
+            _tick(st, "scalar_load")
             return value
-        return value
+        return load_element
 
-    def _resolve_element(self, expr: ast.ArrayRef) -> tuple[Pointer, int]:
-        base = self._eval(expr.base)
-        index = self._as_int(self._eval(expr.index))
-        if not isinstance(base, Pointer):
-            raise InterpreterError("array subscript applied to a non-pointer value")
-        return base, index
+    def ternary(self, node: ast.TernaryOp) -> ExprFn:
+        cond, then, otherwise = self.expr(node.cond), self.expr(node.then), self.expr(node.otherwise)
 
-    def _eval_binop(self, expr: ast.BinOp) -> Value:
-        op = expr.op
-        if op == "&&":
-            self._tick("scalar_arith")
-            return 1 if self._truth(self._eval(expr.left)) and self._truth(self._eval(expr.right)) else 0
-        if op == "||":
-            self._tick("scalar_arith")
-            return 1 if self._truth(self._eval(expr.left)) or self._truth(self._eval(expr.right)) else 0
-        left = self._eval(expr.left)
-        right = self._eval(expr.right)
-        # Pointer arithmetic: ptr + int, ptr - int, int + ptr.
-        if isinstance(left, Pointer) or isinstance(right, Pointer):
-            return self._pointer_arith(op, left, right)
-        lhs, rhs = self._as_int(left), self._as_int(right)
-        self._tick("scalar_mul" if op in ("*", "/", "%") else "scalar_arith")
-        return self._scalar_binop(op, lhs, rhs)
+        def choose(st: _Run):
+            _tick(st, "branch")
+            if _truth(cond(st)):
+                return then(st)
+            return otherwise(st)
+        return choose
 
-    def _scalar_binop(self, op: str, lhs: int, rhs: int) -> int:
-        fn = self._binops.get(op)
-        if fn is not None:
-            return fn(lhs, rhs)
+    def arithmetic(self, op: str) -> Callable[[_Run, int, int], int]:
+        """``lhs op rhs`` on ints at the kernel dtype.  A zero divisor of
+        ``/`` or ``%`` logs a UB event; an unknown operator raises when reached."""
+        pure, wrap = self.ops.get(op), self.wrap
+        if pure is not None:
+            return pure
         if op == "/":
-            if rhs == 0:
-                self.memory._record(UBEvent("div-by-zero", "<scalar>", 0, "division by zero"))
-                return 0
-            return self._wrap(int(lhs / rhs))  # C truncates toward zero
+            def divide(st: _Run, lhs: int, rhs: int) -> int:
+                if rhs == 0:
+                    st.memory._record(UBEvent("div-by-zero", "<scalar>", 0, "division by zero"))
+                    return 0
+                return wrap(trunc_div(lhs, rhs))
+            return divide
         if op == "%":
-            if rhs == 0:
-                self.memory._record(UBEvent("div-by-zero", "<scalar>", 0, "modulo by zero"))
-                return 0
-            return self._wrap(lhs - int(lhs / rhs) * rhs)
-        raise InterpreterError(f"unsupported binary operator {op!r}")
+            def modulo(st: _Run, lhs: int, rhs: int) -> int:
+                if rhs == 0:
+                    st.memory._record(UBEvent("div-by-zero", "<scalar>", 0, "modulo by zero"))
+                    return 0
+                return wrap(lhs - trunc_div(lhs, rhs) * rhs)
+            return modulo
+        return _raiser(InterpreterError, f"unsupported binary operator {op!r}")
 
-    def _pointer_arith(self, op: str, left: Value, right: Value) -> Value:
-        if isinstance(left, Pointer) and isinstance(right, Pointer):
-            if op == "-" and left.region == right.region:
-                return self._wrap(left.offset - right.offset)
-            if op in ("==", "!="):
-                same = left == right
-                return (1 if same else 0) if op == "==" else (0 if same else 1)
-            raise InterpreterError(f"unsupported pointer-pointer operation {op!r}")
-        if isinstance(left, Pointer):
-            delta = self._as_int(right)
-            if op == "+":
-                return left.advanced(delta)
-            if op == "-":
-                return left.advanced(-delta)
-        if isinstance(right, Pointer) and op == "+":
-            return right.advanced(self._as_int(left))
-        raise InterpreterError(f"unsupported pointer arithmetic {op!r}")
+    def binop(self, node: ast.BinOp) -> ExprFn:
+        op, category, wrap = node.op, _category(node.op), self.wrap
+        left, right = self.expr(node.left), self.expr(node.right)
+        if op in ("&&", "||"):
+            conjunction = op == "&&"
 
-    def _eval_unary(self, expr: ast.UnaryOp) -> Value:
-        op = expr.op
+            def logical(st: _Run):
+                _tick(st, "scalar_arith")
+                if conjunction:
+                    return 1 if _truth(left(st)) and _truth(right(st)) else 0
+                return 1 if _truth(left(st)) or _truth(right(st)) else 0
+            return logical
+        apply = self.arithmetic(op)
+
+        def arith(st: _Run):
+            lhs = left(st)
+            rhs = right(st)
+            if lhs.__class__ is not int or rhs.__class__ is not int:
+                if isinstance(lhs, Pointer) or isinstance(rhs, Pointer):
+                    return _pointer_arith(op, lhs, rhs, wrap)
+                lhs, rhs = _as_int(lhs), _as_int(rhs)
+            _tick(st, category)
+            return apply(st, lhs, rhs)
+        return arith
+
+    def unary(self, node: ast.UnaryOp) -> ExprFn:
+        op, operand = node.op, node.operand
         if op == "&":
-            if isinstance(expr.operand, ast.ArrayRef):
-                pointer, index = self._resolve_element(expr.operand)
-                return pointer.advanced(index)
-            if isinstance(expr.operand, ast.Identifier):
-                value = self._load_identifier(expr.operand.name)
+            if isinstance(operand, ast.ArrayRef):
+                resolve = self.element(operand)
+
+                def address_of_element(st: _Run):
+                    pointer, index = resolve(st)
+                    return pointer.advanced(index)
+                return address_of_element
+            if isinstance(operand, ast.Identifier):
+                load = self.identifier(operand)
+
+                def address_of_name(st: _Run):
+                    value = load(st)
+                    if isinstance(value, Pointer):
+                        return value
+                    raise InterpreterError("address-of scalar variables is not supported")
+                return address_of_name
+            return _raiser(InterpreterError, "unsupported address-of operand")
+        if op == "*":
+            return self.dereference(node)
+        if op in ("++", "--"):
+            return self.increment(operand, 1 if op == "++" else -1, return_new=True)
+        value_of, wrap = self.expr(operand), self.wrap
+        fn = {
+            "-": lambda value: wrap(-value),
+            "+": lambda value: value,
+            "!": lambda value: 0 if value else 1,
+            "~": lambda value: wrap(~value),
+        }.get(op)
+
+        def apply(st: _Run):
+            value = _as_int(value_of(st))
+            _tick(st, "scalar_arith")
+            if fn is None:
+                raise InterpreterError(f"unsupported unary operator {op!r}")
+            return fn(value)
+        return apply
+
+    def dereference(self, node: ast.UnaryOp) -> ExprFn:
+        pointer_of = self.expr(node.operand)
+
+        def load_through(st: _Run):
+            pointer = pointer_of(st)
+            if isinstance(pointer, Pointer):
+                value = st.memory.load(pointer.region, pointer.offset)[0]
+                _tick(st, "scalar_load")
+                return value
+            raise InterpreterError("dereference of a non-pointer value")
+        return load_through
+
+    def postfix(self, node: ast.PostfixOp) -> ExprFn:
+        return self.increment(node.operand, 1 if node.op == "++" else -1, return_new=False)
+
+    def increment(self, target: ast.Expr, delta: int, return_new: bool) -> ExprFn:
+        read, write, wrap = self.lvalue_reader(target), self.lvalue_writer(target), self.wrap
+
+        def step(st: _Run):
+            old = _as_int(read(st))
+            new = wrap(old + delta)
+            write(st, new)
+            _tick(st, "scalar_arith")
+            return new if return_new else old
+        return step
+
+    def assign(self, node: ast.Assign) -> ExprFn:
+        target, write = node.target, self.lvalue_writer(node.target)
+        value_of = self.expr(node.value)
+        if node.op == "=":
+            def store(st: _Run):
+                value = value_of(st)
+                write(st, value)
+                return value
+            return store
+        # Compound assignment: target op= value.
+        base_op = node.op[:-1]
+        read, category, wrap = self.lvalue_reader(target), _category(base_op), self.wrap
+        apply = self.arithmetic(base_op)
+
+        def update(st: _Run):
+            current = read(st)
+            rhs = value_of(st)
+            if isinstance(current, Pointer):
+                result: Value = _pointer_arith(base_op, current, rhs, wrap)
+            else:
+                _tick(st, category)
+                result = apply(st, _as_int(current), _as_int(rhs))
+            write(st, result)
+            return result
+        return update
+
+    def lvalue_reader(self, target: ast.Expr) -> ExprFn:
+        if isinstance(target, ast.Identifier):
+            return self.identifier(target)
+        if isinstance(target, ast.ArrayRef):
+            return self.array_load(target)
+        if isinstance(target, ast.UnaryOp) and target.op == "*":
+            return self.expr(target)
+        return _raiser(InterpreterError, f"unsupported lvalue {type(target).__name__}")
+
+    def lvalue_writer(self, target: ast.Expr) -> Callable[[_Run, Value], None]:
+        if isinstance(target, ast.Identifier):
+            name, wrap = target.name, self.wrap
+
+            def write_name(st: _Run, value: Value) -> None:
+                scope = st.scope
+                if name not in scope:
+                    raise CompileError(f"assignment to undeclared identifier {name!r}")
+                existing = scope[name]
+                if isinstance(existing, (VecValue, PredValue)) or isinstance(
+                    value, (VecValue, PredValue)
+                ):
+                    scope[name] = value
+                elif isinstance(existing, Pointer) or isinstance(value, Pointer):
+                    scope[name] = value
+                else:
+                    scope[name] = wrap(_as_int(value))
+                _tick(st, "scalar_write", 0)
+            return write_name
+        if isinstance(target, ast.ArrayRef):
+            resolve = self.element(target)
+
+            def write_element(st: _Run, value: Value) -> None:
+                pointer, index = resolve(st)
+                st.memory.store(pointer.region, pointer.offset + index, _as_int(value))
+                _tick(st, "scalar_store")
+            return write_element
+        if isinstance(target, ast.UnaryOp) and target.op == "*":
+            pointer_of = self.expr(target.operand)
+
+            def write_through(st: _Run, value: Value) -> None:
+                pointer = pointer_of(st)
+                if not isinstance(pointer, Pointer):
+                    raise InterpreterError("store through a non-pointer value")
+                st.memory.store(pointer.region, pointer.offset, _as_int(value))
+                _tick(st, "scalar_store")
+            return write_through
+        return _raiser(InterpreterError, f"unsupported assignment target {type(target).__name__}")
+
+    def cast(self, node: ast.Cast) -> ExprFn:
+        value_of, coerce = self.expr(node.operand), self.coercion(node.target_type)
+        return lambda st: coerce(value_of(st))
+
+    def coercion(self, target_type) -> Callable[[Value], Value]:
+        """The conversion of a value to ``target_type`` (assignment and casts)."""
+        if target_type.is_pointer:
+            def to_pointer(value: Value) -> Value:
                 if isinstance(value, Pointer):
                     return value
-                raise InterpreterError("address-of scalar variables is not supported")
-            raise InterpreterError("unsupported address-of operand")
-        if op == "*":
-            value = self._eval(expr.operand)
-            if isinstance(value, Pointer):
-                loaded, _poison = self.memory.load(value.region, value.offset)
-                self._tick("scalar_load")
-                return loaded
-            raise InterpreterError("dereference of a non-pointer value")
-        if op in ("++", "--"):
-            delta = 1 if op == "++" else -1
-            return self._apply_increment(expr.operand, delta, return_new=True)
-        operand = self._eval(expr.operand)
-        value = self._as_int(operand)
-        self._tick("scalar_arith")
-        if op == "-":
-            return self._wrap(-value)
-        if op == "+":
-            return value
-        if op == "!":
-            return 0 if value else 1
-        if op == "~":
-            return self._wrap(~value)
-        raise InterpreterError(f"unsupported unary operator {op!r}")
-
-    def _eval_postfix(self, expr: ast.PostfixOp) -> int:
-        delta = 1 if expr.op == "++" else -1
-        return self._apply_increment(expr.operand, delta, return_new=False)
-
-    def _apply_increment(self, target: ast.Expr, delta: int, return_new: bool) -> int:
-        old = self._as_int(self._read_lvalue(target))
-        new = self._wrap(old + delta)
-        self._write_lvalue(target, new)
-        self._tick("scalar_arith")
-        return new if return_new else old
-
-    def _eval_assign(self, expr: ast.Assign) -> Value:
-        if expr.op == "=":
-            value = self._eval(expr.value)
-            self._write_lvalue(expr.target, value)
-            return value
-        # Compound assignment: target op= value.
-        base_op = expr.op[:-1]
-        current = self._read_lvalue(expr.target)
-        rhs = self._eval(expr.value)
-        if isinstance(current, Pointer):
-            result: Value = self._pointer_arith(base_op, current, rhs)
-        else:
-            self._tick("scalar_mul" if base_op in ("*", "/", "%") else "scalar_arith")
-            result = self._scalar_binop(base_op, self._as_int(current), self._as_int(rhs))
-        self._write_lvalue(expr.target, result)
-        return result
-
-    def _read_lvalue(self, target: ast.Expr) -> Value:
-        if isinstance(target, ast.Identifier):
-            return self._load_identifier(target.name)
-        if isinstance(target, ast.ArrayRef):
-            return self._eval_array_load(target)
-        if isinstance(target, ast.UnaryOp) and target.op == "*":
-            return self._eval(target)
-        raise InterpreterError(f"unsupported lvalue {type(target).__name__}")
-
-    def _write_lvalue(self, target: ast.Expr, value: Value) -> None:
-        if isinstance(target, ast.Identifier):
-            if target.name not in self.scope:
-                raise CompileError(f"assignment to undeclared identifier {target.name!r}")
-            existing = self.scope[target.name]
-            if isinstance(existing, (VecValue, PredValue)) or isinstance(
-                value, (VecValue, PredValue)
-            ):
-                self.scope[target.name] = value
-            elif isinstance(existing, Pointer) or isinstance(value, Pointer):
-                self.scope[target.name] = value
-            else:
-                self.scope[target.name] = self._wrap(self._as_int(value))
-            self._tick("scalar_write", 0)
-            return
-        if isinstance(target, ast.ArrayRef):
-            pointer, index = self._resolve_element(target)
-            self.memory.store(pointer.region, pointer.offset + index, self._as_int(value))
-            self._tick("scalar_store")
-            return
-        if isinstance(target, ast.UnaryOp) and target.op == "*":
-            pointer = self._eval(target.operand)
-            if not isinstance(pointer, Pointer):
-                raise InterpreterError("store through a non-pointer value")
-            self.memory.store(pointer.region, pointer.offset, self._as_int(value))
-            self._tick("scalar_store")
-            return
-        raise InterpreterError(f"unsupported assignment target {type(target).__name__}")
-
-    def _eval_cast(self, expr: ast.Cast) -> Value:
-        value = self._eval(expr.operand)
-        return self._coerce_for_type(value, expr.target_type)
-
-    def _coerce_for_type(self, value: Value, target_type) -> Value:
-        if target_type.is_pointer:
-            if isinstance(value, Pointer):
-                return value
-            if isinstance(value, int) and value == 0:
-                return Pointer("__null__", 0)
-            raise InterpreterError(f"cannot cast {type(value).__name__} to pointer type")
+                if isinstance(value, int) and value == 0:
+                    return _NULL
+                raise InterpreterError(f"cannot cast {type(value).__name__} to pointer type")
+            return to_pointer
         if target_type.is_vector:
-            if isinstance(value, VecValue):
-                return value
-            raise InterpreterError(f"cannot cast a scalar to {target_type}")
+            def to_vector(value: Value) -> Value:
+                if isinstance(value, VecValue):
+                    return value
+                raise InterpreterError(f"cannot cast a scalar to {target_type}")
+            return to_vector
         if target_type.is_predicate:
-            if isinstance(value, PredValue):
-                return value
-            raise InterpreterError(f"cannot cast a non-predicate to {target_type}")
-        if isinstance(value, int):
-            return self._wrap(value)
-        if isinstance(value, Pointer):
-            raise InterpreterError("cannot cast a pointer to int in this subset")
-        raise InterpreterError(f"cannot coerce {type(value).__name__} to {target_type}")
+            def to_predicate(value: Value) -> Value:
+                if isinstance(value, PredValue):
+                    return value
+                raise InterpreterError(f"cannot cast a non-predicate to {target_type}")
+            return to_predicate
+        wrap = self.wrap
 
-    # -- intrinsic calls -----------------------------------------------------------
+        def to_scalar(value: Value) -> Value:
+            if isinstance(value, int):
+                return wrap(value)
+            if isinstance(value, Pointer):
+                raise InterpreterError("cannot cast a pointer to int in this subset")
+            raise InterpreterError(f"cannot coerce {type(value).__name__} to {target_type}")
+        return to_scalar
 
-    def _eval_call(self, expr: ast.Call) -> Value:
-        name = expr.func
-        if name in ("abs", "labs"):
-            value = self._as_int(self._eval(expr.args[0]))
-            self._tick("scalar_arith")
-            return self._wrap(abs(value))
-        if name in ("min", "max"):
-            lhs = self._as_int(self._eval(expr.args[0]))
-            rhs = self._as_int(self._eval(expr.args[1]))
-            self._tick("scalar_arith")
-            return min(lhs, rhs) if name == "min" else max(lhs, rhs)
+    # -- calls --------------------------------------------------------------
+
+    def call(self, node: ast.Call) -> ExprFn:
+        name, args = node.func, [self.expr(arg) for arg in node.args]
+        if name in ("abs", "labs", "min", "max"):
+            return self.builtin(name, args)
         if not is_intrinsic(name):
-            raise CompileError(f"call to unknown function or intrinsic {name!r}")
+            return _raiser(CompileError, f"call to unknown function or intrinsic {name!r}")
         spec = lookup_intrinsic(name, self.dtype)
-        if len(expr.args) != spec.arity and spec.kind not in ("setr", "set"):
-            raise CompileError(
-                f"intrinsic {name} expects {spec.arity} arguments, got {len(expr.args)}"
+        if len(args) != spec.arity and spec.kind not in ("setr", "set"):
+            return _raiser(
+                CompileError, f"intrinsic {name} expects {spec.arity} arguments, got {len(args)}"
             )
-        self.op_counts[f"vec_{spec.kind}"] += 1
-        self.op_counts["vector_op"] += 1
-        self._tick("vector_instr")
-        if spec.kind == "load":
-            pointer = self._pointer_argument(expr.args[0])
-            values, poison = self.memory.load_vector(pointer.region, pointer.offset, spec.lanes)
-            return VecValue.from_lanes(values, poison, dtype=spec.lane_type)
-        if spec.kind == "maskload":
-            pointer = self._pointer_argument(expr.args[0])
-            mask = self._vector_argument(expr.args[1], spec.lanes)
-            values: list[int] = []
-            poison: list[bool] = []
-            for lane in range(spec.lanes):
-                if lane_active(mask.lanes[lane], spec.lane_type):
-                    value, is_poison = self.memory.load(pointer.region, pointer.offset + lane)
-                    values.append(value)
-                    poison.append(is_poison)
-                else:
-                    values.append(0)
-                    poison.append(False)
-            return VecValue.from_lanes(values, poison, dtype=spec.lane_type)
-        if spec.kind == "store":
-            pointer = self._pointer_argument(expr.args[0])
-            vector = self._vector_argument(expr.args[1], spec.lanes)
-            self.memory.store_vector(pointer.region, pointer.offset, list(vector.lanes), list(vector.poison))
-            return vector
-        if spec.kind == "maskstore":
-            pointer = self._pointer_argument(expr.args[0])
-            mask = self._vector_argument(expr.args[1], spec.lanes)
-            vector = self._vector_argument(expr.args[2], spec.lanes)
-            for lane in range(spec.lanes):
-                if lane_active(mask.lanes[lane], spec.lane_type):
-                    self.memory.store(
-                        pointer.region, pointer.offset + lane, vector.lanes[lane], vector.poison[lane]
-                    )
-            return vector
-        if spec.kind == "pload":
-            # Predicate-governed load: active lanes read memory (recording
-            # OOB/poison like any load), inactive lanes come back zero and —
-            # the property the predicated-loop legalization rests on — never
-            # touch memory at all.  A poison predicate lane makes the loaded
-            # lane unreliable rather than the access itself.
-            pred = self._pred_argument(expr.args[0], spec.lanes)
-            pointer = self._pointer_argument(expr.args[1])
-            values, poison = [], []
-            for lane in range(spec.lanes):
-                if pred.lanes[lane]:
-                    value, is_poison = self.memory.load(pointer.region, pointer.offset + lane)
-                    values.append(value)
-                    poison.append(is_poison or pred.poison[lane])
-                else:
-                    values.append(0)
-                    poison.append(pred.poison[lane])
-            return VecValue.from_lanes(values, poison, dtype=spec.lane_type)
-        if spec.kind == "pstore":
-            # Mirror image: active lanes store, inactive lanes leave memory
-            # untouched; storing under a poison predicate lane stores poison
-            # (the checker observes it as a poison-store UB event).
-            pred = self._pred_argument(expr.args[0], spec.lanes)
-            pointer = self._pointer_argument(expr.args[1])
-            vector = self._vector_argument(expr.args[2], spec.lanes)
-            for lane in range(spec.lanes):
-                if pred.lanes[lane]:
-                    self.memory.store(
-                        pointer.region, pointer.offset + lane, vector.lanes[lane],
-                        vector.poison[lane] or pred.poison[lane],
-                    )
-            return vector
-        if spec.kind == "extract":
-            vector = self._vector_argument(expr.args[0], spec.lanes)
-            lane = self._as_int(self._eval(expr.args[1])) % spec.lanes
-            return vector.lanes[lane]
-        if spec.kind == "cast_low":
-            # The cast reinterprets the low register half: truncate to half
-            # the lanes so narrower downstream consumers see a width-correct
-            # value (the historical AVX2 reduction-tail idiom).
-            half = spec.lanes // 2
-            vector = self._vector_argument(expr.args[0], spec.lanes)
-            return VecValue(vector.lanes[:half], vector.poison[:half],
-                            vector.dtype)
-        args = [self._eval(arg) for arg in expr.args]
-        return apply_pure_intrinsic(name, args, self.dtype)
+        run = _INTRINSIC_COMPILERS.get(spec.kind, _pure_intrinsic)(spec, args)
+        kind = f"vec_{spec.kind}"
 
-    def _pointer_argument(self, expr: ast.Expr) -> Pointer:
-        value = self._eval(expr)
-        if not isinstance(value, Pointer):
+        def call_intrinsic(st: _Run):
+            st.counts[kind] += 1
+            st.counts["vector_op"] += 1
+            _tick(st, "vector_instr")
+            return run(st)
+        return call_intrinsic
+
+    def builtin(self, name: str, args: list[ExprFn]) -> ExprFn:
+        """The scalar ``abs``/``labs`` (one argument) and ``min``/``max`` (two)."""
+        arity = 1 if name in ("abs", "labs") else 2
+        if len(args) != arity:
+            plural = "argument" if arity == 1 else "arguments"
+            return _raiser(CompileError, f"{name} expects {arity} {plural}, got {len(args)}")
+        if arity == 1:
+            (value_of,), wrap = args, self.wrap
+
+            def absolute(st: _Run):
+                value = _as_int(value_of(st))
+                _tick(st, "scalar_arith")
+                return wrap(abs(value))
+            return absolute
+        left, right = args
+        pick = min if name == "min" else max
+
+        def extreme(st: _Run):
+            lhs = _as_int(left(st))
+            rhs = _as_int(right(st))
+            _tick(st, "scalar_arith")
+            return pick(lhs, rhs)
+        return extreme
+
+
+# -- intrinsic operands ------------------------------------------------------
+
+
+def _pointer_operand(arg: ExprFn) -> Callable[[_Run], Pointer]:
+    def operand(st: _Run) -> Pointer:
+        value = arg(st)
+        if value.__class__ is not Pointer:
             raise InterpreterError("intrinsic memory operand is not a pointer")
         return value
+    return operand
 
-    def _vector_argument(self, expr: ast.Expr, lanes: int | None = None) -> VecValue:
-        value = self._eval(expr)
+
+def _vector_operand(arg: ExprFn, lanes: int) -> Callable[[_Run], VecValue]:
+    def operand(st: _Run) -> VecValue:
+        value = arg(st)
         if not isinstance(value, VecValue):
             raise InterpreterError("intrinsic vector operand is not a vector value")
-        if lanes is not None and value.width != lanes:
+        if value.width != lanes:
             raise InterpreterError(
                 f"intrinsic vector operand has {value.width} lanes, expected {lanes}"
             )
         return value
+    return operand
 
-    def _pred_argument(self, expr: ast.Expr, lanes: int | None = None) -> PredValue:
-        value = self._eval(expr)
+
+def _pred_operand(arg: ExprFn, lanes: int) -> Callable[[_Run], PredValue]:
+    def operand(st: _Run) -> PredValue:
+        value = arg(st)
         if not isinstance(value, PredValue):
             raise InterpreterError("intrinsic predicate operand is not a predicate value")
-        if lanes is not None and value.width != lanes:
+        if value.width != lanes:
             raise InterpreterError(
                 f"intrinsic predicate operand has {value.width} lanes, expected {lanes}"
             )
         return value
-
-    # -- helpers ---------------------------------------------------------------------
-
-    def _truth(self, value: Value) -> bool:
-        if isinstance(value, Pointer):
-            return value.region != "__null__"
-        return self._as_int(value) != 0
-
-    @staticmethod
-    def _as_int(value: Value) -> int:
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, int):
-            return value
-        if isinstance(value, VecValue):
-            raise InterpreterError("a vector value was used where a scalar was expected")
-        if isinstance(value, PredValue):
-            raise InterpreterError(
-                "a predicate value was used where a scalar was expected "
-                "(query it with a ptest intrinsic)"
-            )
-        if isinstance(value, Pointer):
-            raise InterpreterError("a pointer value was used where a scalar was expected")
-        raise InterpreterError(f"unexpected value of type {type(value).__name__}")
+    return operand
 
 
-#: Pure scalar operators (no UB to record) as a per-dtype dispatch table;
-#: ``/`` and ``%`` stay in ``_scalar_binop`` because a zero divisor records
-#: a UB event.  Shift counts mask to the lane width like the vector shifts.
-def _scalar_binops_for(dtype: LaneType) -> dict:
-    wrap = dtype.wrap
-    shift_mask = dtype.bits - 1
-    return {
-        "+": lambda lhs, rhs: wrap(lhs + rhs),
-        "-": lambda lhs, rhs: wrap(lhs - rhs),
-        "*": lambda lhs, rhs: wrap(lhs * rhs),
-        "<": lambda lhs, rhs: 1 if lhs < rhs else 0,
-        ">": lambda lhs, rhs: 1 if lhs > rhs else 0,
-        "<=": lambda lhs, rhs: 1 if lhs <= rhs else 0,
-        ">=": lambda lhs, rhs: 1 if lhs >= rhs else 0,
-        "==": lambda lhs, rhs: 1 if lhs == rhs else 0,
-        "!=": lambda lhs, rhs: 1 if lhs != rhs else 0,
-        "&": lambda lhs, rhs: wrap(lhs & rhs),
-        "|": lambda lhs, rhs: wrap(lhs | rhs),
-        "^": lambda lhs, rhs: wrap(lhs ^ rhs),
-        "<<": lambda lhs, rhs: wrap(lhs << (rhs & shift_mask)),
-        ">>": lambda lhs, rhs: wrap(lhs >> (rhs & shift_mask)),
-    }
+# -- intrinsic bodies (after the call's ticks), one compiler per spec kind ----
 
 
-_SCALAR_BINOPS = {dtype.name: _scalar_binops_for(dtype) for dtype in ALL_LANE_TYPES}
+def _load_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+    pointer_of, lanes, dtype = _pointer_operand(args[0]), spec.lanes, spec.lane_type
 
-#: Concrete-class dispatch tables for the interpretation hot path, built once
-#: at import.  ``stmt.__class__`` keys make each dispatch a single dict probe.
-_STMT_HANDLERS = {
-    ast.Block: Interpreter._exec_block,
-    ast.Decl: Interpreter._exec_decl,
-    ast.ExprStmt: Interpreter._exec_expr_stmt,
-    ast.If: Interpreter._exec_if,
-    ast.ForLoop: Interpreter._exec_for,
-    ast.WhileLoop: Interpreter._exec_while,
-    ast.DoWhileLoop: Interpreter._exec_do_while,
-    ast.Return: Interpreter._exec_return,
-    ast.Break: Interpreter._exec_break,
-    ast.Continue: Interpreter._exec_continue,
-    ast.Goto: Interpreter._exec_goto,
-    ast.Label: Interpreter._exec_label,
+    def load(st: _Run):
+        pointer = pointer_of(st)
+        values, poison = st.memory.load_vector(pointer.region, pointer.offset, lanes)
+        return VecValue.from_lanes(values, poison, dtype=dtype)
+    return load
+
+
+def _maskload_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+    pointer_of, mask_of = _pointer_operand(args[0]), _vector_operand(args[1], spec.lanes)
+    lanes, dtype = spec.lanes, spec.lane_type
+
+    def maskload(st: _Run):
+        pointer = pointer_of(st)
+        mask = mask_of(st)
+        values: list[int] = []
+        poison: list[bool] = []
+        for lane in range(lanes):
+            if lane_active(mask.lanes[lane], dtype):
+                value, is_poison = st.memory.load(pointer.region, pointer.offset + lane)
+                values.append(value)
+                poison.append(is_poison)
+            else:
+                values.append(0)
+                poison.append(False)
+        return VecValue.from_lanes(values, poison, dtype=dtype)
+    return maskload
+
+
+def _store_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+    pointer_of, vector_of = _pointer_operand(args[0]), _vector_operand(args[1], spec.lanes)
+
+    def store(st: _Run):
+        pointer = pointer_of(st)
+        vector = vector_of(st)
+        st.memory.store_vector(pointer.region, pointer.offset, list(vector.lanes), list(vector.poison))
+        return vector
+    return store
+
+
+def _maskstore_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+    pointer_of = _pointer_operand(args[0])
+    mask_of, vector_of = _vector_operand(args[1], spec.lanes), _vector_operand(args[2], spec.lanes)
+    lanes, dtype = spec.lanes, spec.lane_type
+
+    def maskstore(st: _Run):
+        pointer = pointer_of(st)
+        mask = mask_of(st)
+        vector = vector_of(st)
+        for lane in range(lanes):
+            if lane_active(mask.lanes[lane], dtype):
+                st.memory.store(
+                    pointer.region, pointer.offset + lane, vector.lanes[lane], vector.poison[lane]
+                )
+        return vector
+    return maskstore
+
+
+def _pload_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+    # Predicate-governed load: active lanes read memory (recording OOB/poison
+    # like any load), inactive lanes come back zero and — the property the
+    # predicated-loop legalization rests on — never touch memory at all.  A
+    # poison predicate lane makes the loaded lane unreliable rather than the
+    # access itself.
+    pred_of, pointer_of = _pred_operand(args[0], spec.lanes), _pointer_operand(args[1])
+    lanes, dtype = spec.lanes, spec.lane_type
+
+    def pload(st: _Run):
+        pred = pred_of(st)
+        pointer = pointer_of(st)
+        values, poison = [], []
+        for lane in range(lanes):
+            if pred.lanes[lane]:
+                value, is_poison = st.memory.load(pointer.region, pointer.offset + lane)
+                values.append(value)
+                poison.append(is_poison or pred.poison[lane])
+            else:
+                values.append(0)
+                poison.append(pred.poison[lane])
+        return VecValue.from_lanes(values, poison, dtype=dtype)
+    return pload
+
+
+def _pstore_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+    # Mirror image: active lanes store, inactive lanes leave memory untouched;
+    # storing under a poison predicate lane stores poison (the checker
+    # observes it as a poison-store UB event).
+    pred_of, pointer_of = _pred_operand(args[0], spec.lanes), _pointer_operand(args[1])
+    vector_of, lanes = _vector_operand(args[2], spec.lanes), spec.lanes
+
+    def pstore(st: _Run):
+        pred = pred_of(st)
+        pointer = pointer_of(st)
+        vector = vector_of(st)
+        for lane in range(lanes):
+            if pred.lanes[lane]:
+                st.memory.store(
+                    pointer.region, pointer.offset + lane, vector.lanes[lane],
+                    vector.poison[lane] or pred.poison[lane],
+                )
+        return vector
+    return pstore
+
+
+def _extract_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+    vector_of, lane_of, lanes = _vector_operand(args[0], spec.lanes), args[1], spec.lanes
+
+    def extract(st: _Run):
+        vector = vector_of(st)
+        return vector.lanes[_as_int(lane_of(st)) % lanes]
+    return extract
+
+
+def _cast_low_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+    # The cast reinterprets the low register half: truncate to half the lanes
+    # so narrower downstream consumers see a width-correct value (the
+    # historical AVX2 reduction-tail idiom).
+    vector_of, half = _vector_operand(args[0], spec.lanes), spec.lanes // 2
+
+    def cast_low(st: _Run):
+        vector = vector_of(st)
+        return VecValue(vector.lanes[:half], vector.poison[:half], vector.dtype)
+    return cast_low
+
+
+def _pure_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+    operands = tuple(args)
+    return lambda st: apply_pure_spec(spec, [operand(st) for operand in operands])
+
+
+#: Intrinsic kinds the interpreter executes itself (it owns the memory
+#: model); every other kind is a pure function of its operands.
+_INTRINSIC_COMPILERS = {
+    "load": _load_intrinsic,
+    "maskload": _maskload_intrinsic,
+    "store": _store_intrinsic,
+    "maskstore": _maskstore_intrinsic,
+    "pload": _pload_intrinsic,
+    "pstore": _pstore_intrinsic,
+    "extract": _extract_intrinsic,
+    "cast_low": _cast_low_intrinsic,
 }
 
-_EVAL_HANDLERS = {
-    ast.IntLiteral: Interpreter._eval_literal,
-    ast.Identifier: Interpreter._eval_identifier,
-    ast.ArrayRef: Interpreter._eval_array_load,
-    ast.BinOp: Interpreter._eval_binop,
-    ast.UnaryOp: Interpreter._eval_unary,
-    ast.PostfixOp: Interpreter._eval_postfix,
-    ast.TernaryOp: Interpreter._eval_ternary,
-    ast.Assign: Interpreter._eval_assign,
-    ast.Cast: Interpreter._eval_cast,
-    ast.Call: Interpreter._eval_call,
+#: Compile-time dispatch on the concrete node class.
+_STMT_COMPILERS = {
+    ast.Block: _Compiler.block,
+    ast.Decl: _Compiler.decl,
+    ast.ExprStmt: _Compiler.expr_stmt,
+    ast.If: _Compiler.if_stmt,
+    ast.ForLoop: _Compiler.for_loop,
+    ast.WhileLoop: _Compiler.while_loop,
+    ast.DoWhileLoop: _Compiler.do_while_loop,
+    ast.Return: _Compiler.return_stmt,
+    ast.Break: _Compiler.break_stmt,
+    ast.Continue: _Compiler.continue_stmt,
+    ast.Goto: _Compiler.goto_stmt,
+    ast.Label: _Compiler.label_stmt,
 }
+
+_EXPR_COMPILERS = {
+    ast.IntLiteral: _Compiler.literal,
+    ast.Identifier: _Compiler.identifier,
+    ast.ArrayRef: _Compiler.array_load,
+    ast.BinOp: _Compiler.binop,
+    ast.UnaryOp: _Compiler.unary,
+    ast.PostfixOp: _Compiler.postfix,
+    ast.TernaryOp: _Compiler.ternary,
+    ast.Assign: _Compiler.assign,
+    ast.Cast: _Compiler.cast,
+    ast.Call: _Compiler.call,
+}
+
+
+# ---------------------------------------------------------------------------
+# the entry point
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A compiled function: its parameters and its body closure."""
+
+    params: tuple[tuple[str, bool], ...]
+    body: StmtFn
+    wrap: Callable[[int], int]
+
+
+def _compile(func: ast.FunctionDef, dtype: LaneType) -> _Program:
+    return _Program(
+        params=tuple((param.name, param.param_type.is_pointer) for param in func.params),
+        body=_Compiler(dtype).stmt(func.body),
+        wrap=dtype.wrap,
+    )
+
+
+#: Compiled programs keyed by the shared AST (one parse per text), so an AST
+#: must not be mutated once it has run.  Compiling is cheap next to a
+#: checksum run; the small bound keeps the closures of kernels long
+#: finished from piling up.
+_PROGRAMS = IdentityMemo(16)
 
 
 def run_function(
@@ -746,8 +1033,32 @@ def run_function(
     an isolated memory region (plus guard zone).  ``scalars`` maps value
     parameters such as ``n``.
     """
-    memory = Memory(dtype=ast.kernel_dtype(func))
+    dtype = ast.kernel_dtype(func)
+    memory = Memory(dtype=dtype)
     for name, values in arrays.items():
         memory.allocate(name, len(values), values, guard=guard)
-    interpreter = Interpreter(func, memory, scalars, max_steps=max_steps)
-    return interpreter.run()
+    program: _Program = _PROGRAMS.get_or_compute(func, lambda: _compile(func, dtype))
+    scope: dict[str, Value] = {}
+    for name, is_pointer in program.params:
+        if is_pointer:
+            if not memory.has_region(name):
+                raise CompileError(f"no array provided for pointer parameter {name!r}")
+            scope[name] = Pointer(name, 0)
+        else:
+            if name not in scalars:
+                raise CompileError(f"no value provided for scalar parameter {name!r}")
+            scope[name] = program.wrap(int(scalars[name]))
+    st = _Run(scope, memory, max_steps)
+    signal = program.body(st)
+    if signal is _BREAK:
+        raise _BreakSignal()
+    if signal is _CONTINUE:
+        raise _ContinueSignal()
+    if signal.__class__ is _Signal and signal is not _RETURN:
+        raise InterpreterError(f"goto to unknown label {signal.label!r}")
+    return ExecutionResult(
+        memory=memory,
+        return_value=st.ret,
+        op_counts=Counter(st.counts),
+        steps=max_steps - st.left,
+    )

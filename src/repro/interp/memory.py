@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Iterable
+from itertools import islice
 
 from repro.errors import UndefinedBehaviorError
 from repro.lanetypes import INT32, LaneType
@@ -88,14 +89,22 @@ class Memory:
 
     def allocate(self, name: str, size: int, values: Iterable[int] | None = None,
                  guard: int = DEFAULT_GUARD_ELEMS) -> ArrayRegion:
-        """Allocate a region named ``name`` with ``size`` declared elements."""
-        data = [self._wrap(v) for v in values] if values is not None else None
-        region = ArrayRegion(name=name, size=size, guard=guard, data=data or [])
-        if values is not None:
-            # Re-run post-init padding with the provided prefix.
-            padded = [self._wrap(v) for v in values][:size]
-            padded += [0] * (size + guard - len(padded))
-            region.data = padded
+        """Allocate a region named ``name`` with ``size`` declared elements.
+
+        ``values`` (at most ``size`` of them are used) is copied once; the
+        copy is wrapped to the lane type only when some value is not a
+        plain int already inside its range.
+        """
+        if values is None:
+            region = ArrayRegion(name=name, size=size, guard=guard)
+        else:
+            data = list(islice(values, size))
+            if data and not (set(map(type, data)) == {int}
+                             and -self.dtype.sign_bit <= min(data)
+                             and max(data) < self.dtype.sign_bit):
+                data = [self._wrap(v) for v in data]
+            data += [0] * (size + guard - len(data))
+            region = ArrayRegion(name=name, size=size, guard=guard, data=data)
         self.regions[name] = region
         return region
 

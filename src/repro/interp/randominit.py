@@ -94,10 +94,11 @@ def make_test_suite(
 ) -> list[TestVector]:
     """Build the default battery of test vectors used by the checksum tester.
 
-    Trip counts are chosen to be multiples of the vector width (so candidates
-    without an epilogue loop are not unfairly failed — the paper makes the
-    same assumption for verification) plus one non-multiple to exercise
-    epilogue handling when present.
+    The default trip counts 16, 32 and 64 are multiples of every modelled
+    vector width, so candidates without an epilogue loop are not failed for
+    it — the paper makes the same assumption for verification.  No default
+    trip count runs a tail: pass ``trip_counts`` with a non-multiple to
+    exercise epilogue handling.
     """
     if trip_counts is None:
         trip_counts = [16, 32, 64]

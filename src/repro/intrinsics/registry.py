@@ -204,7 +204,7 @@ def _require_vec(value, name: str) -> VecValue:
 
 
 def _require_scalar(value, name: str) -> int:
-    if isinstance(value, (VecValue, PredValue)):
+    if not isinstance(value, int):
         raise CompileError(f"{name} operand is not a scalar value")
     return int(value)
 
@@ -464,8 +464,17 @@ def apply_pure_intrinsic(name: str, args: list,
     ``setr``/``set`` argument counts against the lane count) up front, so a
     candidate mixing register widths is rejected like a C compiler would
     reject it rather than silently truncated by the lane-wise zips below.
+    Every operand must have the kind its position takes (vector, predicate,
+    or an int for scalars and immediates); anything else is a
+    :class:`~repro.errors.CompileError`.
     """
-    spec = lookup_intrinsic(name, dtype)
+    return apply_pure_spec(lookup_intrinsic(name, dtype), args)
+
+
+def apply_pure_spec(spec: IntrinsicSpec, args: list,
+                    ) -> "VecValue | PredValue | int":
+    """:func:`apply_pure_intrinsic` for an already looked-up ``spec``."""
+    name = spec.name
     if spec.kind in ("setr", "set"):
         if len(args) != spec.lanes:
             raise CompileError(
@@ -523,19 +532,24 @@ def apply_pure_intrinsic(name: str, args: list,
     if spec.kind == "pure_unary":
         return _require_vec(args[0], name).bulk_unary(spec.op)
     if spec.kind == "pure_vector":
-        return spec.fn(*args)
+        return spec.fn(*[_require_vec(arg, name) for arg in args])
     if spec.kind == "pure_imm":
-        return spec.fn(args[0], args[1])
+        return spec.fn(_require_vec(args[0], name),
+                       _require_scalar(args[1], name))
     if spec.kind == "pure_imm2":
-        return spec.fn(args[0], args[1], args[2])
+        return spec.fn(_require_vec(args[0], name),
+                       _require_vec(args[1], name),
+                       _require_scalar(args[2], name))
     if spec.kind == "set1":
-        return VecValue.splat(int(args[0]), spec.lanes, dtype=spec.lane_type)
+        return VecValue.splat(_require_scalar(args[0], name), spec.lanes,
+                              dtype=spec.lane_type)
     if spec.kind == "setzero":
         return VecValue.zero(spec.lanes, dtype=spec.lane_type)
     if spec.kind == "setr":
-        return VecValue.from_lanes([int(a) for a in args],
+        return VecValue.from_lanes([_require_scalar(a, name) for a in args],
                                    dtype=spec.lane_type)
     if spec.kind == "set":
-        return VecValue.from_lanes([int(a) for a in reversed(args)],
-                                   dtype=spec.lane_type)
+        return VecValue.from_lanes(
+            [_require_scalar(a, name) for a in reversed(args)],
+            dtype=spec.lane_type)
     raise ValueError(f"intrinsic {name} is not pure; the interpreter must handle it")

@@ -15,12 +15,15 @@ lane count for a dtype is ``register_bits // dtype.bits``, owned by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
 class LaneType:
-    """One integer element type, described entirely as data."""
+    """One integer element type, described entirely as data.
+
+    Equality, hashing and ``repr`` use the four declared fields only.
+    """
 
     #: Canonical identifier used in configs, caches, suffixes and reports.
     name: str
@@ -31,14 +34,14 @@ class LaneType:
     c_name: str
     #: numpy dtype name for the bulk lane kernels.
     np_name: str
+    #: ``2**bits - 1`` and ``2**(bits - 1)``, derived from ``bits`` once:
+    #: :meth:`wrap` runs on every scalar the interpreter computes.
+    mask: int = field(init=False, repr=False, compare=False)
+    sign_bit: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.bits) - 1
-
-    @property
-    def sign_bit(self) -> int:
-        return 1 << (self.bits - 1)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mask", (1 << self.bits) - 1)
+        object.__setattr__(self, "sign_bit", 1 << (self.bits - 1))
 
     @property
     def bytes(self) -> int:
@@ -48,7 +51,7 @@ class LaneType:
         """Reduce ``value`` to this type's signed two's-complement range."""
         value &= self.mask
         if value & self.sign_bit:
-            value -= 1 << self.bits
+            value -= self.mask + 1
         return value
 
     def to_unsigned(self, value: int) -> int:
@@ -57,6 +60,16 @@ class LaneType:
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.name
+
+
+def trunc_div(dividend: int, divisor: int) -> int:
+    """C's integer quotient: exact, truncated toward zero (``divisor != 0``).
+
+    Integer arithmetic, not ``int(a / b)``: a float quotient loses bits
+    beyond 2**53, which 64-bit lanes reach.
+    """
+    quotient = abs(dividend) // abs(divisor)
+    return quotient if (dividend < 0) == (divisor < 0) else -quotient
 
 
 INT16 = LaneType(name="int16", bits=16, c_name="int16_t", np_name="int16")

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping
 
+from repro.lanetypes import trunc_div
 from repro.memo import Memo
 
 WORD_BITS = 32
@@ -429,11 +430,11 @@ def evaluate(term: Term, assignment: Mapping[str, int], bits: int = WORD_BITS) -
         if node.kind is TermKind.DIV:
             if sgn(values[1]) == 0:
                 return 0
-            return int(sgn(values[0]) / sgn(values[1])) & mask
+            return trunc_div(sgn(values[0]), sgn(values[1])) & mask
         if node.kind is TermKind.REM:
             if sgn(values[1]) == 0:
                 return 0
-            quotient = int(sgn(values[0]) / sgn(values[1]))
+            quotient = trunc_div(sgn(values[0]), sgn(values[1]))
             return (sgn(values[0]) - quotient * sgn(values[1])) & mask
         if node.kind is TermKind.ITE:
             return values[1] if values[0] != 0 else values[2]

@@ -211,6 +211,35 @@ class TestInt64TruncationCanary:
         assert report.outcome is VerificationOutcome.NOT_EQUIVALENT
 
 
+class TestLaneTypeDescriptor:
+    """The wrap constants are precomputed, but a LaneType is still four
+    fields of data: frozen, equal and hashed by those fields, picklable."""
+
+    def test_precomputed_constants(self):
+        from repro.lanetypes import ALL_LANE_TYPES
+        for lane in ALL_LANE_TYPES:
+            assert lane.mask == (1 << lane.bits) - 1
+            assert lane.sign_bit == 1 << (lane.bits - 1)
+            assert lane.wrap(lane.sign_bit) == -lane.sign_bit
+            assert lane.wrap(-lane.sign_bit - 1) == lane.sign_bit - 1
+
+    def test_frozen_equal_hashable_and_picklable(self):
+        import dataclasses
+        import pickle
+        from repro.lanetypes import INT32, LaneType
+
+        twin = LaneType(name="int32", bits=32, c_name="int", np_name="int32")
+        assert twin == INT32 and hash(twin) == hash(INT32)
+        assert repr(twin) == ("LaneType(name='int32', bits=32, c_name='int', "
+                              "np_name='int32')")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            INT32.bits = 16
+        copy = pickle.loads(pickle.dumps(INT32))
+        assert copy == INT32 and copy.wrap(2**31) == -2**31
+        narrowed = dataclasses.replace(INT32, name="int16", bits=16)
+        assert narrowed.mask == 0xFFFF and narrowed.wrap(0x8000) == -0x8000
+
+
 # ---------------------------------------------------------------------------
 # benchmark JSON stamping
 # ---------------------------------------------------------------------------

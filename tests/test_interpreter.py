@@ -3,9 +3,10 @@
 import pytest
 
 from repro.cfront.cparser import parse_function
-from repro.errors import CompileError, UndefinedBehaviorError
+from repro.errors import CompileError, InterpreterError, UndefinedBehaviorError
 from repro.interp.checksum import ChecksumOutcome, checksum_testing
 from repro.interp.memory import Memory
+from repro.interp import interpreter
 from repro.interp.interpreter import run_function
 from repro.interp.randominit import InputSpec, make_test_vector
 import random
@@ -125,9 +126,103 @@ class TestInterpreter:
 
     def test_infinite_loop_hits_step_budget(self):
         src = "void f(int n, int *a) { for (int i = 0; i < 10; i += 0) a[0] = i; }"
-        from repro.errors import InterpreterError
-        with pytest.raises(InterpreterError):
+        with pytest.raises(InterpreterError,
+                           match=r"^execution exceeded 1000 steps \(possible infinite loop\)$"):
             run_function(parse_function(src), {"a": [0]}, {"n": 1}, max_steps=1000)
+
+    def test_step_budget_is_exact(self):
+        src = """
+        void f(int n, int *a, int *b) {
+            for (int i = 0; i < n; i++) { if (b[i] > 0) a[i] += b[i]; else a[i] = -b[i]; }
+        }
+        """
+        func = parse_function(src)
+        arrays = {"a": [1, 2, 3, 4], "b": [5, -6, 7, -8]}
+        steps = run_function(func, arrays, {"n": 4}).steps
+        assert run_function(func, arrays, {"n": 4}, max_steps=steps).steps == steps
+        with pytest.raises(InterpreterError, match=f"exceeded {steps - 1} steps"):
+            run_function(func, arrays, {"n": 4}, max_steps=steps - 1)
+
+    @pytest.mark.parametrize("dead_code", [
+        "a[0] = undeclared;",
+        "undeclared = 1;",
+        "a[0] = no_such_function(n);",
+        "a[0] = abs();",
+        "a[0] = max(n, 0, 5);",
+        "__m256i v = _mm256_add_epi32(_mm256_setzero_si256());",
+        "goto nowhere;",
+    ])
+    def test_errors_in_code_never_reached_do_not_raise(self, dead_code):
+        src = f"void f(int n, int *a) {{ if (n < 0) {{ {dead_code} }} a[0] = n; }}"
+        func = parse_function(src)
+        assert run_function(func, {"a": [0]}, {"n": 3}).outputs()["a"] == [3]
+        with pytest.raises((CompileError, InterpreterError)):
+            run_function(func, {"a": [0]}, {"n": -1})
+
+    def test_goto_jumps_to_first_matching_label(self):
+        # Backward to the first ``L``, not forward to the second one.
+        src = """
+        void f(int n, int *a) {
+            int k = 0;
+            L: k++;
+            if (k < n) goto L;
+            a[0] = k;
+            L: a[1] = 7;
+        }
+        """
+        result = run_function(parse_function(src), {"a": [0, 0]}, {"n": 3})
+        assert result.outputs()["a"] == [3, 7]
+
+    def test_goto_to_a_label_in_no_enclosing_sequence_raises(self):
+        src = "void f(int n, int *a) { if (n) { L: a[0] = 1; } goto L; }"
+        with pytest.raises(InterpreterError, match="goto to unknown label 'L'"):
+            run_function(parse_function(src), {"a": [0]}, {"n": 0})
+
+    def test_op_counts_keep_first_use_order(self):
+        src = """
+        void f(int n, int *a, int *b) {
+            int s = 0;
+            for (int i = 0; i < n; i++) { s += a[i] * 2; b[i] = s / 3; }
+        }
+        """
+        result = run_function(parse_function(src), {"a": [1, 2], "b": [0, 0]}, {"n": 2})
+        assert list(result.op_counts.items()) == [
+            ("decl", 2), ("branch", 3), ("scalar_read", 0), ("scalar_arith", 7),
+            ("scalar_load", 2), ("scalar_mul", 4), ("scalar_write", 0),
+            ("scalar_store", 2), ("loop_iteration", 2),
+        ]
+        assert result.steps == 44
+
+    def test_int64_division_is_exact(self):
+        # A float quotient drops the low bits of 2**62 + 1.
+        src = """
+        void f(int n, int64_t *a, int64_t *b, int64_t *q, int64_t *r) {
+            for (int i = 0; i < n; i++) { q[i] = a[i] / b[i]; r[i] = a[i] % b[i]; }
+        }
+        """
+        big = 2**62 + 1
+        arrays = {"a": [big, big, -big, big], "b": [1, 3, 3, -7],
+                  "q": [0] * 4, "r": [0] * 4}
+        outputs = run_function(parse_function(src), arrays, {"n": 4}).outputs()
+        assert outputs["q"] == [big, big // 3, -(big // 3), -(big // 7)]
+        assert outputs["r"] == [0, 2, -2, big % 7]
+
+    def test_each_ast_is_compiled_once(self, monkeypatch):
+        compiled = []
+        original = interpreter._compile
+        monkeypatch.setattr(interpreter, "_compile",
+                            lambda func, dtype: compiled.append(func) or original(func, dtype))
+        func = parse_function("void f(int n, int *a) { a[0] = n; }")
+        for n in range(3):
+            assert run_function(func, {"a": [0]}, {"n": n}).outputs()["a"] == [n]
+        assert compiled == [func]
+
+    def test_one_execution_path(self):
+        import repro.interp
+        assert not hasattr(repro.interp, "Interpreter")
+        assert not hasattr(interpreter, "Interpreter")
+        assert not hasattr(interpreter, "_STMT_HANDLERS")
+        assert not hasattr(interpreter, "_EVAL_HANDLERS")
 
 
 class TestChecksumTesting:
@@ -162,6 +257,33 @@ class TestChecksumTesting:
         """
         report = checksum_testing(self.SCALAR, bad)
         assert report.outcome is ChecksumOutcome.CANNOT_COMPILE
+
+    @pytest.mark.parametrize("statement", [
+        "a[i] = min(b[i]);",
+        "a[i] = abs();",
+        "a[i] = labs(b[i], 1);",
+        "a[i] = max(b[i], 0, 5);",
+        "_mm256_storeu_si256((__m256i*)&a[i], _mm256_set1_epi32(vb));",
+        "_mm256_storeu_si256((__m256i*)&a[i], _mm256_set1_epi32(b));",
+        "_mm256_storeu_si256((__m256i*)&a[i], _mm256_setr_epi32(vb, 1, 2, 3, 4, 5, 6, 7));",
+        "_mm256_storeu_si256((__m256i*)&a[i], _mm256_set_epi32(0, 1, 2, 3, 4, 5, 6, b));",
+        "_mm256_storeu_si256((__m256i*)&a[i], _mm256_slli_epi32(vb, vb));",
+        "_mm256_storeu_si256((__m256i*)&a[i], _mm256_slli_epi32(3, 1));",
+        "_mm256_storeu_si256((__m256i*)&a[i], _mm256_permute2x128_si256(vb, vb, vb));",
+        "_mm256_storeu_si256((__m256i*)&a[i], _mm256_blendv_epi8(vb, vb, 1));",
+    ])
+    def test_hostile_calls_cannot_compile(self, statement):
+        hostile = f"""
+        void s(int n, int *a, int *b) {{
+            for (int i = 0; i < n; i += 8) {{
+                __m256i vb = _mm256_loadu_si256((__m256i*)&b[i]);
+                {statement}
+            }}
+        }}
+        """
+        report = checksum_testing(self.SCALAR, hostile)
+        assert report.outcome is ChecksumOutcome.CANNOT_COMPILE, report.feedback_text()
+        assert report.compile_error
 
     def test_feedback_contains_sample_arrays_on_mismatch(self):
         wrong = self.SCALAR.replace("* 3", "+ 1")

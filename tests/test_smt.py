@@ -36,6 +36,20 @@ class TestTerms:
         cond = mk(TermKind.NE, mask, bv_const(0))
         assert cond.kind is TermKind.LT  # gt(a,b) canonicalized to lt(b,a)
 
+    def test_division_is_exact_at_64_bits(self):
+        # ``int(a / b)`` through a float gives 2**62 and 257 here.
+        x, y = bv_var("x"), bv_var("y")
+        big, mask = 2**62 + 1, 2**64 - 1
+
+        def run(kind, a, b):
+            return to_signed(evaluate(mk(kind, x, y), {"x": a & mask, "y": b & mask}, bits=64), 64)
+
+        assert run(TermKind.DIV, big, 1) == big
+        assert run(TermKind.REM, big, 3) == 2
+        assert run(TermKind.DIV, -big, 3) == -(big // 3)
+        assert run(TermKind.REM, -big, 3) == -2
+        assert run(TermKind.REM, big, -7) == big % 7
+
     def test_minmax_recognition(self):
         a, b = bv_var("a"), bv_var("b")
         selected = mk(TermKind.ITE, mk(TermKind.GT, a, b), a, b)
