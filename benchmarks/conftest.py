@@ -20,13 +20,9 @@ Environment knobs (all optional):
     comma-separated kernel subset (default: the full suite).
 ``REPRO_BENCH_WORKERS``
     campaign worker-pool width (default 0 = one worker per CPU; 1 runs
-    serially in-process).
-``REPRO_BENCH_BATCH``
-    kernel tasks per worker dispatch: ``auto`` (the default) adapts batch
-    sizes to the remaining queue (guided self-scheduling with work
-    stealing), an int fixes the size, ``1`` restores one task per
-    dispatch.  Batch size never changes results — per-kernel seeds derive
-    from kernel names.
+    serially in-process).  Pool runs size each batch by guided
+    self-scheduling; per-kernel seeds derive from kernel names, so results
+    are identical at any worker count.
 ``REPRO_BENCH_STORE``
     path to a campaign JSONL result store; lets an interrupted benchmark
     session resume and persists results for offline inspection.
@@ -94,13 +90,6 @@ def _configured_workers() -> int:
     return int(os.environ.get("REPRO_BENCH_WORKERS", "0"))
 
 
-def _configured_batch() -> "int | str":
-    value = os.environ.get("REPRO_BENCH_BATCH", "").strip().lower()
-    if not value or value == "auto":
-        return "auto"
-    return int(value)
-
-
 def _configured_shard():
     from repro.pipeline import ShardSpec
 
@@ -148,8 +137,7 @@ def bench_campaign() -> CampaignRunner:
     """
     store = os.environ.get("REPRO_BENCH_STORE", "").strip() or None
     config = CampaignConfig(workers=_configured_workers(), store_path=store,
-                            shard=_configured_shard(),
-                            batch_size=_configured_batch())
+                            shard=_configured_shard())
     runner = CampaignRunner(config)
     yield runner
     path = _bench_json_path()

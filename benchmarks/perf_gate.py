@@ -282,8 +282,7 @@ def main() -> int:
         rate = summary.throughput.effective_rate
         line = (f"{args.scale_target:<8} w={workers:<2} {rate:8.1f} kernels/s "
                 f"effective ({summary.kernels} kernels, "
-                f"{summary.batches or 'no'} batches, "
-                f"batch_size={summary.batch_size})")
+                f"{summary.batches or 'no'} batches)")
         line += gate(f"{args.scale_target} workers={workers}",
                      (args.scale_target, workers, summary.kernels), rate)
         line += gate_solver(f"{args.scale_target} workers={workers}",

@@ -12,8 +12,8 @@ with a cycle cost model, and the TSVC benchmark suite.
 its name and import path across releases, and anything not listed is
 internal.  Names resolve lazily (PEP 562), so ``import repro`` stays cheap.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-table-by-table reproduction record.
+See README.md for the package layout and ``benchmarks/`` for the
+table-by-table reproduction of the paper's experiments.
 """
 
 from __future__ import annotations

@@ -58,13 +58,12 @@ class VerifierConfig:
     """Verification parameters.
 
     ``trip_count`` must be a multiple of the vectorization width (the paper's
-    epilogue-elimination assumption); ``bitwidth`` is the reduced width used
-    by the SAT stage.
+    epilogue-elimination assumption).  Each stage's budget sets the reduced
+    width of its SAT check (:attr:`SolverBudget.sat_bitwidth`).
     """
 
     trip_count: int = 16
     c_unroll_trip_count: int = 8
-    bitwidth: int = 6
     alive_budget: SolverBudget = field(default_factory=lambda: SolverBudget(
         max_term_nodes=900, random_samples=24, sat_bitwidth=6,
         sat_conflict_budget=2_500, sat_propagation_budget=120_000))

@@ -200,7 +200,7 @@ def run_checksum_evaluation(
         {"llm": llm_config, "checksum_seed": checksum_seed, "temperature": temperature,
          "target": spec.target, "epilogue": spec.epilogue},
     )
-    tasks = runner.suite_tasks(kernels, payload, config_hash, base_seed=llm_config.seed)
+    tasks = runner.suite_tasks(kernels, payload, config_hash, seed=llm_config.seed)
     report = runner.run_tasks(
         checksum_kernel_job, tasks, label="checksum-eval",
         cache_accept=_accept_batch, cache_adapt=_slice_batch,

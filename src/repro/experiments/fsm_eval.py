@@ -117,7 +117,7 @@ def run_fsm_evaluation(
     llm_config = llm.config if isinstance(llm, SyntheticLLM) else SyntheticLLMConfig()
     payload = {"llm_config": llm_config, "fsm_config": fsm_config, "spec": spec}
     tasks = runner.suite_tasks(
-        kernels, payload, config_fingerprint(payload), base_seed=llm_config.seed
+        kernels, payload, config_fingerprint(payload), seed=llm_config.seed
     )
     report = runner.run_tasks(fsm_kernel_job, tasks, label="fsm-eval")
     # Error records carry no FSM fields; the summary's verdict counts

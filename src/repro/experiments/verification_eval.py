@@ -7,8 +7,10 @@ structure of the paper's Table 3, including the "All" summary row and the
 contribution of the domain-specific optimizations.
 
 Kernels are independent, so the funnel runs per kernel through the campaign
-engine: one job pushes one (scalar, candidate) pair through the stages until
-a technique settles it.  The cache key covers the scalar source, the
+engine: one job pushes one (scalar, candidate) pair through Algorithm 1's
+verification stages (:class:`~repro.pipeline.equivalence.EquivalencePipeline`,
+checksum testing skipped — every candidate is already plausible) until a
+technique settles it.  The cache key covers the scalar source, the
 candidate code and the verifier configuration, so a re-run (or a pass@k
 re-estimation feeding the same candidates) skips already-verified candidates
 entirely.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alive.verifier import AliveVerifier, VerificationOutcome, VerifierConfig
+from repro.alive.verifier import VerificationOutcome, VerifierConfig
 from repro.pipeline.campaign import (
     CampaignConfig,
     CampaignRunner,
@@ -28,13 +30,14 @@ from repro.pipeline.campaign import (
     is_error_result,
 )
 from repro.pipeline.cache import config_fingerprint
+from repro.pipeline.equivalence import EquivalencePipeline
 
-#: Funnel stages in Algorithm 1 order: (row name, AliveVerifier method name).
-FUNNEL_STAGES = [
-    ("Alive2", "check_with_alive_unroll"),
-    ("C-Unroll", "check_with_c_unroll"),
-    ("Splitting", "check_with_spatial_splitting"),
-]
+#: Table 3 row name of each Algorithm 1 stage, in funnel order.
+FUNNEL_STAGES = {
+    "alive-unroll": "Alive2",
+    "c-unroll": "C-Unroll",
+    "spatial-splitting": "Splitting",
+}
 
 
 @dataclass
@@ -92,23 +95,15 @@ class VerificationFunnel:
 
 def funnel_kernel_job(task: KernelTask) -> dict:
     """Campaign job: push one candidate through the funnel until settled."""
-    verifier = AliveVerifier(task.payload["verifier_config"])
-    stage_outcomes: dict[str, str] = {}
-    for stage_name, method_name in FUNNEL_STAGES:
-        report = getattr(verifier, method_name)(task.scalar_code, task.candidate_code)
-        stage_outcomes[stage_name] = report.outcome.value
-        if report.outcome is not VerificationOutcome.INCONCLUSIVE:
-            return {
-                "kernel": task.kernel,
-                "verdict": report.outcome.value,
-                "deciding_stage": stage_name,
-                "stage_outcomes": stage_outcomes,
-            }
+    report = EquivalencePipeline(task.payload["verifier_config"]).check_equivalence(
+        task.scalar_code, task.candidate_code, skip_checksum=True)
     return {
         "kernel": task.kernel,
-        "verdict": VerificationOutcome.INCONCLUSIVE.value,
-        "deciding_stage": None,
-        "stage_outcomes": stage_outcomes,
+        "verdict": report.verdict.value,
+        # An undecided candidate's deciding stage is "none": no Table 3 row.
+        "deciding_stage": FUNNEL_STAGES.get(report.deciding_stage),
+        "stage_outcomes": {FUNNEL_STAGES[stage]: outcome
+                           for stage, outcome in report.stage_outcomes.items()},
     }
 
 
@@ -167,7 +162,7 @@ def run_verification_funnel(
     # counts them, so a partial funnel yields partial (not crashed) rows.
     results = [result for result in report.results() if not is_error_result(result)]
     pending = list(results)
-    for stage_name, _ in FUNNEL_STAGES:
+    for stage_name in FUNNEL_STAGES.values():
         stage = FunnelStage(name=stage_name, total=len(pending))
         still_pending = []
         for result in pending:

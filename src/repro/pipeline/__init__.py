@@ -16,7 +16,7 @@ from repro.pipeline.campaign import (
     shard_of,
 )
 from repro.pipeline.shard import merge_stores, report_from_store, store_live_entries
-from repro.pipeline.scheduler import ExecutionStats, next_batch_size, resolve_batch_setting
+from repro.pipeline.scheduler import ExecutionStats, next_batch_size
 from repro.pipeline.incremental import (
     CompactionStats,
     IncrementalPlan,
@@ -48,7 +48,6 @@ __all__ = [
     "store_live_entries",
     "ExecutionStats",
     "next_batch_size",
-    "resolve_batch_setting",
     "CompactionStats",
     "IncrementalPlan",
     "compact_store",

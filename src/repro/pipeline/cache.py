@@ -9,8 +9,9 @@ Because the key is content-addressed, a stored result is valid forever: if
 any input changes the key changes, so stale results can never be returned.
 
 This module holds the keying half (:func:`content_key`,
-:func:`config_fingerprint`) and the one tolerant JSONL reader
-(:func:`iter_jsonl_dicts`).  The map from key to result is the campaign's
+:func:`config_fingerprint`), the one tolerant JSONL reader
+(:func:`iter_jsonl_dicts`) and the one check of a stored result line
+(:func:`is_result_entry`).  The map from key to result is the campaign's
 result store (:mod:`repro.pipeline.campaign`): in memory for every run, and
 backed by an append-only, fsync'd JSONL file when ``store_path`` is set.
 """
@@ -80,4 +81,18 @@ def iter_jsonl_dicts(path: Path) -> Iterator[dict]:
                 continue  # half-written final line of an interrupted run
             if isinstance(entry, dict):
                 yield entry
+
+
+def is_result_entry(entry: dict) -> bool:
+    """True for a well-formed result line of a store.
+
+    Every store reader skips any other ``"result"`` line — one whose
+    ``key`` or ``kernel`` is not a string, or whose ``result`` is not an
+    object — the way :func:`iter_jsonl_dicts` skips a torn line, so a
+    hostile or hand-edited store never crashes a reader.
+    """
+    return (entry.get("type") == "result"
+            and isinstance(entry.get("key"), str)
+            and isinstance(entry.get("kernel"), str)
+            and isinstance(entry.get("result"), dict))
 

@@ -9,14 +9,15 @@ engine makes the shape a first-class subsystem:
 
 * **parallelism** — kernels fan out over a :class:`ProcessPoolExecutor`
   with a configurable worker count (``workers=0`` means one per CPU),
-  dispatched as adaptively-sized *batches* claimed off one shared queue
-  (:mod:`repro.pipeline.scheduler`): IPC/pickle overhead amortizes over
-  each batch, fast workers steal the remaining work from stragglers, and
-  a warm-worker initializer pre-seeds every worker's plan cache;
+  dispatched as *batches* claimed off one shared queue, each sized by
+  guided self-scheduling (:mod:`repro.pipeline.scheduler`): IPC/pickle
+  overhead amortizes over each batch, fast workers steal the remaining
+  work from stragglers, and a warm-worker initializer pre-seeds every
+  worker's plan cache;
 * **determinism** — every kernel gets a seed derived from
-  ``(base seed, kernel name)`` (the LLM seed for the vectorize and
-  experiment campaigns), so per-kernel results are byte-identical at any
-  parallelism level and in any completion order;
+  ``(base seed, kernel name)``, where the base seed is the caller's LLM
+  seed, so per-kernel results are byte-identical at any parallelism level
+  and in any completion order;
 * **caching and resumability** — every result lives in one
   content-addressed result store keyed on the kernel source, the candidate
   code where one exists, the configuration fingerprint and the derived
@@ -27,9 +28,9 @@ engine makes the shape a first-class subsystem:
 * **fault tolerance** — a raising job does not abort the campaign: the
   failure becomes a first-class error record (``verdict="error"`` with the
   message and traceback) that is persisted, counted and reported like any
-  other verdict (``CampaignConfig.fail_fast=True`` restores the
-  abort-on-first-failure behaviour), and a broken worker pool is rebuilt
-  with the orphaned tasks resubmitted (``max_pool_retries`` bounds it);
+  other verdict, and retried by the next run on the same store; a broken
+  worker pool is rebuilt with the orphaned tasks resubmitted
+  (:data:`MAX_POOL_RETRIES` bounds it);
 * **sharding** — ``CampaignConfig.shard = ShardSpec(i, n)`` (or the string
   ``"i/n"``) deterministically restricts the run to the i-th of n disjoint
   partitions of the suite, keyed on a kernel-name hash, so N machines cover
@@ -57,14 +58,13 @@ from pathlib import Path
 from collections.abc import Callable
 from typing import Any, BinaryIO
 
-from repro.pipeline.cache import config_fingerprint, content_key, iter_jsonl_dicts
+from repro.pipeline.cache import config_fingerprint, content_key, is_result_entry, iter_jsonl_dicts
 from repro.pipeline.scheduler import (
-    AUTO_BATCH,
+    MAX_BATCH,
     ExecutionStats,
     counter_delta,
     dispatch_batches,
     merge_counts,
-    resolve_batch_setting,
 )
 from repro.pipeline.verdict import Verdict
 from repro.runspec import RunSpec
@@ -79,6 +79,10 @@ SOURCE_STORE = "store"
 
 #: Verdict value of a job that raised instead of producing a result.
 ERROR_VERDICT = "error"
+
+#: Broken-pool recovery budget, per task: a task that breaks its own
+#: singleton pool more than this many times is recorded as an error.
+MAX_POOL_RETRIES = 2
 
 
 def is_error_result(result: Any) -> bool:
@@ -196,8 +200,6 @@ class CampaignConfig:
     #: Process-pool width; 1 runs inline, 0 means one worker per CPU.
     workers: int = 1
     _: KW_ONLY
-    #: Base seed; each kernel derives its own seed from (seed, kernel name).
-    seed: int = 0
     #: JSONL file backing the runner's result store (optional): every
     #: completed task is appended and fsync'd, and a later runner on the same
     #: path reuses each record on it instead of re-running the task.
@@ -219,31 +221,11 @@ class CampaignConfig:
     epilogue: str = "scalar"
     dtype: str = "int32"
     static_check: str = "advisory"
-    #: Abort the campaign on the first failing job (the pre-fault-tolerance
-    #: behaviour).  Off by default: failures become error records instead.
-    fail_fast: bool = False
-    #: Re-execute kernels whose stored result is an error record
-    #: (errors are persisted for accounting, but a resumed run retries them
-    #: rather than letting one crash poison every future run).  Set False to
-    #: reuse error records like any other result.
-    retry_errors: bool = True
-    #: Broken-pool recovery budget, per task: orphaned tasks are resubmitted
-    #: (bisecting batches to isolate a repeat offender), and a task that
-    #: breaks its own singleton pool more than this many times is recorded
-    #: as an error (or, under ``fail_fast``, aborts the campaign).
-    max_pool_retries: int = 2
     #: Run only this shard of the task list (``ShardSpec`` or ``"i/n"``);
     #: None runs everything.  Sharding never changes per-kernel results —
     #: seeds derive from kernel names — so N shard stores merge back into a
     #: report bit-identical to the unsharded run (:mod:`repro.pipeline.shard`).
     shard: "ShardSpec | str | None" = None
-    #: How many kernel tasks one worker dispatch carries.  ``"auto"`` (the
-    #: default) uses guided self-scheduling — early batches large to
-    #: amortize pickle/IPC, late batches shrinking toward singletons so the
-    #: tail balances across workers; an int fixes the size (1 restores
-    #: one-task-per-dispatch).  Batch size never changes a result: seeds
-    #: derive from kernel names, so any batching is bit-identical.
-    batch_size: int | str = AUTO_BATCH
 
     def __post_init__(self) -> None:
         # Build the spec once up front: an unknown setting raises here,
@@ -258,9 +240,6 @@ class CampaignConfig:
 
     def resolved_shard(self) -> "ShardSpec | None":
         return ShardSpec.parse(self.shard) if self.shard is not None else None
-
-    def resolved_batch_size(self) -> "int | str":
-        return resolve_batch_setting(self.batch_size)
 
     def effective_workers(self) -> int:
         if self.workers <= 0:
@@ -304,10 +283,6 @@ class CampaignSummary:
     dtype: str = "int32"
     #: ``"i/n"`` when the run covered one shard of the suite; None otherwise.
     shard: str | None = None
-    #: The batch-size setting the dispatcher ran with (``"auto"`` or an
-    #: int); None when no batched dispatch happened (serial path, or
-    #: nothing pending).
-    batch_size: "int | str | None" = None
     #: Batches dispatched to the worker pool (0 on the serial path).
     batches: int = 0
     #: Fleet-wide plan-cache counters (parse/plan/vectorize hits+misses)
@@ -375,7 +350,6 @@ class CampaignSummary:
             "dtype": self.dtype,
             "verdict_counts": dict(self.verdict_counts),
             **({"shard": self.shard} if self.shard is not None else {}),
-            **({"batch_size": self.batch_size} if self.batch_size is not None else {}),
             **({"batches": self.batches} if self.batches else {}),
             **({"plan_cache": dict(sorted(self.plan_cache.items())),
                 "plan_cache_hit_rate": round(self.plan_cache_hit_rate, 4)}
@@ -447,9 +421,9 @@ class CampaignRunner:
         stored = store.load()
 
         def reusable(result: dict | None, task: KernelTask) -> bool:
-            if result is None:
-                return False
-            if self.config.retry_errors and is_error_result(result):
+            # Error records are persisted for accounting but always retried,
+            # so one crash cannot poison every future run.
+            if result is None or is_error_result(result):
                 return False
             return accept(result, task)
 
@@ -555,41 +529,28 @@ class CampaignRunner:
         payload = {"config": config, "spec": spec}
         return self.suite_tasks(names, payload=payload,
                                 config_hash=config_fingerprint(payload),
-                                base_seed=config.llm.seed)
+                                seed=config.llm.seed)
 
-    def suite_tasks(
-        self,
-        names: list[str] | None,
-        payload: Any,
-        config_hash: str,
-        candidates: dict[str, str] | None = None,
-        base_seed: int | None = None,
-    ) -> list[KernelTask]:
+    def suite_tasks(self, names: list[str] | None, payload: Any, config_hash: str,
+                    *, seed: int) -> list[KernelTask]:
         """Build one task per suite kernel with the derived per-kernel seed.
 
-        ``base_seed`` overrides the campaign seed as the derivation base —
-        experiments use it so that e.g. a synthetic-LLM seed keeps selecting
-        the same sampled completions regardless of campaign settings.
+        ``seed`` is the derivation base — the caller's LLM seed, so a
+        synthetic-LLM seed keeps selecting the same sampled completions
+        regardless of campaign settings.
         """
         from repro.tsvc import load_suite
 
-        seed = self.config.seed if base_seed is None else base_seed
-        tasks = []
-        for kernel in load_suite(names, dtype=self.config.spec.dtype):
-            candidate = candidates.get(kernel.name) if candidates is not None else None
-            if candidates is not None and candidate is None:
-                continue
-            tasks.append(
-                KernelTask(
-                    kernel=kernel.name,
-                    scalar_code=kernel.source,
-                    seed=derive_kernel_seed(seed, kernel.name),
-                    config_hash=config_hash,
-                    payload=payload,
-                    candidate_code=candidate,
-                )
+        return [
+            KernelTask(
+                kernel=kernel.name,
+                scalar_code=kernel.source,
+                seed=derive_kernel_seed(seed, kernel.name),
+                config_hash=config_hash,
+                payload=payload,
             )
-        return tasks
+            for kernel in load_suite(names, dtype=self.config.spec.dtype)
+        ]
 
     # -- internals --------------------------------------------------------------
 
@@ -609,17 +570,15 @@ class CampaignRunner:
         static partition.  A broken worker pool orphans its unfinished
         batches; the orphans are re-dispatched one task per batch,
         bisecting to isolate a repeat offender — a task that still breaks its
-        own singleton pool after ``max_pool_retries`` retries becomes an
-        error record (or aborts the campaign under ``fail_fast``).  Returns
-        what actually happened: workers used, batches dispatched, fleet
-        plan-cache and solver stats.
+        own singleton pool after :data:`MAX_POOL_RETRIES` retries becomes an
+        error record.  Returns what actually happened: workers used, batches
+        dispatched, fleet plan-cache and solver stats.
         """
         from repro.smt import solvecache
 
         stats = ExecutionStats()
         if not pending:
             return stats
-        fail_fast = self.config.fail_fast
         workers = min(self.config.effective_workers(), len(pending))
         if workers <= 1:
             from repro.vectorizer import plancache
@@ -628,7 +587,7 @@ class CampaignRunner:
             before = plancache.stats.as_dict()
             solver_before = solvecache.stats.as_dict()
             for task, key in pending:
-                on_result(task, key, _run_job(job, task, label, fail_fast))
+                on_result(task, key, _run_job(job, task, label))
             merge_counts(stats.plan_cache,
                          counter_delta(before, plancache.stats.as_dict()))
             merge_counts(stats.solver,
@@ -636,7 +595,6 @@ class CampaignRunner:
             return stats
 
         stats.workers = workers
-        stats.batch_size = self.config.resolved_batch_size()
         # Every pool of this pass starts with the same warm-up: the distinct
         # scalar sources in first-seen order (each pre-parsed once per
         # worker) and every solved query the parent knows (adopted from
@@ -646,14 +604,13 @@ class CampaignRunner:
         warm_solve_entries = solvecache.export_entries()
 
         def dispatch(batch: list[tuple[KernelTask, str]],
-                     batch_setting: "int | str") -> list[tuple[KernelTask, str]]:
+                     max_batch: int = MAX_BATCH) -> list[tuple[KernelTask, str]]:
             return dispatch_batches(
                 job, batch, label=label, workers=min(workers, len(batch)),
-                batch_setting=batch_setting, fail_fast=fail_fast,
                 on_result=on_result, stats=stats, warm_sources=warm_sources,
-                warm_solve_entries=warm_solve_entries)
+                warm_solve_entries=warm_solve_entries, max_batch=max_batch)
 
-        orphaned = dispatch(pending, stats.batch_size)
+        orphaned = dispatch(pending)
         if not orphaned:
             return stats
 
@@ -663,14 +620,14 @@ class CampaignRunner:
         # every task's retry budget as collateral.  Splitting the orphans
         # instead corners the culprit: halves without it complete, the half
         # with it shrinks to a singleton pool that only it can break, and
-        # only that singleton consumes retries (``max_pool_retries``) before
+        # only that singleton consumes retries (``MAX_POOL_RETRIES``) before
         # erroring out.  Recovery dispatches one task per batch through the
         # same dispatcher, so re-run tasks report their counters like any
         # other batch.
         retries: dict[str, int] = {}
 
         def run_resilient(batch: list[tuple[KernelTask, str]]) -> None:
-            remaining = dispatch(batch, 1)
+            remaining = dispatch(batch, max_batch=1)
             if not remaining:
                 return
             if len(remaining) > 1:
@@ -680,13 +637,11 @@ class CampaignRunner:
                 return
             task, key = remaining[0]
             retries[key] = retries.get(key, 0) + 1
-            if retries[key] <= self.config.max_pool_retries:
+            if retries[key] <= MAX_POOL_RETRIES:
                 run_resilient(remaining)
                 return
             message = (f"worker pool broke {retries[key]} times with kernel "
                        f"{task.kernel!r} alone in flight; giving up on it")
-            if fail_fast:
-                raise RuntimeError(f"campaign {label!r}: {message}")
             on_result(task, key, error_result(task, label, BrokenProcessPool(message)))
 
         run_resilient(orphaned)
@@ -714,7 +669,6 @@ class CampaignRunner:
             target=target or self.config.spec.target,
             dtype=self.config.spec.dtype,
             shard=shard,
-            batch_size=execution.batch_size,
             batches=execution.batches,
             plan_cache=dict(execution.plan_cache),
             solver=dict(execution.solver),
@@ -778,15 +732,11 @@ def vectorize_kernel_job(task: KernelTask) -> dict:
     return kernel_result_record(tool.vectorize(load_kernel(task.kernel), task.payload["spec"]))
 
 
-def _run_job(job: JobFn, task: KernelTask, label: str, fail_fast: bool = False) -> dict:
-    """Run one job; a raising job becomes its error record (unless fail-fast)."""
+def _run_job(job: JobFn, task: KernelTask, label: str) -> dict:
+    """Run one job; a raising job becomes its error record."""
     try:
         return job(task)
     except Exception as error:
-        if fail_fast:
-            raise RuntimeError(
-                f"campaign {label!r}: job failed on kernel {task.kernel!r}: {error}"
-            ) from error
         return error_result(task, label, error,
                             traceback_text=traceback_module.format_exc())
 
@@ -824,8 +774,8 @@ class _ResultStore:
             self._results = {}
             if self.path is not None and self.path.exists():
                 for entry in iter_jsonl_dicts(self.path):
-                    if entry.get("type") == "result":
-                        self._results[str(entry["key"])] = entry["result"]
+                    if is_result_entry(entry):
+                        self._results[entry["key"]] = entry["result"]
             self._unclaimed = set(self._results)
         return self._results
 

@@ -103,18 +103,17 @@ def plan_reverify(
     Builds exactly the tasks :meth:`CampaignRunner.run` would execute for
     these kernels, this vectorizer config and ``config.spec``, and checks
     which keys the store already answers.  Executes nothing and writes
-    nothing.  Error records count as *changed* when the config would retry them
-    (``retry_errors``, the default), mirroring the resume semantics.
+    nothing.  Error records count as *changed*: a run retries them, so the
+    plan mirrors the resume semantics.
     """
     runner = _runner_for(store_path, config)
     tasks = runner.vectorize_tasks(names, vectorizer_config)
     stored = _ResultStore(store_path).load()
-    retry_errors = runner.config.retry_errors
     unchanged: list[str] = []
     changed: list[str] = []
     for task in tasks:
         result = stored.get(task.cache_key(VECTORIZE_LABEL))
-        if result is not None and not (retry_errors and is_error_result(result)):
+        if result is not None and not is_error_result(result):
             unchanged.append(task.kernel)
         else:
             changed.append(task.kernel)

@@ -16,11 +16,12 @@ queue**:
   queue: a worker that finishes early immediately claims the next batch,
   so remaining work migrates to fast workers instead of being pinned to a
   static ``i/n`` partition behind a straggler;
-* **guided sizing** — with ``batch_size="auto"`` each claimed batch takes
+* **guided sizing** — each claimed batch takes
   ``remaining / (workers * STEAL_FACTOR)`` tasks (clamped to
-  [1, ``MAX_AUTO_BATCH``]): early batches are large (amortization), late
+  [1, ``MAX_BATCH``]): early batches are large (amortization), late
   batches shrink toward single tasks (tail balance), the classic guided
-  self-scheduling schedule;
+  self-scheduling schedule (Polychronopoulos & Kuck, IEEE TC 1987), so the
+  size is derived from the queue and the fleet, never configured;
 * **warm workers** — a pool initializer pre-seeds each worker's
   process-local plan cache (:mod:`repro.vectorizer.plancache`) with the
   campaign's scalar sources and pre-interns the small SMT constants, so no
@@ -59,40 +60,27 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.campaign import JobFn, KernelTask
 
-#: The adaptive batch-size setting (the default): guided self-scheduling.
-AUTO_BATCH = "auto"
+#: Largest batch the guided schedule hands out.  Caps the damage of one
+#: lost batch (a broken pool re-executes its tasks through bisection
+#: recovery) and keeps the queue deep enough that late joiners find work to
+#: steal.
+MAX_BATCH = 32
 
-#: Largest batch ``"auto"`` will hand out.  Caps the damage of one lost
-#: batch (a broken pool re-executes its tasks through bisection recovery)
-#: and keeps the queue deep enough that late joiners find work to steal.
-MAX_AUTO_BATCH = 32
-
-#: How many batches per worker the auto schedule aims to leave in the
+#: How many batches per worker the guided schedule aims to leave in the
 #: queue: each claim takes ``remaining / (workers * STEAL_FACTOR)``.
 STEAL_FACTOR = 2
 
 
-def resolve_batch_setting(setting: "int | str") -> "int | str":
-    """Validate a ``batch_size`` knob: a positive int or ``"auto"``."""
-    if isinstance(setting, str):
-        if setting != AUTO_BATCH:
-            raise ValueError(
-                f"batch_size must be a positive int or {AUTO_BATCH!r}, got {setting!r}")
-        return AUTO_BATCH
-    if not isinstance(setting, int) or isinstance(setting, bool) or setting < 1:
-        raise ValueError(
-            f"batch_size must be a positive int or {AUTO_BATCH!r}, got {setting!r}")
-    return setting
+def next_batch_size(remaining: int, workers: int, cap: int = MAX_BATCH) -> int:
+    """How many tasks the next claimed batch takes off the shared queue.
 
-
-def next_batch_size(remaining: int, workers: int, setting: "int | str") -> int:
-    """How many tasks the next claimed batch takes off the shared queue."""
+    Guided self-scheduling, clamped to [1, ``cap``]; ``cap=1`` is the
+    one-task-per-batch dispatch of broken-pool recovery.
+    """
     if remaining <= 0:
         return 0
-    if setting != AUTO_BATCH:
-        return min(int(setting), remaining)
     guided = math.ceil(remaining / max(1, workers * STEAL_FACTOR))
-    return max(1, min(MAX_AUTO_BATCH, guided, remaining))
+    return max(1, min(cap, guided, remaining))
 
 
 def counter_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
@@ -125,9 +113,6 @@ class ExecutionStats:
     workers: int = 0
     #: Batches dispatched (0 on the serial path — no dispatch happened).
     batches: int = 0
-    #: The resolved batch-size setting (``"auto"`` or an int); None when no
-    #: batched dispatch ran.
-    batch_size: "int | str | None" = None
     #: Fleet-wide plan-cache counters, summed over every worker's per-batch
     #: deltas (and the parent's own delta on the serial path).
     plan_cache: dict[str, int] = field(default_factory=dict)
@@ -166,17 +151,14 @@ def warm_worker(sources: tuple[str, ...],
                 cached_parse(source)
 
 
-def run_task_batch(job: "JobFn", tasks: "list[KernelTask]", label: str,
-                   fail_fast: bool) -> dict:
+def run_task_batch(job: "JobFn", tasks: "list[KernelTask]", label: str) -> dict:
     """Worker entry point: run one batch serially, return one envelope.
 
     The envelope carries the per-task results (in batch order, exactly as
-    each job returned them), the worker's plan-cache and solver counter
-    deltas for this batch, the solved-query cache entries the batch
-    discovered (so the parent can adopt them), and — under
-    ``fail_fast`` — the first failure, after which the batch stops
-    (completed results still ship, so the parent can persist them before
-    aborting).
+    each job returned them, a raising job as its error record), the
+    worker's plan-cache and solver counter deltas for this batch, and the
+    solved-query cache entries the batch discovered (so the parent can
+    adopt them).
     """
     from repro.pipeline.campaign import _run_job
     from repro.smt import solvecache
@@ -185,20 +167,12 @@ def run_task_batch(job: "JobFn", tasks: "list[KernelTask]", label: str,
     before = plancache.stats.as_dict()
     solver_before = solvecache.stats.as_dict()
     journal_mark = solvecache.journal_position()
-    results: list[dict] = []
-    failure: dict | None = None
-    for task in tasks:
-        try:
-            results.append(_run_job(job, task, label, fail_fast))
-        except Exception as error:  # only reachable under fail_fast
-            failure = {"kernel": task.kernel, "message": str(error)}
-            break
+    results = [_run_job(job, task, label) for task in tasks]
     return {
         "results": results,
         "plan_cache": counter_delta(before, plancache.stats.as_dict()),
         "solver": counter_delta(solver_before, solvecache.stats.as_dict()),
         "solve_cache": solvecache.entries_since(journal_mark),
-        "failure": failure,
     }
 
 
@@ -208,22 +182,21 @@ def dispatch_batches(
     *,
     label: str,
     workers: int,
-    batch_setting: "int | str",
-    fail_fast: bool,
     on_result: "Callable[[KernelTask, str, dict], None]",
     stats: ExecutionStats,
     warm_sources: tuple[str, ...],
     warm_solve_entries: "list | tuple" = (),
+    max_batch: int = MAX_BATCH,
 ) -> "list[tuple[KernelTask, str]]":
     """Run ``pending`` through one warm pool via dynamic batch claims.
 
     Every worker starts with :func:`warm_worker` over ``warm_sources`` and
     ``warm_solve_entries``.  Returns the tasks a broken pool orphaned (empty
     on a clean pass); the campaign engine re-dispatches those through this
-    same function, one task per batch.  The pool can break at any point —
-    while submitting, between batches, mid batch — so the whole pass is
-    guarded: any task whose result did not come back is reported as
-    orphaned, never lost.  ``on_result`` fires in completion order as each
+    same function with ``max_batch=1``, one task per batch.  The pool can
+    break at any point — while submitting, between batches, mid batch — so
+    the whole pass is guarded: any task whose result did not come back is
+    reported as orphaned, never lost.  ``on_result`` fires in completion order as each
     batch envelope lands, so a killed campaign keeps every batch that
     finished.
     """
@@ -238,12 +211,12 @@ def dispatch_batches(
             inflight: dict = {}
 
             def claim_and_submit() -> None:
-                size = next_batch_size(len(claimable), workers, batch_setting)
+                size = next_batch_size(len(claimable), workers, max_batch)
                 if size <= 0:
                     return
                 batch = [claimable.popleft() for _ in range(size)]
                 future = pool.submit(run_task_batch, job,
-                                     [task for task, _ in batch], label, fail_fast)
+                                     [task for task, _ in batch], label)
                 inflight[future] = batch
                 stats.batches += 1
 
@@ -266,11 +239,6 @@ def dispatch_batches(
                     for (task, key), result in zip(batch, envelope["results"]):
                         completed.add(key)
                         on_result(task, key, result)
-                    failure = envelope.get("failure")
-                    if failure is not None:
-                        # fail_fast: completed results (above) are already
-                        # persisted; now honour the abort contract.
-                        raise RuntimeError(failure["message"])
                     # The steal: this worker is free, hand it the next
                     # (adaptively smaller) slice of the shared queue.
                     claim_and_submit()

@@ -27,7 +27,7 @@ import json
 from pathlib import Path
 from collections.abc import Iterable, Iterator
 
-from repro.pipeline.cache import iter_jsonl_dicts
+from repro.pipeline.cache import is_result_entry, iter_jsonl_dicts
 from repro.pipeline.scheduler import merge_counts
 from repro.targets import DEFAULT_TARGET
 from repro.pipeline.campaign import (
@@ -56,14 +56,14 @@ def store_live_entries(path: str | Path) -> tuple[dict[str, dict], list[dict]]:
     :func:`report_from_store` and store compaction
     (:func:`repro.pipeline.incremental.compact_store`).  Keys keep
     first-seen order; summaries come back verbatim in append order.
+    Malformed result lines are skipped (:func:`~repro.pipeline.cache.is_result_entry`).
     """
     results: dict[str, dict] = {}
     summaries: list[dict] = []
     for entry in _iter_entries(Path(path)):
-        kind = entry.get("type")
-        if kind == "result":
-            results[str(entry["key"])] = entry
-        elif kind == "summary":
+        if is_result_entry(entry):
+            results[entry["key"]] = entry
+        elif entry.get("type") == "summary":
             summaries.append(entry)
     return results, summaries
 
@@ -147,8 +147,7 @@ def report_from_store(path: str | Path, label: str | None = None,
     summaries: list[dict] = []
     labels_seen: list[str] = []
     for entry in _iter_entries(Path(path)):
-        kind = entry.get("type")
-        if kind == "result":
+        if is_result_entry(entry):
             # A record with no campaign label stays unlabeled: stringifying
             # it would fabricate a bogus "None" label that label inference
             # could then "succeed" with.
@@ -161,7 +160,7 @@ def report_from_store(path: str | Path, label: str | None = None,
             if target is not None and entry.get("target") not in (None, target):
                 continue
             results[f"{entry_label}:{entry['key']}"] = entry
-        elif kind == "summary":
+        elif entry.get("type") == "summary":
             summaries.append(entry)
     if label is None:
         if not labels_seen:
@@ -179,7 +178,7 @@ def report_from_store(path: str | Path, label: str | None = None,
     for entry in results.values():
         if entry.get("campaign") != label:
             continue
-        kernel = str(entry["kernel"])
+        kernel = entry["kernel"]
         if kernel in by_kernel and by_kernel[kernel]["result"] != entry["result"]:
             raise ValueError(
                 f"store holds conflicting results for kernel {kernel!r} under "
@@ -187,7 +186,7 @@ def report_from_store(path: str | Path, label: str | None = None,
             )
         by_kernel[kernel] = entry
     records = [
-        CampaignRecord(kernel=name, key=str(by_kernel[name]["key"]),
+        CampaignRecord(kernel=name, key=by_kernel[name]["key"],
                        result=by_kernel[name]["result"], source=SOURCE_STORE)
         for name in _suite_order(by_kernel)
     ]

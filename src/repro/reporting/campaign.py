@@ -103,8 +103,7 @@ def scaling_entries(campaigns: "list[dict]") -> list[dict]:
     write, so the section always reflects the deduplicated list.  Only
     *fully fresh* runs count (``executed == kernels > 0``) — a cached or
     resumed run finishes near-instantly and would report a meaningless
-    effective rate.  The batch size and machine score recorded are the best
-    run's.
+    effective rate.  The machine score recorded is the best run's.
     """
     best: dict[tuple, dict] = {}
     for entry in campaigns:
@@ -125,8 +124,6 @@ def scaling_entries(campaigns: "list[dict]") -> list[dict]:
                 "workers": workers,
                 "kernels": kernels,
                 "effective_kernels_per_second": round(float(rate), 4),
-                **({"batch_size": entry["batch_size"]}
-                   if "batch_size" in entry else {}),
                 **({"machine_score": entry["machine_score"]}
                    if "machine_score" in entry else {}),
             }
@@ -146,9 +143,8 @@ def render_campaign_summary(summary: CampaignSummary, title: str = "") -> str:
         {"Metric": "Cache hits / misses", "Value": f"{summary.cache_hits} / {summary.cache_misses}"},
         {"Metric": "Cache hit-rate", "Value": f"{summary.cache_hit_rate:.1%}"},
         {"Metric": "Workers (used)", "Value": summary.workers},
-        *([{"Metric": "Batch size", "Value": summary.batch_size},
-           {"Metric": "Batches dispatched", "Value": summary.batches}]
-          if summary.batch_size is not None else []),
+        *([{"Metric": "Batches dispatched", "Value": summary.batches}]
+          if summary.batches else []),
         *([{"Metric": "Plan-cache hit-rate (fleet)",
             "Value": f"{summary.plan_cache_hit_rate:.1%}"}]
           if summary.plan_cache else []),

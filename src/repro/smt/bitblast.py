@@ -4,8 +4,8 @@ Terms are translated at a configurable (usually reduced) bitwidth into CNF
 over a :class:`~repro.smt.sat.CDCLSolver` via the standard Tseitin-style
 encodings: ripple-carry adders, shift-and-add multipliers, comparator chains
 and multiplexers for ``ite``.  Reduced-width verification is the documented
-soundness trade of this reproduction (DESIGN.md): a proof at width ``w`` is
-reported as "equivalent modulo bitwidth reduction".
+soundness trade of this reproduction (:mod:`repro.smt.equiv`): a proof at
+width ``w`` is reported as "equivalent modulo bitwidth reduction".
 """
 
 from __future__ import annotations

@@ -17,8 +17,11 @@ from repro.pipeline import (
     CampaignRunner,
     CampaignSummary,
     LLMVectorizerConfig,
+    compact_store,
     content_key,
     derive_kernel_seed,
+    report_from_store,
+    store_live_entries,
 )
 from repro.pipeline.campaign import KernelTask, vectorize_kernel_job
 
@@ -149,6 +152,48 @@ class TestResultCache:
         assert len(syncs) == len(lines)
 
 
+def _read_with_runner(path):
+    report = CampaignRunner(CampaignConfig(store_path=path)).run_tasks(
+        _job_fine, _suite_tasks(["a", "b"]), label="x")
+    return report.summary.executed, report.results()
+
+
+def _read_with_compaction(path):
+    compact_store(path)
+    return path.read_text()
+
+
+#: Every reader of a store file, as a function of its path.
+STORE_READERS = {
+    "runner": _read_with_runner,
+    "store_live_entries": store_live_entries,
+    "report_from_store": lambda path: report_from_store(path).results(),
+    "compact_store": _read_with_compaction,
+}
+
+
+class TestMalformedStoreLines:
+    """A result line that parses but lacks a str ``key``/``kernel`` or a
+    dict ``result`` is skipped by every reader, like a torn line."""
+
+    MALFORMED = [
+        {"type": "result", "campaign": "x"},
+        {"type": "result", "campaign": "x", "kernel": "a", "key": 7, "result": {}},
+        {"type": "result", "campaign": "x", "kernel": ["a"], "key": "k1", "result": {}},
+        {"type": "result", "campaign": "x", "kernel": "a", "key": "k2", "result": "equivalent"},
+    ]
+
+    @pytest.mark.parametrize("reader", sorted(STORE_READERS))
+    def test_reader_skips_malformed_result_lines(self, tmp_path, reader):
+        clean, dirty = tmp_path / "clean.jsonl", tmp_path / "dirty.jsonl"
+        CampaignRunner(CampaignConfig(store_path=clean)).run_tasks(
+            _job_fine, _suite_tasks(["a", "b"]), label="x")
+        dirty.write_text(clean.read_text() + "".join(
+            json.dumps(line) + "\n" for line in self.MALFORMED))
+        read = STORE_READERS[reader]
+        assert read(dirty) == read(clean)
+
+
 class TestDeterminism:
     def test_derived_seeds_differ_per_kernel_and_base(self):
         assert derive_kernel_seed(0, "s000") != derive_kernel_seed(0, "s111")
@@ -157,8 +202,8 @@ class TestDeterminism:
 
     def test_workers_1_and_4_produce_identical_verdicts(self):
         config = LLMVectorizerConfig(llm=SyntheticLLMConfig(seed=2024))
-        serial = CampaignRunner(CampaignConfig(workers=1, seed=5)).run(SUBSET, config)
-        parallel = CampaignRunner(CampaignConfig(workers=4, seed=5)).run(SUBSET, config)
+        serial = CampaignRunner(CampaignConfig(workers=1)).run(SUBSET, config)
+        parallel = CampaignRunner(CampaignConfig(workers=4)).run(SUBSET, config)
         assert serial.results() == parallel.results()
         assert [r.kernel for r in serial.records] == SUBSET
         assert serial.summary.verdict_counts == parallel.summary.verdict_counts
@@ -287,12 +332,6 @@ class TestFaultTolerance:
         persisted = {e["kernel"] for e in entries if e["type"] == "result"}
         assert persisted == set(SUBSET[:6])
 
-    def test_fail_fast_restores_abort_on_first_failure(self):
-        runner = CampaignRunner(CampaignConfig(workers=1, fail_fast=True))
-        with pytest.raises(RuntimeError, match="s111"):
-            runner.run_tasks(_job_failing_on_s111, _suite_tasks(["s000", "s111"]),
-                             label="broken")
-
     def test_resumed_campaign_retries_error_records(self, tmp_path):
         """Errors are persisted for accounting, but a resumed run re-executes
         them instead of letting one crash poison every future run."""
@@ -306,19 +345,6 @@ class TestFaultTolerance:
         assert report.summary.resumed == 3
         assert report.summary.executed == 1
         assert report.summary.verdict_counts == {"equivalent": 4}
-
-    def test_retry_errors_disabled_reuses_the_error_record(self, tmp_path):
-        store = tmp_path / "campaign.jsonl"
-        tasks = _suite_tasks(SUBSET[:4])
-        CampaignRunner(CampaignConfig(workers=1, store_path=store)).run_tasks(
-            _job_failing_on_s111, tasks, label="crashy")
-
-        sticky = CampaignRunner(CampaignConfig(workers=1, store_path=store,
-                                               retry_errors=False))
-        report = sticky.run_tasks(_job_fine, tasks, label="crashy")
-        assert report.summary.executed == 0
-        assert report.summary.resumed == 4
-        assert report.by_kernel()["s111"]["verdict"] == "error"
 
     def test_broken_pool_resubmits_orphaned_tasks(self, tmp_path):
         """A worker hard-killed mid-campaign (simulated segfault) breaks the
@@ -337,7 +363,7 @@ class TestFaultTolerance:
         tasks = [KernelTask(kernel=name, scalar_code="", seed=0,
                             config_hash="cfg", payload=None)
                  for name in ("a", "killer")]
-        runner = CampaignRunner(CampaignConfig(workers=2, max_pool_retries=1))
+        runner = CampaignRunner(CampaignConfig(workers=2))
         report = runner.run_tasks(_job_killing_worker, tasks, label="killy")
         by_kernel = report.by_kernel()
         assert set(by_kernel) == {"a", "killer"}
@@ -405,19 +431,18 @@ class TestFaultTolerance:
 
 class TestErrorHandling:
     def test_interrupted_campaign_keeps_completed_results(self, tmp_path):
-        """An abort mid-campaign (fail_fast) must not lose finished kernels."""
+        """An abort mid-campaign (Ctrl-C) must not lose finished kernels."""
         store = tmp_path / "campaign.jsonl"
 
-        def explode_on_last(task: KernelTask) -> dict:
+        def interrupt_on_last(task: KernelTask) -> dict:
             if task.kernel == "zz-last":
-                raise ValueError("boom")
+                raise KeyboardInterrupt
             return {"kernel": task.kernel, "verdict": "equivalent"}
 
         tasks = _suite_tasks(["a", "b", "c", "zz-last"])
-        runner = CampaignRunner(CampaignConfig(workers=1, store_path=store,
-                                               fail_fast=True))
-        with pytest.raises(RuntimeError):
-            runner.run_tasks(explode_on_last, tasks, label="crashy")
+        runner = CampaignRunner(CampaignConfig(workers=1, store_path=store))
+        with pytest.raises(KeyboardInterrupt):
+            runner.run_tasks(interrupt_on_last, tasks, label="crashy")
 
         entries = [json.loads(line) for line in store.read_text().splitlines()]
         persisted = [e["kernel"] for e in entries if e["type"] == "result"]
@@ -476,6 +501,30 @@ class TestOneResultStore:
             assert not any(hasattr(module, name) for name in deleted), module.__name__
 
 
+class TestOnlySettingsCallersSet:
+    """Regrowth guard: a campaign config holds only settings some caller
+    sets; batch sizes, retry policies and the derivation seed are not
+    settings."""
+
+    def test_config_declares_exactly_seven_settings(self):
+        declared = [f.name for f in dataclasses.fields(CampaignConfig)]
+        assert declared == ["workers", "store_path", "target", "epilogue", "dtype",
+                            "static_check", "shard"]
+
+    def test_batch_setting_names_stay_deleted(self):
+        import repro.pipeline
+        import repro.pipeline.scheduler as scheduler
+
+        for module in (repro.pipeline, scheduler):
+            for name in ("resolve_batch_setting", "AUTO_BATCH"):
+                assert not hasattr(module, name), (module.__name__, name)
+
+    def test_suite_tasks_takes_a_required_seed_and_no_candidates(self):
+        parameters = inspect.signature(CampaignRunner.suite_tasks).parameters
+        assert "candidates" not in parameters
+        assert parameters["seed"].default is inspect.Parameter.empty
+
+
 class TestOneTimingInstrument:
     """Regrowth guard: per-layer timing lives in ``perfbench/`` alone.
 
@@ -531,8 +580,8 @@ class TestOneTimingInstrument:
         assert stored == [report.records[0].result]
 
         direct = _run_job(vectorize_kernel_job, task, "vectorize")
-        envelope = run_task_batch(vectorize_kernel_job, [task], "vectorize", False)
-        assert set(envelope) == {"results", "plan_cache", "solver", "solve_cache", "failure"}
+        envelope = run_task_batch(vectorize_kernel_job, [task], "vectorize")
+        assert set(envelope) == {"results", "plan_cache", "solver", "solve_cache"}
         for result in (direct, envelope["results"][0]):
             assert json.dumps(result, sort_keys=True) == json.dumps(stored[0], sort_keys=True)
 

@@ -75,7 +75,8 @@ class TestPlanReverify:
         assert plan.unchanged == KERNELS
         assert plan.changed == MORE
 
-    def test_error_records_retry_by_default_but_stick_when_disabled(self, tmp_path):
+    def test_error_records_always_count_as_changed(self, tmp_path):
+        """A run always retries an error record, so the plan re-runs it."""
         store = tmp_path / "campaign.jsonl"
         _seed_store(store)
         # Supersede one record with an error (last-wins replay makes it live).
@@ -89,9 +90,6 @@ class TestPlanReverify:
 
         plan = plan_reverify(store, KERNELS)
         assert plan.changed == [victim["kernel"]]
-        sticky = plan_reverify(store, KERNELS,
-                               config=CampaignConfig(retry_errors=False))
-        assert sticky.up_to_date
 
 
 class TestReverify:

@@ -1,10 +1,23 @@
 """Tests for Algorithm 1, the end-to-end tool and the experiment harness."""
 
+import json
 import random
 
+import pytest
+
+from repro.alive.verifier import VerifierConfig
+from repro.llm.client import CompletionRequest
 from repro.llm.faults import FaultKind, apply_fault
+from repro.llm.prompts import build_vectorization_prompt
 from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
-from repro.pipeline import EquivalencePipeline, LLMVectorizer, LLMVectorizerConfig, Verdict
+from repro.pipeline import (
+    EquivalencePipeline,
+    LLMVectorizer,
+    LLMVectorizerConfig,
+    Verdict,
+    derive_kernel_seed,
+)
+from repro.pipeline.campaign import KernelTask
 from repro.tsvc import load_kernel
 from repro.vectorizer import vectorize_kernel
 
@@ -156,3 +169,41 @@ class TestExperimentHarness:
         assert 0 < low <= high
         s212_row = [r for r in rows if r["Test"] == "s212"][0]
         assert s212_row["vs GCC"] > 1.0  # the LLM wins where GCC does not vectorize
+
+
+#: Table 3 funnel records of synthetic-LLM completions (LLM seed 2024), one
+#: per way a candidate leaves the funnel: (kernel, completion index, record
+#: exactly as the store serializes it).
+FUNNEL_RECORDS = [
+    ("s000", 0, '{"kernel": "s000", "verdict": "not_equivalent", "deciding_stage": '
+                '"Alive2", "stage_outcomes": {"Alive2": "not_equivalent"}}'),
+    ("s000", 1, '{"kernel": "s000", "verdict": "equivalent", "deciding_stage": '
+                '"Alive2", "stage_outcomes": {"Alive2": "equivalent"}}'),
+    ("s3111", 1, '{"kernel": "s3111", "verdict": "equivalent", "deciding_stage": '
+                 '"C-Unroll", "stage_outcomes": {"Alive2": "inconclusive", '
+                 '"C-Unroll": "equivalent"}}'),
+    ("s1244", 2, '{"kernel": "s1244", "verdict": "not_equivalent", "deciding_stage": '
+                 '"C-Unroll", "stage_outcomes": {"Alive2": "inconclusive", '
+                 '"C-Unroll": "not_equivalent"}}'),
+    ("s1112", 0, '{"kernel": "s1112", "verdict": "inconclusive", "deciding_stage": '
+                 'null, "stage_outcomes": {"Alive2": "inconclusive", '
+                 '"C-Unroll": "inconclusive", "Splitting": "inconclusive"}}'),
+]
+
+
+class TestFunnelRecords:
+    @pytest.mark.parametrize("kernel, index, record", FUNNEL_RECORDS,
+                             ids=[f"{k}-{i}" for k, i, _ in FUNNEL_RECORDS])
+    def test_funnel_job_record_is_pinned(self, kernel, index, record):
+        from repro.experiments.verification_eval import funnel_kernel_job
+
+        source = load_kernel(kernel).source
+        llm = SyntheticLLM(SyntheticLLMConfig(seed=derive_kernel_seed(2024, kernel)))
+        request = CompletionRequest(prompt=build_vectorization_prompt(source),
+                                    kernel_name=kernel, scalar_code=source,
+                                    num_completions=index + 1)
+        candidate = llm.complete(request)[index].code
+        task = KernelTask(kernel=kernel, scalar_code=source, seed=0, config_hash="cfg",
+                          payload={"verifier_config": VerifierConfig()},
+                          candidate_code=candidate)
+        assert json.dumps(funnel_kernel_job(task)) == record

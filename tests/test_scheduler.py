@@ -1,23 +1,20 @@
-"""Tests for work-stealing batched dispatch: batch sizing, bit-identical
-results at any (worker count, batch size), fault containment inside batches,
-warm workers, and fleet-wide cache accounting."""
+"""Tests for work-stealing batched dispatch: guided batch sizing,
+bit-identical results at any worker count and with one task per batch,
+fault containment inside batches, warm workers, and fleet-wide cache
+accounting."""
 
 import math
 import os
 
 import pytest
 
-from repro.pipeline import (
-    CampaignConfig,
-    CampaignRunner,
-    next_batch_size,
-    resolve_batch_setting,
-)
-from repro.pipeline.campaign import KernelTask
+from repro.pipeline import CampaignConfig, CampaignRunner, next_batch_size
+from repro.pipeline.campaign import KernelTask, vectorize_kernel_job
 from repro.pipeline.scheduler import (
-    AUTO_BATCH,
-    MAX_AUTO_BATCH,
+    MAX_BATCH,
     STEAL_FACTOR,
+    ExecutionStats,
+    dispatch_batches,
     run_task_batch,
     warm_worker,
 )
@@ -56,36 +53,23 @@ def _tasks(names):
 
 
 class TestBatchSizing:
-    def test_resolve_accepts_auto_and_positive_ints(self):
-        assert resolve_batch_setting("auto") == AUTO_BATCH
-        assert resolve_batch_setting(1) == 1
-        assert resolve_batch_setting(32) == 32
-
-    @pytest.mark.parametrize("bad", [0, -3, "four", "", True, False, 1.5, None])
-    def test_resolve_rejects_everything_else(self, bad):
-        with pytest.raises(ValueError):
-            resolve_batch_setting(bad)
-
-    def test_fixed_setting_clamps_to_remaining(self):
-        assert next_batch_size(10, 4, 4) == 4
-        assert next_batch_size(3, 4, 4) == 3
-        assert next_batch_size(0, 4, 4) == 0
-
     def test_auto_is_guided_self_scheduling(self):
         # Early claims amortize (large, capped); tail claims balance (small).
         guided = math.ceil(149 / (2 * STEAL_FACTOR))
-        assert next_batch_size(149, 2, AUTO_BATCH) == min(MAX_AUTO_BATCH, guided)
-        assert next_batch_size(10_000, 1, AUTO_BATCH) == MAX_AUTO_BATCH
-        assert next_batch_size(5, 4, AUTO_BATCH) == 1
-        assert next_batch_size(1, 8, AUTO_BATCH) == 1
-        assert next_batch_size(0, 8, AUTO_BATCH) == 0
+        assert next_batch_size(149, 2) == min(MAX_BATCH, guided)
+        assert next_batch_size(10_000, 1) == MAX_BATCH
+        assert next_batch_size(5, 4) == 1
+        assert next_batch_size(1, 8) == 1
+        assert next_batch_size(0, 8) == 0
+        # Recovery's cap of one claims singletons off any queue.
+        assert next_batch_size(149, 2, cap=1) == 1
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_auto_schedule_drains_any_queue_exactly(self, workers):
         remaining, sizes = 149, []
         while remaining:
-            size = next_batch_size(remaining, workers, AUTO_BATCH)
-            assert 1 <= size <= min(MAX_AUTO_BATCH, remaining)
+            size = next_batch_size(remaining, workers)
+            assert 1 <= size <= min(MAX_BATCH, remaining)
             remaining -= size
             sizes.append(size)
         assert sum(sizes) == 149
@@ -95,43 +79,51 @@ class TestBatchSizing:
 
 class TestBatchEnvelope:
     def test_envelope_carries_results_in_batch_order(self):
-        envelope = run_task_batch(_job_ok, _tasks(["k0", "k1", "k2"]), "t", False)
+        envelope = run_task_batch(_job_ok, _tasks(["k0", "k1", "k2"]), "t")
         assert [r["kernel"] for r in envelope["results"]] == ["k0", "k1", "k2"]
-        assert envelope["failure"] is None
         assert isinstance(envelope["plan_cache"], dict)
 
     def test_failure_becomes_an_error_record_mid_batch(self):
         envelope = run_task_batch(_job_failing_on_s111,
-                                  _tasks(["a", "s111", "z"]), "t", False)
+                                  _tasks(["a", "s111", "z"]), "t")
         assert [r["kernel"] for r in envelope["results"]] == ["a", "s111", "z"]
         assert envelope["results"][1]["verdict"] == "error"
-        assert envelope["failure"] is None
-
-    def test_fail_fast_stops_the_batch_but_ships_prior_results(self):
-        envelope = run_task_batch(_job_failing_on_s111,
-                                  _tasks(["a", "s111", "z"]), "t", True)
-        assert [r["kernel"] for r in envelope["results"]] == ["a"]
-        assert envelope["failure"]["kernel"] == "s111"
-        assert "injected failure" in envelope["failure"]["message"]
 
 
 class TestDeterminismGrid:
     """The scheduling contract: verdicts and final-code SHAs are bit-identical
-    at every (worker count, batch size) combination — and identical to the
+    at every worker count and with one task per batch — and identical to the
     pinned AVX2 golden record, so the grid can never drift together."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("batch", [1, 4, AUTO_BATCH])
-    def test_grid_matches_the_golden_record(self, workers, batch):
-        runner = CampaignRunner(CampaignConfig(workers=workers, batch_size=batch))
+    def test_grid_matches_the_golden_record(self, workers):
+        runner = CampaignRunner(CampaignConfig(workers=workers))
         assert _signature(runner.run(GOLDEN_KERNELS)) == AVX2_GOLDEN
+
+    def test_one_task_per_batch_matches_the_golden_record(self):
+        """Broken-pool recovery dispatches one task per batch; that schedule
+        reproduces the golden record too."""
+        tasks = CampaignRunner().vectorize_tasks(GOLDEN_KERNELS)
+        results = {}
+
+        def collect(task, key, result):
+            results[key] = result
+
+        stats = ExecutionStats()
+        orphaned = dispatch_batches(
+            vectorize_kernel_job, [(task, task.kernel) for task in tasks],
+            label="vectorize", workers=2, on_result=collect, stats=stats,
+            warm_sources=(), max_batch=1)
+        assert orphaned == []
+        assert stats.batches == len(GOLDEN_KERNELS)
+        assert [(kernel, results[kernel]["verdict"], results[kernel]["final_code_sha"])
+                for kernel in GOLDEN_KERNELS] == AVX2_GOLDEN
 
 
 class TestWorkerAccounting:
     def test_serial_run_records_one_worker_and_no_batches(self):
         report = CampaignRunner(CampaignConfig(workers=1)).run(["s000"])
         assert report.summary.workers == 1
-        assert report.summary.batch_size is None
         assert report.summary.batches == 0
 
     def test_pool_width_clamps_to_the_pending_task_count(self):
@@ -145,23 +137,17 @@ class TestWorkerAccounting:
         assert again.summary.executed == 0
         assert again.summary.workers == 0
 
-    def test_invalid_batch_size_is_rejected(self):
-        runner = CampaignRunner(CampaignConfig(workers=2, batch_size=0))
-        with pytest.raises(ValueError):
-            runner.run(["s000", "s1119"])
-
 
 class TestFleetAccounting:
     def test_parallel_summary_reports_fleet_plan_cache_stats(self):
-        runner = CampaignRunner(CampaignConfig(workers=2, batch_size=4))
+        runner = CampaignRunner(CampaignConfig(workers=2))
         summary = runner.run(GOLDEN_KERNELS[:6]).summary
         assert summary.workers == 2
-        assert summary.batch_size == 4
         assert summary.batches >= 2
         assert summary.plan_cache  # the per-batch deltas made it home
         assert 0.0 <= summary.plan_cache_hit_rate <= 1.0
         payload = summary.as_dict()
-        assert payload["batch_size"] == 4
+        assert "batch_size" not in payload
         assert payload["batches"] == summary.batches
         assert payload["plan_cache"] == summary.plan_cache
 
@@ -174,7 +160,7 @@ class TestFaultContainment:
         """A worker dying mid-batch orphans the whole batch; bisection
         recovery re-runs the orphans and corners the poison task alone."""
         names = ["killer"] + [f"t{i:02d}" for i in range(11)]
-        runner = CampaignRunner(CampaignConfig(workers=2, batch_size=4))
+        runner = CampaignRunner(CampaignConfig(workers=2))
         report = runner.run_tasks(_job_killing_worker, _tasks(names),
                                   label="storm")
         by_kernel = report.by_kernel()
@@ -184,7 +170,7 @@ class TestFaultContainment:
 
     def test_batched_raising_job_does_not_abort_the_campaign(self):
         names = ["a", "s111", "c", "d", "e", "f"]
-        runner = CampaignRunner(CampaignConfig(workers=2, batch_size=3))
+        runner = CampaignRunner(CampaignConfig(workers=2))
         report = runner.run_tasks(_job_failing_on_s111, _tasks(names),
                                   label="faulty")
         assert report.summary.verdict_counts == {"equivalent": 5, "error": 1}

@@ -52,7 +52,7 @@ class TestPartitionDeterminism:
     @pytest.mark.parametrize("count", [2, 3, 4])
     def test_suite_tasks_respect_the_config_shard(self, count):
         whole = CampaignRunner(CampaignConfig(workers=1)).suite_tasks(
-            SUBSET, payload=None, config_hash="cfg")
+            SUBSET, payload=None, config_hash="cfg", seed=0)
         covered = []
         for i in range(count):
             runner = CampaignRunner(CampaignConfig(workers=1, shard=f"{i}/{count}"))
@@ -70,14 +70,14 @@ class TestMergedCampaign:
     def test_two_shard_vectorize_campaign_merges_bit_identical(self, tmp_path):
         """The acceptance shape: run shard 0/2 and 1/2 on disjoint stores,
         merge, and get verdicts + code SHAs bit-identical to one run."""
-        single = CampaignRunner(CampaignConfig(workers=2, seed=5)).run(SUBSET)
+        single = CampaignRunner(CampaignConfig(workers=2)).run(SUBSET)
 
         stores = []
         for i in range(2):
             store = tmp_path / f"shard{i}.jsonl"
             stores.append(store)
             report = CampaignRunner(CampaignConfig(
-                workers=2, seed=5, shard=ShardSpec(i, 2), store_path=store,
+                workers=2, shard=ShardSpec(i, 2), store_path=store,
             )).run(SUBSET)
             assert report.summary.shard == f"{i}/2"
             assert 0 < report.summary.kernels < len(SUBSET)
