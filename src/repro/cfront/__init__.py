@@ -10,8 +10,11 @@ hardcoded.
 
 Public entry points:
 
+* :func:`repro.cfront.lexer.tokenize` — the token list of a source text.
 * :func:`repro.cfront.cparser.parse_program` — parse a translation unit.
 * :func:`repro.cfront.cparser.parse_function` — parse a single function.
+* :func:`repro.cfront.ast_nodes.walk` — every node of a tree, preorder.
+* :func:`repro.cfront.ast_nodes.clone_tree` — a copy of a tree to rewrite.
 * :func:`repro.cfront.printer.to_c` — pretty-print an AST back to C text.
 """
 

@@ -3,13 +3,17 @@
 The AST is deliberately small and regular so that the interpreter, the
 dependence analysis, the source-to-source transforms (C-level unrolling,
 spatial splitting) and the IR lowering can all traverse it with plain
-structural pattern matching.
+structural pattern matching.  :func:`walk` visits a tree in preorder from
+one table of child fields, and :func:`clone_tree` is the one way to copy
+a tree before rewriting it: parsed trees are shared through caches and
+must not change.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from collections.abc import Iterator
+from typing import TypeVar
 
 from repro.cfront.ctypes import CType
 from repro.errors import SourceLocation
@@ -21,10 +25,6 @@ class Node:
     """Base class for every AST node."""
 
     location: SourceLocation = field(default_factory=SourceLocation, kw_only=True)
-
-    def clone(self, **changes) -> "Node":
-        """Return a shallow copy of this node with ``changes`` applied."""
-        return replace(self, **changes)
 
 
 # ---------------------------------------------------------------------------
@@ -242,75 +242,88 @@ class Program(Node):
 
 AnyNode = Expr | Stmt | FunctionDef | Program | Parameter
 
+#: Node type -> the fields holding its children, in source order (a
+#: declaration's array size precedes its initializer).  A field holds a
+#: node, a list of nodes or None; the types left out have no children.
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    Program: ("functions",),
+    FunctionDef: ("params", "body"),
+    Block: ("body",),
+    ExprStmt: ("expr",),
+    Decl: ("array_size", "init"),
+    If: ("cond", "then", "otherwise"),
+    ForLoop: ("init", "cond", "step", "body"),
+    WhileLoop: ("cond", "body"),
+    DoWhileLoop: ("body", "cond"),
+    Return: ("value",),
+    Label: ("stmt",),
+    ArrayRef: ("base", "index"),
+    UnaryOp: ("operand",),
+    PostfixOp: ("operand",),
+    BinOp: ("left", "right"),
+    TernaryOp: ("cond", "then", "otherwise"),
+    Assign: ("target", "value"),
+    Call: ("args",),
+    Cast: ("operand",),
+}
+
+#: The same fields last-first, the order ``walk`` pushes them on its stack.
+_PUSH_ORDER = {kind: fields[::-1] for kind, fields in _CHILD_FIELDS.items()}
+
 
 def walk(node: AnyNode) -> Iterator[Node]:
-    """Yield ``node`` and every node reachable from it, preorder."""
-    yield node
-    for child in children(node):
-        yield from walk(child)
+    """Yield ``node`` and every node reachable from it, preorder.
+
+    A node's children are read after the node is yielded, so a caller may
+    edit the node it was just handed and the walk descends into the edit.
+    """
+    stack = [node]
+    pop, push, extend = stack.pop, stack.append, stack.extend
+    while stack:
+        node = pop()
+        yield node
+        for name in _PUSH_ORDER.get(type(node), ()):
+            child = getattr(node, name)
+            if type(child) is list:
+                extend(reversed(child))
+            elif child is not None:
+                push(child)
 
 
-def children(node: AnyNode) -> Iterator[Node]:
-    """Yield the direct child nodes of ``node``."""
-    if isinstance(node, Program):
-        yield from node.functions
-    elif isinstance(node, FunctionDef):
-        yield from node.params
-        yield node.body
-    elif isinstance(node, Block):
-        yield from node.body
-    elif isinstance(node, ExprStmt):
-        yield node.expr
-    elif isinstance(node, Decl):
-        if node.array_size is not None:
-            yield node.array_size
-        if node.init is not None:
-            yield node.init
-    elif isinstance(node, If):
-        yield node.cond
-        yield node.then
-        if node.otherwise is not None:
-            yield node.otherwise
-    elif isinstance(node, ForLoop):
-        if node.init is not None:
-            yield node.init
-        if node.cond is not None:
-            yield node.cond
-        if node.step is not None:
-            yield node.step
-        yield node.body
-    elif isinstance(node, WhileLoop):
-        yield node.cond
-        yield node.body
-    elif isinstance(node, DoWhileLoop):
-        yield node.body
-        yield node.cond
-    elif isinstance(node, Return):
-        if node.value is not None:
-            yield node.value
-    elif isinstance(node, Label):
-        yield node.stmt
-    elif isinstance(node, ArrayRef):
-        yield node.base
-        yield node.index
-    elif isinstance(node, (UnaryOp, PostfixOp)):
-        yield node.operand
-    elif isinstance(node, BinOp):
-        yield node.left
-        yield node.right
-    elif isinstance(node, TernaryOp):
-        yield node.cond
-        yield node.then
-        yield node.otherwise
-    elif isinstance(node, Assign):
-        yield node.target
-        yield node.value
-    elif isinstance(node, Call):
-        yield from node.args
-    elif isinstance(node, Cast):
-        yield node.operand
-    # Leaf nodes (IntLiteral, Identifier, Break, Continue, Goto, Parameter)
-    # contribute no children.
+#: Field values ``clone_tree`` shares between a tree and its copy.
+_SHARED_LEAVES = frozenset({str, int, type(None), CType, SourceLocation})
+
+_Tree = TypeVar("_Tree")
+
+
+def clone_tree(tree: _Tree) -> _Tree:
+    """A deep copy of ``tree`` (a node, a list of nodes or None).
+
+    Nodes and lists are copied field by field; strings, integers, types
+    and source locations are immutable and shared.  Like
+    :func:`copy.deepcopy`, one call copies a node (or list) reached twice
+    once, so the copy keeps the tree's aliasing.
+    """
+    memo: dict[int, object] = {}
+
+    def clone(value):
+        if type(value) in _SHARED_LEAVES:
+            return value
+        copied = memo.get(id(value))
+        if copied is not None:
+            return copied
+        if type(value) is list:
+            copied = memo[id(value)] = []
+            copied.extend(map(clone, value))
+        elif isinstance(value, Node):
+            copied = memo[id(value)] = object.__new__(type(value))
+            copied.__dict__.update({name: clone(field_value)
+                                    for name, field_value in value.__dict__.items()})
+        else:
+            raise TypeError(f"clone_tree cannot copy a {type(value).__name__}")
+        return copied
+
+    return clone(tree)
 
 
 def collect(node: AnyNode, node_type) -> list:

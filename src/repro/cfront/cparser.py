@@ -8,6 +8,10 @@ labels, assignment (simple and compound), the usual C operator precedence
 ladder, array subscripts, vector-pointer casts of array-element addresses,
 and calls to the targets' intrinsics.  The vector type keywords are derived
 from the target registry, never hardcoded.
+
+Binary operators are parsed by precedence climbing (Pratt's top-down
+operator precedence, POPL 1973) over one table, ``_BINARY_LEVELS``: an
+operand costs one call, not one per precedence level.
 """
 
 from __future__ import annotations
@@ -53,6 +57,9 @@ _BINARY_LEVELS: list[tuple[str, ...]] = [
     ("*", "/", "%"),
 ]
 
+#: Binary operator -> its index in ``_BINARY_LEVELS`` (higher binds tighter).
+_BINARY_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]):
@@ -62,11 +69,13 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:
+            return self.tokens[-1]
 
     def advance(self) -> Token:
-        token = self.peek()
+        token = self.tokens[self.pos]
         if token.kind is not TokenKind.EOF:
             self.pos += 1
         return token
@@ -156,19 +165,17 @@ class _Parser:
             return ast.TernaryOp(cond=cond, then=then, otherwise=otherwise, location=location)
         return cond
 
-    def parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self.parse_unary()
-        left = self.parse_binary(level + 1)
-        ops = _BINARY_LEVELS[level]
+    def parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing over ``_BINARY_LEVELS`` (every level left-associative)."""
+        left = self.parse_unary()
         while True:
-            token = self.peek()
-            if token.kind is TokenKind.PUNCT and token.text in ops:
-                self.advance()
-                right = self.parse_binary(level + 1)
-                left = ast.BinOp(op=token.text, left=left, right=right, location=token.location)
-            else:
+            token = self.tokens[self.pos]
+            level = _BINARY_PRECEDENCE.get(token.text, -1) if token.kind is TokenKind.PUNCT else -1
+            if level < min_level:
                 return left
+            self.pos += 1
+            right = self.parse_binary(level + 1)
+            left = ast.BinOp(op=token.text, left=left, right=right, location=token.location)
 
     def parse_unary(self) -> ast.Expr:
         token = self.peek()
@@ -268,7 +275,7 @@ class _Parser:
             stmt = self.parse_statement()
             return ast.Label(name=token.text, stmt=stmt, location=token.location)
         if self.at_type():
-            return self.parse_declaration()
+            return self.parse_declaration_statement()
         if token.is_punct(";"):
             self.advance()
             return ast.Block(body=[], location=token.location)
@@ -282,8 +289,10 @@ class _Parser:
         while not self.peek().is_punct("}"):
             if self.at_end():
                 raise ParseError("unterminated block", open_token.location)
-            stmt = self.parse_statement()
-            body.extend(_flatten_decl_group(stmt))
+            if self.at_type():
+                body.extend(self.parse_declaration())
+            else:
+                body.append(self.parse_statement())
         self.expect_punct("}")
         return ast.Block(body=body, location=open_token.location)
 
@@ -305,7 +314,7 @@ class _Parser:
         init: ast.Stmt | None = None
         if not self.peek().is_punct(";"):
             if self.at_type():
-                init = self.parse_declaration()
+                init = self.parse_declaration_statement()
             else:
                 expr = self.parse_expression()
                 init = ast.ExprStmt(expr=expr, location=expr.location)
@@ -341,14 +350,24 @@ class _Parser:
         self.expect_punct(";")
         return ast.DoWhileLoop(body=body, cond=cond, location=token.location)
 
-    def parse_declaration(self) -> ast.Stmt:
-        """Parse one declaration statement.
+    def parse_declaration_statement(self) -> ast.Stmt:
+        """A declaration where one statement stands (a ``for`` header, a label).
 
-        Multi-declarator declarations (``vectype a_vec, b_vec;``) are returned
-        as a :class:`ast.Block` marked with location of the first token; the
-        caller flattens it into the surrounding block.
+        A multi-declarator declaration becomes a :class:`ast.Block` located
+        at its first token.
         """
         first = self.peek()
+        decls = self.parse_declaration()
+        if len(decls) == 1:
+            return decls[0]
+        return ast.Block(body=decls, location=first.location)
+
+    def parse_declaration(self) -> list[ast.Stmt]:
+        """Parse one declaration: one :class:`ast.Decl` per declarator.
+
+        A block splices the list into its body (``vectype a_vec, b_vec;``
+        declares two variables of the block's scope).
+        """
         base = self.parse_base_type()
         decls: list[ast.Stmt] = []
         while True:
@@ -375,9 +394,7 @@ class _Parser:
             if not self.accept_punct(","):
                 break
         self.expect_punct(";")
-        if len(decls) == 1:
-            return decls[0]
-        return ast.Block(body=decls, location=first.location)
+        return decls
 
     # -- top level ----------------------------------------------------------
 
@@ -419,13 +436,6 @@ class _Parser:
         while not self.at_end():
             functions.append(self.parse_function())
         return ast.Program(functions=functions, location=SourceLocation(1, 1))
-
-
-def _flatten_decl_group(stmt: ast.Stmt) -> list[ast.Stmt]:
-    """Flatten the synthetic block produced for multi-declarator declarations."""
-    if isinstance(stmt, ast.Block) and stmt.body and all(isinstance(s, ast.Decl) for s in stmt.body):
-        return list(stmt.body)
-    return [stmt]
 
 
 def _parse_int(token: Token) -> int:

@@ -1,15 +1,18 @@
 """Tokenizer for the C subset used by TSVC kernels and SIMD candidates.
 
-The keyword set includes the vector type name of every registered target
-ISA (derived from :mod:`repro.targets`), so candidates for a new backend
-lex without touching this module.
+:func:`tokenize` is one scan of a master regular expression with one named
+alternative per lexical category; each token's line and column are
+computed from its offset.  Whitespace, comments and preprocessor
+directives are skipped.  The keyword set includes the vector type name of
+every registered target ISA (derived from :mod:`repro.targets`), so
+candidates for a new backend lex without touching this module.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
-from collections.abc import Iterator
 
 from repro.errors import LexError, SourceLocation
 from repro.targets.isa import PREDICATE_TYPE_NAMES, VECTOR_TYPE_LANES
@@ -54,10 +57,6 @@ KEYWORDS = frozenset(
         "int64_t",
     }
 ) | frozenset(VECTOR_TYPE_LANES) | PREDICATE_TYPE_NAMES
-
-# C digits are ASCII only: ``str.isdigit`` would also accept "\u0663" and
-# friends, which ``int()`` then reads as decimal digits.
-_DIGITS = frozenset("0123456789")
 
 # Multi-character punctuators, longest first so maximal munch works.
 _PUNCTUATORS = [
@@ -128,142 +127,68 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r}, {self.location})"
 
 
-class _Cursor:
-    """Mutable scanning cursor over the source text."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def location(self) -> SourceLocation:
-        return SourceLocation(self.line, self.column)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.text):
-            return ""
-        return self.text[index]
-
-    def advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.text):
-                return
-            char = self.text[self.pos]
-            self.pos += 1
-            if char == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def startswith(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
-
-
-def _skip_trivia(cursor: _Cursor) -> None:
-    """Skip whitespace, comments and preprocessor lines."""
-    while not cursor.at_end():
-        char = cursor.peek()
-        if char in " \t\r\n":
-            cursor.advance()
-        elif cursor.startswith("//"):
-            while not cursor.at_end() and cursor.peek() != "\n":
-                cursor.advance()
-        elif cursor.startswith("/*"):
-            cursor.advance(2)
-            while not cursor.at_end() and not cursor.startswith("*/"):
-                cursor.advance()
-            if cursor.at_end():
-                raise LexError("unterminated block comment", cursor.location())
-            cursor.advance(2)
-        elif char == "#" and cursor.column == 1:
-            # Preprocessor directives (#include <immintrin.h>) are ignored;
-            # intrinsic semantics are supplied by repro.intrinsics.
-            while not cursor.at_end() and cursor.peek() != "\n":
-                cursor.advance()
-        else:
-            return
-
-
-def _lex_number(cursor: _Cursor) -> Token:
-    location = cursor.location()
-    start = cursor.pos
-    if cursor.peek() == "0" and cursor.peek(1) and cursor.peek(1) in "xX":
-        cursor.advance(2)
-        while cursor.peek() and cursor.peek() in "0123456789abcdefABCDEF":
-            cursor.advance()
-    else:
-        while cursor.peek() in _DIGITS:
-            cursor.advance()
-        if cursor.peek() == "." and cursor.peek(1) in _DIGITS:
-            cursor.advance()
-            while cursor.peek() in _DIGITS:
-                cursor.advance()
-    # Integer suffixes are accepted and discarded.  (peek() returns "" at
-    # end of input, and "" is a substring of any string — guard against it.)
-    while cursor.peek() and cursor.peek() in "uUlL":
-        cursor.advance()
-    text = cursor.text[start : cursor.pos]
-    return Token(TokenKind.NUMBER, text, location)
-
-
-def _lex_ident(cursor: _Cursor) -> Token:
-    location = cursor.location()
-    start = cursor.pos
-    while cursor.peek().isalnum() or cursor.peek() == "_":
-        cursor.advance()
-    text = cursor.text[start : cursor.pos]
-    kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-    return Token(kind, text, location)
-
-
-def _lex_string(cursor: _Cursor) -> Token:
-    location = cursor.location()
-    quote = cursor.peek()
-    cursor.advance()
-    start = cursor.pos
-    while not cursor.at_end() and cursor.peek() != quote:
-        if cursor.peek() == "\\":
-            cursor.advance()
-        cursor.advance()
-    if cursor.at_end():
-        raise LexError("unterminated string literal", location)
-    text = cursor.text[start : cursor.pos]
-    cursor.advance()
-    return Token(TokenKind.STRING, text, location)
-
-
-def iter_tokens(source: str) -> Iterator[Token]:
-    """Yield tokens for ``source``, ending with a single EOF token."""
-    cursor = _Cursor(source)
-    while True:
-        _skip_trivia(cursor)
-        if cursor.at_end():
-            yield Token(TokenKind.EOF, "", cursor.location())
-            return
-        char = cursor.peek()
-        if char in _DIGITS:
-            yield _lex_number(cursor)
-        elif char.isalpha() or char == "_":
-            yield _lex_ident(cursor)
-        elif char in "\"'":
-            yield _lex_string(cursor)
-        else:
-            location = cursor.location()
-            for punct in _PUNCTUATORS:
-                if cursor.startswith(punct):
-                    cursor.advance(len(punct))
-                    yield Token(TokenKind.PUNCT, punct, location)
-                    break
-            else:
-                raise LexError(f"unexpected character {char!r}", location)
+#: One alternative per lexical category, tried in order at each offset.
+#: ``open_comment`` and ``open_string`` match only where the full form
+#: failed, and ``other`` takes any character nothing else accepts: all three
+#: are errors.  Digits are ASCII only: ``\d`` and ``str.isdigit`` would also
+#: accept "\u0663", which ``int()`` then reads as a decimal digit.
+_SCANNER = re.compile(
+    "|".join(f"(?P<{name}>{pattern})" for name, pattern in (
+        ("space", r"[ \t\r\n]+"),
+        ("comment", r"//[^\n]*|/\*.*?\*/"),
+        ("open_comment", r"/\*"),
+        ("directive", r"#[^\n]*"),
+        ("number", r"0[xX][0-9a-fA-F]*[uUlL]*|[0-9]+(?:\.[0-9]+)?[uUlL]*"),
+        # A word character that is not a decimal digit; the scan rejects
+        # the non-letter numerics (superscripts, fractions) this admits.
+        ("ident", r"[^\W\d]\w*"),
+        ("string", r'"(?:[^"\\]|\\.)*"|\'(?:[^\'\\]|\\.)*\''),
+        ("open_string", "[\"']"),
+        ("punct", "|".join(re.escape(punct) for punct in _PUNCTUATORS)),
+        ("other", "."),
+    )),
+    re.DOTALL,
+)
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenize ``source`` into a list ending with an EOF token."""
-    return list(iter_tokens(source))
+    """Tokenize ``source`` into a list ending with an EOF token.
+
+    One scan of :data:`_SCANNER`; a token's line and column come from its
+    offset and the offset where its line starts.  A line whose first
+    non-blank character is ``#`` is a preprocessor directive (C11 6.10) and
+    is skipped: ``#include <immintrin.h>`` carries no meaning here, since
+    intrinsic semantics are supplied by :mod:`repro.intrinsics`.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start = 1, 0
+    for match in _SCANNER.finditer(source):
+        kind, text, start = match.lastgroup, match.group(), match.start()
+        column = start - line_start + 1
+        if kind == "space" or kind == "comment":
+            pass
+        elif kind == "punct":
+            append(Token(TokenKind.PUNCT, text, SourceLocation(line, column)))
+        elif kind == "ident" and (text[0].isalpha() or text[0] == "_"):
+            append(Token(TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT, text,
+                         SourceLocation(line, column)))
+        elif kind == "number":
+            append(Token(TokenKind.NUMBER, text, SourceLocation(line, column)))
+        elif kind == "string":
+            append(Token(TokenKind.STRING, text[1:-1], SourceLocation(line, column)))
+        elif kind == "directive" and not source[line_start:start].strip(" \t"):
+            pass
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment",
+                           SourceLocation(line + source.count("\n", start),
+                                          len(source) - source.rfind("\n")))
+        elif kind == "open_string":
+            raise LexError("unterminated string literal", SourceLocation(line, column))
+        else:
+            raise LexError(f"unexpected character {text[0]!r}", SourceLocation(line, column))
+        if "\n" in text:
+            line += text.count("\n")
+            line_start = start + text.rindex("\n") + 1
+    append(Token(TokenKind.EOF, "", SourceLocation(line, len(source) - line_start + 1)))
+    return tokens

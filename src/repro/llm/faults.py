@@ -13,7 +13,6 @@ exercised against *real* buggy programs rather than labels.
 
 from __future__ import annotations
 
-import copy
 import enum
 import random
 from dataclasses import dataclass, field
@@ -226,7 +225,7 @@ def apply_fault(vectorized_source: str, kind: FaultKind, rng: random.Random) -> 
     # and the shared AST must never be touched.
     from repro.vectorizer.plancache import cached_parse
 
-    func = copy.deepcopy(cached_parse(vectorized_source))
+    func = ast.clone_tree(cached_parse(vectorized_source))
     if kind is FaultKind.WRONG_OPERATOR:
         changed = _swap_one_operator(func, rng)
     elif kind is FaultKind.NAIVE_INDUCTION:
@@ -334,10 +333,10 @@ def _relax_comparison(func: ast.FunctionDef, rng: random.Random) -> bool:
     if target.func in _PCMPGT_NAMES:
         gov, left, right = target.args
         greater = ast.Call(func=isa.intrinsic("pcmpgt"),
-                           args=[copy.deepcopy(gov), left, right])
+                           args=[ast.clone_tree(gov), left, right])
         equal = ast.Call(func=isa.intrinsic("pcmpeq"),
-                         args=[copy.deepcopy(gov), copy.deepcopy(left),
-                               copy.deepcopy(right)])
+                         args=[ast.clone_tree(gov), ast.clone_tree(left),
+                               ast.clone_tree(right)])
         target.func = isa.intrinsic("por")
         target.args = [gov, greater, equal]
         return True

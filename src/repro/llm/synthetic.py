@@ -22,7 +22,6 @@ Key behavioural knobs and the paper observations they are calibrated to:
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import random
 from dataclasses import dataclass, field
@@ -199,7 +198,7 @@ def _blocked_rewrite(scalar_func: ast.FunctionDef, lanes: int = 8) -> str | None
     it cannot truly vectorize — correct (so checksum-plausible) but without
     SIMD intrinsics; the performance model charges scalar costs for it.
     """
-    func = copy.deepcopy(scalar_func)
+    func = ast.clone_tree(scalar_func)
     loop = find_main_loop(func)
     if loop is None or not loop.is_canonical or loop.step != 1 or loop.end_op != "<":
         return None
@@ -210,29 +209,29 @@ def _blocked_rewrite(scalar_func: ast.FunctionDef, lanes: int = 8) -> str | None
         init=ast.Decl(var_type=INT, name=iterator, init=ast.Identifier(name=block_iter)),
         cond=ast.BinOp(op="<", left=ast.Identifier(name=iterator), right=inner_end),
         step=ast.Assign(op="+=", target=ast.Identifier(name=iterator), value=ast.IntLiteral(value=1)),
-        body=copy.deepcopy(loop.node.body),
+        body=ast.clone_tree(loop.node.body),
     )
-    outer_end = ast.BinOp(op="-", left=copy.deepcopy(loop.end), right=ast.IntLiteral(value=lanes - 1))
+    outer_end = ast.BinOp(op="-", left=ast.clone_tree(loop.end), right=ast.IntLiteral(value=lanes - 1))
     outer_loop = ast.ForLoop(
-        init=ast.Decl(var_type=INT, name=block_iter, init=copy.deepcopy(loop.start)),
+        init=ast.Decl(var_type=INT, name=block_iter, init=ast.clone_tree(loop.start)),
         cond=ast.BinOp(op=loop.end_op, left=ast.Identifier(name=block_iter), right=outer_end),
         step=ast.Assign(op="+=", target=ast.Identifier(name=block_iter), value=ast.IntLiteral(value=lanes)),
         body=ast.Block(body=[inner_loop]),
     )
     epilogue_start = ast.BinOp(
         op="-",
-        left=copy.deepcopy(loop.end),
+        left=ast.clone_tree(loop.end),
         right=ast.BinOp(
             op="%",
-            left=ast.BinOp(op="-", left=copy.deepcopy(loop.end), right=copy.deepcopy(loop.start)),
+            left=ast.BinOp(op="-", left=ast.clone_tree(loop.end), right=ast.clone_tree(loop.start)),
             right=ast.IntLiteral(value=lanes),
         ),
     )
     epilogue = ast.ForLoop(
         init=ast.Decl(var_type=INT, name=iterator, init=epilogue_start),
-        cond=copy.deepcopy(loop.node.cond),
-        step=copy.deepcopy(loop.node.step),
-        body=copy.deepcopy(loop.node.body),
+        cond=ast.clone_tree(loop.node.cond),
+        step=ast.clone_tree(loop.node.step),
+        body=ast.clone_tree(loop.node.body),
     )
     replacement = ast.Block(body=[outer_loop, epilogue])
     _replace_in(func.body, loop.node, replacement)
@@ -242,7 +241,7 @@ def _blocked_rewrite(scalar_func: ast.FunctionDef, lanes: int = 8) -> str | None
 def _broken_attempt(scalar_func: ast.FunctionDef, lanes: int = 8) -> str:
     """A wrong attempt: bump the loop step to the lane count without processing
     the block."""
-    func = copy.deepcopy(scalar_func)
+    func = ast.clone_tree(scalar_func)
     loop = find_main_loop(func)
     if loop is not None and loop.step_expr is not None:
         new_step = ast.Assign(
@@ -262,7 +261,7 @@ def _uncompilable_attempt(scalar_func: ast.FunctionDef,
     any registered target actually emits.
     """
     isa = get_target(target)
-    source = function_to_c(copy.deepcopy(scalar_func), include_header=True)
+    source = function_to_c(scalar_func, include_header=True)
     lines = source.splitlines()
     insertion = (f"    {isa.vector_type} vtmp = "
                  f"{isa.bogus_gather_spelling}(a, {isa.lanes});")

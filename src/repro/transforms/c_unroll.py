@@ -27,8 +27,6 @@ and duplicated declarations are renamed apart.
 
 from __future__ import annotations
 
-import copy
-
 from repro.analysis.loops import find_main_loop
 from repro.cfront import ast_nodes as ast
 from repro.cfront.ctypes import INT
@@ -40,7 +38,7 @@ class CUnrollError(Exception):
 
 def unroll_scalar_function(func: ast.FunctionDef, factor: int = 8) -> ast.FunctionDef:
     """Return a copy of ``func`` with its main loop body unrolled ``factor`` times."""
-    new_func = copy.deepcopy(func)
+    new_func = ast.clone_tree(func)
     loop_info = find_main_loop(new_func)
     if loop_info is None:
         raise CUnrollError("the function contains no for loop")
@@ -50,22 +48,22 @@ def unroll_scalar_function(func: ast.FunctionDef, factor: int = 8) -> ast.Functi
 
     unrolled_body: list[ast.Stmt] = []
     for copy_index in range(factor):
-        body_copy = copy.deepcopy(loop.body)
+        body_copy = ast.clone_tree(loop.body)
         body_copy = _rewrite_break_to_return(body_copy)
         body_copy = _rename_labels(body_copy, copy_index)
         body_copy = _rename_local_decls(body_copy, copy_index)
         unrolled_body.append(body_copy)
-        unrolled_body.append(ast.ExprStmt(expr=copy.deepcopy(loop.step)))
+        unrolled_body.append(ast.ExprStmt(expr=ast.clone_tree(loop.step)))
 
     new_loop_body = ast.Block(body=unrolled_body)
     replacement_stmts: list[ast.Stmt] = []
     if loop_info.declares_iterator:
         replacement_stmts.append(
-            ast.Decl(var_type=INT, name=loop_info.iterator, init=copy.deepcopy(loop_info.start))
+            ast.Decl(var_type=INT, name=loop_info.iterator, init=ast.clone_tree(loop_info.start))
         )
     elif loop.init is not None:
-        replacement_stmts.append(copy.deepcopy(loop.init))
-    block_loop = ast.WhileLoop(cond=copy.deepcopy(loop.cond), body=new_loop_body)
+        replacement_stmts.append(ast.clone_tree(loop.init))
+    block_loop = ast.WhileLoop(cond=ast.clone_tree(loop.cond), body=new_loop_body)
     replacement_stmts.append(block_loop)
     replacement = ast.Block(body=replacement_stmts)
 

@@ -22,7 +22,6 @@ rejection.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 from repro.cfront import ast_nodes as ast
@@ -450,7 +449,7 @@ class _VectorBodyBuilder:
             load = self._load_call(self._vector_pointer(array, index))
             return self._emit_value(f"{array}_{name}", load)
         if self._is_loop_invariant(expr.index):
-            return self._splat_expr(copy.deepcopy(expr), f"{array}_inv")
+            return self._splat_expr(ast.clone_tree(expr), f"{array}_inv")
         raise InfeasibleVectorization("array subscript is neither affine nor loop-invariant")
 
     def _vectorize_binop(self, expr: ast.BinOp) -> str:
@@ -724,7 +723,7 @@ class _VectorBodyBuilder:
             address = self._vector_pointer(array, _index_expr(name, total))
 
             def read_current() -> str:
-                load = self._load_call(copy.deepcopy(address))
+                load = self._load_call(ast.clone_tree(address))
                 return self._emit_value(f"{array}_{name}_old", load)
 
         if expr.op == "=":
@@ -832,7 +831,7 @@ def _build_masked_tail(plan: VectorizationPlan, iterator: str,
         builder._vec_decl(idx, _call(builder._op("add"),
                                      _call(builder._op("set1"), _ident(iterator)),
                                      _ident(ramp))),
-        builder._vec_decl(bound, _call(builder._op("set1"), copy.deepcopy(loop.end))),
+        builder._vec_decl(bound, _call(builder._op("set1"), ast.clone_tree(loop.end))),
         builder._vec_decl(mask, _call(builder._op("cmpgt"),
                                       _ident(bound), _ident(idx))),
     ]
@@ -841,8 +840,8 @@ def _build_masked_tail(plan: VectorizationPlan, iterator: str,
     tail_stmts = list(builder.preload_stmts) + list(builder.body_stmts)
     # The scalar epilogue would have left the iterator at the loop bound.
     tail_stmts.append(ast.ExprStmt(expr=ast.Assign(
-        op="=", target=_ident(iterator), value=copy.deepcopy(loop.end))))
-    guard = ast.BinOp(op="<", left=_ident(iterator), right=copy.deepcopy(loop.end))
+        op="=", target=_ident(iterator), value=ast.clone_tree(loop.end))))
+    guard = ast.BinOp(op="<", left=_ident(iterator), right=ast.clone_tree(loop.end))
     return ast.If(cond=guard, then=ast.Block(body=tail_stmts), otherwise=None)
 
 
@@ -869,7 +868,7 @@ def _build_predicated_loop_region(func: ast.FunctionDef,
 
     def whilelt_call() -> ast.Call:
         return _call(builder._op("whilelt"), _ident(iterator),
-                     copy.deepcopy(loop.end))
+                     ast.clone_tree(loop.end))
 
     advance = ast.ExprStmt(expr=ast.Assign(
         op="+=", target=_ident(iterator), value=ast.IntLiteral(value=lanes)))
@@ -881,10 +880,10 @@ def _build_predicated_loop_region(func: ast.FunctionDef,
     region: list[ast.Stmt] = []
     if loop.declares_iterator:
         region.append(ast.Decl(var_type=INT, name=iterator,
-                               init=copy.deepcopy(loop.start)))
+                               init=ast.clone_tree(loop.start)))
     else:
         region.append(ast.ExprStmt(expr=ast.Assign(
-            op="=", target=_ident(iterator), value=copy.deepcopy(loop.start))))
+            op="=", target=_ident(iterator), value=ast.clone_tree(loop.start))))
     region.append(builder._pred_decl(pg, whilelt_call()))
     region.append(ast.WhileLoop(
         cond=_call(builder._op("ptest_any"), _ident(pg)), body=body))
@@ -904,17 +903,17 @@ def _build_vector_loop_region(func: ast.FunctionDef, plan: VectorizationPlan) ->
 
     vector_body = ast.Block(body=list(builder.preload_stmts) + list(builder.body_stmts))
 
-    end_minus = ast.BinOp(op="-", left=copy.deepcopy(loop.end), right=ast.IntLiteral(value=lanes - 1))
+    end_minus = ast.BinOp(op="-", left=ast.clone_tree(loop.end), right=ast.IntLiteral(value=lanes - 1))
     vector_cond = ast.BinOp(op=loop.end_op, left=_ident(iterator), right=end_minus)
     vector_step = ast.Assign(op="+=", target=_ident(iterator), value=ast.IntLiteral(value=lanes))
     vector_loop = ast.ForLoop(init=None, cond=vector_cond, step=vector_step, body=vector_body)
 
     region: list[ast.Stmt] = []
     if loop.declares_iterator:
-        region.append(ast.Decl(var_type=INT, name=iterator, init=copy.deepcopy(loop.start)))
+        region.append(ast.Decl(var_type=INT, name=iterator, init=ast.clone_tree(loop.start)))
     else:
         region.append(ast.ExprStmt(expr=ast.Assign(op="=", target=_ident(iterator),
-                                                   value=copy.deepcopy(loop.start))))
+                                                   value=ast.clone_tree(loop.start))))
     region.extend(builder.accumulator_decls)
     region.append(vector_loop)
     region.extend(_reduction_finalize(builder))
@@ -922,10 +921,10 @@ def _build_vector_loop_region(func: ast.FunctionDef, plan: VectorizationPlan) ->
         region.append(_build_masked_tail(plan, iterator, builder.existing_names, loop))
     else:
         epilogue_cond = ast.BinOp(op=loop.end_op, left=_ident(iterator),
-                                  right=copy.deepcopy(loop.end))
-        epilogue_step = copy.deepcopy(loop.node.step)
+                                  right=ast.clone_tree(loop.end))
+        epilogue_step = ast.clone_tree(loop.node.step)
         region.append(ast.ForLoop(init=None, cond=epilogue_cond, step=epilogue_step,
-                                  body=copy.deepcopy(loop.node.body)))
+                                  body=ast.clone_tree(loop.node.body)))
     return ast.Block(body=region)
 
 
@@ -962,7 +961,7 @@ def generate_vectorized_function(func: ast.FunctionDef, plan: VectorizationPlan)
     region = _build_vector_loop_region(func, plan)
     # Work on a copy of the original function: the original loop node
     # identity is preserved inside the copy via a parallel walk.
-    new_func = copy.deepcopy(func)
+    new_func = ast.clone_tree(func)
     original_loop = plan.features.main_loop.node
     target = _find_matching_loop(new_func, func, original_loop)
     new_func.body = _replace_loop(new_func.body, target, region)

@@ -22,14 +22,12 @@ untouched and the planner will reject the kernel.
 
 from __future__ import annotations
 
-import copy
-
 from repro.cfront import ast_nodes as ast
 
 
 def normalize_body(body: ast.Stmt) -> ast.Stmt:
     """Return a copy of ``body`` with recognizable goto diamonds structured."""
-    body = copy.deepcopy(body)
+    body = ast.clone_tree(body)
     return _normalize_stmt(body)
 
 

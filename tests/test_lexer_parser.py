@@ -6,7 +6,9 @@ from repro.cfront import ast_nodes as ast
 from repro.cfront.cparser import parse_expression, parse_function, parse_program
 from repro.cfront.lexer import TokenKind, tokenize
 from repro.cfront.printer import expr_to_c, to_c
-from repro.errors import LexError, ParseError
+from repro.errors import LexError, ParseError, SourceLocation
+from repro.interp.checksum import ChecksumOutcome, checksum_testing
+from repro.tsvc import load_kernel
 
 
 class TestLexer:
@@ -25,6 +27,18 @@ class TestLexer:
         source = "#include <immintrin.h>\n// line comment\n/* block */ int x;"
         tokens = tokenize(source)
         assert [t.text for t in tokens if t.kind is not TokenKind.EOF] == ["int", "x", ";"]
+
+    def test_indented_directives_are_skipped(self):
+        tokens = tokenize("void f() {\n    #pragma omp simd\n\t# define N 4\n}")
+        assert [t.text for t in tokens] == ["void", "f", "(", ")", "{", "}", ""]
+        assert tokens[5].location == SourceLocation(4, 1)
+
+    def test_an_indented_pragma_keeps_a_correct_candidate_plausible(self):
+        kernel = load_kernel("s000")
+        candidate = kernel.source.replace("    for (", "    #pragma omp simd\n    for (", 1)
+        assert candidate != kernel.source
+        report = checksum_testing(kernel.source, candidate)
+        assert report.outcome is ChecksumOutcome.PLAUSIBLE, report.compile_error
 
     def test_hex_and_suffixed_literals(self):
         tokens = tokenize("0xFF 10u 3L")
@@ -118,6 +132,15 @@ class TestFunctionParsing:
         func = parse_function("void f(int n) { __m256i a, b, c; int x = 1, y = 2; }")
         decls = [s for s in func.body.body if isinstance(s, ast.Decl)]
         assert [d.name for d in decls] == ["a", "b", "c", "x", "y"]
+
+    def test_a_block_of_declarations_keeps_its_own_scope(self):
+        func = parse_function("void f(int *a) { int x = 0; { int x = 5; } a[0] = x; }")
+        outer, inner, _ = func.body.body
+        assert isinstance(outer, ast.Decl)
+        assert isinstance(inner, ast.Block) and [d.name for d in inner.body] == ["x"]
+        printed = to_c(func)
+        assert printed.count("int x") == 2 and printed.count("{") == 2
+        assert to_c(parse_function(printed)) == printed
 
     def test_goto_and_labels(self):
         source = """
