@@ -39,7 +39,7 @@ def main() -> int:
     result = fsm.run()
 
     for record in result.history:
-        print(f"--- attempt {record.attempt}: {record.outcome} "
+        print(f"--- attempt {record.attempt}: {record.outcome.value} "
               f"(generation mode: {record.llm_annotations.get('mode', '?')}"
               f"{', fault: ' + record.llm_annotations['fault'] if 'fault' in record.llm_annotations else ''}) ---")
     print()

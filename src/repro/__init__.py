@@ -30,7 +30,7 @@ _PUBLIC_API = {
     "CampaignRunner": "repro.pipeline",
     "CampaignReport": "repro.pipeline",
     "CampaignSummary": "repro.pipeline",
-    "Verdict": "repro.pipeline",
+    "Verdict": "repro.verdict",
     "merge_stores": "repro.pipeline",
     "report_from_store": "repro.pipeline",
     # Incremental re-verification and store hygiene.

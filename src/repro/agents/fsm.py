@@ -22,6 +22,7 @@ from repro.agents.user_proxy import UserProxyAgent
 from repro.agents.vectorizer_agent import VectorizerAgent
 from repro.llm.client import LLMClient
 from repro.runspec import RunSpec
+from repro.verdict import Verdict
 
 
 class FSMState(enum.Enum):
@@ -49,7 +50,9 @@ class AttemptRecord:
 
     attempt: int
     candidate_code: str
-    outcome: str
+    #: The tester's verdict: plausible, not_equivalent, cannot_compile or
+    #: static_reject.
+    outcome: Verdict
     llm_annotations: dict = field(default_factory=dict)
     #: Per-rule *error* counts from the static vetter (empty when it ran
     #: clean or was off) and its one-line summary of everything it saw.
@@ -122,7 +125,7 @@ class VectorizationFSM:
                 AttemptRecord(
                     attempt=attempts,
                     candidate_code=candidate_msg.payload.get("candidate_code", ""),
-                    outcome=verdict_msg.payload.get("outcome", "unknown"),
+                    outcome=verdict_msg.payload["outcome"],
                     llm_annotations=candidate_msg.payload.get("annotations", {}),
                     static_flags=(static_report.rule_counts(errors_only=True)
                                   if static_report is not None else {}),

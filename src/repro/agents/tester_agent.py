@@ -3,13 +3,9 @@
 from __future__ import annotations
 
 from repro.agents.base import Agent, Message
-from repro.interp.checksum import ChecksumOutcome, checksum_testing
+from repro.interp.checksum import checksum_testing
 from repro.runspec import RunSpec
-
-#: The per-candidate outcome of a screen-mode static rejection; sits next
-#: to the :class:`~repro.interp.checksum.ChecksumOutcome` values in attempt
-#: records and campaign accounting.
-STATIC_REJECT_OUTCOME = "static_reject"
+from repro.verdict import Verdict
 
 
 class CompilerTesterAgent(Agent):
@@ -55,7 +51,7 @@ class CompilerTesterAgent(Agent):
                     recipient="vectorizer",
                     content=static_report.feedback_text(),
                     payload={
-                        "outcome": STATIC_REJECT_OUTCOME,
+                        "outcome": Verdict.STATIC_REJECT,
                         "accepted": False,
                         "candidate_code": candidate,
                         "static_report": static_report,
@@ -64,10 +60,9 @@ class CompilerTesterAgent(Agent):
         report = checksum_testing(
             self.scalar_code, candidate, seed=self.seed, trip_counts=self.trip_counts
         )
-        accepted = report.outcome is ChecksumOutcome.PLAUSIBLE
         payload = {
-            "outcome": report.outcome.value,
-            "accepted": accepted,
+            "outcome": report.outcome,
+            "accepted": report.outcome is Verdict.PLAUSIBLE,
             "candidate_code": candidate,
             "report": report,
         }

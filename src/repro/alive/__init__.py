@@ -9,12 +9,7 @@ must leave every array cell equal to the scalar program's result.
 """
 
 from repro.alive.symexec import SymbolicExecutionError, SymbolicExecutor, SymbolicState, execute_symbolically
-from repro.alive.verifier import (
-    AliveVerifier,
-    VerificationOutcome,
-    VerificationReport,
-    VerifierConfig,
-)
+from repro.alive.verifier import AliveVerifier, VerifierConfig
 
 __all__ = [
     "SymbolicExecutionError",
@@ -22,7 +17,5 @@ __all__ = [
     "SymbolicState",
     "execute_symbolically",
     "AliveVerifier",
-    "VerificationOutcome",
-    "VerificationReport",
     "VerifierConfig",
 ]

@@ -20,37 +20,40 @@ Algorithm 1 on top of the symbolic executor and the SMT substrate:
     (Section 3.3), issues one equivalence query per written array index
     instead of a single monolithic query.
 
-Every method returns EQUIVALENT / NOT_EQUIVALENT / INCONCLUSIVE; refinement
-additionally refutes candidates that introduce undefined behaviour (out of
-bounds accesses, stored poison) absent from the scalar program — that is the
-mechanism by which checksum-surviving bugs like the paper's s124 example are
-caught.
+Every method returns the equivalence checker's own
+:class:`~repro.smt.equiv.EquivalenceResult`, whose verdict is EQUIVALENT,
+NOT_EQUIVALENT or INCONCLUSIVE.  Refinement additionally refutes candidates
+that introduce undefined behaviour (out of bounds accesses, stored poison)
+absent from the scalar program — that is the mechanism by which
+checksum-surviving bugs like the paper's s124 example are caught.  A result
+the verifier decides itself carries an empty ``method`` and says why in
+``detail``: one decided before any query (a parse failure, a failed
+precondition, new undefined behaviour), or spatial splitting's EQUIVALENT
+after every per-index query was discharged.
+
+Every array parameter of the scalar program is observable.  An array the
+candidate does not take keeps its initial contents, as it does under
+checksum testing, where the interpreter allocates every input array.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from repro.analysis.accesses import collect_accesses
 from repro.analysis.loops import find_main_loop
 from repro.cfront import ast_nodes as ast
 from repro.errors import CompileError, ParseError, ReproError
-from repro.alive.symexec import SymbolicExecutionError, SymbolicState, execute_symbolically
+from repro.alive.symexec import SymbolicExecutionError, SymbolicState, SymRegion, execute_symbolically
 from repro.intrinsics.registry import INTRINSIC_REGISTRY, registry_for_dtype
 from repro.lanetypes import INT32, LaneType
 from repro.memo import IdentityMemo
-from repro.smt.equiv import EquivalenceChecker, EquivalenceOutcome, SolverBudget
+from repro.smt.equiv import EquivalenceChecker, EquivalenceResult, SolverBudget
 from repro.smt.terms import Term, contains_poison
 from repro.targets import DEFAULT_TARGET
 from repro.transforms.c_unroll import CUnrollError, unroll_scalar_function
 from repro.transforms.spatial import spatial_access_summary
-
-
-class VerificationOutcome(enum.Enum):
-    EQUIVALENT = "equivalent"
-    NOT_EQUIVALENT = "not_equivalent"
-    INCONCLUSIVE = "inconclusive"
+from repro.verdict import Verdict
 
 
 @dataclass
@@ -76,14 +79,6 @@ class VerifierConfig:
     default_scalar_value: int = 3
 
 
-@dataclass
-class VerificationReport:
-    outcome: VerificationOutcome
-    method: str
-    detail: str = ""
-    counterexample: dict[str, int] | None = None
-
-
 class AliveVerifier:
     """Checks a (scalar, vectorized) pair for refinement."""
 
@@ -93,51 +88,48 @@ class AliveVerifier:
     # -- public methods, mirroring Algorithm 1 ----------------------------------------
 
     def check_with_alive_unroll(self, scalar_code: str | ast.FunctionDef,
-                                vectorized_code: str | ast.FunctionDef) -> VerificationReport:
+                                vectorized_code: str | ast.FunctionDef) -> EquivalenceResult:
         """Out-of-the-box bounded translation validation."""
         return self._check(scalar_code, vectorized_code,
                            trip_count=self.config.trip_count,
                            budget=self.config.alive_budget,
-                           method="alive-unroll",
                            transform_scalar=False,
                            split=False)
 
     def check_with_c_unroll(self, scalar_code: str | ast.FunctionDef,
-                            vectorized_code: str | ast.FunctionDef) -> VerificationReport:
+                            vectorized_code: str | ast.FunctionDef) -> EquivalenceResult:
         """C-level unrolling of the scalar side before validation (Section 3.2)."""
         return self._check(scalar_code, vectorized_code,
                            trip_count=self.config.c_unroll_trip_count,
                            budget=self.config.c_unroll_budget,
-                           method="c-unroll",
                            transform_scalar=True,
                            split=False)
 
     def check_with_spatial_splitting(self, scalar_code: str | ast.FunctionDef,
-                                     vectorized_code: str | ast.FunctionDef) -> VerificationReport:
+                                     vectorized_code: str | ast.FunctionDef) -> EquivalenceResult:
         """Per-index equivalence queries for dependence-free kernels (Section 3.3)."""
         return self._check(scalar_code, vectorized_code,
                            trip_count=self.config.c_unroll_trip_count,
                            budget=self.config.splitting_budget,
-                           method="spatial-splitting",
                            transform_scalar=False,
                            split=True)
 
     # -- the shared machinery --------------------------------------------------------------
 
     def _check(self, scalar_code, vectorized_code, trip_count: int, budget: SolverBudget,
-               method: str, transform_scalar: bool, split: bool) -> VerificationReport:
+               transform_scalar: bool, split: bool) -> EquivalenceResult:
         try:
             scalar_func = self._as_function(scalar_code)
             vector_func = self._as_function(vectorized_code)
         except (ParseError, ReproError) as exc:
-            return VerificationReport(VerificationOutcome.INCONCLUSIVE, method,
-                                      detail=f"parse failure: {exc}")
+            return EquivalenceResult(Verdict.INCONCLUSIVE, detail=f"parse failure: {exc}")
 
         if split:
             summary = spatial_access_summary(scalar_func, vector_func)
             if not summary.splittable:
-                return VerificationReport(VerificationOutcome.INCONCLUSIVE, method,
-                                          detail=f"splitting precondition failed: {summary.reason}")
+                return EquivalenceResult(
+                    Verdict.INCONCLUSIVE,
+                    detail=f"splitting precondition failed: {summary.reason}")
 
         # Both sides must model the same lane element type: refinement over
         # terms at two different widths is meaningless.
@@ -145,11 +137,10 @@ class AliveVerifier:
             scalar_dtype = ast.kernel_dtype(scalar_func)
             vector_dtype = ast.kernel_dtype(vector_func)
         except CompileError as exc:
-            return VerificationReport(VerificationOutcome.INCONCLUSIVE, method,
-                                      detail=f"element type inference failed: {exc}")
+            return EquivalenceResult(Verdict.INCONCLUSIVE, detail=f"element type inference failed: {exc}")
         if scalar_dtype is not vector_dtype:
-            return VerificationReport(
-                VerificationOutcome.INCONCLUSIVE, method,
+            return EquivalenceResult(
+                Verdict.INCONCLUSIVE,
                 detail=f"element type mismatch: scalar models {scalar_dtype.name}, "
                        f"candidate models {vector_dtype.name}")
         dtype = vector_dtype
@@ -166,8 +157,7 @@ class AliveVerifier:
             try:
                 executable_scalar = _cached_unroll(scalar_func, lanes)
             except CUnrollError as exc:
-                return VerificationReport(VerificationOutcome.INCONCLUSIVE, method,
-                                          detail=f"C-level unrolling failed: {exc}")
+                return EquivalenceResult(Verdict.INCONCLUSIVE, detail=f"C-level unrolling failed: {exc}")
 
         array_sizes = self._array_sizes(scalar_func, trip_count)
         scalar_values = self._scalar_values(scalar_func, trip_count)
@@ -177,53 +167,41 @@ class AliveVerifier:
             scalar_state = _cached_scalar_symexec(executable_scalar, array_sizes, scalar_values)
             vector_state = execute_symbolically(vector_func, array_sizes, vec_scalar_values)
         except SymbolicExecutionError as exc:
-            return VerificationReport(VerificationOutcome.INCONCLUSIVE, method,
-                                      detail=f"symbolic execution failed: {exc}")
+            return EquivalenceResult(Verdict.INCONCLUSIVE, detail=f"symbolic execution failed: {exc}")
 
         # Refinement part 1: the target must not introduce UB.
         new_ub = [event for event in vector_state.ub_events if event not in scalar_state.ub_events]
         if new_ub:
-            return VerificationReport(
-                VerificationOutcome.NOT_EQUIVALENT, method,
+            return EquivalenceResult(
+                Verdict.NOT_EQUIVALENT,
                 detail="the vectorized code introduces undefined behaviour: " + "; ".join(new_ub[:3]),
             )
 
         # Refinement part 2: every observable array cell must agree.
-        pairs = self._output_pairs(scalar_state, vector_state, scalar_func)
+        pairs = _output_pairs(scalar_state, vector_state, scalar_func)
         poisoned = [name for name, (src, _tgt) in pairs.items() if contains_poison(src)]
         comparable = [(src, tgt) for name, (src, tgt) in pairs.items() if name not in poisoned]
         target_poison = [name for name, (src, tgt) in pairs.items()
                          if name not in poisoned and contains_poison(tgt)]
         if target_poison:
-            return VerificationReport(
-                VerificationOutcome.NOT_EQUIVALENT, method,
+            return EquivalenceResult(
+                Verdict.NOT_EQUIVALENT,
                 detail="the vectorized code stores poison where the scalar code stores a value: "
                 + ", ".join(target_poison[:4]),
             )
 
         checker = EquivalenceChecker(budget=budget, model_bits=dtype.bits)
-        if split:
-            worst: VerificationReport | None = None
-            for source, target in comparable:
-                result = checker.check_pair(source, target)
-                if result.outcome is EquivalenceOutcome.NOT_EQUIVALENT:
-                    return VerificationReport(VerificationOutcome.NOT_EQUIVALENT, method,
-                                              detail=result.detail, counterexample=result.counterexample)
-                if result.outcome is EquivalenceOutcome.INCONCLUSIVE and worst is None:
-                    worst = VerificationReport(VerificationOutcome.INCONCLUSIVE, method,
-                                               detail=result.detail)
-            if worst is not None:
-                return worst
-            return VerificationReport(VerificationOutcome.EQUIVALENT, method,
-                                      detail="all per-index queries discharged")
-        result = checker.check_pairs(comparable)
-        outcome = {
-            EquivalenceOutcome.EQUIVALENT: VerificationOutcome.EQUIVALENT,
-            EquivalenceOutcome.NOT_EQUIVALENT: VerificationOutcome.NOT_EQUIVALENT,
-            EquivalenceOutcome.INCONCLUSIVE: VerificationOutcome.INCONCLUSIVE,
-        }[result.outcome]
-        return VerificationReport(outcome, method, detail=result.detail or result.method,
-                                  counterexample=result.counterexample)
+        if not split:
+            return checker.check_pairs(comparable)
+        worst: EquivalenceResult | None = None
+        for source, target in comparable:
+            result = checker.check_pair(source, target)
+            if result.outcome is Verdict.NOT_EQUIVALENT:
+                return result
+            if result.outcome is Verdict.INCONCLUSIVE and worst is None:
+                worst = result
+        return worst or EquivalenceResult(Verdict.EQUIVALENT,
+                                          detail="all per-index queries discharged")
 
     # -- helpers -------------------------------------------------------------------------------
 
@@ -265,11 +243,6 @@ class AliveVerifier:
             else:
                 values[param.name] = self.config.default_scalar_value
         return values
-
-    @staticmethod
-    def _output_pairs(scalar_state: SymbolicState, vector_state: SymbolicState,
-                      scalar_func: ast.FunctionDef) -> dict[str, tuple[Term, Term]]:
-        return _output_pairs(scalar_state, vector_state, scalar_func)
 
 
 #: Unrolling the scalar side is deterministic in (function, factor), and the
@@ -323,11 +296,15 @@ def _candidate_lanes_uncached(vector_func: ast.FunctionDef, dtype: LaneType) -> 
 
 def _output_pairs(scalar_state: SymbolicState, vector_state: SymbolicState,
                   scalar_func: ast.FunctionDef) -> dict[str, tuple[Term, Term]]:
+    """The (scalar, candidate) final term of every observable array cell."""
+    arrays = {param.name for param in scalar_func.params if param.param_type.is_pointer}
     pairs: dict[str, tuple[Term, Term]] = {}
     for name, region in scalar_state.regions.items():
         vector_region = vector_state.regions.get(name)
         if vector_region is None:
-            continue
+            if name not in arrays:
+                continue  # a local array of the scalar program
+            vector_region = SymRegion(name, region.size)
         for index in range(region.size):
             pairs[f"{name}[{index}]"] = (region.cell(index), vector_region.cell(index))
     return pairs

@@ -22,10 +22,10 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 
-from repro.interp.checksum import ChecksumOutcome, checksum_testing
-from repro.llm.client import CompletionRequest, LLMClient
+from repro.interp.checksum import checksum_testing
+from repro.llm.client import CompletionRequest
 from repro.llm.prompts import build_vectorization_prompt
-from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
+from repro.llm.synthetic import SyntheticLLM, suite_llm_config
 from repro.metrics.passk import pass_at_k_curve
 from repro.pipeline.campaign import (
     CampaignConfig,
@@ -36,8 +36,7 @@ from repro.pipeline.campaign import (
     is_error_result,
 )
 from repro.pipeline.cache import config_fingerprint
-from repro.runspec import RunSpec
-from repro.tsvc import LoadedKernel, load_suite
+from repro.verdict import Verdict
 
 
 @dataclass
@@ -45,19 +44,19 @@ class KernelChecksumRecord:
     """Per-kernel record: outcome of each completion, in generation order."""
 
     kernel: str
-    outcomes: list[ChecksumOutcome] = field(default_factory=list)
+    outcomes: list[Verdict] = field(default_factory=list)
     first_plausible_code: str | None = None
 
     def plausible_within(self, k: int) -> bool:
-        return any(o is ChecksumOutcome.PLAUSIBLE for o in self.outcomes[:k])
+        return any(o is Verdict.PLAUSIBLE for o in self.outcomes[:k])
 
     def all_cannot_compile_within(self, k: int) -> bool:
         prefix = self.outcomes[:k]
-        return bool(prefix) and all(o is ChecksumOutcome.CANNOT_COMPILE for o in prefix)
+        return bool(prefix) and all(o is Verdict.CANNOT_COMPILE for o in prefix)
 
     @property
     def plausible_count(self) -> int:
-        return sum(1 for o in self.outcomes if o is ChecksumOutcome.PLAUSIBLE)
+        return sum(1 for o in self.outcomes if o is Verdict.PLAUSIBLE)
 
 
 @dataclass
@@ -66,8 +65,7 @@ class ChecksumEvaluation:
 
     records: list[KernelChecksumRecord]
     num_completions: int
-    #: Campaign accounting (cache hit-rate, wall clock, throughput); None on
-    #: the serial fallback path.
+    #: Campaign accounting (cache hit-rate, wall clock, throughput).
     campaign_summary: "CampaignSummary | None" = None
 
     def table2_row(self, k: int) -> dict[str, int]:
@@ -95,15 +93,15 @@ class ChecksumEvaluation:
 
 
 def classify_completions(scalar_code: str, codes: list[str],
-                         checksum_seed: int = 0) -> tuple[list[ChecksumOutcome], int | None]:
+                         checksum_seed: int = 0) -> tuple[list[Verdict], int | None]:
     """Classify completions by checksum testing, deduplicating identical code.
 
     Returns the per-completion outcomes plus the index of the first plausible
     completion (or None).
     """
-    outcomes: list[ChecksumOutcome] = []
+    outcomes: list[Verdict] = []
     first_plausible: int | None = None
-    cache: dict[str, ChecksumOutcome] = {}
+    cache: dict[str, Verdict] = {}
     for index, code in enumerate(codes):
         digest = hashlib.sha256(code.encode()).hexdigest()
         outcome = cache.get(digest)
@@ -111,7 +109,7 @@ def classify_completions(scalar_code: str, codes: list[str],
             outcome = checksum_testing(scalar_code, code, seed=checksum_seed).outcome
             cache[digest] = outcome
         outcomes.append(outcome)
-        if outcome is ChecksumOutcome.PLAUSIBLE and first_plausible is None:
+        if outcome is Verdict.PLAUSIBLE and first_plausible is None:
             first_plausible = index
     return outcomes, first_plausible
 
@@ -164,27 +162,23 @@ def _slice_batch(cached: dict, task: KernelTask) -> dict:
 def run_checksum_evaluation(
     num_completions: int = 100,
     kernels: list[str] | None = None,
-    llm: LLMClient | None = None,
+    llm: SyntheticLLM | None = None,
     checksum_seed: int = 0,
     temperature: float = 1.0,
     campaign: CampaignRunner | CampaignConfig | None = None,
 ) -> ChecksumEvaluation:
     """Generate ``num_completions`` per kernel and classify each by checksum testing.
 
-    With a :class:`SyntheticLLM` (or None), kernels run through the campaign
-    engine with per-kernel derived seeds.  An arbitrary :class:`LLMClient`
-    instance cannot be shipped to worker processes, so it falls back to the
-    serial in-process path with shared client state.  Completions are
-    requested with the campaign's run settings (``campaign.config.spec``):
-    its target ISA, epilogue strategy and element type.
+    Kernels run through the campaign engine, each with a fresh
+    :class:`SyntheticLLM` (``llm``'s config, or the default one) seeded from
+    (LLM seed, kernel name); any other client raises ``TypeError``.
+    Completions are requested with the campaign's run settings
+    (``campaign.config.spec``): its target ISA, epilogue strategy and element
+    type.
     """
+    llm_config = suite_llm_config(llm)
     runner = as_campaign_runner(campaign)
     spec = runner.config.spec
-    if llm is not None and not isinstance(llm, SyntheticLLM):
-        return _run_serial_with_instance(llm, num_completions, kernels, checksum_seed,
-                                         temperature, spec)
-
-    llm_config = llm.config if isinstance(llm, SyntheticLLM) else SyntheticLLMConfig()
     payload = {
         "llm_config": llm_config,
         "num_completions": num_completions,
@@ -210,7 +204,7 @@ def run_checksum_evaluation(
     records = [
         KernelChecksumRecord(
             kernel=result["kernel"],
-            outcomes=[ChecksumOutcome(value) for value in result["outcomes"]],
+            outcomes=[Verdict(value) for value in result["outcomes"]],
             first_plausible_code=result["first_plausible_code"],
         )
         for result in report.results()
@@ -219,39 +213,3 @@ def run_checksum_evaluation(
     return ChecksumEvaluation(
         records=records, num_completions=num_completions, campaign_summary=report.summary
     )
-
-
-def _run_serial_with_instance(
-    llm: LLMClient,
-    num_completions: int,
-    kernels: list[str] | None,
-    checksum_seed: int,
-    temperature: float,
-    spec: RunSpec,
-) -> ChecksumEvaluation:
-    """Serial fallback for LLM clients that cannot be reconstructed per worker."""
-    suite: list[LoadedKernel] = load_suite(kernels, dtype=spec.dtype)
-    records: list[KernelChecksumRecord] = []
-    for kernel in suite:
-        request = CompletionRequest(
-            prompt=build_vectorization_prompt(kernel.source, target=spec.target),
-            kernel_name=kernel.name,
-            scalar_code=kernel.source,
-            num_completions=num_completions,
-            temperature=temperature,
-            spec=spec,
-        )
-        completions = llm.complete(request)
-        outcomes, first_plausible = classify_completions(
-            kernel.source, [c.code for c in completions], checksum_seed
-        )
-        records.append(
-            KernelChecksumRecord(
-                kernel=kernel.name,
-                outcomes=outcomes,
-                first_plausible_code=(
-                    completions[first_plausible].code if first_plausible is not None else None
-                ),
-            )
-        )
-    return ChecksumEvaluation(records=records, num_completions=num_completions)

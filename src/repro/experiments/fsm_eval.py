@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.agents.fsm import FSMConfig, run_fsm_on_kernel
-from repro.llm.client import LLMClient
-from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
+from repro.llm.synthetic import SyntheticLLM, suite_llm_config
 from repro.pipeline.campaign import (
     CampaignConfig,
     CampaignRunner,
@@ -30,8 +29,6 @@ from repro.pipeline.campaign import (
     is_error_result,
 )
 from repro.pipeline.cache import config_fingerprint
-from repro.runspec import RunSpec
-from repro.tsvc import load_suite
 
 
 @dataclass
@@ -98,23 +95,21 @@ def fsm_kernel_job(task: KernelTask) -> dict:
 
 def run_fsm_evaluation(
     kernels: list[str] | None = None,
-    llm: LLMClient | None = None,
+    llm: SyntheticLLM | None = None,
     config: FSMConfig | None = None,
     campaign: CampaignRunner | CampaignConfig | None = None,
 ) -> FSMEvaluation:
     """Run the multi-agent FSM over the suite and collect RQ4 statistics.
 
-    The agents run with the campaign's run settings
-    (``campaign.config.spec``), so the jobs and the campaign summary label
-    can never disagree about the target.
+    Each kernel runs with a fresh :class:`SyntheticLLM` (``llm``'s config,
+    or the default one); any other client raises ``TypeError``.  The agents
+    run with the campaign's run settings (``campaign.config.spec``), so the
+    jobs and the campaign summary label can never disagree about the target.
     """
+    llm_config = suite_llm_config(llm)
     fsm_config = config or FSMConfig()
     runner = as_campaign_runner(campaign)
     spec = runner.config.spec
-    if llm is not None and not isinstance(llm, SyntheticLLM):
-        return _run_serial_with_instance(llm, kernels, fsm_config, spec)
-
-    llm_config = llm.config if isinstance(llm, SyntheticLLM) else SyntheticLLMConfig()
     payload = {"llm_config": llm_config, "fsm_config": fsm_config, "spec": spec}
     tasks = runner.suite_tasks(
         kernels, payload, config_fingerprint(payload), seed=llm_config.seed
@@ -134,22 +129,3 @@ def run_fsm_evaluation(
         if not is_error_result(result)
     ]
     return FSMEvaluation(results=records, campaign_summary=report.summary)
-
-
-def _run_serial_with_instance(
-    llm: LLMClient, kernels: list[str] | None, fsm_config: FSMConfig, spec: RunSpec
-) -> FSMEvaluation:
-    """Serial fallback for LLM clients that cannot be reconstructed per worker."""
-    evaluation = FSMEvaluation()
-    for kernel in load_suite(kernels, dtype=spec.dtype):
-        result = run_fsm_on_kernel(llm, kernel.name, kernel.source, fsm_config, spec=spec)
-        evaluation.results.append(
-            FSMKernelRecord(
-                kernel=result.kernel_name,
-                accepted=result.accepted,
-                attempts=result.attempts,
-                llm_invocations=result.llm_invocations,
-                final_code=result.final_code,
-            )
-        )
-    return evaluation

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alive.verifier import VerificationOutcome, VerifierConfig
+from repro.alive.verifier import VerifierConfig
 from repro.pipeline.campaign import (
     CampaignConfig,
     CampaignRunner,
@@ -31,6 +31,7 @@ from repro.pipeline.campaign import (
 )
 from repro.pipeline.cache import config_fingerprint
 from repro.pipeline.equivalence import EquivalencePipeline
+from repro.verdict import Verdict
 
 #: Table 3 row name of each Algorithm 1 stage, in funnel order.
 FUNNEL_STAGES = {
@@ -65,7 +66,7 @@ class VerificationFunnel:
     """The whole Table 3: per-stage rows plus per-kernel final verdicts."""
 
     stages: list[FunnelStage] = field(default_factory=list)
-    verdict_by_kernel: dict[str, str] = field(default_factory=dict)
+    verdict_by_kernel: dict[str, Verdict] = field(default_factory=dict)
     verified_kernels: list[str] = field(default_factory=list)
     refuted_kernels: list[str] = field(default_factory=list)
     inconclusive_kernels: list[str] = field(default_factory=list)
@@ -168,13 +169,13 @@ def run_verification_funnel(
         for result in pending:
             kernel_name = result["kernel"]
             if result["deciding_stage"] == stage_name:
-                if result["verdict"] == VerificationOutcome.EQUIVALENT.value:
+                verdict = Verdict(result["verdict"])
+                funnel.verdict_by_kernel[kernel_name] = verdict
+                if verdict is Verdict.EQUIVALENT:
                     stage.equivalent += 1
-                    funnel.verdict_by_kernel[kernel_name] = "equivalent"
                     funnel.verified_kernels.append(kernel_name)
                 else:
                     stage.not_equivalent += 1
-                    funnel.verdict_by_kernel[kernel_name] = "not_equivalent"
                     funnel.refuted_kernels.append(kernel_name)
             else:
                 stage.inconclusive += 1
@@ -183,6 +184,6 @@ def run_verification_funnel(
         pending = still_pending
 
     for result in pending:
-        funnel.verdict_by_kernel[result["kernel"]] = "inconclusive"
+        funnel.verdict_by_kernel[result["kernel"]] = Verdict.INCONCLUSIVE
         funnel.inconclusive_kernels.append(result["kernel"])
     return funnel

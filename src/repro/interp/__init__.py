@@ -2,7 +2,7 @@
 
 from repro.interp.memory import ArrayRegion, Memory, UBEvent
 from repro.interp.interpreter import ExecutionResult, run_function
-from repro.interp.checksum import ChecksumOutcome, ChecksumReport, checksum_testing
+from repro.interp.checksum import ChecksumReport, checksum_testing
 
 __all__ = [
     "ArrayRegion",
@@ -10,7 +10,6 @@ __all__ = [
     "UBEvent",
     "ExecutionResult",
     "run_function",
-    "ChecksumOutcome",
     "ChecksumReport",
     "checksum_testing",
 ]

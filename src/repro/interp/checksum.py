@@ -2,10 +2,11 @@
 
 Given a scalar function and a candidate vectorized function, the tester
 initializes the input arrays randomly, executes both functions, and compares
-the output arrays.  The outcome is one of
+the output arrays.  The outcome is one :class:`~repro.verdict.Verdict`:
 
 * ``PLAUSIBLE`` — outputs matched on every test vector (possibly correct),
-* ``NOT_EQUIVALENT`` — some output array differed,
+* ``NOT_EQUIVALENT`` — some output array differed, or the candidate crashed
+  (the report's ``crash`` then holds the interpreter's message),
 * ``CANNOT_COMPILE`` — the candidate was rejected before execution
   (parse error, unknown intrinsic, undeclared identifier, ...).
 
@@ -17,7 +18,6 @@ bugs like the unconditional load in s124.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass, field
 
@@ -33,14 +33,7 @@ from repro.errors import (
 from repro.interp.interpreter import ExecutionResult, run_function
 from repro.interp.randominit import InputSpec, TestVector, make_test_suite
 from repro.memo import IdentityMemo
-
-
-class ChecksumOutcome(enum.Enum):
-    """Verdict of checksum-based testing."""
-
-    PLAUSIBLE = "plausible"
-    NOT_EQUIVALENT = "not_equivalent"
-    CANNOT_COMPILE = "cannot_compile"
+from repro.verdict import Verdict
 
 
 @dataclass
@@ -64,9 +57,12 @@ class Mismatch:
 class ChecksumReport:
     """Full report of a checksum-testing run, used as agent feedback."""
 
-    outcome: ChecksumOutcome
+    outcome: Verdict
     mismatches: list[Mismatch] = field(default_factory=list)
     compile_error: str | None = None
+    #: Why the candidate crashed (its out-of-bounds access, for example) and
+    #: at which trip count; None unless it did.
+    crash: str | None = None
     tests_run: int = 0
     scalar_ub_events: int = 0
     vector_ub_events: int = 0
@@ -74,29 +70,23 @@ class ChecksumReport:
     sample_expected: dict[str, list[int]] = field(default_factory=dict)
     sample_actual: dict[str, list[int]] = field(default_factory=dict)
 
-    @property
-    def is_plausible(self) -> bool:
-        return self.outcome is ChecksumOutcome.PLAUSIBLE
-
     def feedback_text(self, limit: int = 5) -> str:
         """Human/LLM-readable feedback, mirroring the tester agent's messages."""
-        if self.outcome is ChecksumOutcome.CANNOT_COMPILE:
+        if self.outcome is Verdict.CANNOT_COMPILE:
             return f"The vectorized code does not compile: {self.compile_error}"
-        if self.outcome is ChecksumOutcome.PLAUSIBLE:
+        if self.outcome is Verdict.PLAUSIBLE:
             return "The vectorized code matches the scalar code on all random tests."
-        lines = ["The vectorized code produced different outputs than the scalar code:"]
-        for mismatch in self.mismatches[:limit]:
-            lines.append(f"  - {mismatch}")
-        if self.sample_inputs:
-            lines.append("Example input arrays:")
-            for name, values in sorted(self.sample_inputs.items()):
-                lines.append(f"  {name} = {values[:12]}")
-            lines.append("Expected (scalar) outputs:")
-            for name, values in sorted(self.sample_expected.items()):
-                lines.append(f"  {name} = {values[:12]}")
-            lines.append("Actual (vectorized) outputs:")
-            for name, values in sorted(self.sample_actual.items()):
-                lines.append(f"  {name} = {values[:12]}")
+        if self.crash is not None:
+            lines = [f"The vectorized code crashed: {self.crash}"]
+        else:
+            lines = ["The vectorized code produced different outputs than the scalar code:"]
+            lines += [f"  - {mismatch}" for mismatch in self.mismatches[:limit]]
+        for header, arrays in (("Example input arrays:", self.sample_inputs),
+                               ("Expected (scalar) outputs:", self.sample_expected),
+                               ("Actual (vectorized) outputs:", self.sample_actual)):
+            if arrays:
+                lines.append(header)
+                lines += [f"  {name} = {values[:12]}" for name, values in sorted(arrays.items())]
         return "\n".join(lines)
 
 
@@ -184,12 +174,12 @@ def checksum_testing(
         vector_func = _ensure_function(vectorized_code)
     except (ParseError, LexError, CompileError) as exc:
         return ChecksumReport(
-            outcome=ChecksumOutcome.CANNOT_COMPILE, compile_error=str(exc), tests_run=0
+            outcome=Verdict.CANNOT_COMPILE, compile_error=str(exc), tests_run=0
         )
 
     suite, scalar_results = _scalar_suite(scalar_func, seed, trip_counts, value_range)
 
-    report = ChecksumReport(outcome=ChecksumOutcome.PLAUSIBLE)
+    report = ChecksumReport(outcome=Verdict.PLAUSIBLE)
     for index, vector in enumerate(suite):
         if index < len(scalar_results):
             scalar_result = scalar_results[index]
@@ -203,22 +193,16 @@ def checksum_testing(
             vector_result = _execute(vector_func, vector)
         except (CompileError,) as exc:
             return ChecksumReport(
-                outcome=ChecksumOutcome.CANNOT_COMPILE,
+                outcome=Verdict.CANNOT_COMPILE,
                 compile_error=str(exc),
                 tests_run=report.tests_run,
             )
         except (UndefinedBehaviorError, InterpreterError) as exc:
-            report.outcome = ChecksumOutcome.NOT_EQUIVALENT
-            report.compile_error = None
-            report.mismatches.append(
-                Mismatch(array="<crash>", index=0, expected=0, actual=0,
-                         trip_count=vector.scalars.get("n", 0))
-            )
+            report.outcome = Verdict.NOT_EQUIVALENT
+            report.crash = f"{exc} (n={vector.scalars.get('n', 0)})"
             report.tests_run += 1
             report.sample_inputs = {k: list(v) for k, v in vector.arrays.items()}
             report.sample_expected = scalar_result.outputs()
-            report.sample_actual = {}
-            _ = exc
             return report
 
         report.tests_run += 1
@@ -226,7 +210,7 @@ def checksum_testing(
         report.vector_ub_events += len(vector_result.ub_events)
         mismatches = _compare_outputs(scalar_result, vector_result, vector)
         if mismatches:
-            report.outcome = ChecksumOutcome.NOT_EQUIVALENT
+            report.outcome = Verdict.NOT_EQUIVALENT
             report.mismatches.extend(mismatches)
             report.sample_inputs = {k: list(v) for k, v in vector.arrays.items()}
             report.sample_expected = scalar_result.outputs()

@@ -180,6 +180,22 @@ class SyntheticLLM(LLMClient):
         return LLMCompletion(code=broken, annotations={"mode": "broken_wrong", "reason": reason})
 
 
+def suite_llm_config(llm: LLMClient | None) -> SyntheticLLMConfig:
+    """The config a suite campaign rebuilds ``llm`` from (None: the default model).
+
+    Campaign jobs give each kernel a fresh :class:`SyntheticLLM` seeded from
+    (LLM seed, kernel name), in whichever worker runs it.  No other client can
+    be rebuilt that way, so any other one raises ``TypeError``; it can still
+    drive one kernel at a time.
+    """
+    if llm is None:
+        return SyntheticLLMConfig()
+    if not isinstance(llm, SyntheticLLM):
+        raise TypeError(f"suite runs rebuild a SyntheticLLM per kernel from its config; "
+                        f"a {type(llm).__name__} can only drive one kernel at a time")
+    return llm.config
+
+
 # ---------------------------------------------------------------------------
 # candidate builders for kernels outside the vectorizer's capability
 # ---------------------------------------------------------------------------

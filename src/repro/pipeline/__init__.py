@@ -1,6 +1,6 @@
 """End-to-end pipeline: Algorithm 1, per-kernel runners and the campaign engine."""
 
-from repro.pipeline.verdict import Verdict
+from repro.verdict import Verdict
 from repro.pipeline.equivalence import EquivalencePipeline, PipelineReport
 from repro.pipeline.runner import KernelRunResult, LLMVectorizer, LLMVectorizerConfig
 from repro.pipeline.cache import config_fingerprint, content_key

@@ -66,9 +66,9 @@ from repro.pipeline.scheduler import (
     dispatch_batches,
     merge_counts,
 )
-from repro.pipeline.verdict import Verdict
 from repro.runspec import RunSpec
 from repro.targets import get_target, target_names
+from repro.verdict import Verdict
 
 JobFn = Callable[["KernelTask"], dict]
 
@@ -77,9 +77,6 @@ SOURCE_RUN = "run"
 SOURCE_CACHE = "cache"
 SOURCE_STORE = "store"
 
-#: Verdict value of a job that raised instead of producing a result.
-ERROR_VERDICT = "error"
-
 #: Broken-pool recovery budget, per task: a task that breaks its own
 #: singleton pool more than this many times is recorded as an error.
 MAX_POOL_RETRIES = 2
@@ -87,7 +84,7 @@ MAX_POOL_RETRIES = 2
 
 def is_error_result(result: Any) -> bool:
     """True for the error records a failing job turns into (not aborts)."""
-    return isinstance(result, dict) and result.get("verdict") == ERROR_VERDICT
+    return isinstance(result, dict) and result.get("verdict") == Verdict.ERROR.value
 
 
 def error_result(task: "KernelTask", label: str, error: BaseException,
@@ -95,7 +92,7 @@ def error_result(task: "KernelTask", label: str, error: BaseException,
     """Build the first-class record of a job failure on one kernel."""
     return {
         "kernel": task.kernel,
-        "verdict": ERROR_VERDICT,
+        "verdict": Verdict.ERROR.value,
         "error": f"{type(error).__name__}: {error}",
         "error_type": type(error).__name__,
         "traceback": traceback_text,
@@ -697,17 +694,13 @@ def kernel_result_record(result) -> dict:
         for rule_id, count in attempt.static_flags.items():
             static_flags[rule_id] = static_flags.get(rule_id, 0) + count
     static_summary = history[-1].static_summary if history else None
-    verdict = result.verdict
-    deciding_stage = report.deciding_stage if report is not None else None
-    if verdict is Verdict.STATIC_REJECT:
-        deciding_stage = "staticcheck"
     return {
         "kernel": result.kernel.name,
-        "verdict": verdict.value,
+        "verdict": result.verdict.value,
         "plausible": result.plausible,
         "attempts": result.fsm_result.attempts,
         "llm_invocations": result.fsm_result.llm_invocations,
-        "deciding_stage": deciding_stage,
+        "deciding_stage": result.deciding_stage,
         "stage_outcomes": dict(report.stage_outcomes) if report is not None else {},
         "final_code": code,
         "final_code_sha": hashlib.sha256(code.encode()).hexdigest() if code else None,

@@ -10,16 +10,19 @@
 
 Each stage only sees the cases the previous stages left inconclusive, exactly
 as in the paper's Table 3, and the report records which stage settled the
-candidate.
+candidate.  Checksum testing and every verification stage answer in the one
+:class:`~repro.verdict.Verdict` vocabulary, so the deciding stage's verdict
+is the report's verdict; only a candidate that checksum testing cannot
+compile is mapped, to ``NOT_EQUIVALENT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alive.verifier import AliveVerifier, VerificationOutcome, VerifierConfig
-from repro.interp.checksum import ChecksumOutcome, ChecksumReport, checksum_testing
-from repro.pipeline.verdict import Verdict
+from repro.alive.verifier import AliveVerifier, VerifierConfig
+from repro.interp.checksum import ChecksumReport, checksum_testing
+from repro.verdict import Verdict
 
 
 @dataclass
@@ -31,17 +34,6 @@ class PipelineReport:
     checksum: ChecksumReport | None = None
     stage_outcomes: dict[str, str] = field(default_factory=dict)
     detail: str = ""
-
-    @property
-    def checksum_plausible(self) -> bool:
-        return self.checksum is not None and self.checksum.is_plausible
-
-
-_OUTCOME_TO_VERDICT = {
-    VerificationOutcome.EQUIVALENT: Verdict.EQUIVALENT,
-    VerificationOutcome.NOT_EQUIVALENT: Verdict.NOT_EQUIVALENT,
-    VerificationOutcome.INCONCLUSIVE: Verdict.INCONCLUSIVE,
-}
 
 
 class EquivalencePipeline:
@@ -59,13 +51,13 @@ class EquivalencePipeline:
         if not skip_checksum:
             checksum_report = checksum_testing(scalar_code, vectorized_code)
             stage_outcomes["checksum"] = checksum_report.outcome.value
-            if checksum_report.outcome is ChecksumOutcome.CANNOT_COMPILE:
+            if checksum_report.outcome is Verdict.CANNOT_COMPILE:
                 return PipelineReport(
                     verdict=Verdict.NOT_EQUIVALENT, deciding_stage="checksum",
                     checksum=checksum_report, stage_outcomes=stage_outcomes,
                     detail=checksum_report.compile_error or "candidate does not compile",
                 )
-            if checksum_report.outcome is ChecksumOutcome.NOT_EQUIVALENT:
+            if checksum_report.outcome is Verdict.NOT_EQUIVALENT:
                 return PipelineReport(
                     verdict=Verdict.NOT_EQUIVALENT, deciding_stage="checksum",
                     checksum=checksum_report, stage_outcomes=stage_outcomes,
@@ -77,17 +69,17 @@ class EquivalencePipeline:
             ("c-unroll", self.verifier.check_with_c_unroll),
             ("spatial-splitting", self.verifier.check_with_spatial_splitting),
         ]
-        last_detail = ""
+        detail = ""
         for name, stage in stages:
-            report = stage(scalar_code, vectorized_code)
-            stage_outcomes[name] = report.outcome.value
-            last_detail = report.detail
-            if report.outcome is not VerificationOutcome.INCONCLUSIVE:
+            result = stage(scalar_code, vectorized_code)
+            stage_outcomes[name] = result.outcome.value
+            detail = result.detail or result.method
+            if result.outcome is not Verdict.INCONCLUSIVE:
                 return PipelineReport(
-                    verdict=_OUTCOME_TO_VERDICT[report.outcome], deciding_stage=name,
-                    checksum=checksum_report, stage_outcomes=stage_outcomes, detail=report.detail,
+                    verdict=result.outcome, deciding_stage=name,
+                    checksum=checksum_report, stage_outcomes=stage_outcomes, detail=detail,
                 )
         return PipelineReport(
             verdict=Verdict.INCONCLUSIVE, deciding_stage="none",
-            checksum=checksum_report, stage_outcomes=stage_outcomes, detail=last_detail,
+            checksum=checksum_report, stage_outcomes=stage_outcomes, detail=detail,
         )

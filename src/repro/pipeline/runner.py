@@ -3,7 +3,9 @@
 :class:`LLMVectorizer` ties everything together for one kernel: the
 multi-agent FSM drives the LLM to a checksum-plausible candidate, and the
 equivalence pipeline (Algorithm 1) then tries to formally verify or refute
-it.  The batch entry point runs the whole TSVC suite and is what the
+it.  Any :class:`~repro.llm.client.LLMClient` can drive one kernel at a
+time.  The batch entry point runs the whole TSVC suite through the campaign
+engine, which rebuilds the synthetic LLM per kernel, and is what the
 experiment harness and the benchmarks build on.
 """
 
@@ -13,11 +15,11 @@ from dataclasses import dataclass, field, replace
 
 from repro.agents.fsm import FSMConfig, FSMResult, VectorizationFSM
 from repro.llm.client import LLMClient
-from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
+from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig, suite_llm_config
 from repro.pipeline.equivalence import EquivalencePipeline, PipelineReport
-from repro.pipeline.verdict import Verdict
 from repro.runspec import RunSpec
 from repro.tsvc import LoadedKernel
+from repro.verdict import Verdict
 
 
 @dataclass
@@ -30,7 +32,6 @@ class LLMVectorizerConfig:
 
     fsm: FSMConfig = field(default_factory=FSMConfig)
     llm: SyntheticLLMConfig = field(default_factory=SyntheticLLMConfig)
-    run_verification: bool = True
 
 
 @dataclass
@@ -47,15 +48,21 @@ class KernelRunResult:
 
     @property
     def verdict(self) -> Verdict:
-        if not self.plausible:
-            history = self.fsm_result.history
-            if history and all(r.outcome == "static_reject" for r in history):
-                # Screen mode refuted every attempt without executing one.
-                return Verdict.STATIC_REJECT
-            return Verdict.NOT_EQUIVALENT
-        if self.pipeline_report is None:
-            return Verdict.PLAUSIBLE
-        return self.pipeline_report.verdict
+        if self.pipeline_report is not None:
+            return self.pipeline_report.verdict
+        history = self.fsm_result.history
+        if history and all(r.outcome is Verdict.STATIC_REJECT for r in history):
+            # Screen mode refuted every attempt without executing one.
+            return Verdict.STATIC_REJECT
+        return Verdict.NOT_EQUIVALENT
+
+    @property
+    def deciding_stage(self) -> str | None:
+        """The Algorithm 1 stage that decided :attr:`verdict` (None: the FSM's
+        repair loop gave up, so no stage ran)."""
+        if self.verdict is Verdict.STATIC_REJECT:
+            return "staticcheck"
+        return self.pipeline_report.deciding_stage if self.pipeline_report is not None else None
 
     @property
     def vectorized_code(self) -> str | None:
@@ -75,7 +82,7 @@ class LLMVectorizer:
         fsm = VectorizationFSM(self.llm, kernel.name, kernel.source, self.config.fsm, spec=spec)
         fsm_result = fsm.run()
         pipeline_report = None
-        if fsm_result.accepted and self.config.run_verification and fsm_result.final_code:
+        if fsm_result.final_code is not None:
             # Checksum already passed inside the FSM; Algorithm 1's later
             # stages do the formal work.
             pipeline_report = self.pipeline.check_equivalence(
@@ -92,48 +99,15 @@ class LLMVectorizer:
         content-addressed and appended to a resumable JSONL store, and the
         returned :class:`~repro.pipeline.campaign.CampaignReport` carries
         per-kernel verdicts plus the campaign summary (verdict counts, wall
-        clock, cache hit-rate, throughput).  With the synthetic LLM,
-        per-kernel results are identical at any parallelism level: each
-        kernel runs with a seed derived from ``(llm seed, kernel name)``,
-        never with shared LLM state.  An injected non-synthetic client
-        cannot be reconstructed inside worker processes, so it runs the
-        serial in-process path (shared client, no caching) instead.
+        clock, cache hit-rate, throughput).  Per-kernel results are identical
+        at any parallelism level: each kernel runs with a fresh synthetic LLM
+        seeded from ``(llm seed, kernel name)``, never with shared LLM state.
+        A client the campaign cannot rebuild that way raises ``TypeError``;
+        drive it through :meth:`vectorize`, one kernel at a time.
         """
         from repro.pipeline.campaign import as_campaign_runner
 
-        runner = as_campaign_runner(campaign)
-        if not isinstance(self.llm, SyntheticLLM):
-            return self._vectorize_suite_serial(names, runner.config.spec)
         # The live client's config wins over self.config.llm (they differ when
         # an already-configured SyntheticLLM instance was injected).
-        config = replace(self.config, llm=self.llm.config)
-        return runner.run(names, vectorizer_config=config)
-
-    def _vectorize_suite_serial(self, names: list[str] | None,
-                                spec: RunSpec) -> "CampaignReport":
-        """Serial fallback for LLM clients that cannot be shipped to workers."""
-        import time
-
-        from repro.pipeline.campaign import (
-            CampaignRecord,
-            CampaignReport,
-            CampaignSummary,
-            count_verdicts,
-            kernel_result_record,
-        )
-        from repro.tsvc import load_suite
-
-        started = time.perf_counter()
-        records = []
-        for kernel in load_suite(names, dtype=spec.dtype):
-            result = kernel_result_record(self.vectorize(kernel, spec))
-            records.append(CampaignRecord(kernel=kernel.name, key="", result=result))
-        summary = CampaignSummary(
-            label="vectorize", kernels=len(records), executed=len(records),
-            cache_hits=0, cache_misses=0, resumed=0,
-            wall_clock_seconds=time.perf_counter() - started, workers=1,
-            verdict_counts=count_verdicts(records),
-            target=spec.target,
-            dtype=spec.dtype,
-        )
-        return CampaignReport(label="vectorize", records=records, summary=summary)
+        config = replace(self.config, llm=suite_llm_config(self.llm))
+        return as_campaign_runner(campaign).run(names, vectorizer_config=config)

@@ -14,7 +14,7 @@ produced by the translation validator are discharged in three stages:
 """
 
 from repro.smt.terms import Term, TermKind, bv_const, bv_var, evaluate, term_digest
-from repro.smt.equiv import EquivalenceChecker, EquivalenceOutcome, EquivalenceResult, SolverBudget
+from repro.smt.equiv import EquivalenceChecker, EquivalenceResult, SolverBudget
 from repro.smt.sat import CDCLSolver, SATResult, SATStatistics
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "evaluate",
     "term_digest",
     "EquivalenceChecker",
-    "EquivalenceOutcome",
     "EquivalenceResult",
     "SolverBudget",
     "CDCLSolver",

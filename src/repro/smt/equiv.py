@@ -16,12 +16,19 @@ three stages (cheapest first):
    this reproduction); a SAT answer is re-checked at 32 bits before being
    reported as a refutation; budget exhaustion is Inconclusive, mirroring
    Alive2/Z3 timeouts in the paper.
+
+Every query answers with one :class:`EquivalenceResult`: a
+:class:`~repro.verdict.Verdict` (``EQUIVALENT``, ``NOT_EQUIVALENT`` or
+``INCONCLUSIVE``) plus the ``method`` that decided it (``normalization``,
+``concrete``, ``budget``, ``bitblast``, ``sat-model``, ``sat-budget``,
+``sat-width-artifact`` or ``sat-unsat@<bits>bit``).  The verifier's stages
+return this record as their own result.  ``check_pair`` is ``check_pairs`` on
+a one-pair list, so the two entry points agree.
 """
 
 from __future__ import annotations
 
 import contextlib
-import enum
 import random
 from dataclasses import dataclass
 
@@ -42,6 +49,7 @@ from repro.smt.terms import (
     term_size,
     to_unsigned,
 )
+from repro.verdict import Verdict
 
 _RING_OPS = {TermKind.ADD, TermKind.SUB, TermKind.MUL, TermKind.NEG}
 
@@ -62,12 +70,6 @@ class _PolynomialBlowup(Exception):
     """Raised when ring expansion would exceed the monomial cap."""
 
 
-class EquivalenceOutcome(enum.Enum):
-    EQUIVALENT = "equivalent"
-    NOT_EQUIVALENT = "not_equivalent"
-    INCONCLUSIVE = "inconclusive"
-
-
 @dataclass
 class SolverBudget:
     """Resource limits; exhausting any of them yields Inconclusive."""
@@ -81,7 +83,9 @@ class SolverBudget:
 
 @dataclass
 class EquivalenceResult:
-    outcome: EquivalenceOutcome
+    """The answer to one equivalence query, and to one verification stage."""
+
+    outcome: Verdict
     method: str = ""
     counterexample: dict[str, int] | None = None
     detail: str = ""
@@ -370,26 +374,7 @@ class EquivalenceChecker:
     def check_pair(self, source: Term, target: Term) -> EquivalenceResult:
         """Is ``source == target`` for all variable assignments?"""
         with modeled_bits(self.model_bits):
-            return self._check_pair(source, target)
-
-    def _check_pair(self, source: Term, target: Term) -> EquivalenceResult:
-        if terms_structurally_equal(source, target):
-            return EquivalenceResult(EquivalenceOutcome.EQUIVALENT, method="normalization")
-
-        counterexample = self._random_refute(source, target)
-        if counterexample is not None:
-            return EquivalenceResult(
-                EquivalenceOutcome.NOT_EQUIVALENT, method="concrete", counterexample=counterexample
-            )
-
-        total_nodes = term_size(source) + term_size(target)
-        if total_nodes > self.budget.max_term_nodes:
-            return EquivalenceResult(
-                EquivalenceOutcome.INCONCLUSIVE,
-                method="budget",
-                detail=f"term too large for the SAT stage ({total_nodes} nodes)",
-            )
-        return self._sat_check(source, target)
+            return self._check_pairs([(source, target)])
 
     def check_pairs(self, pairs: list[tuple[Term, Term]]) -> EquivalenceResult:
         """All pairs must be equivalent; the first refutation / inconclusive wins.
@@ -402,17 +387,15 @@ class EquivalenceChecker:
             return self._check_pairs(pairs)
 
     def _check_pairs(self, pairs: list[tuple[Term, Term]]) -> EquivalenceResult:
-        unproven: list[tuple[Term, Term]] = []
-        for source, target in pairs:
-            if not terms_structurally_equal(source, target):
-                unproven.append((source, target))
+        unproven = [(source, target) for source, target in pairs
+                    if not terms_structurally_equal(source, target)]
         if not unproven:
-            return EquivalenceResult(EquivalenceOutcome.EQUIVALENT, method="all-pairs")
+            return EquivalenceResult(Verdict.EQUIVALENT, method="normalization")
 
         counterexample = self._batched_random_refute(unproven)
         if counterexample is not None:
             return EquivalenceResult(
-                EquivalenceOutcome.NOT_EQUIVALENT, method="concrete", counterexample=counterexample
+                Verdict.NOT_EQUIVALENT, method="concrete", counterexample=counterexample
             )
 
         oversized: EquivalenceResult | None = None
@@ -421,24 +404,19 @@ class EquivalenceChecker:
             total_nodes = term_size(source) + term_size(target)
             if total_nodes > self.budget.max_term_nodes:
                 oversized = EquivalenceResult(
-                    EquivalenceOutcome.INCONCLUSIVE, method="budget",
+                    Verdict.INCONCLUSIVE, method="budget",
                     detail=f"term too large for the SAT stage ({total_nodes} nodes)",
                 )
             else:
                 sat_pairs.append((source, target))
-        batch: EquivalenceResult | None = None
+        if oversized is None:
+            return self._sat_check_batch(sat_pairs)
         if sat_pairs:
             batch = self._sat_check_batch(sat_pairs)
-            if batch.outcome is EquivalenceOutcome.NOT_EQUIVALENT:
+            if batch.outcome is Verdict.NOT_EQUIVALENT:
                 return batch
-        if oversized is not None:
-            if batch is not None:
-                oversized.sat_stats = batch.sat_stats
-            return oversized
-        if batch is not None and batch.outcome is EquivalenceOutcome.INCONCLUSIVE:
-            return batch
-        return EquivalenceResult(EquivalenceOutcome.EQUIVALENT, method="all-pairs",
-                                 sat_stats=batch.sat_stats if batch else None)
+            oversized.sat_stats = batch.sat_stats
+        return oversized
 
     def _batched_random_refute(self, pairs: list[tuple[Term, Term]]) -> dict[str, int] | None:
         variables: set[str] = set()
@@ -463,27 +441,6 @@ class EquivalenceChecker:
         return None
 
     # -- internals ------------------------------------------------------------------
-
-    def _random_refute(self, source: Term, target: Term) -> dict[str, int] | None:
-        variables = sorted(collect_variables(source) | collect_variables(target))
-        rng = random.Random(self.seed)
-        bits = self.model_bits
-        for sample in range(self.budget.random_samples):
-            assignment: dict[str, int] = {}
-            for name in variables:
-                if sample < len(self._boundaries):
-                    base = self._boundaries[sample]
-                    assignment[name] = to_unsigned(base + rng.randint(-2, 2), bits)
-                elif sample % 3 == 0:
-                    assignment[name] = to_unsigned(rng.randint(-10, 10), bits)
-                else:
-                    assignment[name] = rng.getrandbits(bits)
-            if evaluate(source, assignment, bits) != evaluate(target, assignment, bits):
-                return assignment
-        return None
-
-    def _sat_check(self, source: Term, target: Term) -> EquivalenceResult:
-        return self._sat_check_batch([(source, target)])
 
     def _sat_check_batch(self, pairs: list[tuple[Term, Term]]) -> EquivalenceResult:
         """Solve every pair in one incremental solver; aggregate the verdicts.
@@ -562,7 +519,7 @@ class EquivalenceChecker:
             except (UnsupportedTerm, RecursionError) as exc:
                 if worst is None:
                     worst = EquivalenceResult(
-                        EquivalenceOutcome.INCONCLUSIVE, method="bitblast", detail=str(exc)
+                        Verdict.INCONCLUSIVE, method="bitblast", detail=str(exc)
                     )
                 continue
             if result is SATResult.UNSAT:
@@ -570,7 +527,7 @@ class EquivalenceChecker:
             if result is SATResult.UNKNOWN:
                 if worst is None:
                     worst = EquivalenceResult(
-                        EquivalenceOutcome.INCONCLUSIVE, method="sat-budget",
+                        Verdict.INCONCLUSIVE, method="sat-budget",
                         detail="solver budget exhausted",
                     )
                 continue
@@ -579,18 +536,18 @@ class EquivalenceChecker:
                         evaluate(source, assignment, self.model_bits) != \
                         evaluate(target, assignment, self.model_bits):
                     refutation = EquivalenceResult(
-                        EquivalenceOutcome.NOT_EQUIVALENT, method="sat-model",
+                        Verdict.NOT_EQUIVALENT, method="sat-model",
                         counterexample=assignment,
                     )
                     break
             if worst is None:
                 worst = EquivalenceResult(
-                    EquivalenceOutcome.INCONCLUSIVE,
+                    Verdict.INCONCLUSIVE,
                     method="sat-width-artifact",
                     detail="reduced-width counterexample did not reproduce at full width",
                 )
         final = refutation or worst or EquivalenceResult(
-            EquivalenceOutcome.EQUIVALENT,
+            Verdict.EQUIVALENT,
             method=f"sat-unsat@{budget.sat_bitwidth}bit",
             detail="equivalent modulo bitwidth reduction",
         )
@@ -613,7 +570,7 @@ class EquivalenceChecker:
     def _result_from_record(record: dict) -> EquivalenceResult:
         stats = record.get("stats")
         return EquivalenceResult(
-            EquivalenceOutcome(record["outcome"]),
+            Verdict(record["outcome"]),
             method=record.get("method", ""),
             counterexample=record.get("counterexample"),
             detail=record.get("detail", ""),

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.alive import AliveVerifier, VerificationOutcome, VerifierConfig, execute_symbolically
+from repro.alive import AliveVerifier, VerifierConfig, execute_symbolically
 from repro.alive.symexec import SymbolicExecutionError
 from repro.cfront.cparser import parse_function
 from repro.llm.faults import FaultKind, apply_fault
@@ -13,6 +13,7 @@ from repro.transforms import unroll_scalar_function, is_spatially_splittable
 from repro.cfront.printer import to_c
 from repro.tsvc import load_kernel
 from repro.vectorizer import vectorize_kernel
+from repro.verdict import Verdict
 
 
 class TestSymbolicExecution:
@@ -70,11 +71,11 @@ class TestTransforms:
         assert "L20_u0" in text and "L20_u1" in text
 
     def test_c_unroll_preserves_semantics(self):
-        from repro.interp.checksum import ChecksumOutcome, checksum_testing
+        from repro.interp.checksum import checksum_testing
         kernel = load_kernel("s271")
         unrolled = unroll_scalar_function(kernel.function, factor=8)
         report = checksum_testing(kernel.source, to_c(unrolled), trip_counts=[16, 32])
-        assert report.outcome is ChecksumOutcome.PLAUSIBLE
+        assert report.outcome is Verdict.PLAUSIBLE
 
     def test_spatial_splitting_precondition(self):
         simple = load_kernel("s000")
@@ -94,44 +95,56 @@ class TestVerifier:
         kernel = load_kernel(name)
         result = vectorize_kernel(kernel.function)
         report = self.verifier.check_with_alive_unroll(kernel.source, result.source)
-        assert report.outcome is VerificationOutcome.EQUIVALENT, report.detail
+        assert report.outcome is Verdict.EQUIVALENT, report.detail
 
     def test_wrong_operator_is_refuted(self):
         kernel = load_kernel("s000")
         correct = vectorize_kernel(kernel.function).source
         buggy = apply_fault(correct, FaultKind.WRONG_OPERATOR, random.Random(1))
         report = self.verifier.check_with_alive_unroll(kernel.source, buggy)
-        assert report.outcome is VerificationOutcome.NOT_EQUIVALENT
+        assert report.outcome is Verdict.NOT_EQUIVALENT
 
     def test_relaxed_comparison_is_refuted_when_it_changes_behaviour(self):
         kernel = load_kernel("vif")
         correct = vectorize_kernel(kernel.function).source
         buggy = apply_fault(correct, FaultKind.CMP_OFF_BY_ONE, random.Random(1))
         report = self.verifier.check_with_alive_unroll(kernel.source, buggy)
-        assert report.outcome is VerificationOutcome.NOT_EQUIVALENT
+        assert report.outcome is Verdict.NOT_EQUIVALENT
+
+    @pytest.mark.parametrize("stage", ["check_with_alive_unroll", "check_with_c_unroll",
+                                       "check_with_spatial_splitting"])
+    def test_candidate_that_drops_an_output_array_is_refuted(self, stage):
+        # The candidate never takes ``a``, so ``a`` keeps its initial
+        # contents, exactly as under checksum testing.
+        kernel = load_kernel("s000")
+        dropped = "void s000(int n, int *b) { for (int i = 0; i < n; i++) b[i] = b[i]; }"
+        result = getattr(self.verifier, stage)(kernel.source, dropped)
+        assert result.outcome is Verdict.NOT_EQUIVALENT
+        assert result.method == "concrete"
+        assert result.counterexample
 
     def test_unparseable_candidate_is_inconclusive(self):
         kernel = load_kernel("s000")
         report = self.verifier.check_with_alive_unroll(kernel.source, "not C at all {")
-        assert report.outcome is VerificationOutcome.INCONCLUSIVE
+        assert report.outcome is Verdict.INCONCLUSIVE
 
     def test_c_unroll_stage_also_verifies_simple_kernels(self):
         kernel = load_kernel("s000")
         result = vectorize_kernel(kernel.function)
         report = self.verifier.check_with_c_unroll(kernel.source, result.source)
-        assert report.outcome is VerificationOutcome.EQUIVALENT
+        assert report.outcome is Verdict.EQUIVALENT
 
     def test_spatial_splitting_verifies_dependence_free_kernel(self):
         kernel = load_kernel("vpvtv")
         result = vectorize_kernel(kernel.function)
         report = self.verifier.check_with_spatial_splitting(kernel.source, result.source)
-        assert report.outcome is VerificationOutcome.EQUIVALENT
+        assert report.outcome is Verdict.EQUIVALENT
 
     def test_spatial_splitting_filters_dependent_kernel(self):
         kernel = load_kernel("s453")
         result = vectorize_kernel(kernel.function)
         report = self.verifier.check_with_spatial_splitting(kernel.source, result.source)
-        assert report.outcome is VerificationOutcome.INCONCLUSIVE
+        assert report.outcome is Verdict.INCONCLUSIVE
 
     def test_trip_count_must_exercise_two_blocks(self):
         config = VerifierConfig(trip_count=16)

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.alive.verifier import AliveVerifier, VerificationOutcome
+from repro.alive.verifier import AliveVerifier
 from repro.pipeline.cache import config_fingerprint
 from repro.pipeline.campaign import CampaignConfig, CampaignRunner, CampaignSummary
 from repro.runspec import RunSpec
@@ -19,6 +19,7 @@ from repro.tsvc import load_kernel, load_suite
 from repro.tsvc.loader import dtype_kernel_name, retarget_spec, split_kernel_name
 from repro.tsvc.registry import get_kernel
 from repro.vectorizer import vectorize_kernel
+from repro.verdict import Verdict
 
 #: Kernels that verify equivalent at int32 on every target — the mini
 #: campaign asserts the same verdicts at int16/int64.
@@ -143,10 +144,10 @@ class TestDtypeCampaigns:
         a, b = bv_var("a"), bv_var("b")
         left = mk(TermKind.XOR, mk(TermKind.ADD, a, b), bv_const(3))
         right = mk(TermKind.XOR, mk(TermKind.ADD, b, a), bv_const(3))
-        first = EquivalenceChecker(model_bits=16)._sat_check(left, right)
+        first = EquivalenceChecker(model_bits=16)._sat_check_batch([(left, right)])
         assert solvecache.stats.cache_hits == 0
         assert solvecache.stats.cache_misses == 1
-        second = EquivalenceChecker(model_bits=64)._sat_check(left, right)
+        second = EquivalenceChecker(model_bits=64)._sat_check_batch([(left, right)])
         assert solvecache.stats.cache_hits == 0
         assert solvecache.stats.cache_misses == 2
         assert first.outcome is second.outcome
@@ -154,7 +155,7 @@ class TestDtypeCampaigns:
         assert {key.split("/")[1] for key in keys} == {"m16", "m64"}
         # Re-solving at a width already seen IS a hit — the salt separates
         # widths, it does not disable caching.
-        EquivalenceChecker(model_bits=16)._sat_check(left, right)
+        EquivalenceChecker(model_bits=16)._sat_check_batch([(left, right)])
         assert solvecache.stats.cache_hits == 1
 
     def test_campaigns_store_only_width_salted_solve_keys(self):
@@ -195,7 +196,7 @@ class TestInt64TruncationCanary:
     def test_correct_candidate_verifies_at_64_bits(self):
         scalar, candidate = self._scalar_and_candidate()
         report = AliveVerifier().check_with_alive_unroll(scalar, candidate)
-        assert report.outcome is VerificationOutcome.EQUIVALENT
+        assert report.outcome is Verdict.EQUIVALENT
 
     def test_high_bit_bug_is_caught(self):
         """Add 2^40 to every lane: invisible at 32 bits (2^40 mod 2^32 with
@@ -208,7 +209,7 @@ class TestInt64TruncationCanary:
             "_mm256_add_epi64(_mm256_set1_epi64x(1), "
             "_mm256_slli_epi64(_mm256_set1_epi64x(1), 40))")
         report = AliveVerifier().check_with_alive_unroll(scalar, buggy)
-        assert report.outcome is VerificationOutcome.NOT_EQUIVALENT
+        assert report.outcome is Verdict.NOT_EQUIVALENT
 
 
 class TestLaneTypeDescriptor:

@@ -4,12 +4,13 @@ import pytest
 
 from repro.cfront.cparser import parse_function
 from repro.errors import CompileError, InterpreterError, UndefinedBehaviorError
-from repro.interp.checksum import ChecksumOutcome, checksum_testing
+from repro.interp.checksum import checksum_testing
 from repro.interp.memory import Memory
 from repro.interp import interpreter
 from repro.interp.interpreter import run_function
 from repro.interp.randominit import InputSpec, make_test_vector
 import random
+from repro.verdict import Verdict
 
 
 class TestMemory:
@@ -235,19 +236,19 @@ class TestChecksumTesting:
     def test_identical_semantics_is_plausible(self):
         vectorized = self.SCALAR.replace("void s", "void s")
         report = checksum_testing(self.SCALAR, vectorized)
-        assert report.outcome is ChecksumOutcome.PLAUSIBLE
+        assert report.outcome is Verdict.PLAUSIBLE
         assert report.tests_run >= 3
 
     def test_wrong_constant_is_not_equivalent(self):
         wrong = self.SCALAR.replace("* 3", "* 4")
         report = checksum_testing(self.SCALAR, wrong)
-        assert report.outcome is ChecksumOutcome.NOT_EQUIVALENT
+        assert report.outcome is Verdict.NOT_EQUIVALENT
         assert report.mismatches
         assert "differs" in report.feedback_text()
 
     def test_parse_error_is_cannot_compile(self):
         report = checksum_testing(self.SCALAR, "void broken(int n { }")
-        assert report.outcome is ChecksumOutcome.CANNOT_COMPILE
+        assert report.outcome is Verdict.CANNOT_COMPILE
 
     def test_unknown_intrinsic_is_cannot_compile(self):
         bad = """
@@ -256,7 +257,7 @@ class TestChecksumTesting:
         }
         """
         report = checksum_testing(self.SCALAR, bad)
-        assert report.outcome is ChecksumOutcome.CANNOT_COMPILE
+        assert report.outcome is Verdict.CANNOT_COMPILE
 
     @pytest.mark.parametrize("statement", [
         "a[i] = min(b[i]);",
@@ -282,8 +283,21 @@ class TestChecksumTesting:
         }}
         """
         report = checksum_testing(self.SCALAR, hostile)
-        assert report.outcome is ChecksumOutcome.CANNOT_COMPILE, report.feedback_text()
+        assert report.outcome is Verdict.CANNOT_COMPILE, report.feedback_text()
         assert report.compile_error
+
+    def test_crash_feedback_says_why_instead_of_a_fake_mismatch(self):
+        crashing = self.SCALAR.replace("b[i] * 3", "b[i + 100000] * 3")
+        report = checksum_testing(self.SCALAR, crashing)
+        assert report.outcome is Verdict.NOT_EQUIVALENT
+        assert report.crash == "out-of-bounds read b[100000] (size 72) (n=16)"
+        assert report.mismatches == []
+        text = report.feedback_text()
+        assert text.splitlines()[0] == f"The vectorized code crashed: {report.crash}"
+        assert "Example input arrays" in text
+        assert "Expected (scalar) outputs" in text
+        assert "<crash>" not in text
+        assert "Actual (vectorized) outputs" not in text
 
     def test_feedback_contains_sample_arrays_on_mismatch(self):
         wrong = self.SCALAR.replace("* 3", "+ 1")

@@ -7,8 +7,9 @@ from repro.cfront.cparser import parse_expression, parse_function, parse_program
 from repro.cfront.lexer import TokenKind, tokenize
 from repro.cfront.printer import expr_to_c, to_c
 from repro.errors import LexError, ParseError, SourceLocation
-from repro.interp.checksum import ChecksumOutcome, checksum_testing
+from repro.interp.checksum import checksum_testing
 from repro.tsvc import load_kernel
+from repro.verdict import Verdict
 
 
 class TestLexer:
@@ -38,7 +39,7 @@ class TestLexer:
         candidate = kernel.source.replace("    for (", "    #pragma omp simd\n    for (", 1)
         assert candidate != kernel.source
         report = checksum_testing(kernel.source, candidate)
-        assert report.outcome is ChecksumOutcome.PLAUSIBLE, report.compile_error
+        assert report.outcome is Verdict.PLAUSIBLE, report.compile_error
 
     def test_hex_and_suffixed_literals(self):
         tokens = tokenize("0xFF 10u 3L")

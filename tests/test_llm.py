@@ -2,7 +2,7 @@
 
 import random
 
-from repro.interp.checksum import ChecksumOutcome, checksum_testing
+from repro.interp.checksum import checksum_testing
 from repro.llm import (
     CompletionRequest,
     FaultKind,
@@ -16,6 +16,7 @@ from repro.llm.faults import applicable_faults, apply_fault
 from repro.llm.prompts import has_dependence_feedback, has_tester_feedback
 from repro.tsvc import load_kernel
 from repro.vectorizer import vectorize_kernel
+from repro.verdict import Verdict
 
 
 class TestPrompts:
@@ -50,12 +51,12 @@ class TestFaults:
     def test_compile_error_fault_fails_to_compile(self):
         mutated = apply_fault(self.correct, FaultKind.COMPILE_ERROR, self.rng)
         report = checksum_testing(self.kernel.source, mutated)
-        assert report.outcome is ChecksumOutcome.CANNOT_COMPILE
+        assert report.outcome is Verdict.CANNOT_COMPILE
 
     def test_wrong_operator_fault_is_caught_by_checksum(self):
         mutated = apply_fault(self.correct, FaultKind.WRONG_OPERATOR, self.rng)
         report = checksum_testing(self.kernel.source, mutated)
-        assert report.outcome is ChecksumOutcome.NOT_EQUIVALENT
+        assert report.outcome is Verdict.NOT_EQUIVALENT
 
     def test_naive_induction_fault_reproduces_s453_first_attempt(self):
         kernel = load_kernel("s453")
@@ -63,16 +64,16 @@ class TestFaults:
         mutated = apply_fault(correct, FaultKind.NAIVE_INDUCTION, self.rng)
         assert mutated != correct
         report = checksum_testing(kernel.source, mutated)
-        assert report.outcome is ChecksumOutcome.NOT_EQUIVALENT
+        assert report.outcome is Verdict.NOT_EQUIVALENT
 
     def test_missing_epilogue_survives_multiple_of_width_testing(self):
         kernel = load_kernel("s000")
         correct = vectorize_kernel(kernel.function).source
         mutated = apply_fault(correct, FaultKind.MISSING_EPILOGUE, self.rng)
         report = checksum_testing(kernel.source, mutated, trip_counts=[16, 32])
-        assert report.outcome is ChecksumOutcome.PLAUSIBLE
+        assert report.outcome is Verdict.PLAUSIBLE
         report = checksum_testing(kernel.source, mutated, trip_counts=[19])
-        assert report.outcome is ChecksumOutcome.NOT_EQUIVALENT
+        assert report.outcome is Verdict.NOT_EQUIVALENT
 
     def test_inapplicable_fault_returns_source_unchanged(self):
         kernel = load_kernel("s000")
@@ -136,4 +137,4 @@ class TestSyntheticLLM:
         rewritten = _blocked_rewrite(kernel.function)
         assert rewritten is not None
         report = checksum_testing(kernel.source, rewritten, trip_counts=[16, 21, 40])
-        assert report.outcome is ChecksumOutcome.PLAUSIBLE
+        assert report.outcome is Verdict.PLAUSIBLE

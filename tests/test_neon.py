@@ -20,7 +20,7 @@ Covers the PR-3 acceptance surface:
 import pytest
 
 from repro.alive.symexec import execute_symbolically
-from repro.alive.verifier import AliveVerifier, VerificationOutcome, VerifierConfig
+from repro.alive.verifier import AliveVerifier, VerifierConfig
 from repro.cfront.cparser import parse_function
 from repro.cfront.lexer import KEYWORDS, tokenize
 from repro.interp.interpreter import run_function
@@ -41,6 +41,7 @@ from repro.targets import (
 from repro.tsvc import load_kernel
 from repro.vectorizer import vectorize_kernel
 from repro.vectorizer.planner import RejectionReason, plan_vectorization
+from repro.verdict import Verdict
 
 TARGET_NAMES = [t.name for t in ALL_TARGETS]
 
@@ -362,7 +363,7 @@ class TestMaskedTail:
         result = vectorize_kernel(loaded.function, "avx2", epilogue="masked")
         verifier = AliveVerifier(VerifierConfig(trip_count=13))
         report = verifier.check_with_alive_unroll(loaded.source, result.source)
-        assert report.outcome is VerificationOutcome.EQUIVALENT
+        assert report.outcome is Verdict.EQUIVALENT
 
     def test_neon_masked_tail_rejected_with_gap_message(self):
         plan = plan_vectorization(load_kernel("s000").function, NEON,

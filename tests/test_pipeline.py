@@ -98,14 +98,6 @@ class TestLLMVectorizerTool:
         assert result.vectorized_code is not None
         assert result.verdict in (Verdict.EQUIVALENT, Verdict.INCONCLUSIVE)
 
-    def test_verification_can_be_disabled(self):
-        config = LLMVectorizerConfig(run_verification=False)
-        tool = LLMVectorizer(config)
-        result = tool.vectorize(load_kernel("s000"))
-        assert result.plausible
-        assert result.pipeline_report is None
-        assert result.verdict is Verdict.PLAUSIBLE
-
     def test_unvectorizable_kernel_reports_not_equivalent(self):
         config = LLMVectorizerConfig(llm=SyntheticLLMConfig(seed=1, hard_kernel_success_rate=0.0))
         tool = LLMVectorizer(config)

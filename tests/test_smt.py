@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 from repro.smt.bitblast import BitBlaster, assert_words_differ
 from repro.smt.equiv import (
     EquivalenceChecker,
-    EquivalenceOutcome,
     SolverBudget,
     normalize_term,
     terms_structurally_equal,
 )
 from repro.smt.sat import CDCLSolver, SATResult
 from repro.smt.terms import TermKind, bv_const, bv_var, evaluate, mk, to_signed
+from repro.verdict import Verdict
 
 
 class TestTerms:
@@ -175,13 +175,13 @@ class TestBitBlastAndEquivalence:
         checker = EquivalenceChecker(SolverBudget(sat_bitwidth=5))
         left = mk(TermKind.ITE, mk(TermKind.GT, a, b), a, b)
         right = mk(TermKind.MAX, a, b)
-        assert checker.check_pair(left, right).outcome is EquivalenceOutcome.EQUIVALENT
+        assert checker.check_pair(left, right).outcome is Verdict.EQUIVALENT
 
     def test_checker_refutes_with_counterexample(self):
         a, b = bv_var("a"), bv_var("b")
         checker = EquivalenceChecker()
         result = checker.check_pair(mk(TermKind.ADD, a, b), mk(TermKind.ADD, a, a))
-        assert result.outcome is EquivalenceOutcome.NOT_EQUIVALENT
+        assert result.outcome is Verdict.NOT_EQUIVALENT
         assignment = result.counterexample
         assert evaluate(mk(TermKind.ADD, a, b), assignment) != evaluate(mk(TermKind.ADD, a, a), assignment)
 
@@ -193,11 +193,11 @@ class TestBitBlastAndEquivalence:
         other = mk(TermKind.XOR, big, bv_const(1))
         checker = EquivalenceChecker(SolverBudget(max_term_nodes=10, random_samples=2))
         result = checker.check_pair(big, other)
-        assert result.outcome in (EquivalenceOutcome.INCONCLUSIVE, EquivalenceOutcome.NOT_EQUIVALENT)
+        assert result.outcome in (Verdict.INCONCLUSIVE, Verdict.NOT_EQUIVALENT)
 
     def test_check_pairs_all_equal(self):
         a, b = bv_var("a"), bv_var("b")
         checker = EquivalenceChecker()
         pairs = [(mk(TermKind.ADD, a, b), mk(TermKind.ADD, b, a)),
                  (mk(TermKind.MUL, a, b), mk(TermKind.MUL, b, a))]
-        assert checker.check_pairs(pairs).outcome is EquivalenceOutcome.EQUIVALENT
+        assert checker.check_pairs(pairs).outcome is Verdict.EQUIVALENT

@@ -21,12 +21,12 @@ from repro.pipeline.campaign import CampaignSummary
 from repro.smt import solvecache
 from repro.smt.equiv import (
     EquivalenceChecker,
-    EquivalenceOutcome,
     SolverBudget,
     _alpha_canonical_pair,
 )
 from repro.smt.sat import CDCLSolver, SATResult, luby
 from repro.smt.terms import TermKind, bv_const, bv_var, mk
+from repro.verdict import Verdict
 
 
 @pytest.fixture(autouse=True)
@@ -163,11 +163,11 @@ class TestIncrementalEquivalence:
         # must agree with a cold per-pair solve.
         pairs = self.lane_pairs(4)
         batched = EquivalenceChecker()._sat_check_batch(pairs)
-        assert batched.outcome is EquivalenceOutcome.EQUIVALENT
+        assert batched.outcome is Verdict.EQUIVALENT
         for source, target in pairs:
             solvecache.clear_caches()
-            cold = EquivalenceChecker()._sat_check(source, target)
-            assert cold.outcome is EquivalenceOutcome.EQUIVALENT
+            cold = EquivalenceChecker()._sat_check_batch([(source, target)])
+            assert cold.outcome is Verdict.EQUIVALENT
 
     def test_result_carries_sat_statistics(self):
         pairs = self.lane_pairs(2)
@@ -188,6 +188,40 @@ class TestIncrementalEquivalence:
         assert sorted(var_map.values()) == ["v0", "v1", "v2", "v3"]
 
 
+def _one_check_path_cases():
+    """One (budget, source, target, method) case for each way a check ends."""
+    a, b = bv_var("a"), bv_var("b")
+    # XOR chains flatten without cancelling, so this true identity is left
+    # to the concrete and SAT stages.
+    cancel = mk(TermKind.XOR, mk(TermKind.XOR, a, b), b)
+    # Equal except at a == 13, which no random sample hits but a 6-bit SAT
+    # model does, and which reproduces at full width.
+    needle = mk(TermKind.ITE, mk(TermKind.EQ, a, bv_const(13)), bv_const(1), bv_const(0))
+    return [
+        (SolverBudget(), mk(TermKind.ADD, a, b), mk(TermKind.ADD, b, a), "normalization"),
+        (SolverBudget(), mk(TermKind.ADD, a, b), mk(TermKind.ADD, a, a), "concrete"),
+        (SolverBudget(max_term_nodes=3), cancel, a, "budget"),
+        (SolverBudget(), cancel, a, "sat-unsat@6bit"),
+        (SolverBudget(), needle, bv_const(0), "sat-model"),
+    ]
+
+
+class TestOneCheckPath:
+    """``check_pair(s, t)`` is ``check_pairs([(s, t)])``, field by field."""
+
+    @pytest.mark.parametrize("budget, source, target, method", [
+        pytest.param(*case, id=case[-1]) for case in _one_check_path_cases()])
+    def test_check_pair_equals_check_pairs_of_one(self, budget, source, target, method):
+        single = EquivalenceChecker(budget).check_pair(source, target)
+        solvecache.clear_caches()
+        batched = EquivalenceChecker(budget).check_pairs([(source, target)])
+        assert single.method == method
+        assert (batched.outcome, batched.method, batched.detail, batched.counterexample) == (
+            single.outcome, single.method, single.detail, single.counterexample)
+        assert batched.sat_stats == single.sat_stats
+        assert (single.sat_stats is None) == (method in ("normalization", "concrete", "budget"))
+
+
 class TestSolveCache:
     def pair(self):
         a, b = bv_var("a"), bv_var("b")
@@ -197,9 +231,9 @@ class TestSolveCache:
 
     def test_hit_returns_bit_identical_result(self):
         budget = SolverBudget(sat_bitwidth=5)
-        first = EquivalenceChecker(budget)._sat_check(*self.pair())
+        first = EquivalenceChecker(budget)._sat_check_batch([self.pair()])
         assert solvecache.stats.cache_misses == 1
-        second = EquivalenceChecker(budget)._sat_check(*self.pair())
+        second = EquivalenceChecker(budget)._sat_check_batch([self.pair()])
         assert solvecache.stats.cache_hits == 1
         assert second.outcome is first.outcome
         assert second.method == first.method
@@ -208,14 +242,14 @@ class TestSolveCache:
         assert second.sat_stats.as_dict() == first.sat_stats.as_dict()
 
     def test_key_covers_solver_parameters(self):
-        EquivalenceChecker(SolverBudget(sat_bitwidth=5))._sat_check(*self.pair())
-        EquivalenceChecker(SolverBudget(sat_bitwidth=6))._sat_check(*self.pair())
+        EquivalenceChecker(SolverBudget(sat_bitwidth=5))._sat_check_batch([self.pair()])
+        EquivalenceChecker(SolverBudget(sat_bitwidth=6))._sat_check_batch([self.pair()])
         # Different bitwidths must not alias: both were misses.
         assert solvecache.stats.cache_hits == 0
         assert solvecache.stats.cache_misses == 2
 
     def test_seeding_is_not_solving(self):
-        EquivalenceChecker(SolverBudget(sat_bitwidth=5))._sat_check(*self.pair())
+        EquivalenceChecker(SolverBudget(sat_bitwidth=5))._sat_check_batch([self.pair()])
         entries = solvecache.export_entries()
         solvecache.clear_caches()
         solvecache.seed_entries(entries)
@@ -224,7 +258,7 @@ class TestSolveCache:
 
     def test_journal_ships_batch_deltas(self):
         mark = solvecache.journal_position()
-        EquivalenceChecker(SolverBudget(sat_bitwidth=5))._sat_check(*self.pair())
+        EquivalenceChecker(SolverBudget(sat_bitwidth=5))._sat_check_batch([self.pair()])
         entries = solvecache.entries_since(mark)
         assert len(entries) == 1
         key, record = entries[0]

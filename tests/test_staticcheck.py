@@ -309,7 +309,7 @@ class TestScreeningIntegration:
         from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
         from repro.pipeline.campaign import kernel_result_record
         from repro.pipeline.runner import KernelRunResult
-        from repro.pipeline.verdict import Verdict
+        from repro.verdict import Verdict
 
         profile = FaultProfile(base_fault_rate=1.0, with_feedback_rate=1.0,
                                kind_weights={FaultKind.NAIVE_INDUCTION: 1.0})
@@ -319,7 +319,7 @@ class TestScreeningIntegration:
             llm, kernel.name, kernel.source, FSMConfig(max_attempts=4),
             spec=RunSpec(static_check="screen")).run()
         assert not result.accepted
-        assert all(r.outcome == "static_reject" for r in result.history)
+        assert all(r.outcome is Verdict.STATIC_REJECT for r in result.history)
         assert all(r.static_flags == {"naive-induction": 1} for r in result.history)
         run = KernelRunResult(kernel=kernel, fsm_result=result)
         assert run.verdict is Verdict.STATIC_REJECT
@@ -332,13 +332,14 @@ class TestScreeningIntegration:
         """Advisory acceptance is checksum testing's alone."""
         from repro.agents import CompilerTesterAgent
         from repro.agents.base import Message
+        from repro.verdict import Verdict
 
         kernel, source = golden("s000")
         mutated = apply_fault(source, FaultKind.MISSING_EPILOGUE, random.Random(0))
         tester = CompilerTesterAgent(kernel.source, spec=RunSpec(static_check="advisory"))
         reply = tester.respond(
             Message("vectorizer", "tester", "", {"candidate_code": mutated}), [])
-        assert reply.payload["outcome"] != "static_reject"
+        assert reply.payload["outcome"] is not Verdict.STATIC_REJECT
         report = reply.payload["static_report"]
         assert "missing-epilogue" in report.rule_counts(errors_only=True)
 

@@ -27,7 +27,7 @@ import random
 import pytest
 
 from repro.alive.symexec import SymbolicExecutionError, execute_symbolically
-from repro.alive.verifier import AliveVerifier, VerificationOutcome, VerifierConfig
+from repro.alive.verifier import AliveVerifier, VerifierConfig
 from repro.cfront.cparser import parse_function
 from repro.cfront.ctypes import CType
 from repro.errors import CompileError
@@ -38,6 +38,7 @@ from repro.targets import ALL_TARGETS, NEON, SVE128, SVE256, get_target
 from repro.tsvc import load_kernel
 from repro.vectorizer import vectorize_kernel
 from repro.vectorizer.planner import RejectionReason, plan_vectorization
+from repro.verdict import Verdict
 
 SVE_TARGETS = [SVE128, SVE256]
 SVE_NAMES = [t.name for t in SVE_TARGETS]
@@ -285,7 +286,7 @@ class TestPredicatedLoop:
         result = vectorize_kernel(loaded.function, target, epilogue="predicated")
         verifier = AliveVerifier(VerifierConfig(trip_count=13))
         report = verifier.check_with_alive_unroll(loaded.source, result.source)
-        assert report.outcome is VerificationOutcome.EQUIVALENT
+        assert report.outcome is Verdict.EQUIVALENT
 
     def test_both_vls_verify_the_same_kernels(self):
         """Algorithm 1's method cascade proves every predicated-loop kernel,
@@ -294,7 +295,7 @@ class TestPredicatedLoop:
         plain kernels discharge out of the box)."""
         def funnel(verifier, scalar, candidate):
             report = verifier.check_with_alive_unroll(scalar, candidate)
-            if report.outcome is VerificationOutcome.INCONCLUSIVE:
+            if report.outcome is Verdict.INCONCLUSIVE:
                 report = verifier.check_with_c_unroll(scalar, candidate)
             return report.outcome
 
@@ -306,7 +307,7 @@ class TestPredicatedLoop:
                                           epilogue="predicated")
                 verifier = AliveVerifier(VerifierConfig(trip_count=13))
                 outcomes.append(funnel(verifier, loaded.source, result.source))
-            assert outcomes[0] == outcomes[1] == VerificationOutcome.EQUIVALENT
+            assert outcomes[0] == outcomes[1] == Verdict.EQUIVALENT
 
     def test_default_sve_codegen_is_predicate_first_too(self):
         """Even with the scalar epilogue, SVE code has no unpredicated
@@ -429,7 +430,7 @@ class TestSveFaults:
         assert SVE128.intrinsic("pcmpeq") in mutated
         loaded = load_kernel("vif")
         report = AliveVerifier().check_with_alive_unroll(loaded.source, mutated)
-        assert report.outcome is VerificationOutcome.NOT_EQUIVALENT
+        assert report.outcome is Verdict.NOT_EQUIVALENT
 
     def test_naive_induction_degrades_svindex_to_svdup(self):
         source = vectorize_kernel(load_kernel("s453").function, SVE128).source

@@ -4,7 +4,7 @@ correctness — for every target ISA (SSE4 / AVX2 / AVX-512)."""
 import pytest
 
 from repro.cfront.cparser import parse_function
-from repro.interp.checksum import ChecksumOutcome, checksum_testing
+from repro.interp.checksum import checksum_testing
 from repro.targets import ALL_TARGETS, get_target
 from repro.tsvc import load_kernel
 from repro.vectorizer import plan_vectorization, vectorize_kernel
@@ -12,6 +12,7 @@ from repro.vectorizer.normalize import normalize_body
 from repro.vectorizer.planner import RejectionReason, Strategy
 from repro.cfront import ast_nodes as ast
 from repro.analysis.loops import find_main_loop
+from repro.verdict import Verdict
 
 TARGET_NAMES = [t.name for t in ALL_TARGETS]
 
@@ -106,7 +107,7 @@ class TestCodegenCorrectness:
         assert result is not None, f"{name} should be vectorizable on {target}"
         report = checksum_testing(kernel.source, result.source, seed=123,
                                   trip_counts=[16, 24, 40])
-        assert report.outcome is ChecksumOutcome.PLAUSIBLE, report.feedback_text()
+        assert report.outcome is Verdict.PLAUSIBLE, report.feedback_text()
 
     def test_emitted_code_contains_epilogue_loop(self):
         result = vectorize_kernel(load_kernel("s000").function)
@@ -223,7 +224,7 @@ void kernel(int * a, int * b, int n)
         assert result is not None
         report = checksum_testing(self.DISTANCE_FIVE, result.source, seed=7,
                                   trip_counts=[16, 24, 40])
-        assert report.outcome is ChecksumOutcome.PLAUSIBLE, report.feedback_text()
+        assert report.outcome is Verdict.PLAUSIBLE, report.feedback_text()
 
     def test_default_target_matches_avx2(self):
         func = parse_function(self.DISTANCE_FIVE)
