@@ -27,10 +27,12 @@ from repro.intrinsics.lanemath import lane_active, whilelt_lanes
 from repro.intrinsics.registry import is_intrinsic, lookup_intrinsic
 from repro.intrinsics.values import ALL_VALID_WIDTHS
 from repro.lanetypes import INT32, LaneType
+from repro.memo import Memo
 from repro.smt.terms import (Term, TermKind, active_bits, bv_const, bv_var,
                              mk, modeled_bits, poison, to_signed)
 
-MINUS_ONE = bv_const(-1)
+# 0 and 1 are the same constants at every modeled width; -1 is not, so it
+# is built where it is used, at the active width.
 ZERO = bv_const(0)
 ONE = bv_const(1)
 
@@ -149,14 +151,158 @@ class SymbolicState:
             self.ub_events.append(f"poison stored to {region_name}[{index}]")
         region.cells[index] = value
 
-    def final_cells(self) -> dict[str, dict[int, Term]]:
-        return {name: {i: region.cell(i) for i in range(region.size)} for name, region in self.regions.items()}
-
 
 def _as_concrete(value: SymValue, what: str) -> int:
     if isinstance(value, Term) and value.kind is TermKind.CONST:
         return to_signed(value.value, active_bits())
     raise SymbolicExecutionError(f"{what} is not a compile-time constant during symbolic execution")
+
+
+# ---------------------------------------------------------------------------
+# per-lane terms: the verifier's semantics of each generic lane op
+# ---------------------------------------------------------------------------
+#
+# Each builds one lane's term at the active modeled width, so callers run it
+# inside ``modeled_bits``.  The tests check the concrete evaluator,
+# :mod:`repro.intrinsics.lanemath`, against these functions.
+
+#: Generic op -> term kind, shared by every target's intrinsic spelling.
+_LANE_BINARY = {
+    "add": TermKind.ADD,
+    "sub": TermKind.SUB,
+    "mul": TermKind.MUL,
+    "and": TermKind.AND,
+    "or": TermKind.OR,
+    "xor": TermKind.XOR,
+    "max": TermKind.MAX,
+    "min": TermKind.MIN,
+}
+
+_SHIFT_KINDS = {"sll": TermKind.SHL, "srl": TermKind.LSHR, "sra": TermKind.ASHR}
+
+#: Term kinds that keep a lane a full-lane mask when every operand is one.
+_MASK_LOGIC = (TermKind.AND, TermKind.OR, TermKind.XOR, TermKind.NOT)
+
+#: (modeled width, term) -> whether the term is provably 0 or all-ones.
+_FULL_LANE_MASKS = Memo(200_000)
+
+
+def lane_binary_term(op: str, a: Term, b: Term) -> Term:
+    kind = _LANE_BINARY.get(op)
+    if kind is not None:
+        return mk(kind, a, b)
+    if op in ("cmpgt", "cmpeq"):
+        compared = mk(TermKind.GT if op == "cmpgt" else TermKind.EQ, a, b)
+        return mk(TermKind.ITE, compared, bv_const(-1), ZERO)
+    if op == "andnot":
+        return mk(TermKind.AND, mk(TermKind.NOT, a), b)
+    raise SymbolicExecutionError(f"lane operation {op} is not modelled")
+
+
+def lane_unary_term(op: str, a: Term) -> Term:
+    if op == "abs":
+        return mk(TermKind.ABS, a)
+    raise SymbolicExecutionError(f"lane operation {op} is not modelled")
+
+
+def shift_lane_term(op: str, lane: Term, count: int) -> Term:
+    """A shift by an immediate; over-shifts are defined as in lanemath."""
+    bits = active_bits()
+    if op in ("sll", "srl") and count >= bits:
+        return ZERO
+    if op == "sra" and count >= bits:
+        count = bits - 1
+    if count == 0:
+        return lane
+    kind = _SHIFT_KINDS.get(op)
+    if kind is None:
+        raise SymbolicExecutionError(f"immediate operation {op} is not modelled")
+    return mk(kind, lane, bv_const(count))
+
+
+def _is_full_lane_mask(term: Term) -> bool:
+    """Whether ``term`` provably evaluates to 0 or all-ones at the active width.
+
+    True for those two constants and for an ``ite`` (by its branches),
+    ``and``, ``or``, ``xor`` or ``not`` built only from such terms.  The
+    walk is iterative and memoized per DAG node, so a mask that doubles in
+    size on every loop iteration costs time linear in its distinct nodes.
+    """
+    bits = active_bits()
+    all_ones = (1 << bits) - 1
+    memo = _FULL_LANE_MASKS
+    # Evict before the walk, never during it: the walk reads back the
+    # verdicts it stored for each node's operands.
+    memo.make_room()
+    stack = [term]
+    while stack:
+        node = stack.pop()
+        if (bits, node) in memo:
+            continue
+        if node.kind is TermKind.ITE:
+            operands = node.args[1:]
+        elif node.kind in _MASK_LOGIC:
+            operands = node.args
+        else:
+            memo[(bits, node)] = (node.kind is TermKind.CONST
+                                  and node.value in (0, all_ones))
+            continue
+        pending = [arg for arg in operands if (bits, arg) not in memo]
+        if pending:
+            stack.append(node)
+            stack.extend(pending)
+        else:
+            memo[(bits, node)] = all(memo[(bits, arg)] for arg in operands)
+    return memo[(bits, term)]
+
+
+def select_lane_term(a: Term, b: Term, mask: Term) -> Term:
+    """One lane of a byte blend: ``b``'s byte wherever the sign bit of the
+    mask's byte is set, ``a``'s byte elsewhere (as the interpreter does).
+
+    A mask lane that is provably 0 or all-ones, as every TSVC vectorization
+    builds, gets the whole-lane ``ite(mask != 0, b, a)``, which the mask
+    algebra folds back into the comparison; any other mask is blended byte
+    by byte.
+    """
+    if _is_full_lane_mask(mask):
+        return mk(TermKind.ITE, mk(TermKind.NE, mask, ZERO), b, a)
+    parts = []
+    for shift in range(0, active_bits(), 8):
+        byte = bv_const(0xFF << shift)
+        picks_b = mk(TermKind.NE, mk(TermKind.AND, mask, bv_const(0x80 << shift)), ZERO)
+        parts.append(mk(TermKind.ITE, picks_b, mk(TermKind.AND, b, byte), mk(TermKind.AND, a, byte)))
+    blended = parts[0]
+    for part in parts[1:]:
+        blended = mk(TermKind.OR, blended, part)
+    return blended
+
+
+def pred_not_term(gov: Term, p: Term) -> Term:
+    """Zeroing NOT: ``gov & !p``, on 0/1 lane terms."""
+    return mk(TermKind.ITE, mk(TermKind.EQ, p, ZERO), gov, ZERO)
+
+
+def pred_logic_term(op: str, gov: Term, a: Term, b: Term) -> Term:
+    """Zeroing predicate ``and``/``or``, governed by ``gov``."""
+    inner = {"and": TermKind.AND, "or": TermKind.OR}[op]
+    return mk(TermKind.AND, gov, mk(inner, a, b))
+
+
+def pred_cmp_term(op: str, gov: Term, a: Term, b: Term) -> Term:
+    """A ``cmpgt``/``cmpeq`` predicate lane; inactive lanes are 0."""
+    compared = mk(TermKind.GT if op == "cmpgt" else TermKind.EQ, a, b)
+    return mk(TermKind.AND, gov, mk(TermKind.ITE, compared, ONE, ZERO))
+
+
+def psel_term(pred: Term, a: Term, b: Term) -> Term:
+    return mk(TermKind.ITE, mk(TermKind.NE, pred, ZERO), a, b)
+
+
+def pred_merge_term(op: str, pred: Term, a: Term, b: Term) -> Term:
+    """Merging predicated arithmetic: inactive lanes keep ``a``."""
+    return mk(TermKind.ITE, mk(TermKind.NE, pred, ZERO),
+              lane_binary_term(op, a, b), a)
 
 
 class SymbolicExecutor:
@@ -589,51 +735,40 @@ class SymbolicExecutor:
             for lane in pred.lanes[1:]:
                 any_active = mk(TermKind.OR, any_active, lane)
             return any_active
+        # The predicate ops are named after their lane ops: ``pand`` is
+        # ``and``, ``pcmpgt`` is ``cmpgt``, ``padd`` is ``add``.
         if spec.kind == "pred_unary":
-            # Zeroing NOT: gov & !p, on 0/1 lane terms.
             gov = self._pred_arg(expr.args[0], state, spec.lanes)
             operand = self._pred_arg(expr.args[1], state, spec.lanes)
-            return SymPred([
-                mk(TermKind.ITE, mk(TermKind.EQ, p, ZERO), g, ZERO)
-                for g, p in zip(gov.lanes, operand.lanes)
-            ])
+            return SymPred([pred_not_term(g, p)
+                            for g, p in zip(gov.lanes, operand.lanes)])
         if spec.kind == "pred_binary":
             gov = self._pred_arg(expr.args[0], state, spec.lanes)
             a = self._pred_arg(expr.args[1], state, spec.lanes)
             b = self._pred_arg(expr.args[2], state, spec.lanes)
-            inner_kind = TermKind.AND if spec.op == "pand" else TermKind.OR
-            return SymPred([
-                mk(TermKind.AND, g, mk(inner_kind, x, y))
-                for g, x, y in zip(gov.lanes, a.lanes, b.lanes)
-            ])
+            op = spec.op.removeprefix("p")
+            return SymPred([pred_logic_term(op, g, x, y)
+                            for g, x, y in zip(gov.lanes, a.lanes, b.lanes)])
         if spec.kind == "pred_cmp":
             gov = self._pred_arg(expr.args[0], state, spec.lanes)
             a = self._vector_arg(expr.args[1], state, spec.lanes)
             b = self._vector_arg(expr.args[2], state, spec.lanes)
-            cmp_kind = TermKind.GT if spec.op == "pcmpgt" else TermKind.EQ
-            return SymPred([
-                mk(TermKind.AND, g,
-                   mk(TermKind.ITE, mk(cmp_kind, x, y), ONE, ZERO))
-                for g, x, y in zip(gov.lanes, a.lanes, b.lanes)
-            ])
+            op = spec.op.removeprefix("p")
+            return SymPred([pred_cmp_term(op, g, x, y)
+                            for g, x, y in zip(gov.lanes, a.lanes, b.lanes)])
         if spec.kind == "psel":
             pred = self._pred_arg(expr.args[0], state, spec.lanes)
             a = self._vector_arg(expr.args[1], state, spec.lanes)
             b = self._vector_arg(expr.args[2], state, spec.lanes)
-            return SymVector([
-                mk(TermKind.ITE, mk(TermKind.NE, p, ZERO), x, y)
-                for p, x, y in zip(pred.lanes, a.lanes, b.lanes)
-            ])
+            return SymVector([psel_term(p, x, y)
+                              for p, x, y in zip(pred.lanes, a.lanes, b.lanes)])
         if spec.kind == "pred_merge_binary":
             pred = self._pred_arg(expr.args[0], state, spec.lanes)
             a = self._vector_arg(expr.args[1], state, spec.lanes)
             b = self._vector_arg(expr.args[2], state, spec.lanes)
-            merge_kind = {"padd": TermKind.ADD}[spec.op]
-            return SymVector([
-                mk(TermKind.ITE, mk(TermKind.NE, p, ZERO),
-                   mk(merge_kind, x, y), x)
-                for p, x, y in zip(pred.lanes, a.lanes, b.lanes)
-            ])
+            op = spec.op.removeprefix("p")
+            return SymVector([pred_merge_term(op, p, x, y)
+                              for p, x, y in zip(pred.lanes, a.lanes, b.lanes)])
         if spec.kind == "index":
             base = self._eval(expr.args[0], state)
             if not isinstance(base, Term):
@@ -720,10 +855,10 @@ class SymbolicExecutor:
         if spec.kind == "pure_binary":
             left = self._vector_arg(expr.args[0], state, spec.lanes)
             right = self._vector_arg(expr.args[1], state, spec.lanes)
-            return SymVector([self._lane_binary(spec.op, a, b) for a, b in zip(left.lanes, right.lanes)])
+            return SymVector([lane_binary_term(spec.op, a, b) for a, b in zip(left.lanes, right.lanes)])
         if spec.kind == "pure_unary":
             operand = self._vector_arg(expr.args[0], state, spec.lanes)
-            return SymVector([self._lane_unary(spec.op, lane) for lane in operand.lanes])
+            return SymVector([lane_unary_term(spec.op, lane) for lane in operand.lanes])
         if spec.kind == "pure_imm":
             vector = self._vector_arg(expr.args[0], state, spec.lanes)
             imm = _as_concrete(self._eval(expr.args[1], state), "intrinsic immediate")
@@ -741,10 +876,8 @@ class SymbolicExecutor:
             a = self._vector_arg(expr.args[0], state, spec.lanes)
             b = self._vector_arg(expr.args[1], state, spec.lanes)
             mask = self._vector_arg(expr.args[2], state, spec.lanes)
-            return SymVector([
-                mk(TermKind.ITE, mk(TermKind.NE, m, ZERO), bv, av)
-                for av, bv, m in zip(a.lanes, b.lanes, mask.lanes)
-            ])
+            return SymVector([select_lane_term(av, bv, m)
+                              for av, bv, m in zip(a.lanes, b.lanes, mask.lanes)])
         if spec.kind == "pure_vector" and spec.op == "hadd":
             a = self._vector_arg(expr.args[0], state, spec.lanes)
             b = self._vector_arg(expr.args[1], state, spec.lanes)
@@ -761,7 +894,6 @@ class SymbolicExecutor:
 
     def _imm_op(self, op: str, vector: SymVector, imm: int) -> SymVector:
         """Immediate-operand lane ops: shifts and in-block shuffles."""
-        lane_bits = self.dtype.bits
         imm = int(imm)
         if op == "shuffle":
             selectors = [(imm >> (2 * i)) & 0x3 for i in range(4)]
@@ -770,45 +902,7 @@ class SymbolicExecutor:
                 base = block * 4
                 lanes += [vector.lanes[base + sel] for sel in selectors]
             return SymVector(lanes)
-        if op in ("sll", "srl") and imm >= lane_bits:
-            return SymVector([ZERO] * vector.width)
-        if op == "sra" and imm >= lane_bits:
-            imm = lane_bits - 1
-        if imm == 0:
-            return vector
-        count = bv_const(imm)
-        kind = {"sll": TermKind.SHL, "srl": TermKind.LSHR, "sra": TermKind.ASHR}.get(op)
-        if kind is None:
-            raise SymbolicExecutionError(f"immediate operation {op} is not modelled")
-        return SymVector([mk(kind, lane, count) for lane in vector.lanes])
-
-    #: Generic op -> term kind, shared by every target's intrinsic spelling.
-    _LANE_BINARY = {
-        "add": TermKind.ADD,
-        "sub": TermKind.SUB,
-        "mul": TermKind.MUL,
-        "and": TermKind.AND,
-        "or": TermKind.OR,
-        "xor": TermKind.XOR,
-        "max": TermKind.MAX,
-        "min": TermKind.MIN,
-    }
-
-    def _lane_binary(self, op: str, a: Term, b: Term) -> Term:
-        if op in self._LANE_BINARY:
-            return mk(self._LANE_BINARY[op], a, b)
-        if op == "cmpgt":
-            return mk(TermKind.ITE, mk(TermKind.GT, a, b), MINUS_ONE, ZERO)
-        if op == "cmpeq":
-            return mk(TermKind.ITE, mk(TermKind.EQ, a, b), MINUS_ONE, ZERO)
-        if op == "andnot":
-            return mk(TermKind.AND, mk(TermKind.NOT, a), b)
-        raise SymbolicExecutionError(f"lane operation {op} is not modelled")
-
-    def _lane_unary(self, op: str, a: Term) -> Term:
-        if op == "abs":
-            return mk(TermKind.ABS, a)
-        raise SymbolicExecutionError(f"lane operation {op} is not modelled")
+        return SymVector([shift_lane_term(op, lane, imm) for lane in vector.lanes])
 
     def _pointer_arg(self, expr: ast.Expr, state: SymbolicState) -> SymPointer:
         value = self._eval(expr, state)

@@ -47,14 +47,6 @@ class KernelFeatures:
     category: str = CATEGORY_NAIVE
 
     @property
-    def has_loop(self) -> bool:
-        return self.main_loop is not None
-
-    @property
-    def is_nested(self) -> bool:
-        return self.loop_nest.max_depth > 0
-
-    @property
     def iterator(self) -> str | None:
         return self.main_loop.iterator if self.main_loop else None
 
@@ -75,14 +67,6 @@ class KernelFeatures:
         seen: list[str] = []
         for access in self.accesses:
             if access.kind.value == "write" and access.array not in seen:
-                seen.append(access.array)
-        return seen
-
-    @property
-    def read_arrays(self) -> list[str]:
-        seen: list[str] = []
-        for access in self.accesses:
-            if access.kind.value == "read" and access.array not in seen:
                 seen.append(access.array)
         return seen
 

@@ -223,9 +223,6 @@ class FunctionDef(Node):
     params: list[Parameter]
     body: Block
 
-    def param_names(self) -> list[str]:
-        return [p.name for p in self.params]
-
 
 @dataclass
 class Program(Node):

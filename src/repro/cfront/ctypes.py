@@ -85,10 +85,6 @@ class CType:
             raise ValueError(f"{self} is not an integer type")
         return get_lane_type(self.name)
 
-    @property
-    def is_void(self) -> bool:
-        return self.name == "void" and self.pointer_depth == 0
-
     def pointee(self) -> "CType":
         if not self.is_pointer:
             raise ValueError(f"{self} is not a pointer type")

@@ -83,10 +83,6 @@ class ChecksumEvaluation:
         counts = [(len(r.outcomes), r.plausible_count) for r in self.records]
         return pass_at_k_curve(counts, ks)
 
-    def plausible_kernels(self, k: int | None = None) -> list[str]:
-        limit = k if k is not None else self.num_completions
-        return [r.kernel for r in self.records if r.plausible_within(limit)]
-
     def first_plausible_codes(self) -> dict[str, str]:
         return {r.kernel: r.first_plausible_code for r in self.records
                 if r.first_plausible_code is not None}

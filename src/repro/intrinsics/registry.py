@@ -1,13 +1,14 @@
 """Per-target intrinsic registries built from one generic operation table.
 
 Each generic operation (``add``, ``select``, ``loadu`` ...) is defined once
-— its lane semantics, arity and base cycle cost — and materialized per
-:class:`~repro.targets.TargetISA` and lane element type under the target's
-concrete spellings (``repro.targets`` owns the spelling; this module owns
-the semantics).  The merged :data:`INTRINSIC_REGISTRY` spans every
-registered target, so the interpreter and the symbolic executor can execute
-candidates of any width and naming scheme without being told which backend
-produced them: the width travels with the intrinsic name.  The element type
+— its kind, arity, base cycle cost and whole-vector semantics — and
+materialized per :class:`~repro.targets.TargetISA` and lane element type
+under the target's concrete spellings (``repro.targets`` owns the spelling;
+:mod:`repro.intrinsics.lanemath` owns the per-lane arithmetic, which the
+plain lane ops reach by name).  The merged :data:`INTRINSIC_REGISTRY` spans
+every registered target, so the interpreter and the symbolic executor can
+execute candidates of any width and naming scheme without being told which
+backend produced them: the width travels with the intrinsic name.  The element type
 travels with the name too for dtype-suffixed spellings (``_epi16``,
 ``_s64`` ...); the x86 ``si``-typed spellings are element-type-free and
 resolve through the kernel's declared element type
@@ -36,8 +37,9 @@ from repro.targets import ALL_TARGETS, TargetISA, get_target
 class IntrinsicSpec:
     """Description of one intrinsic: arity, kind, cost, width and generic op.
 
-    ``kind`` is one of ``pure_binary``/``pure_unary`` (lane function in
-    ``fn``), ``pure_vector`` (whole-vector function), ``pure_imm`` /
+    ``kind`` is one of ``pure_binary``/``pure_unary`` (a named lane op that
+    :mod:`repro.intrinsics.lanemath` evaluates; ``fn`` is None),
+    ``pure_vector`` (whole-vector function), ``pure_imm`` /
     ``pure_imm2`` (vector plus immediates), ``load``/``store``/``maskload``/
     ``maskstore`` (handled by the interpreter, which owns the memory model),
     ``set``/``setr``/``set1``/``setzero``/``index`` (vector construction),
@@ -70,39 +72,8 @@ class IntrinsicSpec:
 
 
 # ---------------------------------------------------------------------------
-# width- and dtype-agnostic lane semantics
+# width- and dtype-agnostic whole-vector semantics
 # ---------------------------------------------------------------------------
-
-# Raw per-lane reference functions.  They compute over unbounded Python ints;
-# :func:`build_registry` wraps each one at the registry's lane element type,
-# so the ``fn`` stored on a spec always wraps at that spec's width.
-
-
-def _mul_lane(a: int, b: int) -> int:
-    return a * b
-
-
-def _cmpgt(a: int, b: int) -> int:
-    return -1 if a > b else 0
-
-
-def _cmpeq(a: int, b: int) -> int:
-    return -1 if a == b else 0
-
-
-def _abs_lane(a: int) -> int:
-    return abs(a)
-
-
-def _andnot(a: int, b: int) -> int:
-    return (~a) & b
-
-
-def _wrap_lane_fn(fn: Callable, lane_type: LaneType) -> Callable:
-    def wrapped(*lanes: int) -> int:
-        return lane_type.wrap(fn(*lanes))
-
-    return wrapped
 
 
 def _select(a: VecValue, b: VecValue, mask: VecValue) -> VecValue:
@@ -273,21 +244,23 @@ def _pred_merge_fn(op: str):
 # ---------------------------------------------------------------------------
 
 #: op -> (kind, arity, base cycle cost, function).  ``arity = -1`` means one
-#: argument per lane (the set/setr constructors).  Costs are the AVX2 base
+#: argument per lane (the set/setr constructors).  The plain lane ops
+#: (``pure_binary``/``pure_unary``) and the interpreter-owned kinds have no
+#: function here.  Costs are the AVX2 base
 #: figures; targets override per op via ``intrinsic_cost_overrides``.
 _GENERIC_OPS: dict[str, tuple[str, int, float, Callable | None]] = {
-    "add": ("pure_binary", 2, 0.5, lambda a, b: a + b),
-    "sub": ("pure_binary", 2, 0.5, lambda a, b: a - b),
-    "mul": ("pure_binary", 2, 2.0, _mul_lane),
-    "cmpgt": ("pure_binary", 2, 0.5, _cmpgt),
-    "cmpeq": ("pure_binary", 2, 0.5, _cmpeq),
-    "max": ("pure_binary", 2, 0.5, max),
-    "min": ("pure_binary", 2, 0.5, min),
-    "and": ("pure_binary", 2, 0.33, lambda a, b: a & b),
-    "or": ("pure_binary", 2, 0.33, lambda a, b: a | b),
-    "xor": ("pure_binary", 2, 0.33, lambda a, b: a ^ b),
-    "andnot": ("pure_binary", 2, 0.33, _andnot),
-    "abs": ("pure_unary", 1, 0.5, _abs_lane),
+    "add": ("pure_binary", 2, 0.5, None),
+    "sub": ("pure_binary", 2, 0.5, None),
+    "mul": ("pure_binary", 2, 2.0, None),
+    "cmpgt": ("pure_binary", 2, 0.5, None),
+    "cmpeq": ("pure_binary", 2, 0.5, None),
+    "max": ("pure_binary", 2, 0.5, None),
+    "min": ("pure_binary", 2, 0.5, None),
+    "and": ("pure_binary", 2, 0.33, None),
+    "or": ("pure_binary", 2, 0.33, None),
+    "xor": ("pure_binary", 2, 0.33, None),
+    "andnot": ("pure_binary", 2, 0.33, None),
+    "abs": ("pure_unary", 1, 0.5, None),
     "select": ("pure_vector", 3, 1.0, _select),
     "hadd": ("pure_vector", 2, 2.0, _hadd),
     "srl": ("pure_imm", 2, 0.5, _srl),
@@ -340,8 +313,6 @@ def build_registry(target: TargetISA,
         if not target.supports(op, lane_type):
             continue
         name = target.intrinsic(op, lane_type)
-        if kind in ("pure_binary", "pure_unary") and fn is not None:
-            fn = _wrap_lane_fn(fn, lane_type)
         cost = target.intrinsic_cost_overrides.get(op, base_cost)
         registry[name] = IntrinsicSpec(
             name=name,
@@ -524,8 +495,7 @@ def apply_pure_spec(spec: IntrinsicSpec, args: list,
             dtype=spec.lane_type,
         )
     if spec.kind == "pure_binary":
-        # Bulk numpy kernel keyed by the generic op name; ``spec.fn`` keeps
-        # the per-lane reference semantics for callers that want them.
+        # Named lane ops: the generic op name keys lanemath's kernel table.
         return _require_vec(args[0], name).bulk_binary(
             _require_vec(args[1], name), spec.op
         )

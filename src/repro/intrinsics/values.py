@@ -20,7 +20,7 @@ assignments and intrinsic calls exactly like :class:`VecValue`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from typing import ClassVar
 
 from repro.intrinsics import lanemath
@@ -46,11 +46,6 @@ _WIDTHS_BY_DTYPE: dict[str, tuple[int, ...]] = {
 ALL_VALID_WIDTHS = tuple(sorted({
     width for widths in _WIDTHS_BY_DTYPE.values() for width in widths
 }))
-
-
-def valid_widths(dtype: "LaneType | None" = None) -> tuple[int, ...]:
-    """Lane counts valid for one element type (default int32)."""
-    return _WIDTHS_BY_DTYPE[(dtype or INT32).name]
 
 
 @dataclass(frozen=True)
@@ -128,28 +123,11 @@ class VecValue:
                 f"dtype mismatch: {self.dtype.name} vs {other.dtype.name} lanes"
             )
 
-    # -- lane-wise combinators ----------------------------------------------
-
-    def map_binary(self, other: "VecValue", fn: Callable[[int, int], int]) -> "VecValue":
-        self._check_compatible(other)
-        wrap = self.dtype.wrap
-        lanes = tuple(wrap(fn(a, b)) for a, b in zip(self.lanes, other.lanes))
-        poison = tuple(pa or pb for pa, pb in zip(self.poison, other.poison))
-        return VecValue(lanes, poison, self.dtype)
-
-    def map_unary(self, fn: Callable[[int], int]) -> "VecValue":
-        wrap = self.dtype.wrap
-        lanes = tuple(wrap(fn(a)) for a in self.lanes)
-        return VecValue(lanes, self.poison, self.dtype)
-
-    # -- bulk combinators (whole-register numpy kernels) --------------------
+    # -- bulk combinators (whole-register lanemath kernels) -----------------
 
     def bulk_binary(self, other: "VecValue", op: str) -> "VecValue":
-        """Named lane-wise binary op evaluated one register at a time.
-
-        Unlike :meth:`map_binary` (arbitrary Python lane function), the op is
-        named so :mod:`repro.intrinsics.lanemath` can run its numpy kernel.
-        """
+        """Named lane-wise binary op evaluated one register at a time by
+        :mod:`repro.intrinsics.lanemath`."""
         self._check_compatible(other)
         lanes, poison = lanemath.binary_lanes(
             op, self.lanes, other.lanes, self.poison, other.poison,
@@ -204,10 +182,6 @@ class PredValue:
     @classmethod
     def all_true(cls, width: int) -> "PredValue":
         return cls((True,) * width)
-
-    @classmethod
-    def all_false(cls, width: int) -> "PredValue":
-        return cls((False,) * width)
 
     @classmethod
     def whilelt(cls, base: int, bound: int, width: int) -> "PredValue":

@@ -1,9 +1,9 @@
 """Lane element types: the dtype axis of the pipeline.
 
 A :class:`LaneType` describes one integer element type a vector register can
-be carved into — its bit width, its C spelling, and its numpy dtype name.
-Everything that used to be hardwired to 32 bits (lane wraparound, the lane
-width, ``numpy.int32`` kernels, ``_epi32``/``_s32`` spellings, 32-bit
+be carved into — its bit width and its C spelling.  Everything that used to
+be hardwired to 32 bits (lane wraparound, the lane width, the lane kernels of
+:mod:`repro.intrinsics.lanemath`, ``_epi32``/``_s32`` spellings, 32-bit
 symexec terms) is parameterized by these descriptors instead, the same way
 :class:`repro.targets.TargetISA` made vector *width* a data axis.
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 class LaneType:
     """One integer element type, described entirely as data.
 
-    Equality, hashing and ``repr`` use the four declared fields only.
+    Equality, hashing and ``repr`` use the three declared fields only.
     """
 
     #: Canonical identifier used in configs, caches, suffixes and reports.
@@ -32,8 +32,6 @@ class LaneType:
     #: The C scalar spelling kernels declare (``int`` for the default type,
     #: the ``<stdint.h>`` fixed-width names otherwise).
     c_name: str
-    #: numpy dtype name for the bulk lane kernels.
-    np_name: str
     #: ``2**bits - 1`` and ``2**(bits - 1)``, derived from ``bits`` once:
     #: :meth:`wrap` runs on every scalar the interpreter computes.
     mask: int = field(init=False, repr=False, compare=False)
@@ -72,9 +70,9 @@ def trunc_div(dividend: int, divisor: int) -> int:
     return quotient if (dividend < 0) == (divisor < 0) else -quotient
 
 
-INT16 = LaneType(name="int16", bits=16, c_name="int16_t", np_name="int16")
-INT32 = LaneType(name="int32", bits=32, c_name="int", np_name="int32")
-INT64 = LaneType(name="int64", bits=64, c_name="int64_t", np_name="int64")
+INT16 = LaneType(name="int16", bits=16, c_name="int16_t")
+INT32 = LaneType(name="int32", bits=32, c_name="int")
+INT64 = LaneType(name="int64", bits=64, c_name="int64_t")
 
 #: Every supported element type, narrow to wide.
 ALL_LANE_TYPES: tuple[LaneType, ...] = (INT16, INT32, INT64)
@@ -89,11 +87,6 @@ _ALIASES = {
     "int32_t": "int32",
     "i16": "int16", "i32": "int32", "i64": "int64",
 }
-
-
-def lane_type_names() -> list[str]:
-    """Canonical names of all supported element types, narrow to wide."""
-    return [t.name for t in ALL_LANE_TYPES]
 
 
 def get_lane_type(dtype: "LaneType | str | None") -> LaneType:

@@ -36,10 +36,3 @@ class ThroughputReport:
     def executed_rate(self) -> float:
         """Kernels per second over freshly executed work only."""
         return kernels_per_second(self.executed_kernels, self.wall_clock_seconds)
-
-    def projected_seconds(self, kernels: int) -> float:
-        """Projected wall clock for ``kernels`` fresh kernels at the executed rate."""
-        rate = self.executed_rate
-        if rate <= 0:
-            return float("inf") if kernels > 0 else 0.0
-        return kernels / rate

@@ -69,10 +69,6 @@ def _call(func: str, *args: ast.Expr) -> ast.Call:
     return ast.Call(func=func, args=list(args))
 
 
-def _add_expr(left: ast.Expr, right: ast.Expr) -> ast.Expr:
-    return ast.BinOp(op="+", left=left, right=right)
-
-
 def _index_expr(base: str, offset: int) -> ast.Expr:
     if offset == 0:
         return _ident(base)

@@ -8,7 +8,7 @@ from repro.alive import AliveVerifier, VerifierConfig, execute_symbolically
 from repro.alive.symexec import SymbolicExecutionError
 from repro.cfront.cparser import parse_function
 from repro.llm.faults import FaultKind, apply_fault
-from repro.smt.terms import evaluate
+from repro.smt.terms import TermKind, evaluate, term_size
 from repro.transforms import unroll_scalar_function, is_spatially_splittable
 from repro.cfront.printer import to_c
 from repro.tsvc import load_kernel
@@ -54,6 +54,25 @@ class TestSymbolicExecution:
         """
         state = execute_symbolically(parse_function(vector_src), {"a": 8, "b": 8}, {"n": 8})
         assert evaluate(state.regions["a"].cell(3), {"b_3": 9}) == 10
+
+
+    def test_mask_doubled_in_a_loop_keeps_the_whole_lane_blend(self):
+        """Deciding that a mask is 0 / -1 visits each DAG node once: 40
+        rounds of ``m ^= m`` make a 2^40-node tree but a 40-node DAG."""
+        func = parse_function("""void f(int *a, int *b, int *out, int n) {
+    __m256i va = _mm256_loadu_si256((__m256i*)&a[0]);
+    __m256i vb = _mm256_loadu_si256((__m256i*)&b[0]);
+    __m256i m = _mm256_cmpgt_epi32(va, vb);
+    for (int k = 0; k < 40; k++) {
+        m = _mm256_xor_si256(m, m);
+    }
+    _mm256_storeu_si256((__m256i*)&out[0], _mm256_blendv_epi8(va, vb, m));
+}""")
+        state = execute_symbolically(func, {"a": 8, "b": 8, "out": 8}, {"n": 8})
+        cell = state.regions["out"].cell(3)
+        assert cell.kind is TermKind.ITE  # the whole-lane form, not per byte
+        assert term_size(cell) < 100
+        assert evaluate(cell, {"a_3": 5, "b_3": 1}) == 5  # m ^ m is 0: keep a
 
 
 class TestTransforms:
@@ -110,6 +129,19 @@ class TestVerifier:
         buggy = apply_fault(correct, FaultKind.CMP_OFF_BY_ONE, random.Random(1))
         report = self.verifier.check_with_alive_unroll(kernel.source, buggy)
         assert report.outcome is Verdict.NOT_EQUIVALENT
+
+    def test_blend_under_a_mask_that_is_not_full_lanes_is_refuted(self):
+        """A blend takes ``b``'s byte only where the mask byte's sign bit is
+        set, so 0/1 mask lanes never take ``b``: the verifier must refute
+        this alone, not only checksum testing."""
+        kernel = load_kernel("vif")
+        correct = vectorize_kernel(kernel.function).source
+        buggy = correct.replace(
+            "vgt_2);", "_mm256_and_si256(vgt_2, _mm256_set1_epi32(1)));")
+        assert buggy != correct
+        report = self.verifier.check_with_alive_unroll(kernel.source, buggy)
+        assert report.outcome is Verdict.NOT_EQUIVALENT
+        assert report.method == "concrete"
 
     @pytest.mark.parametrize("stage", ["check_with_alive_unroll", "check_with_c_unroll",
                                        "check_with_spatial_splitting"])

@@ -11,6 +11,8 @@ import json
 import pytest
 
 from repro.alive.verifier import AliveVerifier
+from repro.interp.checksum import checksum_testing
+from repro.pipeline import EquivalencePipeline
 from repro.pipeline.cache import config_fingerprint
 from repro.pipeline.campaign import CampaignConfig, CampaignRunner, CampaignSummary
 from repro.runspec import RunSpec
@@ -212,8 +214,46 @@ class TestInt64TruncationCanary:
         assert report.outcome is Verdict.NOT_EQUIVALENT
 
 
+class TestInt64CompareMasks:
+    """An int64 compare mask lane is -1 across all 64 bits in the verifier,
+    as in the interpreter, so ``and(mask, x)`` keeps all of ``x``."""
+
+    SCALAR = """void clamp(int64_t *a, int64_t *b, int n) {
+    for (int i = 0; i < n; i++) {
+        b[i] = a[i] > 0 ? a[i] : 0;
+    }
+}"""
+    CANDIDATE = """void clamp(int64_t *a, int64_t *b, int n) {
+    __m256i zero = _mm256_setzero_si256();
+    int i = 0;
+    for (; i < n - 3; i += 4) {
+        __m256i va = _mm256_loadu_si256((__m256i*)&a[i]);
+        __m256i r = _mm256_and_si256(_mm256_cmpgt_epi64(va, zero), va);
+        _mm256_storeu_si256((__m256i*)&b[i], r);
+    }
+    for (; i < n; i++) {
+        b[i] = a[i] > 0 ? a[i] : 0;
+    }
+}"""
+
+    def test_masked_candidate_is_equivalent(self):
+        pipeline = EquivalencePipeline()
+        report = pipeline.check_equivalence(self.SCALAR, self.CANDIDATE,
+                                            skip_checksum=True)
+        assert report.verdict is Verdict.EQUIVALENT, report.detail
+        assert (checksum_testing(self.SCALAR, self.CANDIDATE).outcome
+                is Verdict.PLAUSIBLE)
+
+    def test_low_32_bit_scalar_is_not_equivalent(self):
+        truncating = self.SCALAR.replace("? a[i] : 0",
+                                         "? (a[i] & 4294967295) : 0")
+        report = EquivalencePipeline().check_equivalence(
+            truncating, self.CANDIDATE, skip_checksum=True)
+        assert report.verdict is Verdict.NOT_EQUIVALENT
+
+
 class TestLaneTypeDescriptor:
-    """The wrap constants are precomputed, but a LaneType is still four
+    """The wrap constants are precomputed, but a LaneType is still three
     fields of data: frozen, equal and hashed by those fields, picklable."""
 
     def test_precomputed_constants(self):
@@ -229,10 +269,9 @@ class TestLaneTypeDescriptor:
         import pickle
         from repro.lanetypes import INT32, LaneType
 
-        twin = LaneType(name="int32", bits=32, c_name="int", np_name="int32")
+        twin = LaneType(name="int32", bits=32, c_name="int")
         assert twin == INT32 and hash(twin) == hash(INT32)
-        assert repr(twin) == ("LaneType(name='int32', bits=32, c_name='int', "
-                              "np_name='int32')")
+        assert repr(twin) == "LaneType(name='int32', bits=32, c_name='int')"
         with pytest.raises(dataclasses.FrozenInstanceError):
             INT32.bits = 16
         copy = pickle.loads(pickle.dumps(INT32))

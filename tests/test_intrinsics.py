@@ -5,6 +5,12 @@ through each target's own intrinsic spelling, including poison propagation
 through masked loads and the blend/shift edge cases.
 """
 
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cfront.cparser import parse_function
@@ -65,13 +71,13 @@ class TestVecValue:
         width = isa.lanes
         a = VecValue.from_lanes(range(width), poison=[True] + [False] * (width - 1))
         b = VecValue.splat(1, width)
-        result = a.map_binary(b, lambda x, y: x + y)
+        result = a.bulk_binary(b, "add")
         assert result.poison[0] is True
         assert result.poison[1] is False
 
     def test_width_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
-            VecValue.zero(4).map_binary(VecValue.zero(8), lambda x, y: x + y)
+            VecValue.zero(4).bulk_binary(VecValue.zero(8), "add")
 
     def test_avx2_register_values_are_plain_vecvalues(self):
         # The historical M256Value shim is gone: an AVX2 register is just a
@@ -362,3 +368,32 @@ class TestRegistry:
             assert spec.arity >= 0
             assert spec.cycle_cost >= 0
             assert spec.lanes in (4, 8, 16)
+
+
+class TestOneLaneEvaluator:
+    """Regrowth guard: the lane arithmetic runs in plain Python, in
+    :mod:`repro.intrinsics.lanemath` alone, and pulls in no numpy."""
+
+    SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+    def test_no_module_imports_numpy(self):
+        offenders = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    offenders.append(f"{path.relative_to(self.SRC)}:{node.lineno}")
+        assert offenders == []
+
+    def test_campaign_import_leaves_numpy_unloaded(self):
+        probe = ("import sys, repro.pipeline.campaign; "
+                 "print('numpy' in sys.modules)")
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(self.SRC.parent)})
+        assert completed.stdout.strip() == "False"

@@ -3,8 +3,9 @@
 Covers the PR-3 acceptance surface:
 
 * a registry round-trip property over every registered target (NEON
-  included): every intrinsic spelling a target emits must lex, parse,
-  interpret and symbolically execute;
+  included) at every element type it supports: every intrinsic spelling a
+  target emits must lex and parse, and the interpreter's output must equal
+  the verifier's terms evaluated on the same random inputs;
 * NEON select-based masking semantics, including the poison/boundary
   behaviour that makes select-masking *unsafe* at region boundaries (which
   is why the planner rejects masked-tail requests on NEON instead of
@@ -17,6 +18,8 @@ Covers the PR-3 acceptance surface:
 * a NEON end-to-end campaign through the same pipeline code paths as x86.
 """
 
+import random
+
 import pytest
 
 from repro.alive.symexec import execute_symbolically
@@ -24,7 +27,10 @@ from repro.alive.verifier import AliveVerifier, VerifierConfig
 from repro.cfront.cparser import parse_function
 from repro.cfront.lexer import KEYWORDS, tokenize
 from repro.interp.interpreter import run_function
+from repro.intrinsics import lanemath, registry_for
+from repro.lanetypes import ALL_LANE_TYPES, INT32
 from repro.llm.faults import FaultKind, apply_fault, applicable_faults
+from repro.smt.terms import evaluate, to_signed
 from repro.targets import (
     ALL_TARGETS,
     AVX2,
@@ -57,44 +63,48 @@ def _load_spelling(isa) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _roundtrip_snippet(isa, spec):
-    """A tiny kernel exercising one intrinsic of one target (None = skip)."""
-    from repro.intrinsics import registry_for
+def _roundtrip_snippet(isa, spec, dtype=INT32, imm=1, loaded_mask=False):
+    """A tiny kernel exercising one intrinsic of one target (None = skip).
 
-    vt = isa.vector_type
+    ``imm`` is the count of the immediate ops; ``loaded_mask`` makes a
+    ``select`` blend under an arbitrary mask read from ``masks`` instead of
+    a comparison's 0 / -1 lanes.
+    """
+    vt = isa.vector_type_for(dtype)
+    lanes = isa.lanes_for(dtype)
     name = spec.name
+
+    def op(generic):
+        return isa.intrinsic(generic, dtype)
+
     if isa.has_predicates:
         # Predicate-first targets have no unpredicated loads or stores: the
         # whole snippet runs under an all-true governing predicate.
         pt = isa.predicate_type
-        load_a0 = f"{isa.intrinsic('pload')}(pg, ({vt}*)&a[0])"
-        load_b0 = f"{isa.intrinsic('pload')}(pg, ({vt}*)&b[0])"
         lines = [
-            f"{pt} pg = {isa.intrinsic('ptrue')}();",
-            f"{vt} va = {load_a0};",
-            f"{vt} vb = {load_b0};",
+            f"{pt} pg = {op('ptrue')}();",
+            f"{vt} va = {op('pload')}(pg, ({vt}*)&a[0]);",
+            f"{vt} vb = {op('pload')}(pg, ({vt}*)&b[0]);",
         ]
 
         def store_line(reg):
-            return f"{isa.intrinsic('pstore')}(pg, ({vt}*)&out[0], {reg});"
+            return f"{op('pstore')}(pg, ({vt}*)&out[0], {reg});"
 
         def pred_to_vec(pred):
-            return f"{vt} r = {isa.intrinsic('psel')}({pred}, va, vb);"
+            return f"{vt} r = {op('psel')}({pred}, va, vb);"
     else:
-        load = isa.intrinsic("loadu")
-        store = isa.intrinsic("storeu")
         lines = [
-            f"{vt} va = {load}(({vt}*)&a[0]);",
-            f"{vt} vb = {load}(({vt}*)&b[0]);",
+            f"{vt} va = {op('loadu')}(({vt}*)&a[0]);",
+            f"{vt} vb = {op('loadu')}(({vt}*)&b[0]);",
         ]
 
         def store_line(reg):
-            return f"{store}(({vt}*)&out[0], {reg});"
+            return f"{op('storeu')}(({vt}*)&out[0], {reg});"
 
         pred_to_vec = None
     result = None  # vector register holding the op result, if any
     if spec.kind == "pload":
-        lines.append(f"{vt} r = {name}(pg, ({vt}*)&a[{isa.lanes}]);")
+        lines.append(f"{vt} r = {name}(pg, ({vt}*)&a[{lanes}]);")
         result = "r"
     elif spec.kind == "pstore":
         lines.append(f"{name}(pg, ({vt}*)&out[0], va);")
@@ -109,12 +119,12 @@ def _roundtrip_snippet(isa, spec):
     elif spec.kind == "ptest":
         lines.append(f"out[0] = {name}(pg);")
     elif spec.kind == "pred_unary":
-        lines.append(f"{pt} pz = {isa.intrinsic('whilelt')}(1, 3);")
+        lines.append(f"{pt} pz = {op('whilelt')}(1, 3);")
         lines.append(f"{pt} p = {name}(pg, pz);")
         lines.append(pred_to_vec("p"))
         result = "r"
     elif spec.kind == "pred_binary":
-        lines.append(f"{pt} pz = {isa.intrinsic('whilelt')}(0, 2);")
+        lines.append(f"{pt} pz = {op('whilelt')}(0, 2);")
         lines.append(f"{pt} p = {name}(pg, pg, pz);")
         lines.append(pred_to_vec("p"))
         result = "r"
@@ -123,7 +133,7 @@ def _roundtrip_snippet(isa, spec):
         lines.append(pred_to_vec("p"))
         result = "r"
     elif spec.kind == "psel":
-        lines.append(f"{pt} p = {isa.intrinsic('pcmpgt')}(pg, va, vb);")
+        lines.append(f"{pt} p = {op('pcmpgt')}(pg, va, vb);")
         lines.append(f"{vt} r = {name}(p, va, vb);")
         result = "r"
     elif spec.kind == "pred_merge_binary":
@@ -133,16 +143,16 @@ def _roundtrip_snippet(isa, spec):
         lines.append(f"{vt} r = {name}(1, 2);")
         result = "r"
     elif spec.kind == "load":
-        lines.append(f"{vt} r = {name}(({vt}*)&a[{isa.lanes}]);")
+        lines.append(f"{vt} r = {name}(({vt}*)&a[{lanes}]);")
         result = "r"
     elif spec.kind == "store":
         lines.append(f"{name}(({vt}*)&out[0], va);")
     elif spec.kind == "maskload":
-        lines.append(f"{vt} m = {isa.intrinsic('set1')}(-1);")
+        lines.append(f"{vt} m = {op('set1')}(-1);")
         lines.append(f"{vt} r = {name}(({vt}*)&a[0], m);")
         result = "r"
     elif spec.kind == "maskstore":
-        lines.append(f"{vt} m = {isa.intrinsic('set1')}(-1);")
+        lines.append(f"{vt} m = {op('set1')}(-1);")
         lines.append(f"{name}(({vt}*)&out[0], m, va);")
     elif spec.kind == "pure_binary":
         lines.append(f"{vt} r = {name}(va, vb);")
@@ -151,14 +161,17 @@ def _roundtrip_snippet(isa, spec):
         lines.append(f"{vt} r = {name}(va);")
         result = "r"
     elif spec.kind == "pure_vector" and spec.op == "select":
-        lines.append(f"{vt} m = {isa.intrinsic('cmpgt')}(va, vb);")
+        if loaded_mask:
+            lines.append(f"{vt} m = {op('loadu')}(({vt}*)&masks[0]);")
+        else:
+            lines.append(f"{vt} m = {op('cmpgt')}(va, vb);")
         lines.append(f"{vt} r = {name}(va, vb, m);")
         result = "r"
     elif spec.kind == "pure_vector":
         lines.append(f"{vt} r = {name}(va, vb);")
         result = "r"
     elif spec.kind == "pure_imm":
-        lines.append(f"{vt} r = {name}(va, 1);")
+        lines.append(f"{vt} r = {name}(va, {imm});")
         result = "r"
     elif spec.kind == "pure_imm2":
         lines.append(f"{vt} r = {name}(va, vb, 32);")
@@ -170,48 +183,109 @@ def _roundtrip_snippet(isa, spec):
         lines.append(f"{vt} r = {name}();")
         result = "r"
     elif spec.kind in ("setr", "set"):
-        args = ", ".join(str(k) for k in range(isa.lanes))
+        args = ", ".join(str(k) for k in range(lanes))
         lines.append(f"{vt} r = {name}({args});")
         result = "r"
     elif spec.kind == "extract":
         lines.append(f"out[0] = {name}(va, 1);")
     elif spec.kind == "cast_low":
         narrow = next((t for t in ALL_TARGETS
-                       if t.lanes == isa.lanes // 2 and t.supports("extract")), None)
+                       if t.lanes_for(dtype) == lanes // 2
+                       and t.supports("extract", dtype)), None)
         if narrow is None:
             return None
-        lines.append(f"{narrow.vector_type} h = {name}(va);")
-        lines.append(f"out[0] = {narrow.intrinsic('extract')}(h, 1);")
+        lines.append(f"{narrow.vector_type_for(dtype)} h = {name}(va);")
+        lines.append(f"out[0] = {narrow.intrinsic('extract', dtype)}(h, 1);")
     else:  # pragma: no cover - new kinds must extend this builder
         raise AssertionError(f"round-trip builder misses kind {spec.kind!r}")
     if result is not None:
         lines.append(store_line(result))
     body = "\n    ".join(lines)
-    assert registry_for(isa)[name] is spec
-    return f"void kernel(int * a, int * b, int * out, int n)\n{{\n    {body}\n}}\n"
+    assert registry_for(isa, dtype)[name] is spec
+    t = dtype.c_name
+    return (f"void kernel({t} * a, {t} * b, {t} * masks, {t} * out, int n)\n"
+            f"{{\n    {body}\n}}\n")
 
 
-@pytest.mark.parametrize("target", TARGET_NAMES)
-def test_every_emitted_spelling_round_trips(target):
-    """Lex -> parse -> interpret -> symexec for each op the target emits."""
-    from repro.intrinsics import registry_for
+#: Every (target, dtype) cell; the default int32 cell keeps the bare target id.
+TARGET_DTYPE_CELLS = [
+    pytest.param(t.name, dtype,
+                 id=t.name if dtype is INT32 else f"{t.name}-{dtype.name}")
+    for t in ALL_TARGETS
+    for dtype in ALL_LANE_TYPES
+    if t.supports_dtype(dtype)
+]
 
+ROUNDTRIP_ARRAYS = ("a", "b", "masks", "out")
+ROUNDTRIP_ROUNDS = 10
+
+
+def _snippet_variants(spec, dtype):
+    """Snippet options per spelling: the edge shift counts, and a ``select``
+    under a comparison's mask and under an arbitrary one."""
+    if spec.op in lanemath.SHIFT_OPS:
+        return [{"imm": count}
+                for count in (0, 1, dtype.bits - 1, dtype.bits, dtype.bits + 8)]
+    if spec.op == "select":
+        return [{}, {"loaded_mask": True}]
+    return [{}]
+
+
+def _random_lanes(rng, count, dtype):
+    """Seeded lane values; about a third are wraparound and byte-select edges."""
+    top = dtype.sign_bit
+    edges = (-top, top - 1, -1, 0, 1, top // 2, -(top // 2),
+             dtype.wrap(0x7F80FF01), dtype.wrap(-0x7F80FF01))
+    return [rng.choice(edges) if rng.random() < 0.3
+            else rng.randint(-top, top - 1)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("target,dtype", TARGET_DTYPE_CELLS)
+def test_every_emitted_spelling_round_trips(target, dtype):
+    """Every spelling the target emits at ``dtype`` lexes, parses, and
+    interprets to the lanes the verifier's terms evaluate to.
+
+    Each snippet runs on seeded random inputs: the interpreter's ``out``
+    must equal ``terms.evaluate`` of the symbolic executor's ``out`` cells
+    under the same inputs, with no UB on either side.  A failure lists
+    every spelling (and snippet option) that disagrees.
+    """
     isa = get_target(target)
-    size = isa.lanes * 2
-    arrays = {"a": list(range(1, size + 1)), "b": [3] * size, "out": [0] * size}
-    covered = 0
-    for name, spec in sorted(registry_for(isa).items()):
-        source = _roundtrip_snippet(isa, spec)
-        if source is None:
-            continue
-        tokens = tokenize(source)
-        assert any(tok.text == name for tok in tokens), name
-        func = parse_function(source)
-        result = run_function(func, {k: list(v) for k, v in arrays.items()}, {"n": size})
-        assert not result.has_ub, f"{name}: unexpected UB"
-        state = execute_symbolically(func, {k: size for k in arrays}, {"n": size})
-        assert not state.ub_events, f"{name}: unexpected symbolic UB"
-        covered += 1
+    size = isa.lanes_for(dtype) * 2
+    rng = random.Random(f"{target}:{dtype.name}")
+    covered, mismatches = 0, []
+    for name, spec in sorted(registry_for(isa, dtype).items()):
+        for variant in _snippet_variants(spec, dtype):
+            source = _roundtrip_snippet(isa, spec, dtype, **variant)
+            if source is None:
+                continue
+            label = f"{name}{variant or ''}"
+            assert any(tok.text == name for tok in tokenize(source)), label
+            func = parse_function(source)
+            state = execute_symbolically(
+                func, {k: size for k in ROUNDTRIP_ARRAYS}, {"n": size})
+            assert not state.ub_events, f"{label}: unexpected symbolic UB"
+            out_terms = [state.regions["out"].cell(i) for i in range(size)]
+            for _ in range(ROUNDTRIP_ROUNDS):
+                arrays = {k: _random_lanes(rng, size, dtype)
+                          for k in ROUNDTRIP_ARRAYS}
+                # Equal lanes in a quarter of the places, so that equality
+                # comparisons come out true as well as false.
+                arrays["b"] = [x if rng.random() < 0.25 else y
+                               for x, y in zip(arrays["a"], arrays["b"])]
+                assignment = {f"{k}_{i}": v for k, values in arrays.items()
+                              for i, v in enumerate(values)}
+                result = run_function(func, arrays, {"n": size})
+                assert not result.has_ub, f"{label}: unexpected UB"
+                verified = [to_signed(evaluate(term, assignment, dtype.bits),
+                                      dtype.bits)
+                            for term in out_terms]
+                if result.outputs()["out"] != verified:
+                    mismatches.append(label)
+                    break
+            covered += 1
+    assert not mismatches, f"interpreter and verifier disagree on {mismatches}"
     assert covered >= 20  # every target models a substantial op set
 
 
