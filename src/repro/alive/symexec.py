@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping
 
 from repro.cfront import ast_nodes as ast
-from repro.intrinsics.lanemath import lane_active, whilelt_lanes
+from repro.intrinsics.lanemath import lane_active, shift_count, whilelt_lanes
 from repro.intrinsics.registry import is_intrinsic, lookup_intrinsic
 from repro.intrinsics.values import ALL_VALID_WIDTHS
 from repro.lanetypes import INT32, LaneType
@@ -206,7 +206,8 @@ def lane_unary_term(op: str, a: Term) -> Term:
 
 
 def shift_lane_term(op: str, lane: Term, count: int) -> Term:
-    """A shift by an immediate; over-shifts are defined as in lanemath."""
+    """A shift by an immediate; the count and over-shifts read as in lanemath."""
+    count = shift_count(count)
     bits = active_bits()
     if op in ("sll", "srl") and count >= bits:
         return ZERO

@@ -13,8 +13,9 @@ its own bitvector terms, and the tests check this evaluator (and the
 interpreter around it) against those terms on every op, element type and
 register width.
 
-Shift counts at or beyond the lane width are *defined*: ``srl``/``sll``
-produce 0 and ``sra`` clamps to ``bits - 1``.
+An immediate shift reads the low byte of its count (:func:`shift_count`), and
+counts at or beyond the lane width are *defined*: ``srl``/``sll`` produce 0
+and ``sra`` clamps to ``bits - 1``.
 """
 
 from __future__ import annotations
@@ -96,14 +97,27 @@ def unary_lanes(op: str, a: Sequence[int], pa: Sequence[bool],
     return tuple(map(dtype.wrap, map(_UNARY[op], a))), tuple(pa)
 
 
+def shift_count(count: int) -> int:
+    """The count an immediate shift reads: the low byte of ``count``.
+
+    x86 reads the imm8 operand of ``slli``/``srli``/``srai`` as an unsigned
+    byte, so ``-1`` shifts by 255 (an over-shift) and ``257`` by 1.  NEON's
+    ``vshlq_n``/``vshrq_n`` reject an immediate outside the lane width at
+    compile time; the model reads those the x86 way too, as it reads
+    ``bits + 8`` as an over-shift.  Both evaluators call this, so the
+    interpreter and the verifier shift by the same count.
+    """
+    return int(count) & 0xFF
+
+
 def shift_lanes(op: str, a: Sequence[int], count: int, pa: Sequence[bool],
                 dtype: LaneType = INT32) -> tuple[Lanes, Flags]:
-    """Whole-register shift by a scalar count (AVX-style immediate shifts).
+    """Whole-register shift by an immediate count (see :func:`shift_count`).
 
-    Over-shifts are defined: ``srl``/``sll`` with ``count >= dtype.bits``
-    produce 0 and ``sra`` clamps to ``bits - 1``.
+    Over-shifts are defined: ``srl``/``sll`` with a count of at least
+    ``dtype.bits`` produce 0 and ``sra`` clamps to ``bits - 1``.
     """
-    count = int(count)
+    count = shift_count(count)
     poison = tuple(pa)
     wrap = dtype.wrap
     if op == "sra":

@@ -303,10 +303,17 @@ _NORMALIZE_CACHE = Memo(200_000)
 
 
 def terms_structurally_equal(left: Term, right: Term) -> bool:
-    """Equality after canonical normalization (a sound full-width proof)."""
+    """Equality after canonical normalization (a sound full-width proof).
+
+    A term too deep for the recursive normalizer is not proven here, and
+    the pair goes on to concrete refutation and the SAT stage.
+    """
     if left == right:
         return True
-    return normalize_term(left) == normalize_term(right)
+    try:
+        return normalize_term(left) == normalize_term(right)
+    except RecursionError:
+        return False
 
 
 # ---------------------------------------------------------------------------

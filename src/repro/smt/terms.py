@@ -15,7 +15,7 @@ import enum
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
 from repro.lanetypes import trunc_div
 from repro.memo import Memo
@@ -139,12 +139,20 @@ class Term:
             return NotImplemented
         if self._hash != other._hash:
             return False
-        return (
-            self.kind is other.kind
-            and self.value == other.value
-            and self.name == other.name
-            and self.args == other.args
-        )
+        # The structural walk is iterative, so equal terms of any depth
+        # compare without growing the Python stack.
+        pending = [(self, other)]
+        while pending:
+            left, right = pending.pop()
+            if (left.kind is not right.kind or left.value != right.value
+                    or left.name != right.name or len(left.args) != len(right.args)):
+                return False
+            for a, b in zip(left.args, right.args):
+                if a is not b:
+                    if a._hash != b._hash:
+                        return False
+                    pending.append((a, b))
+        return True
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind is TermKind.CONST:
@@ -374,91 +382,93 @@ def _term_key(term: Term) -> tuple:
     return (term.kind.value, term.value if term.value is not None else -1, term.name or "", len(term.args))
 
 
+def _div(v: list[int], mask: int, bits: int) -> int:
+    divisor = to_signed(v[1], bits)
+    if divisor == 0:
+        return 0
+    return trunc_div(to_signed(v[0], bits), divisor) & mask
+
+
+def _rem(v: list[int], mask: int, bits: int) -> int:
+    dividend, divisor = to_signed(v[0], bits), to_signed(v[1], bits)
+    if divisor == 0:
+        return 0
+    return (dividend - trunc_div(dividend, divisor) * divisor) & mask
+
+
+#: kind -> f(operand values, mask, bits), for every kind with operands.
+_OPERATIONS: dict[TermKind, Callable[[list[int], int, int], int]] = {
+    TermKind.ADD: lambda v, mask, bits: (v[0] + v[1]) & mask,
+    TermKind.SUB: lambda v, mask, bits: (v[0] - v[1]) & mask,
+    TermKind.MUL: lambda v, mask, bits: (v[0] * v[1]) & mask,
+    TermKind.NEG: lambda v, mask, bits: -v[0] & mask,
+    TermKind.AND: lambda v, mask, bits: v[0] & v[1],
+    TermKind.OR: lambda v, mask, bits: v[0] | v[1],
+    TermKind.XOR: lambda v, mask, bits: v[0] ^ v[1],
+    TermKind.NOT: lambda v, mask, bits: ~v[0] & mask,
+    TermKind.SHL: lambda v, mask, bits: (v[0] << (v[1] % bits)) & mask,
+    TermKind.LSHR: lambda v, mask, bits: (v[0] >> (v[1] % bits)) & mask,
+    TermKind.ASHR: lambda v, mask, bits: (to_signed(v[0], bits) >> (v[1] % bits)) & mask,
+    TermKind.DIV: _div,
+    TermKind.REM: _rem,
+    TermKind.ITE: lambda v, mask, bits: v[1] if v[0] != 0 else v[2],
+    TermKind.LT: lambda v, mask, bits: int(to_signed(v[0], bits) < to_signed(v[1], bits)),
+    TermKind.LE: lambda v, mask, bits: int(to_signed(v[0], bits) <= to_signed(v[1], bits)),
+    TermKind.GT: lambda v, mask, bits: int(to_signed(v[0], bits) > to_signed(v[1], bits)),
+    TermKind.GE: lambda v, mask, bits: int(to_signed(v[0], bits) >= to_signed(v[1], bits)),
+    TermKind.EQ: lambda v, mask, bits: int(v[0] == v[1]),
+    TermKind.NE: lambda v, mask, bits: int(v[0] != v[1]),
+    TermKind.MIN: lambda v, mask, bits:
+        v[0] if to_signed(v[0], bits) <= to_signed(v[1], bits) else v[1],
+    TermKind.MAX: lambda v, mask, bits:
+        v[0] if to_signed(v[0], bits) >= to_signed(v[1], bits) else v[1],
+    TermKind.ABS: lambda v, mask, bits: abs(to_signed(v[0], bits)) & mask,
+}
+
+
 def evaluate(term: Term, assignment: Mapping[str, int], bits: int = WORD_BITS) -> int:
     """Evaluate ``term`` under ``assignment`` (values are unsigned ``bits``-wide).
 
-    The evaluation is memoized over DAG node identity so shared sub-terms are
-    evaluated once.
+    The walk is iterative, so a term of any depth evaluates without growing
+    the Python stack, and memoized over DAG node identity, so shared
+    sub-terms are evaluated once.  Operands are evaluated left to right
+    before their node (both branches of an ``ite`` included), so the first
+    unassigned variable met raises ``KeyError`` and an unknown kind raises
+    ``ValueError``, as a recursive walk would.
     """
     mask = (1 << bits) - 1
-    cache: dict[int, int] = {}
-
-    def sgn(value: int) -> int:
-        return to_signed(value, bits)
-
-    def go(node: Term) -> int:
-        cached = cache.get(id(node))
-        if cached is not None:
-            return cached
-        result = _eval_node(node)
-        cache[id(node)] = result
-        return result
-
-    def _eval_node(node: Term) -> int:
-        if node.kind is TermKind.CONST:
-            return node.value & mask
-        if node.kind is TermKind.VAR:
+    values: dict[int, int] = {}
+    stack = [term]
+    while stack:
+        node = stack[-1]
+        key = id(node)
+        if key in values:
+            stack.pop()
+            continue
+        args = node.args
+        if args:
+            pending = [arg for arg in args if id(arg) not in values]
+            if pending:
+                pending.reverse()
+                stack += pending
+                continue
+            operation = _OPERATIONS.get(node.kind)
+            if operation is None:
+                raise ValueError(f"cannot evaluate term kind {node.kind}")
+            values[key] = operation([values[id(arg)] for arg in args], mask, bits)
+        elif node.kind is TermKind.CONST:
+            values[key] = node.value & mask
+        elif node.kind is TermKind.VAR:
             if node.name not in assignment:
                 raise KeyError(f"unassigned variable {node.name!r}")
-            return assignment[node.name] & mask
-        if node.kind is TermKind.POISON:
+            values[key] = assignment[node.name] & mask
+        elif node.kind is TermKind.POISON:
             # Concrete evaluation treats poison as an arbitrary-but-fixed value.
-            return 0xDEAD & mask
-        values = [go(a) for a in node.args]
-        if node.kind is TermKind.ADD:
-            return (values[0] + values[1]) & mask
-        if node.kind is TermKind.SUB:
-            return (values[0] - values[1]) & mask
-        if node.kind is TermKind.MUL:
-            return (values[0] * values[1]) & mask
-        if node.kind is TermKind.NEG:
-            return (-values[0]) & mask
-        if node.kind is TermKind.AND:
-            return values[0] & values[1]
-        if node.kind is TermKind.OR:
-            return values[0] | values[1]
-        if node.kind is TermKind.XOR:
-            return values[0] ^ values[1]
-        if node.kind is TermKind.NOT:
-            return (~values[0]) & mask
-        if node.kind is TermKind.SHL:
-            return (values[0] << (values[1] % bits)) & mask
-        if node.kind is TermKind.LSHR:
-            return (values[0] >> (values[1] % bits)) & mask
-        if node.kind is TermKind.ASHR:
-            return (sgn(values[0]) >> (values[1] % bits)) & mask
-        if node.kind is TermKind.DIV:
-            if sgn(values[1]) == 0:
-                return 0
-            return trunc_div(sgn(values[0]), sgn(values[1])) & mask
-        if node.kind is TermKind.REM:
-            if sgn(values[1]) == 0:
-                return 0
-            quotient = trunc_div(sgn(values[0]), sgn(values[1]))
-            return (sgn(values[0]) - quotient * sgn(values[1])) & mask
-        if node.kind is TermKind.ITE:
-            return values[1] if values[0] != 0 else values[2]
-        if node.kind is TermKind.LT:
-            return 1 if sgn(values[0]) < sgn(values[1]) else 0
-        if node.kind is TermKind.LE:
-            return 1 if sgn(values[0]) <= sgn(values[1]) else 0
-        if node.kind is TermKind.GT:
-            return 1 if sgn(values[0]) > sgn(values[1]) else 0
-        if node.kind is TermKind.GE:
-            return 1 if sgn(values[0]) >= sgn(values[1]) else 0
-        if node.kind is TermKind.EQ:
-            return 1 if values[0] == values[1] else 0
-        if node.kind is TermKind.NE:
-            return 1 if values[0] != values[1] else 0
-        if node.kind is TermKind.MIN:
-            return values[0] if sgn(values[0]) <= sgn(values[1]) else values[1]
-        if node.kind is TermKind.MAX:
-            return values[0] if sgn(values[0]) >= sgn(values[1]) else values[1]
-        if node.kind is TermKind.ABS:
-            return abs(sgn(values[0])) & mask
-        raise ValueError(f"cannot evaluate term kind {node.kind}")
-
-    return go(term)
+            values[key] = 0xDEAD & mask
+        else:
+            raise ValueError(f"cannot evaluate term kind {node.kind}")
+        stack.pop()
+    return values[id(term)]
 
 
 def collect_variables(term: Term) -> set[str]:

@@ -153,9 +153,10 @@ def test_shift_lanes_match(target_name, width, dtype, op):
     for _ in range(ROUNDS):
         a, pa = _lanes(rng, width, dtype), _flags(rng, width)
         # Counts at and beyond the lane width exercise the defined
-        # over-shift paths at every dtype, not just 32-bit.
+        # over-shift paths at every dtype, not just 32-bit; -1 and 257
+        # read as their low byte, 255 and 1.
         count = rng.choice((0, 1, dtype.bits // 2, dtype.bits - 1,
-                            dtype.bits, dtype.bits + 8, 255))
+                            dtype.bits, dtype.bits + 8, 255, -1, 257))
         ta, va = _operand("a", a, pa)
         with modeled_bits(dtype.bits):
             terms = [shift_lane_term(op, x, count) for x in ta]

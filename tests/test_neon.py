@@ -221,11 +221,13 @@ ROUNDTRIP_ROUNDS = 10
 
 
 def _snippet_variants(spec, dtype):
-    """Snippet options per spelling: the edge shift counts, and a ``select``
-    under a comparison's mask and under an arbitrary one."""
+    """Snippet options per spelling: the edge shift counts (-1 and 257 read
+    as their low byte, 255 and 1), and a ``select`` under a comparison's
+    mask and under an arbitrary one."""
     if spec.op in lanemath.SHIFT_OPS:
         return [{"imm": count}
-                for count in (0, 1, dtype.bits - 1, dtype.bits, dtype.bits + 8)]
+                for count in (0, 1, dtype.bits - 1, dtype.bits, dtype.bits + 8,
+                              -1, 257)]
     if spec.op == "select":
         return [{}, {"loaded_mask": True}]
     return [{}]

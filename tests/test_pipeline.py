@@ -62,6 +62,35 @@ class TestEquivalencePipeline:
         assert report.verdict is Verdict.EQUIVALENT
 
 
+class TestNegativeShiftImmediate:
+    """x86 reads a shift immediate as an unsigned byte: ``-1`` is 255, an
+    over-shift that zeroes every lane, so this candidate stores zeros."""
+
+    SCALAR = ("void k(int *a, int *b, int n) {\n"
+              "    for (int i = 0; i < n; i++) {\n"
+              "        a[i] = 0;\n"
+              "    }\n"
+              "}\n")
+    CANDIDATE = ("#include <immintrin.h>\n"
+                 "void k(int *a, int *b, int n) {\n"
+                 "    int i = 0;\n"
+                 "    for (; i + 8 <= n; i += 8) {\n"
+                 "        __m256i v = _mm256_loadu_si256((__m256i *)&b[i]);\n"
+                 "        _mm256_storeu_si256((__m256i *)&a[i], _mm256_slli_epi32(v, -1));\n"
+                 "    }\n"
+                 "    for (; i < n; i++) {\n"
+                 "        a[i] = 0;\n"
+                 "    }\n"
+                 "}\n")
+
+    @pytest.mark.parametrize("skip_checksum", [False, True])
+    def test_candidate_is_proved_equivalent(self, skip_checksum):
+        report = EquivalencePipeline().check_equivalence(
+            self.SCALAR, self.CANDIDATE, skip_checksum=skip_checksum)
+        assert report.verdict is Verdict.EQUIVALENT
+        assert report.deciding_stage == "alive-unroll"
+
+
 def _scale_kernel(factor: str) -> str:
     return ("void k(int *a, int *b, int n) {\n"
             "    for (int i = 0; i < n; i++) {\n"

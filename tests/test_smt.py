@@ -1,5 +1,6 @@
 """Tests for the SMT substrate: terms, the SAT solver, bit-blasting and equivalence."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt.bitblast import BitBlaster, assert_words_differ
@@ -10,7 +11,7 @@ from repro.smt.equiv import (
     terms_structurally_equal,
 )
 from repro.smt.sat import CDCLSolver, SATResult
-from repro.smt.terms import TermKind, bv_const, bv_var, evaluate, mk, to_signed
+from repro.smt.terms import Term, TermKind, bv_const, bv_var, evaluate, mk, to_signed
 from repro.verdict import Verdict
 
 
@@ -201,3 +202,57 @@ class TestBitBlastAndEquivalence:
         pairs = [(mk(TermKind.ADD, a, b), mk(TermKind.ADD, b, a)),
                  (mk(TermKind.MUL, a, b), mk(TermKind.MUL, b, a))]
         assert checker.check_pairs(pairs).outcome is Verdict.EQUIVALENT
+
+
+def _chain(kind: TermKind, depth: int, interned: bool = True):
+    """A chain of ``depth`` nested ``kind`` nodes over eight shared leaves.
+
+    ``interned=False`` builds raw ``Term(...)`` nodes, which ``mk`` does not
+    hash-cons, so two such chains are equal but not identical.
+    """
+    def build(*args):
+        return mk(kind, *args) if interned else Term(kind, args)
+
+    x = bv_var("x")
+    leaves = [bv_var(f"y{i}") for i in range(7)]
+    conditions = [mk(TermKind.LT, leaf, x) for leaf in leaves]
+    term = x
+    for level in range(depth):
+        if kind is TermKind.ITE:
+            term = build(conditions[level % 7], term, leaves[level % 7])
+        else:
+            term = build(term, leaves[level % 7])
+    return term
+
+
+class TestDeepTerms:
+    """A deep term is decided, never a ``RecursionError`` out of the checker."""
+
+    CHAIN_KINDS = [TermKind.XOR, TermKind.ADD, TermKind.MUL, TermKind.SUB, TermKind.ITE]
+
+    @pytest.mark.parametrize("kind", CHAIN_KINDS, ids=lambda kind: kind.value)
+    def test_depth_400_chain_is_refuted_concretely(self, kind):
+        chain = _chain(kind, 400)
+        result = EquivalenceChecker().check_pair(chain, mk(TermKind.ADD, chain, bv_const(1)))
+        assert result.outcome is Verdict.NOT_EQUIVALENT
+        assert result.method == "concrete"
+
+    @pytest.mark.parametrize("kind", [TermKind.ADD, TermKind.ITE], ids=lambda kind: kind.value)
+    def test_depth_2000_chain_gets_a_verdict(self, kind):
+        chain = _chain(kind, 2000)
+        result = EquivalenceChecker().check_pairs(
+            [(chain, mk(TermKind.ADD, chain, bv_const(1)))])
+        assert result.outcome is Verdict.NOT_EQUIVALENT
+        assert result.method == "concrete"
+
+    def test_equal_chains_built_apart_are_equivalent(self):
+        left = _chain(TermKind.ADD, 2000, interned=False)
+        right = _chain(TermKind.ADD, 2000, interned=False)
+        assert left is not right and left == right
+        result = EquivalenceChecker().check_pairs([(left, right)])
+        assert result.outcome is Verdict.EQUIVALENT
+
+    def test_evaluate_walks_a_chain_deeper_than_the_recursion_limit(self):
+        chain = _chain(TermKind.ADD, 5000)
+        assignment = {"x": 1, **{f"y{i}": i for i in range(7)}}
+        assert evaluate(chain, assignment) == 1 + sum(level % 7 for level in range(5000))
