@@ -141,7 +141,7 @@ def _compare_outputs(
     trip = next(iter(vector.scalars.values()), 0)
     for name, expected_values in scalar_out.items():
         actual_values = vector_out.get(name)
-        if actual_values is None:
+        if actual_values is None or actual_values == expected_values:
             continue
         for index, (expected, actual) in enumerate(zip(expected_values, actual_values)):
             if expected != actual:

@@ -53,6 +53,30 @@ class InputSpec:
 INDEX_ARRAY_NAMES = frozenset({"indx", "index", "ip", "idx"})
 
 
+def randints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
+    """``[rng.randint(low, high) for _ in range(count)]``, drawn in one loop.
+
+    It makes the ``getrandbits`` calls ``randint`` makes (``randrange``'s
+    rejection sampling: draw ``width.bit_length()`` bits until the draw is
+    below ``width``), so it returns the same values and leaves ``rng`` in
+    the same state, without two method calls per value.  It also fixes this
+    algorithm for the seeded test suites: the ``random`` module does not
+    promise to keep ``randrange``'s across versions.
+    """
+    width = high - low + 1
+    if width <= 0:
+        raise ValueError(f"empty range [{low}, {high}]")
+    getrandbits = rng.getrandbits
+    bits = width.bit_length()
+    values = []
+    for _ in range(count):
+        drawn = getrandbits(bits)
+        while drawn >= width:
+            drawn = getrandbits(bits)
+        values.append(low + drawn)
+    return values
+
+
 def make_test_vector(
     spec: InputSpec,
     n: int,
@@ -72,9 +96,9 @@ def make_test_vector(
     arrays = {}
     for name in spec.array_params:
         if name in INDEX_ARRAY_NAMES:
-            arrays[name] = [rng.randrange(0, max(1, n)) for _ in range(size)]
+            arrays[name] = randints(rng, 0, max(1, n) - 1, size)
         else:
-            arrays[name] = [rng.randint(low, high) for _ in range(size)]
+            arrays[name] = randints(rng, low, high, size)
     scalars: dict[str, int] = {}
     for name in spec.scalar_params:
         if name == spec.trip_count_param:
@@ -82,7 +106,7 @@ def make_test_vector(
         elif name in spec.extra_scalars:
             scalars[name] = spec.extra_scalars[name]
         else:
-            scalars[name] = rng.randint(1, 4)
+            scalars[name] = randints(rng, 1, 4, 1)[0]
     return TestVector(arrays=arrays, scalars=scalars)
 
 

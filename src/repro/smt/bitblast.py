@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.smt.sat import CDCLSolver
-from repro.smt.terms import Term, TermKind
+from repro.smt.terms import WORD_BITS, Term, TermKind
 
 
 @dataclass
@@ -30,6 +30,10 @@ class BitBlaster:
 
     solver: CDCLSolver
     bits: int = 8
+    #: The width the terms are modeled at: a constant shift amount is
+    #: reduced modulo this width, as :func:`~repro.smt.terms.evaluate` does,
+    #: before it shifts the reduced-width word.
+    model_bits: int = WORD_BITS
     _term_bits: dict[int, list[int]] = field(default_factory=dict)
     _var_bits: dict[str, list[int]] = field(default_factory=dict)
     _gate_cache: dict[tuple, int] = field(default_factory=dict)
@@ -299,8 +303,12 @@ class BitBlaster:
         amount_term = term.args[1]
         if amount_term.kind is not TermKind.CONST:
             raise UnsupportedTerm("only constant shift amounts are supported")
-        amount = amount_term.value % self.bits
+        amount = amount_term.value % self.model_bits
         word = args[0]
+        if amount >= self.bits:
+            # Every bit is shifted out: zeros, or copies of the sign bit.
+            fill = word[-1] if kind is TermKind.ASHR else self.false_literal()
+            return [fill] * self.bits
         if kind is TermKind.SHL:
             return [self.false_literal()] * amount + word[: self.bits - amount]
         if kind is TermKind.LSHR:

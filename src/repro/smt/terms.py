@@ -15,7 +15,8 @@ import enum
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import repeat
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.lanetypes import trunc_div
 from repro.memo import Memo
@@ -382,14 +383,14 @@ def _term_key(term: Term) -> tuple:
     return (term.kind.value, term.value if term.value is not None else -1, term.name or "", len(term.args))
 
 
-def _div(v: list[int], mask: int, bits: int) -> int:
+def _div(v: Sequence[int], mask: int, bits: int) -> int:
     divisor = to_signed(v[1], bits)
     if divisor == 0:
         return 0
     return trunc_div(to_signed(v[0], bits), divisor) & mask
 
 
-def _rem(v: list[int], mask: int, bits: int) -> int:
+def _rem(v: Sequence[int], mask: int, bits: int) -> int:
     dividend, divisor = to_signed(v[0], bits), to_signed(v[1], bits)
     if divisor == 0:
         return 0
@@ -397,7 +398,7 @@ def _rem(v: list[int], mask: int, bits: int) -> int:
 
 
 #: kind -> f(operand values, mask, bits), for every kind with operands.
-_OPERATIONS: dict[TermKind, Callable[[list[int], int, int], int]] = {
+_OPERATIONS: dict[TermKind, Callable[[Sequence[int], int, int], int]] = {
     TermKind.ADD: lambda v, mask, bits: (v[0] + v[1]) & mask,
     TermKind.SUB: lambda v, mask, bits: (v[0] - v[1]) & mask,
     TermKind.MUL: lambda v, mask, bits: (v[0] * v[1]) & mask,
@@ -429,16 +430,34 @@ _OPERATIONS: dict[TermKind, Callable[[list[int], int, int], int]] = {
 def evaluate(term: Term, assignment: Mapping[str, int], bits: int = WORD_BITS) -> int:
     """Evaluate ``term`` under ``assignment`` (values are unsigned ``bits``-wide).
 
+    This is :func:`evaluate_many` at one term and one assignment, so it
+    walks iteratively, evaluates operands left to right (both branches of
+    an ``ite`` included), raises ``KeyError`` for the first unassigned
+    variable met and ``ValueError`` for an unknown kind.
+    """
+    return evaluate_many([term], [assignment], bits)[0][0]
+
+
+def evaluate_many(terms: Sequence[Term], assignments: Sequence[Mapping[str, int]],
+                  bits: int = WORD_BITS) -> list[list[int]]:
+    """Evaluate every term under every assignment in one walk.
+
+    Returns one list per term, holding its value under each assignment in
+    order.  Each distinct node is visited once for all the assignments: its
+    value is the list of its values, one :data:`_OPERATIONS` call per
+    assignment, and it is memoized by node identity across all the terms,
+    so subterms shared within a term or between terms are evaluated once.
     The walk is iterative, so a term of any depth evaluates without growing
-    the Python stack, and memoized over DAG node identity, so shared
-    sub-terms are evaluated once.  Operands are evaluated left to right
-    before their node (both branches of an ``ite`` included), so the first
-    unassigned variable met raises ``KeyError`` and an unknown kind raises
-    ``ValueError``, as a recursive walk would.
+    the Python stack.  The terms are walked in order, and operands left to
+    right before their node (both branches of an ``ite`` included), so the
+    first unassigned variable met raises ``KeyError`` and an unknown kind
+    raises ``ValueError``, as a recursive walk would.  Poison evaluates as
+    ``0xDEAD`` (an arbitrary but fixed value).
     """
     mask = (1 << bits) - 1
-    values: dict[int, int] = {}
-    stack = [term]
+    count = len(assignments)
+    values: dict[int, list[int]] = {}
+    stack = list(reversed(terms))
     while stack:
         node = stack[-1]
         key = id(node)
@@ -455,20 +474,21 @@ def evaluate(term: Term, assignment: Mapping[str, int], bits: int = WORD_BITS) -
             operation = _OPERATIONS.get(node.kind)
             if operation is None:
                 raise ValueError(f"cannot evaluate term kind {node.kind}")
-            values[key] = operation([values[id(arg)] for arg in args], mask, bits)
+            columns = zip(*[values[id(arg)] for arg in args])
+            values[key] = list(map(operation, columns, repeat(mask), repeat(bits)))
         elif node.kind is TermKind.CONST:
-            values[key] = node.value & mask
+            values[key] = [node.value & mask] * count
         elif node.kind is TermKind.VAR:
-            if node.name not in assignment:
-                raise KeyError(f"unassigned variable {node.name!r}")
-            values[key] = assignment[node.name] & mask
+            name = node.name
+            if any(name not in assignment for assignment in assignments):
+                raise KeyError(f"unassigned variable {name!r}")
+            values[key] = [assignment[name] & mask for assignment in assignments]
         elif node.kind is TermKind.POISON:
-            # Concrete evaluation treats poison as an arbitrary-but-fixed value.
-            values[key] = 0xDEAD & mask
+            values[key] = [0xDEAD & mask] * count
         else:
             raise ValueError(f"cannot evaluate term kind {node.kind}")
         stack.pop()
-    return values[id(term)]
+    return [values[id(term)] for term in terms]
 
 
 def collect_variables(term: Term) -> set[str]:

@@ -8,7 +8,7 @@ from repro.interp.checksum import checksum_testing
 from repro.interp.memory import Memory
 from repro.interp import interpreter
 from repro.interp.interpreter import run_function
-from repro.interp.randominit import InputSpec, make_test_vector
+from repro.interp.randominit import InputSpec, make_test_vector, randints
 import random
 from repro.verdict import Verdict
 
@@ -318,3 +318,19 @@ class TestRandomInit:
         vector = make_test_vector(spec, 24, random.Random(0))
         assert vector.scalars["n"] == 24
         assert 1 <= vector.scalars["k"] <= 4
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("low, high", [
+        (7, 7), (1, 5), (-10, 10), (-32, 31), (-512, 511), (-1000, 1000),
+        (0, 0), (0, 15), (0, 31), (0, 63),
+    ])
+    def test_randints_draws_what_randint_draws(self, seed, low, high):
+        # Widths 1, 5, 21, 64, 1024 and 2001, and the index ranges 0..n-1.
+        drawn, expected = random.Random(seed), random.Random(seed)
+        values = randints(drawn, low, high, 300)
+        assert values == [expected.randint(low, high) for _ in range(300)]
+        assert drawn.getstate() == expected.getstate()
+
+    def test_randints_rejects_an_empty_range(self):
+        with pytest.raises(ValueError):
+            randints(random.Random(0), 3, 2, 1)

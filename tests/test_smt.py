@@ -11,7 +11,9 @@ from repro.smt.equiv import (
     terms_structurally_equal,
 )
 from repro.smt.sat import CDCLSolver, SATResult
-from repro.smt.terms import Term, TermKind, bv_const, bv_var, evaluate, mk, to_signed
+from repro.smt.terms import (
+    Term, TermKind, bv_const, bv_var, evaluate, evaluate_many, mk, poison, to_signed,
+)
 from repro.verdict import Verdict
 
 
@@ -76,6 +78,21 @@ class TestTerms:
         assert to_signed(add) == to_signed((x + y) & 0xFFFFFFFF)
         mul = evaluate(mk(TermKind.MUL, a, b), assignment)
         assert to_signed(mul) == to_signed((x * y) & 0xFFFFFFFF)
+
+    def test_evaluate_many_is_evaluate_at_each_term_and_assignment(self):
+        a, b = bv_var("a"), bv_var("b")
+        shared = mk(TermKind.MUL, a, mk(TermKind.SUB, b, bv_const(3)))
+        terms = [shared, mk(TermKind.ADD, shared, a), mk(TermKind.DIV, b, shared),
+                 mk(TermKind.ITE, mk(TermKind.LT, a, b), shared, poison()), bv_const(-1)]
+        assignments = [{"a": a_value, "b": b_value}
+                       for a_value in (0, 1, 7, 2**31, 2**32 - 1) for b_value in (0, 3, 2**32 - 2)]
+        for bits in (16, 32):
+            values = evaluate_many(terms, assignments, bits)
+            assert values == [[evaluate(term, assignment, bits) for assignment in assignments]
+                              for term in terms]
+        assert evaluate_many(terms, [], 32) == [[] for _ in terms]
+        with pytest.raises(KeyError, match="unassigned variable 'b'"):
+            evaluate_many(terms, assignments + [{"a": 1}])
 
 
 class TestNormalization:
@@ -202,6 +219,44 @@ class TestBitBlastAndEquivalence:
         pairs = [(mk(TermKind.ADD, a, b), mk(TermKind.ADD, b, a)),
                  (mk(TermKind.MUL, a, b), mk(TermKind.MUL, b, a))]
         assert checker.check_pairs(pairs).outcome is Verdict.EQUIVALENT
+
+    @pytest.mark.parametrize("kind", [TermKind.SHL, TermKind.LSHR, TermKind.ASHR],
+                             ids=lambda kind: kind.value)
+    def test_shift_past_the_blasting_width_shifts_every_bit_out(self, kind):
+        # At 32 modeled bits, ``x << 8`` blasted at 6 bits is 0, not ``x << 2``.
+        solver = CDCLSolver()
+        blaster = BitBlaster(solver, bits=6)
+        x = bv_var("x")
+        word = blaster.blast(mk(kind, x, bv_const(8)))
+        x_bits = blaster.variable_bits("x")
+        if kind is TermKind.ASHR:
+            assert word == [x_bits[-1]] * 6
+        else:
+            assert word == [blaster.false_literal()] * 6
+
+    def test_shift_amount_is_reduced_modulo_the_modeled_width(self):
+        solver = CDCLSolver()
+        blaster = BitBlaster(solver, bits=6, model_bits=32)
+        x = bv_var("x")
+        x_bits = blaster.variable_bits("x")
+        # 34 mod 32 = 2; mod the blasting width it would be 4.
+        word = blaster.blast(mk(TermKind.SHL, x, bv_const(34)))
+        assert word == [blaster.false_literal()] * 2 + x_bits[:4]
+
+    def test_reduced_width_shift_does_not_prove_a_false_equivalence(self):
+        # The sides differ only at x = 12345 (3,160,320 against 49,380); a
+        # 6-bit blast that read ``<< 8`` as ``<< 2`` proved them EQUIVALENT.
+        x = bv_var("x")
+        guard = mk(TermKind.EQ, x, bv_const(12345))
+        left = mk(TermKind.ITE, guard, mk(TermKind.SHL, x, bv_const(8)), bv_const(0))
+        right = mk(TermKind.ITE, guard, mk(TermKind.SHL, x, bv_const(2)), bv_const(0))
+        assert evaluate(left, {"x": 12345}) == 3_160_320
+        assert evaluate(right, {"x": 12345}) == 49_380
+        result = EquivalenceChecker().check_pair(left, right)
+        assert result.outcome is not Verdict.EQUIVALENT, result
+        shifted = EquivalenceChecker().check_pair(mk(TermKind.SHL, x, bv_const(3)),
+                                                  mk(TermKind.MUL, x, bv_const(8)))
+        assert shifted.outcome is Verdict.EQUIVALENT
 
 
 def _chain(kind: TermKind, depth: int, interned: bool = True):
