@@ -1,12 +1,15 @@
 """repro — reproduction of "LLM-Vectorizer: LLM-Based Verified Loop Vectorizer" (CGO 2025).
 
 The package re-implements the complete pipeline from the paper in pure
-Python: a C-subset frontend and interpreter with AVX2 intrinsic semantics, a
-checksum-based tester, a synthetic-LLM vectorizer behind the paper's LLM
-client interface, the multi-agent finite-state-machine orchestration, a
-bounded translation-validation stack (mini IR + bitvector SMT substrate)
-standing in for Alive2/Z3, simulated GCC/Clang/ICC auto-vectorizing baselines
-with a cycle cost model, and the TSVC benchmark suite.
+Python: a C-subset frontend and interpreter with the intrinsic semantics of
+each target ISA (AVX2 is the paper's), a checksum-based tester, a
+synthetic-LLM vectorizer behind the paper's LLM client interface, the
+multi-agent finite-state-machine orchestration, a bounded
+translation-validation stack standing in for Alive2/Z3 (symbolic execution
+of the C AST into bitvector terms, decided by normalization, concrete
+refutation or a bit-blasting SAT solver), simulated GCC/Clang/ICC
+auto-vectorizing baselines with a cycle cost model, and the TSVC benchmark
+suite.
 
 ``repro.__all__`` is the stable public surface: everything listed here keeps
 its name and import path across releases, and anything not listed is

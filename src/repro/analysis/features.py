@@ -50,26 +50,6 @@ class KernelFeatures:
     def iterator(self) -> str | None:
         return self.main_loop.iterator if self.main_loop else None
 
-    @property
-    def step(self) -> int | None:
-        return self.main_loop.step if self.main_loop else None
-
-    @property
-    def array_params(self) -> list[str]:
-        return [p.name for p in self.function.params if p.param_type.is_pointer]
-
-    @property
-    def scalar_params(self) -> list[str]:
-        return [p.name for p in self.function.params if not p.param_type.is_pointer]
-
-    @property
-    def written_arrays(self) -> list[str]:
-        seen: list[str] = []
-        for access in self.accesses:
-            if access.kind.value == "write" and access.array not in seen:
-                seen.append(access.array)
-        return seen
-
     def dependence_summary(self) -> str:
         """Clang-style text used in the vectorizer agent's prompt."""
         iterator = self.iterator or "i"

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cfront import ast_nodes as ast
-from repro.cfront.printer import expr_to_c
 
 
 @dataclass
@@ -50,20 +49,8 @@ class LoopInfo:
         )
 
     @property
-    def is_innermost(self) -> bool:
-        return not self.children
-
-    @property
     def body(self) -> ast.Stmt:
         return self.node.body
-
-    def describe(self) -> str:
-        """Render the canonical header, e.g. ``for (i = 0; i < n-1; i += 1)``."""
-        if not self.is_canonical:
-            return "<non-canonical loop>"
-        start = expr_to_c(self.start)
-        end = expr_to_c(self.end)
-        return f"for ({self.iterator} = {start}; {self.iterator} {self.end_op} {end}; {self.iterator} += {self.step})"
 
 
 @dataclass
@@ -75,10 +62,6 @@ class LoopNest:
     @property
     def top_level(self) -> list[LoopInfo]:
         return [loop for loop in self.loops if loop.parent is None]
-
-    @property
-    def innermost(self) -> list[LoopInfo]:
-        return [loop for loop in self.loops if loop.is_innermost]
 
     @property
     def max_depth(self) -> int:

@@ -1,12 +1,13 @@
 """AST node definitions for the C subset.
 
 The AST is deliberately small and regular so that the interpreter, the
-dependence analysis, the source-to-source transforms (C-level unrolling,
-spatial splitting) and the IR lowering can all traverse it with plain
-structural pattern matching.  :func:`walk` visits a tree in preorder from
-one table of child fields, and :func:`clone_tree` is the one way to copy
-a tree before rewriting it: parsed trees are shared through caches and
-must not change.
+dependence analysis, the vectorizer and the source-to-source transforms
+(C-level unrolling, spatial splitting) can all traverse it with plain
+structural pattern matching.  One table of child fields drives three
+primitives: :func:`walk` visits a tree in preorder, :func:`clone_tree` is
+the one way to copy a tree before rewriting it (parsed trees are shared
+through caches and must not change), and :func:`replace` is the one
+in-place edit that splices a statement into or out of such a copy.
 """
 
 from __future__ import annotations
@@ -143,9 +144,6 @@ class Decl(Stmt):
 @dataclass
 class Block(Stmt):
     body: list[Stmt] = field(default_factory=list)
-
-    def __iter__(self) -> Iterator[Stmt]:
-        return iter(self.body)
 
 
 @dataclass
@@ -321,6 +319,30 @@ def clone_tree(tree: _Tree) -> _Tree:
         return copied
 
     return clone(tree)
+
+
+def replace(root: AnyNode, old: Node, new: Node | None) -> bool:
+    """Put ``new`` where ``old`` sits under ``root``, in place.
+
+    ``old`` is found by identity in any child field of any node under
+    ``root``.  In a list field ``new`` takes ``old``'s index; a single-node
+    field is reassigned.  ``new=None`` deletes ``old`` from the list that
+    holds it and never empties a single-node field.  Returns whether the
+    tree was edited.
+    """
+    for node in walk(root):
+        for name in _CHILD_FIELDS.get(type(node), ()):
+            child = getattr(node, name)
+            if type(child) is list:
+                for index, item in enumerate(child):
+                    if item is old:
+                        child[index:index + 1] = [] if new is None else [new]
+                        return True
+            elif child is old:
+                if new is not None:
+                    setattr(node, name, new)
+                return new is not None
+    return False
 
 
 def collect(node: AnyNode, node_type) -> list:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.lanetypes import ALL_LANE_TYPES, INT32, LaneType, get_lane_type
+from repro.lanetypes import ALL_LANE_TYPES, INT32
 from repro.targets.isa import PREDICATE_TYPE_NAMES, VECTOR_TYPE_LANES
 
 #: Sized integer type names with their own :class:`CType` spelling
@@ -71,19 +71,6 @@ class CType:
         if self.name not in VECTOR_TYPE_LANES or self.pointer_depth != 0:
             raise ValueError(f"{self} is not a vector type")
         return VECTOR_TYPE_LANES[self.name]
-
-    @property
-    def is_integer(self) -> bool:
-        return self.name in INTEGER_TYPE_NAMES and self.pointer_depth == 0
-
-    @property
-    def lane_type(self) -> LaneType:
-        """The lane element type of a scalar integer type (or a pointer to
-        one): ``int`` is the default 32-bit lane type, the sized spellings
-        map to their own."""
-        if self.name not in INTEGER_TYPE_NAMES:
-            raise ValueError(f"{self} is not an integer type")
-        return get_lane_type(self.name)
 
     def pointee(self) -> "CType":
         if not self.is_pointer:

@@ -1,6 +1,6 @@
 """Common error types and source locations used across the toolchain.
 
-Every stage of the pipeline (lexing, parsing, interpretation, lowering,
+Every stage of the pipeline (lexing, parsing, compile checks, interpretation,
 verification) reports problems through the exception hierarchy defined here so
 callers can distinguish "the input program is malformed" from "the candidate
 program misbehaves at runtime" from "the verifier ran out of resources".
@@ -42,10 +42,6 @@ class ParseError(ReproError):
         super().__init__(f"{self.location}: {message}")
 
 
-class TypeCheckError(ReproError):
-    """A program is syntactically valid but ill-typed."""
-
-
 class CompileError(ReproError):
     """A candidate program was rejected before execution.
 
@@ -71,14 +67,6 @@ class UndefinedBehaviorError(InterpreterError):
     def __init__(self, message: str, kind: str = "generic"):
         self.kind = kind
         super().__init__(message)
-
-
-class LoweringError(ReproError):
-    """The C AST could not be lowered to the mini IR."""
-
-
-class VerificationError(ReproError):
-    """The verifier was mis-used (not a verdict; verdicts are data)."""
 
 
 class ResourceBudgetExceeded(ReproError):

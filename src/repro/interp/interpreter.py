@@ -89,9 +89,6 @@ class ExecutionResult:
     def outputs(self) -> dict[str, list[int]]:
         return self.memory.snapshot()
 
-    def checksum(self) -> int:
-        return self.memory.checksum()
-
 
 # ---------------------------------------------------------------------------
 # run-time state and control signals

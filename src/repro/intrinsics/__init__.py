@@ -23,7 +23,6 @@ from repro.lanetypes import (
 )
 from repro.intrinsics.registry import (
     INTRINSIC_REGISTRY,
-    TARGET_REGISTRIES,
     IntrinsicSpec,
     apply_pure_intrinsic,
     build_registry,
@@ -41,7 +40,6 @@ __all__ = [
     "INT32",
     "INT64",
     "INTRINSIC_REGISTRY",
-    "TARGET_REGISTRIES",
     "IntrinsicSpec",
     "LaneType",
     "PredValue",

@@ -349,14 +349,6 @@ _TARGET_REGISTRIES_BY_DTYPE: dict[tuple[str, str], dict[str, IntrinsicSpec]] = {
     if target.supports_dtype(lane_type)
 }
 
-#: Per-target int32 registries — the historical (default-dtype) view.
-TARGET_REGISTRIES: dict[str, dict[str, IntrinsicSpec]] = {
-    target.name: _TARGET_REGISTRIES_BY_DTYPE[
-        (target.name, DEFAULT_LANE_TYPE.name)
-    ]
-    for target in ALL_TARGETS
-}
-
 #: dtype name -> cross-target merged registry.  Shared (element-type-free)
 #: x86 spellings appear in several of these with dtype-appropriate specs;
 #: dtype-suffixed spellings appear in exactly one.

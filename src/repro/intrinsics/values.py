@@ -109,10 +109,6 @@ class VecValue:
     def width(self) -> int:
         return len(self.lanes)
 
-    @property
-    def any_poison(self) -> bool:
-        return any(self.poison)
-
     def _check_compatible(self, other: "VecValue") -> None:
         if other.width != self.width:
             raise ValueError(
@@ -197,10 +193,6 @@ class PredValue:
     @property
     def any_active(self) -> bool:
         return any(self.lanes)
-
-    @property
-    def any_poison(self) -> bool:
-        return any(self.poison)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return "<" + ", ".join("T" if lane else "." for lane in self.lanes) + ">"

@@ -41,20 +41,12 @@ class LaneType:
         object.__setattr__(self, "mask", (1 << self.bits) - 1)
         object.__setattr__(self, "sign_bit", 1 << (self.bits - 1))
 
-    @property
-    def bytes(self) -> int:
-        return self.bits // 8
-
     def wrap(self, value: int) -> int:
         """Reduce ``value`` to this type's signed two's-complement range."""
         value &= self.mask
         if value & self.sign_bit:
             value -= self.mask + 1
         return value
-
-    def to_unsigned(self, value: int) -> int:
-        """Interpret a signed value of this type as unsigned."""
-        return value & self.mask
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return self.name

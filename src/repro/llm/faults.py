@@ -385,26 +385,4 @@ def _drop_epilogue(func: ast.FunctionDef) -> bool:
     if len(loops) < 2:
         return False
     epilogue = loops[-1]
-    return _remove_stmt(func.body, epilogue)
-
-
-def _remove_stmt(container: ast.Stmt, target: ast.Stmt) -> bool:
-    if isinstance(container, ast.Block):
-        for index, stmt in enumerate(container.body):
-            if stmt is target:
-                del container.body[index]
-                return True
-            if _remove_stmt(stmt, target):
-                return True
-        return False
-    if isinstance(container, ast.If):
-        if _remove_stmt(container.then, target):
-            return True
-        if container.otherwise is not None:
-            return _remove_stmt(container.otherwise, target)
-        return False
-    if isinstance(container, (ast.ForLoop, ast.WhileLoop, ast.DoWhileLoop)):
-        return _remove_stmt(container.body, target)
-    if isinstance(container, ast.Label):
-        return _remove_stmt(container.stmt, target)
-    return False
+    return ast.replace(func.body, epilogue, None)

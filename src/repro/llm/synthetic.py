@@ -250,7 +250,7 @@ def _blocked_rewrite(scalar_func: ast.FunctionDef, lanes: int = 8) -> str | None
         body=ast.clone_tree(loop.node.body),
     )
     replacement = ast.Block(body=[outer_loop, epilogue])
-    _replace_in(func.body, loop.node, replacement)
+    ast.replace(func.body, loop.node, replacement)
     return function_to_c(func, include_header=True)
 
 
@@ -288,37 +288,3 @@ def _uncompilable_attempt(scalar_func: ast.FunctionDef,
     else:
         lines.append(insertion)
     return "\n".join(lines) + "\n"
-
-
-def _replace_in(container: ast.Stmt, target: ast.Stmt, replacement: ast.Stmt) -> bool:
-    if isinstance(container, ast.Block):
-        for index, stmt in enumerate(container.body):
-            if stmt is target:
-                container.body[index] = replacement
-                return True
-            if _replace_in(stmt, target, replacement):
-                return True
-        return False
-    if isinstance(container, ast.If):
-        if container.then is target:
-            container.then = replacement
-            return True
-        if _replace_in(container.then, target, replacement):
-            return True
-        if container.otherwise is not None:
-            if container.otherwise is target:
-                container.otherwise = replacement
-                return True
-            return _replace_in(container.otherwise, target, replacement)
-        return False
-    if isinstance(container, (ast.ForLoop, ast.WhileLoop, ast.DoWhileLoop)):
-        if container.body is target:
-            container.body = replacement
-            return True
-        return _replace_in(container.body, target, replacement)
-    if isinstance(container, ast.Label):
-        if container.stmt is target:
-            container.stmt = replacement
-            return True
-        return _replace_in(container.stmt, target, replacement)
-    return False

@@ -33,7 +33,6 @@ from repro.targets.isa import (
     known_intrinsic_spellings,
     resolve_intrinsic,
     target_names,
-    vector_type_lanes,
     vector_type_lanes_for,
 )
 
@@ -61,6 +60,5 @@ __all__ = [
     "known_intrinsic_spellings",
     "resolve_intrinsic",
     "target_names",
-    "vector_type_lanes",
     "vector_type_lanes_for",
 ]

@@ -334,35 +334,21 @@ class TargetISA:
         # one spelling may recur across dtype tables — the x86 ``si``-typed
         # names do — but always for the same generic op).
         all_spellings: dict[str, str] = dict(reverse)
-        spelling_dtype: dict[str, str] = {}
-        for dtype_name, table in self.op_names_by_dtype.items():
+        for table in self.op_names_by_dtype.values():
             for op, spelled in table.items():
-                prior = all_spellings.get(spelled)
-                if prior is not None and prior != op:
+                prior = all_spellings.setdefault(spelled, op)
+                if prior != op:
                     raise ValueError(
                         f"{self.display_name}: spelling {spelled!r} assigned "
                         f"to both {prior!r} and {op!r}"
                     )
-                if spelled in all_spellings:
-                    # Shared across dtypes: the spelling is dtype-free.
-                    spelling_dtype.pop(spelled, None)
-                else:
-                    all_spellings[spelled] = op
-                    spelling_dtype[spelled] = dtype_name
         object.__setattr__(self, "_ops_by_name_all", all_spellings)
-        object.__setattr__(self, "_dtype_by_name", spelling_dtype)
 
     # -- capability queries -------------------------------------------------
 
     @property
     def register_bits(self) -> int:
         return self.lanes * self.lane_bits
-
-    def lane_types(self) -> tuple[LaneType, ...]:
-        """The lane element types this target has op tables for."""
-        return (INT32,) + tuple(
-            get_lane_type(name) for name in self.op_names_by_dtype
-        )
 
     def supports_dtype(self, dtype: "LaneType | str | None") -> bool:
         """Whether this target has an op table for ``dtype`` at all."""
@@ -444,25 +430,6 @@ class TargetISA:
             return self._ops_by_name_all[name]
         except KeyError:
             raise UnknownIntrinsicName(name) from None
-
-    def spells(self, name: str) -> bool:
-        """Whether ``name`` is one of this target's intrinsic spellings
-        (at any lane element type)."""
-        return name in self._ops_by_name_all
-
-    def dtype_of(self, name: str) -> "LaneType | None":
-        """The lane element type a spelling of this target is dedicated to,
-        or ``None`` for dtype-free spellings (x86 ``si``-typed names, SVE
-        predicate logic) shared across element types."""
-        if name in self._dtype_by_name:
-            return get_lane_type(self._dtype_by_name[name])
-        if name in self._ops_by_name:
-            # In the int32 table and in no dtype table under another dtype:
-            # dedicated to int32 unless some dtype table shares the spelling.
-            shared = any(name in table
-                         for table in self.op_names_by_dtype.values())
-            return None if shared else INT32
-        return None
 
     def zero_call(self, dtype: "LaneType | str | None" = None,
                   ) -> tuple[str, tuple[int, ...]]:
@@ -928,11 +895,6 @@ def vector_type_lanes_for(type_name: str,
     if dtype is None:
         return VECTOR_TYPE_LANES[type_name]
     return bits // get_lane_type(dtype).bits
-
-
-def vector_type_lanes() -> dict[str, int]:
-    """A copy of the vector-type table (type name -> lane count)."""
-    return dict(VECTOR_TYPE_LANES)
 
 
 def target_names() -> list[str]:

@@ -20,9 +20,12 @@ becomes
         ...                  // v copies
     }
 
-with the three fix-ups the paper describes: ``break`` is replaced by
-``return``, ``goto`` labels are renamed per unrolled copy so they stay unique,
-and duplicated declarations are renamed apart.
+with two fix-ups: ``goto`` labels are renamed per unrolled copy so they stay
+unique, and duplicated declarations are renamed apart.  A ``break`` stays a
+``break``: every copy sits inside the one ``while``, so a ``break`` in any
+copy leaves that loop exactly where the original ``break`` left the ``for``.
+(Rewriting it to ``return``, as the paper describes, would also skip what
+follows the loop and capture the ``break`` of a nested loop.)
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ def unroll_scalar_function(func: ast.FunctionDef, factor: int = 8) -> ast.Functi
     unrolled_body: list[ast.Stmt] = []
     for copy_index in range(factor):
         body_copy = ast.clone_tree(loop.body)
-        body_copy = _rewrite_break_to_return(body_copy)
         body_copy = _rename_labels(body_copy, copy_index)
         body_copy = _rename_local_decls(body_copy, copy_index)
         unrolled_body.append(body_copy)
@@ -67,22 +69,8 @@ def unroll_scalar_function(func: ast.FunctionDef, factor: int = 8) -> ast.Functi
     replacement_stmts.append(block_loop)
     replacement = ast.Block(body=replacement_stmts)
 
-    _replace_stmt(new_func.body, loop, replacement)
+    ast.replace(new_func.body, loop, replacement)
     return new_func
-
-
-def _rewrite_break_to_return(stmt: ast.Stmt) -> ast.Stmt:
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Block):
-            node.body = [ast.Return() if isinstance(s, ast.Break) else s for s in node.body]
-        elif isinstance(node, ast.If):
-            if isinstance(node.then, ast.Break):
-                node.then = ast.Return()
-            if isinstance(node.otherwise, ast.Break):
-                node.otherwise = ast.Return()
-        elif isinstance(node, ast.Label) and isinstance(node.stmt, ast.Break):
-            node.stmt = ast.Return()
-    return stmt
 
 
 def _rename_labels(stmt: ast.Stmt, copy_index: int) -> ast.Stmt:
@@ -111,37 +99,3 @@ def _rename_local_decls(stmt: ast.Stmt, copy_index: int) -> ast.Stmt:
         elif isinstance(node, ast.Identifier) and node.name in renames:
             node.name = renames[node.name]
     return stmt
-
-
-def _replace_stmt(container: ast.Stmt, target: ast.Stmt, replacement: ast.Stmt) -> bool:
-    if isinstance(container, ast.Block):
-        for index, stmt in enumerate(container.body):
-            if stmt is target:
-                container.body[index] = replacement
-                return True
-            if _replace_stmt(stmt, target, replacement):
-                return True
-        return False
-    if isinstance(container, ast.If):
-        if container.then is target:
-            container.then = replacement
-            return True
-        if _replace_stmt(container.then, target, replacement):
-            return True
-        if container.otherwise is not None:
-            if container.otherwise is target:
-                container.otherwise = replacement
-                return True
-            return _replace_stmt(container.otherwise, target, replacement)
-        return False
-    if isinstance(container, (ast.ForLoop, ast.WhileLoop, ast.DoWhileLoop)):
-        if container.body is target:
-            container.body = replacement
-            return True
-        return _replace_stmt(container.body, target, replacement)
-    if isinstance(container, ast.Label):
-        if container.stmt is target:
-            container.stmt = replacement
-            return True
-        return _replace_stmt(container.stmt, target, replacement)
-    return False

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.analysis.loops import find_main_loop
 from repro.cfront import ast_nodes as ast
 from repro.cfront.ctypes import CType, INT
 from repro.cfront.printer import expr_to_c, function_to_c
@@ -79,13 +80,6 @@ def _index_expr(base: str, offset: int) -> ast.Expr:
 # ---------------------------------------------------------------------------
 # the body builder
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class _MaskContext:
-    """The currently active if-conversion mask register (None = unconditional)."""
-
-    register: str | None = None
 
 
 class _VectorBodyBuilder:
@@ -924,27 +918,6 @@ def _build_vector_loop_region(func: ast.FunctionDef, plan: VectorizationPlan) ->
     return ast.Block(body=region)
 
 
-def _replace_loop(stmt: ast.Stmt, target: ast.ForLoop, replacement: ast.Block) -> ast.Stmt:
-    """Return ``stmt`` with the statement ``target`` replaced by ``replacement``."""
-    if stmt is target:
-        return replacement
-    if isinstance(stmt, ast.Block):
-        stmt.body = [_replace_loop(s, target, replacement) for s in stmt.body]
-        return stmt
-    if isinstance(stmt, ast.If):
-        stmt.then = _replace_loop(stmt.then, target, replacement)
-        if stmt.otherwise is not None:
-            stmt.otherwise = _replace_loop(stmt.otherwise, target, replacement)
-        return stmt
-    if isinstance(stmt, (ast.ForLoop, ast.WhileLoop, ast.DoWhileLoop)):
-        stmt.body = _replace_loop(stmt.body, target, replacement)
-        return stmt
-    if isinstance(stmt, ast.Label):
-        stmt.stmt = _replace_loop(stmt.stmt, target, replacement)
-        return stmt
-    return stmt
-
-
 def generate_vectorized_function(func: ast.FunctionDef, plan: VectorizationPlan) -> ast.FunctionDef:
     """Generate the vectorized counterpart of ``func`` according to ``plan``.
 
@@ -955,24 +928,14 @@ def generate_vectorized_function(func: ast.FunctionDef, plan: VectorizationPlan)
     if not plan.feasible or plan.features is None or plan.features.main_loop is None:
         raise InfeasibleVectorization(plan.rejection_text or "no feasible plan")
     region = _build_vector_loop_region(func, plan)
-    # Work on a copy of the original function: the original loop node
-    # identity is preserved inside the copy via a parallel walk.
+    # The plan's main loop is ``find_main_loop(func)``; the copy has the
+    # same shape, so the same search finds its counterpart there.
     new_func = ast.clone_tree(func)
-    original_loop = plan.features.main_loop.node
-    target = _find_matching_loop(new_func, func, original_loop)
-    new_func.body = _replace_loop(new_func.body, target, region)
+    loop = find_main_loop(new_func)
+    if loop is None:
+        raise InfeasibleVectorization("could not locate the loop to replace")
+    ast.replace(new_func, loop.node, region)
     return new_func
-
-
-def _find_matching_loop(new_func: ast.FunctionDef, old_func: ast.FunctionDef,
-                        target: ast.ForLoop) -> ast.ForLoop:
-    """Locate, in the deep copy, the loop node corresponding to ``target``."""
-    old_loops = [n for n in ast.walk(old_func) if isinstance(n, ast.ForLoop)]
-    new_loops = [n for n in ast.walk(new_func) if isinstance(n, ast.ForLoop)]
-    for old, new in zip(old_loops, new_loops):
-        if old is target:
-            return new
-    raise InfeasibleVectorization("could not locate the loop to replace")
 
 
 def vectorize_kernel(func: ast.FunctionDef,

@@ -26,35 +26,18 @@ from repro.cfront import ast_nodes as ast
 
 
 def normalize_body(body: ast.Stmt) -> ast.Stmt:
-    """Return a copy of ``body`` with recognizable goto diamonds structured."""
+    """Return a copy of ``body`` with recognizable goto diamonds structured.
+
+    Blocks are rewritten in reverse preorder, so each block is rewritten
+    after every block nested inside it.
+    """
     body = ast.clone_tree(body)
-    return _normalize_stmt(body)
-
-
-def _normalize_stmt(stmt: ast.Stmt) -> ast.Stmt:
-    if isinstance(stmt, ast.Block):
-        stmt.body = _normalize_sequence(stmt.body)
-        return stmt
-    if isinstance(stmt, ast.If):
-        stmt.then = _normalize_stmt(stmt.then)
-        if stmt.otherwise is not None:
-            stmt.otherwise = _normalize_stmt(stmt.otherwise)
-        return stmt
-    if isinstance(stmt, (ast.ForLoop, ast.WhileLoop, ast.DoWhileLoop)):
-        stmt.body = _normalize_stmt(stmt.body)
-        return stmt
-    if isinstance(stmt, ast.Label):
-        stmt.stmt = _normalize_stmt(stmt.stmt)
-        return stmt
-    return stmt
-
-
-def _normalize_sequence(stmts: list[ast.Stmt]) -> list[ast.Stmt]:
-    stmts = [_normalize_stmt(s) for s in stmts]
-    changed = True
-    while changed:
-        stmts, changed = _rewrite_one_diamond(stmts)
-    return stmts
+    blocks = [node for node in ast.walk(body) if isinstance(node, ast.Block)]
+    for block in reversed(blocks):
+        changed = True
+        while changed:
+            block.body, changed = _rewrite_one_diamond(block.body)
+    return body
 
 
 def _rewrite_one_diamond(stmts: list[ast.Stmt]) -> tuple[list[ast.Stmt], bool]:

@@ -11,9 +11,60 @@ from repro.llm.faults import FaultKind, apply_fault
 from repro.smt.terms import TermKind, evaluate, term_size
 from repro.transforms import unroll_scalar_function, is_spatially_splittable
 from repro.cfront.printer import to_c
+from repro.interp import run_function
+from repro.interp.checksum import checksum_testing
+from repro.interp.randominit import InputSpec, make_test_suite
 from repro.tsvc import load_kernel
 from repro.vectorizer import vectorize_kernel
 from repro.verdict import Verdict
+
+
+#: A ``break`` in a while loop nested inside the main loop: it must leave
+#: the while, not the unrolled main loop or the function.
+NESTED_BREAK = """void f(int n, int *a, int *b) {
+    for (int i = 0; i < n; i++) {
+        int j = 0;
+        while (j < 4) {
+            if (a[j] > a[i]) break;
+            j++;
+        }
+        b[i] = j;
+    }
+}
+"""
+
+#: Checksum-plausible rewrites of the kernels whose main loop breaks: each
+#: replaces the early exit with a flag that stops the remaining iterations.
+BREAK_FREE = {
+    "s332": """void s332(int n, int t, int *a, int *out) {
+    int index = -2;
+    int value = -1;
+    int found = 0;
+    for (int i = 0; i < n; i++) {
+        if (found == 0) {
+            if (a[i] > t) {
+                index = i;
+                value = a[i];
+                found = 1;
+            }
+        }
+    }
+    out[0] = value + index;
+}
+""",
+    "s482": """void s482(int n, int *a, int *b, int *c) {
+    int stop = 0;
+    for (int i = 0; i < n; i++) {
+        if (stop == 0) {
+            a[i] += b[i] * c[i];
+            if (c[i] > b[i]) {
+                stop = 1;
+            }
+        }
+    }
+}
+""",
+}
 
 
 class TestSymbolicExecution:
@@ -96,6 +147,23 @@ class TestTransforms:
         report = checksum_testing(kernel.source, to_c(unrolled), trip_counts=[16, 32])
         assert report.outcome is Verdict.PLAUSIBLE
 
+    @pytest.mark.parametrize("factor", [4, 8, 16])
+    @pytest.mark.parametrize("name", ["s332", "s482", "nested-break"])
+    def test_c_unroll_keeps_what_a_break_leaves(self, name, factor):
+        """A ``break`` in any unrolled copy leaves the one ``while`` exactly
+        where the original left the ``for``: what follows the loop still
+        runs, and a nested loop's ``break`` still leaves only that loop."""
+        source = NESTED_BREAK if name == "nested-break" else load_kernel(name).source
+        func = parse_function(source)
+        unrolled = unroll_scalar_function(func, factor=factor)
+        assert "break;" in to_c(unrolled) and "return" not in to_c(unrolled)
+        spec = InputSpec.from_function(func)
+        for seed in range(4):
+            for vector in make_test_suite(spec, random.Random(seed), value_range=(-1000, 1000)):
+                expected = run_function(func, vector.arrays, vector.scalars)
+                observed = run_function(unrolled, vector.arrays, vector.scalars)
+                assert observed.outputs() == expected.outputs(), (seed, vector.scalars)
+
     def test_spatial_splitting_precondition(self):
         simple = load_kernel("s000")
         vectorized = vectorize_kernel(simple.function)
@@ -165,6 +233,14 @@ class TestVerifier:
         result = vectorize_kernel(kernel.function)
         report = self.verifier.check_with_c_unroll(kernel.source, result.source)
         assert report.outcome is Verdict.EQUIVALENT
+
+    @pytest.mark.parametrize("name", sorted(BREAK_FREE))
+    def test_c_unroll_stage_does_not_refute_a_break_free_rewrite(self, name):
+        kernel = load_kernel(name)
+        candidate = BREAK_FREE[name]
+        assert checksum_testing(kernel.source, candidate).outcome is Verdict.PLAUSIBLE
+        report = self.verifier.check_with_c_unroll(kernel.source, candidate)
+        assert report.outcome is not Verdict.NOT_EQUIVALENT, report.detail
 
     def test_spatial_splitting_verifies_dependence_free_kernel(self):
         kernel = load_kernel("vpvtv")

@@ -6,10 +6,11 @@ candidates the vectorizer generates for it.  One digest of each token
 stream ``(kind, text, line, column)`` and one of each AST (every field,
 source locations included) are compared with
 ``tests/data/cfront_observables.json``, and so are the printed output of
-``unroll_scalar_function`` and the synthetic LLM's first three completions
-at seed 2024, for AVX2 and for SVE256 with predicated loops.  Between them
-these reach every ``clone_tree`` call site; the snippets reach the ones no
-TSVC kernel does.
+``unroll_scalar_function`` at factors 8, 4 and 16, every applicable
+``apply_fault`` kind on the AVX2 candidate, and the synthetic LLM's first
+three completions at seed 2024, for AVX2 and for SVE256 with predicated
+loops.  Between them these reach every ``clone_tree`` and ``replace`` call
+site; the snippets reach the ones no TSVC kernel does.
 
 The pins guard the frontend and the AST rewriters: the interpreter, the
 verifier, the vetter and every recorded ``final_code_sha`` read these
@@ -23,7 +24,9 @@ from __future__ import annotations
 import ast as pyast
 import dataclasses
 import hashlib
+import importlib
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -35,6 +38,7 @@ from repro.cfront.lexer import tokenize
 from repro.cfront.printer import to_c
 from repro.errors import LexError, ReproError, SourceLocation
 from repro.llm.client import CompletionRequest
+from repro.llm.faults import applicable_faults, apply_fault
 from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
 from repro.runspec import RunSpec
 from repro.transforms.c_unroll import CUnrollError, unroll_scalar_function
@@ -52,6 +56,9 @@ PROGRAMS = {
     "neon": ("neon", "scalar"),
     "sve256-predicated": ("sve256", "predicated"),
 }
+
+#: Key -> factor of each pinned ``unroll_scalar_function`` output.
+CUNROLL_FACTORS = {"cunroll": 8, "cunroll-4": 4, "cunroll-16": 16}
 
 #: Run settings of the pinned synthetic-LLM completions.
 LLM_SPECS = {
@@ -155,21 +162,27 @@ def program_sources(source: str) -> dict[str, str | None]:
     return programs
 
 
+def _unrolled(func: ast.FunctionDef, factor: int):
+    try:
+        return to_c(unroll_scalar_function(func, factor))
+    except CUnrollError as exc:
+        return _raised(exc)
+
+
 def observables(name: str, source: str) -> dict[str, str | None]:
     """One digest per observable of the program named ``name``."""
     entry: dict[str, str | None] = {}
-    for label, text in program_sources(source).items():
+    programs = program_sources(source)
+    for label, text in programs.items():
         entry[f"{label}.tokens"] = None if text is None else _digest(_token_stream(text))
         entry[f"{label}.ast"] = None if text is None else _digest(_tree(text))
     func = _tree(source)
-    if isinstance(func, ast.FunctionDef):
-        try:
-            unrolled = to_c(unroll_scalar_function(func))
-        except CUnrollError as exc:
-            unrolled = _raised(exc)
-        entry["cunroll"] = _digest(unrolled)
-    else:
-        entry["cunroll"] = None
+    for key, factor in CUNROLL_FACTORS.items():
+        entry[key] = _digest(_unrolled(func, factor)) if isinstance(func, ast.FunctionDef) else None
+    candidate = programs["avx2"]
+    entry["faults-avx2"] = None if candidate is None else _digest(
+        [(kind.value, apply_fault(candidate, kind, random.Random(0)))
+         for kind in applicable_faults(candidate)])
     for label, spec in LLM_SPECS.items():
         llm = SyntheticLLM(SyntheticLLMConfig(seed=2024))
         request = CompletionRequest(prompt="", kernel_name=name, scalar_code=source,
@@ -186,7 +199,7 @@ def pins() -> dict:
 def test_pins_cover_every_kernel_and_snippet(pins):
     assert sorted(pins) == sorted(_names())
     keys = sorted([f"{label}.{part}" for label in PROGRAMS for part in ("tokens", "ast")]
-                  + ["cunroll", *LLM_SPECS])
+                  + [*CUNROLL_FACTORS, "faults-avx2", *LLM_SPECS])
     assert all(sorted(entry) == keys for entry in pins.values())
     for label in PROGRAMS:
         assert sum(entry[f"{label}.ast"] is not None for entry in pins.values()) >= 40
@@ -247,6 +260,22 @@ def pinned_trees() -> list[ast.FunctionDef]:
     return [tree for tree in trees if isinstance(tree, ast.FunctionDef)]
 
 
+def _sample(tree) -> list[int]:
+    """A few walk positions of ``tree`` below its root, spread evenly."""
+    size = sum(1 for _ in ast.walk(tree))
+    return list(range(1, size, max(1, size // 7)))
+
+
+def _ids(nodes) -> list[int]:
+    return list(map(id, nodes))
+
+
+def _held_in_a_list(tree, node) -> bool:
+    """Whether a list under ``tree`` holds ``node``."""
+    return any(item is node for value in _containers(tree) if isinstance(value, list)
+               for item in value)
+
+
 class TestWalkAndClone:
     def test_walk_matches_a_reference_recursive_walk(self, pinned_trees):
         assert len(pinned_trees) > 300
@@ -284,9 +313,58 @@ class TestWalkAndClone:
         with pytest.raises(TypeError):
             ast.clone_tree({"not": "a tree"})
 
+    def test_replace_puts_the_new_node_at_the_kth_position(self, pinned_trees):
+        for tree in pinned_trees:
+            for k in _sample(tree):
+                clone = ast.clone_tree(tree)
+                before = list(ast.walk(clone))
+                old = before[k]
+                end = k + sum(1 for _ in ast.walk(old))
+                marker = ast.Identifier(name="marker")
+                assert ast.replace(clone, old, marker)
+                assert _ids(_reference_walk(clone)) == _ids(before[:k] + [marker] + before[end:])
+
+    def test_replace_with_none_deletes_exactly_a_node_held_in_a_list(self, pinned_trees):
+        deleted = kept = 0
+        for tree in pinned_trees:
+            for k in _sample(tree):
+                clone = ast.clone_tree(tree)
+                before = list(ast.walk(clone))
+                old = before[k]
+                end = k + sum(1 for _ in ast.walk(old))
+                in_list = _held_in_a_list(clone, old)
+                assert ast.replace(clone, old, None) is in_list
+                if in_list:
+                    deleted += 1
+                    assert _ids(_reference_walk(clone)) == _ids(before[:k] + before[end:])
+                else:
+                    kept += 1
+                    assert clone == tree and _ids(ast.walk(clone)) == _ids(before)
+        assert deleted > 100 and kept > 100
+
+    def test_replace_finds_no_node_outside_the_tree(self, pinned_trees):
+        for tree in pinned_trees[::10]:
+            clone = ast.clone_tree(tree)
+            before = _ids(ast.walk(clone))
+            for stranger in (ast.Identifier(name="n"), tree, tree.body, ast.Block()):
+                assert not ast.replace(clone, stranger, ast.Block())
+                assert not ast.replace(clone, stranger, None)
+            assert clone == tree and _ids(ast.walk(clone)) == before
+
+    def test_replace_leaves_an_equal_but_distinct_node_alone(self, pinned_trees):
+        for tree in pinned_trees[::10]:
+            clone = ast.clone_tree(tree)
+            before = list(ast.walk(clone))
+            for k in _sample(tree):
+                twin = ast.clone_tree(before[k])
+                assert twin == before[k]
+                assert not ast.replace(clone, twin, ast.Identifier(name="marker"))
+            assert clone == tree and _ids(ast.walk(clone)) == _ids(before)
+
 
 class TestOneTreeCopy:
-    """Regrowth guard: ASTs are copied by ``clone_tree`` alone."""
+    """Regrowth guard: ASTs are copied by ``clone_tree`` alone, and
+    statements are spliced by ``replace`` alone."""
 
     SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
@@ -304,6 +382,18 @@ class TestOneTreeCopy:
 
         for name in ("iter_tokens", "_Cursor", "_skip_trivia", "_lex_number"):
             assert not hasattr(lexer, name), name
+
+    def test_no_rewriter_walks_statements_by_hand(self):
+        walkers = {
+            "repro.transforms.c_unroll": ("_replace_stmt", "_rewrite_break_to_return"),
+            "repro.llm.synthetic": ("_replace_in",),
+            "repro.llm.faults": ("_remove_stmt",),
+            "repro.vectorizer.codegen": ("_replace_loop", "_find_matching_loop"),
+            "repro.vectorizer.normalize": ("_normalize_stmt", "_normalize_sequence"),
+        }
+        for module, names in walkers.items():
+            for name in names:
+                assert not hasattr(importlib.import_module(module), name), f"{module}.{name}"
 
 
 if __name__ == "__main__":
