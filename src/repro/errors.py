@@ -59,9 +59,10 @@ class InterpreterError(ReproError):
 class UndefinedBehaviorError(InterpreterError):
     """Execution hit undefined behaviour that the memory model refuses to mask.
 
-    Out-of-bounds accesses beyond the guard region, use of poison values in
-    stores, and signed overflow in contexts where it matters raise this error
-    when the interpreter runs in strict mode.
+    An access past the guard zone or before it, an access to an unknown
+    region and a negative array size raise this error.  A
+    :class:`~repro.interp.memory.Memory` built with ``strict=True`` also
+    raises it for each UB event it would otherwise only record.
     """
 
     def __init__(self, message: str, kind: str = "generic"):

@@ -17,6 +17,17 @@ every closure takes.  Compilation itself never fails: a construct that
 cannot execute compiles to a closure that raises when it is reached, so
 code that never runs never raises.  :func:`run_function` is the only entry.
 
+Each closure does as much of a step as it can without calling another
+(Proebsting's superoperators, POPL 1995): operators, subscripts,
+``++``/``--`` and compound assignments read identifier and literal operands
+in place, steps are charged and ``+ - *`` wrapped inline, in-bounds memory
+is indexed directly, and ``(T *)&a[i]`` becomes a region and an offset.
+Each such fast path is a test at the top of its closure that falls through
+to the general code (:func:`_read`, :class:`Memory`'s accesses,
+``apply_pure_spec``) on an undeclared name, a budget about to run out, an
+access outside the declared extent or a value of another kind, so steps,
+operation counts, UB events and errors stay the same, in the same order.
+
 Semantics notes:
 
 * all integer arithmetic is two's-complement wraparound at the kernel's lane
@@ -41,14 +52,15 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.cfront import ast_nodes as ast
 from repro.errors import CompileError, InterpreterError, UndefinedBehaviorError
 from repro.interp.memory import Memory, UBEvent
-from repro.intrinsics.lanemath import lane_active
+from repro.intrinsics.lanemath import binary_lanes, lane_active
 from repro.intrinsics.registry import apply_pure_spec, is_intrinsic, lookup_intrinsic
 from repro.intrinsics.values import PredValue, VecValue
-from repro.lanetypes import LaneType, trunc_div
+from repro.lanetypes import ALL_LANE_TYPES, LaneType, trunc_div
 from repro.memo import IdentityMemo
 from repro.targets import vector_type_lanes_for
 
@@ -98,11 +110,13 @@ class ExecutionResult:
 class _Run:
     """Per-run state every compiled closure takes as its one argument."""
 
-    __slots__ = ("scope", "memory", "counts", "left", "max_steps", "ret")
+    __slots__ = ("scope", "memory", "regions", "counts", "left", "max_steps", "ret")
 
     def __init__(self, scope: dict[str, Value], memory: Memory, max_steps: int):
         self.scope = scope
         self.memory = memory
+        #: ``memory.regions``, which in-bounds accesses index directly.
+        self.regions = memory.regions
         #: Operation counts in first-use order; a ``Counter`` increments
         #: several times slower than a ``defaultdict``.
         self.counts: defaultdict[str, int] = defaultdict(int)
@@ -112,14 +126,28 @@ class _Run:
         self.ret: Value | None = None
 
 
-def _tick(st: _Run, category: str, amount: int = 1) -> None:
-    """One executed step, counted ``amount`` times under ``category``."""
+def _over_budget(st: _Run) -> None:
+    """Raise for the step past the budget.
+
+    Every closure charges its steps inline: ``st.left -= 1`` and
+    ``st.counts[category] += 1`` (``+= 0`` for a variable read or write,
+    which only keeps the category's first-use place), then this call when
+    ``st.left`` is negative.  A closure that charges several steps at once
+    first checks that ``st.left`` covers them all.
+    """
+    raise InterpreterError(f"execution exceeded {st.max_steps} steps (possible infinite loop)")
+
+
+def _read(name: str, st: _Run) -> Value:
+    """The value of variable ``name``: one ``scalar_read`` step."""
+    scope = st.scope
+    if name not in scope:
+        raise CompileError(f"use of undeclared identifier {name!r}")
     st.left -= 1
-    st.counts[category] += amount
+    st.counts["scalar_read"] += 0
     if st.left < 0:
-        raise InterpreterError(
-            f"execution exceeded {st.max_steps} steps (possible infinite loop)"
-        )
+        _over_budget(st)
+    return scope[name]
 
 
 class _Signal:
@@ -185,6 +213,15 @@ def _truth(value: Value) -> bool:
     return _as_int(value) != 0
 
 
+def _subscript(pointer: Value, index: Value) -> tuple[Pointer, int]:
+    """``pointer[index]``'s operands, raising what a non-int index or a
+    non-pointer base raises."""
+    index = _as_int(index)
+    if not isinstance(pointer, Pointer):
+        raise InterpreterError("array subscript applied to a non-pointer value")
+    return pointer, index
+
+
 def _pointer_arith(op: str, left: Value, right: Value, wrap) -> Value:
     if isinstance(left, Pointer) and isinstance(right, Pointer):
         if op == "-" and left.region == right.region:
@@ -217,12 +254,14 @@ def _scalar_ops(dtype: LaneType) -> dict[str, Callable[[_Run, int, int], int]]:
 
     ``/`` and ``%`` are compiled separately because a zero divisor records
     a UB event.  Shift counts mask to the lane width like the vector shifts.
+    ``+ - *`` wrap inline: ``((v + sign_bit) & mask) - sign_bit`` is
+    ``dtype.wrap(v)`` without the call.
     """
-    wrap, count = dtype.wrap, dtype.bits - 1
+    wrap, count, sign, mask = dtype.wrap, dtype.bits - 1, dtype.sign_bit, dtype.mask
     return {
-        "+": lambda st, a, b: wrap(a + b),
-        "-": lambda st, a, b: wrap(a - b),
-        "*": lambda st, a, b: wrap(a * b),
+        "+": lambda st, a, b: ((a + b + sign) & mask) - sign,
+        "-": lambda st, a, b: ((a - b + sign) & mask) - sign,
+        "*": lambda st, a, b: ((a * b + sign) & mask) - sign,
         "<": lambda st, a, b: 1 if a < b else 0,
         ">": lambda st, a, b: 1 if a > b else 0,
         "<=": lambda st, a, b: 1 if a <= b else 0,
@@ -235,6 +274,10 @@ def _scalar_ops(dtype: LaneType) -> dict[str, Callable[[_Run, int, int], int]]:
         "<<": lambda st, a, b: wrap(a << (b & count)),
         ">>": lambda st, a, b: wrap(a >> (b & count)),
     }
+
+
+#: The scalar operator table of each dtype, shared by every compiled program.
+_SCALAR_OPS = {dtype.name: _scalar_ops(dtype) for dtype in ALL_LANE_TYPES}
 
 
 def _category(op: str) -> str:
@@ -252,7 +295,8 @@ class _Compiler:
     def __init__(self, dtype: LaneType):
         self.dtype = dtype
         self.wrap = dtype.wrap
-        self.ops = _scalar_ops(dtype)
+        self.sign, self.mask = dtype.sign_bit, dtype.mask
+        self.ops = _SCALAR_OPS[dtype.name]
 
     # -- statements ---------------------------------------------------------
 
@@ -307,7 +351,10 @@ class _Compiler:
         otherwise = self.stmt(node.otherwise) if node.otherwise is not None else None
 
         def run_if(st: _Run):
-            _tick(st, "branch")
+            st.left -= 1
+            st.counts["branch"] += 1
+            if st.left < 0:
+                _over_budget(st)
             if _truth(cond(st)):
                 return then(st)
             if otherwise is not None:
@@ -347,7 +394,10 @@ class _Compiler:
                     raise UndefinedBehaviorError(f"negative array size for {name!r}", "bad-alloc")
                 st.memory.allocate(name, size)
                 st.scope[name] = Pointer(name, 0)
-                _tick(st, "alloc")
+                st.left -= 1
+                st.counts["alloc"] += 1
+                if st.left < 0:
+                    _over_budget(st)
             return run_alloc
         if node.init is not None:
             init = self.expr(node.init)
@@ -379,7 +429,10 @@ class _Compiler:
 
         def run_decl(st: _Run):
             st.scope[name] = coerce(init(st))
-            _tick(st, "decl")
+            st.left -= 1
+            st.counts["decl"] += 1
+            if st.left < 0:
+                _over_budget(st)
         return run_decl
 
     def for_loop(self, node: ast.ForLoop) -> StmtFn:
@@ -395,7 +448,10 @@ class _Compiler:
                     return signal
             while True:
                 if cond is not None:
-                    _tick(st, "branch")
+                    st.left -= 1
+                    st.counts["branch"] += 1
+                    if st.left < 0:
+                        _over_budget(st)
                     if not _truth(cond(st)):
                         return None
                 signal = body(st)
@@ -414,7 +470,10 @@ class _Compiler:
 
         def run_while(st: _Run):
             while True:
-                _tick(st, "branch")
+                st.left -= 1
+                st.counts["branch"] += 1
+                if st.left < 0:
+                    _over_budget(st)
                 if not _truth(cond(st)):
                     return None
                 signal = body(st)
@@ -439,7 +498,10 @@ class _Compiler:
                     if signal is not _CONTINUE:
                         return signal
                 st.counts["loop_iteration"] += 1
-                _tick(st, "branch")
+                st.left -= 1
+                st.counts["branch"] += 1
+                if st.left < 0:
+                    _over_budget(st)
                 if not _truth(cond(st)):
                     return None
         return run_do_while
@@ -452,6 +514,12 @@ class _Compiler:
             return _raiser(InterpreterError, f"cannot evaluate expression {type(node).__name__}")
         return method(self, node)
 
+    def constant(self, node: ast.Expr) -> int | None:
+        """The wrapped value of an int literal, which its parent reads in place."""
+        if isinstance(node, ast.IntLiteral) and node.value.__class__ is int:
+            return self.wrap(node.value)
+        return None
+
     def literal(self, node: ast.IntLiteral) -> ExprFn:
         raw, wrap = node.value, self.wrap
         if raw.__class__ is int:
@@ -460,42 +528,81 @@ class _Compiler:
         return lambda st: wrap(raw)
 
     def identifier(self, node: ast.Identifier) -> ExprFn:
-        name = node.name
+        return partial(_read, node.name)
 
-        def load_identifier(st: _Run):
-            if name not in st.scope:
-                raise CompileError(f"use of undeclared identifier {name!r}")
-            _tick(st, "scalar_read", 0)
-            return st.scope[name]
-        return load_identifier
+    def operands(self, left: ast.Expr, right: ast.Expr) -> Callable[[_Run], tuple[Value, Value]]:
+        """Evaluate ``left`` then ``right``, reading leaf operands in place.
 
-    def element(self, node: ast.ArrayRef) -> Callable[[_Run], tuple[Pointer, int]]:
-        """``base[index]`` resolved to ``(pointer, index)``."""
-        base_of, index_of = self.expr(node.base), self.expr(node.index)
-
-        def resolve(st: _Run):
-            base = base_of(st)
-            index = _as_int(index_of(st))
-            if not isinstance(base, Pointer):
-                raise InterpreterError("array subscript applied to a non-pointer value")
-            return base, index
-        return resolve
+        An identifier on the left is read without a closure, and so is an
+        identifier on its right; a literal on its right is its constant.
+        In-place reads take the ``scalar_read`` steps :func:`_read` takes
+        and run when every name they read is declared and the budget covers
+        their steps; otherwise :func:`_read` reads each name and raises
+        what it raises.
+        """
+        if isinstance(left, ast.Identifier):
+            if isinstance(right, ast.Identifier):
+                return _read_names(left.name, right.name)
+            constant = self.constant(right)
+            return _read_name(left.name, constant, self.expr(right) if constant is None else None)
+        left_of, right_of = self.expr(left), self.expr(right)
+        return lambda st: (left_of(st), right_of(st))
 
     def array_load(self, node: ast.ArrayRef) -> ExprFn:
-        resolve = self.element(node)
+        element = self.operands(node.base, node.index)
 
         def load_element(st: _Run):
-            pointer, index = resolve(st)
-            value = st.memory.load(pointer.region, pointer.offset + index)[0]
-            _tick(st, "scalar_load")
+            pointer, index = element(st)
+            if index.__class__ is not int or pointer.__class__ is not Pointer:
+                pointer, index = _subscript(pointer, index)
+            offset = pointer.offset + index
+            region = st.regions.get(pointer.region)
+            if region is not None and 0 <= offset < region.size:
+                value = region.data[offset]
+            else:
+                value = st.memory.load(pointer.region, offset)[0]
+            st.left -= 1
+            st.counts["scalar_load"] += 1
+            if st.left < 0:
+                _over_budget(st)
             return value
         return load_element
+
+    def address(self, node: ast.Expr) -> Callable[[_Run], tuple[str, int]]:
+        """A pointer-valued expression as ``(region, offset)``.
+
+        ``&base[index]``, under any pointer casts, is read without building
+        the :class:`Pointer` it evaluates to.
+        """
+        inner = node
+        while isinstance(inner, ast.Cast) and inner.target_type.is_pointer:
+            inner = inner.operand
+        if isinstance(inner, ast.UnaryOp) and inner.op == "&" and isinstance(inner.operand, ast.ArrayRef):
+            element = self.operands(inner.operand.base, inner.operand.index)
+
+            def element_address(st: _Run):
+                pointer, index = element(st)
+                if index.__class__ is not int or pointer.__class__ is not Pointer:
+                    pointer, index = _subscript(pointer, index)
+                return pointer.region, pointer.offset + index
+            return element_address
+        pointer_of = self.expr(node)
+
+        def pointer_address(st: _Run):
+            pointer = pointer_of(st)
+            if pointer.__class__ is not Pointer:
+                raise InterpreterError("intrinsic memory operand is not a pointer")
+            return pointer.region, pointer.offset
+        return pointer_address
 
     def ternary(self, node: ast.TernaryOp) -> ExprFn:
         cond, then, otherwise = self.expr(node.cond), self.expr(node.then), self.expr(node.otherwise)
 
         def choose(st: _Run):
-            _tick(st, "branch")
+            st.left -= 1
+            st.counts["branch"] += 1
+            if st.left < 0:
+                _over_budget(st)
             if _truth(cond(st)):
                 return then(st)
             return otherwise(st)
@@ -525,26 +632,31 @@ class _Compiler:
 
     def binop(self, node: ast.BinOp) -> ExprFn:
         op, category, wrap = node.op, _category(node.op), self.wrap
-        left, right = self.expr(node.left), self.expr(node.right)
         if op in ("&&", "||"):
+            left, right = self.expr(node.left), self.expr(node.right)
             conjunction = op == "&&"
 
             def logical(st: _Run):
-                _tick(st, "scalar_arith")
+                st.left -= 1
+                st.counts["scalar_arith"] += 1
+                if st.left < 0:
+                    _over_budget(st)
                 if conjunction:
                     return 1 if _truth(left(st)) and _truth(right(st)) else 0
                 return 1 if _truth(left(st)) or _truth(right(st)) else 0
             return logical
-        apply = self.arithmetic(op)
+        pair, apply = self.operands(node.left, node.right), self.arithmetic(op)
 
         def arith(st: _Run):
-            lhs = left(st)
-            rhs = right(st)
+            lhs, rhs = pair(st)
             if lhs.__class__ is not int or rhs.__class__ is not int:
                 if isinstance(lhs, Pointer) or isinstance(rhs, Pointer):
                     return _pointer_arith(op, lhs, rhs, wrap)
                 lhs, rhs = _as_int(lhs), _as_int(rhs)
-            _tick(st, category)
+            st.left -= 1
+            st.counts[category] += 1
+            if st.left < 0:
+                _over_budget(st)
             return apply(st, lhs, rhs)
         return arith
 
@@ -552,12 +664,8 @@ class _Compiler:
         op, operand = node.op, node.operand
         if op == "&":
             if isinstance(operand, ast.ArrayRef):
-                resolve = self.element(operand)
-
-                def address_of_element(st: _Run):
-                    pointer, index = resolve(st)
-                    return pointer.advanced(index)
-                return address_of_element
+                address_of = self.address(node)
+                return lambda st: Pointer(*address_of(st))
             if isinstance(operand, ast.Identifier):
                 load = self.identifier(operand)
 
@@ -582,7 +690,10 @@ class _Compiler:
 
         def apply(st: _Run):
             value = _as_int(value_of(st))
-            _tick(st, "scalar_arith")
+            st.left -= 1
+            st.counts["scalar_arith"] += 1
+            if st.left < 0:
+                _over_budget(st)
             if fn is None:
                 raise InterpreterError(f"unsupported unary operator {op!r}")
             return fn(value)
@@ -595,7 +706,10 @@ class _Compiler:
             pointer = pointer_of(st)
             if isinstance(pointer, Pointer):
                 value = st.memory.load(pointer.region, pointer.offset)[0]
-                _tick(st, "scalar_load")
+                st.left -= 1
+                st.counts["scalar_load"] += 1
+                if st.left < 0:
+                    _over_budget(st)
                 return value
             raise InterpreterError("dereference of a non-pointer value")
         return load_through
@@ -605,19 +719,38 @@ class _Compiler:
 
     def increment(self, target: ast.Expr, delta: int, return_new: bool) -> ExprFn:
         read, write, wrap = self.lvalue_reader(target), self.lvalue_writer(target), self.wrap
+        name = target.name if isinstance(target, ast.Identifier) else None
+        sign, mask = self.sign, self.mask
 
         def step(st: _Run):
+            if name is not None:
+                # A declared int variable: its read, write and add in place.
+                scope = st.scope
+                if name in scope and st.left > 2:
+                    old = scope[name]
+                    if old.__class__ is int:
+                        new = scope[name] = ((old + delta + sign) & mask) - sign
+                        st.left -= 3
+                        counts = st.counts
+                        counts["scalar_read"] += 0
+                        counts["scalar_write"] += 0
+                        counts["scalar_arith"] += 1
+                        return new if return_new else old
             old = _as_int(read(st))
             new = wrap(old + delta)
             write(st, new)
-            _tick(st, "scalar_arith")
+            st.left -= 1
+            st.counts["scalar_arith"] += 1
+            if st.left < 0:
+                _over_budget(st)
             return new if return_new else old
         return step
 
     def assign(self, node: ast.Assign) -> ExprFn:
         target, write = node.target, self.lvalue_writer(node.target)
-        value_of = self.expr(node.value)
         if node.op == "=":
+            value_of = self.expr(node.value)
+
             def store(st: _Run):
                 value = value_of(st)
                 write(st, value)
@@ -625,16 +758,22 @@ class _Compiler:
             return store
         # Compound assignment: target op= value.
         base_op = node.op[:-1]
-        read, category, wrap = self.lvalue_reader(target), _category(base_op), self.wrap
-        apply = self.arithmetic(base_op)
+        category, wrap, apply = _category(base_op), self.wrap, self.arithmetic(base_op)
+        if isinstance(target, ast.Identifier):
+            pair = self.operands(target, node.value)
+        else:
+            read, value_of = self.lvalue_reader(target), self.expr(node.value)
+            pair = lambda st: (read(st), value_of(st))  # noqa: E731
 
         def update(st: _Run):
-            current = read(st)
-            rhs = value_of(st)
+            current, rhs = pair(st)
             if isinstance(current, Pointer):
                 result: Value = _pointer_arith(base_op, current, rhs, wrap)
             else:
-                _tick(st, category)
+                st.left -= 1
+                st.counts[category] += 1
+                if st.left < 0:
+                    _over_budget(st)
                 result = apply(st, _as_int(current), _as_int(rhs))
             write(st, result)
             return result
@@ -650,15 +789,18 @@ class _Compiler:
         return _raiser(InterpreterError, f"unsupported lvalue {type(target).__name__}")
 
     def lvalue_writer(self, target: ast.Expr) -> Callable[[_Run, Value], None]:
+        sign, mask, wrap = self.sign, self.mask, self.wrap
         if isinstance(target, ast.Identifier):
-            name, wrap = target.name, self.wrap
+            name = target.name
 
             def write_name(st: _Run, value: Value) -> None:
                 scope = st.scope
                 if name not in scope:
                     raise CompileError(f"assignment to undeclared identifier {name!r}")
                 existing = scope[name]
-                if isinstance(existing, (VecValue, PredValue)) or isinstance(
+                if existing.__class__ is int and value.__class__ is int:
+                    scope[name] = ((value + sign) & mask) - sign
+                elif isinstance(existing, (VecValue, PredValue)) or isinstance(
                     value, (VecValue, PredValue)
                 ):
                     scope[name] = value
@@ -666,15 +808,29 @@ class _Compiler:
                     scope[name] = value
                 else:
                     scope[name] = wrap(_as_int(value))
-                _tick(st, "scalar_write", 0)
+                st.left -= 1
+                st.counts["scalar_write"] += 0
+                if st.left < 0:
+                    _over_budget(st)
             return write_name
         if isinstance(target, ast.ArrayRef):
-            resolve = self.element(target)
+            element = self.operands(target.base, target.index)
 
             def write_element(st: _Run, value: Value) -> None:
-                pointer, index = resolve(st)
-                st.memory.store(pointer.region, pointer.offset + index, _as_int(value))
-                _tick(st, "scalar_store")
+                pointer, index = element(st)
+                if index.__class__ is not int or pointer.__class__ is not Pointer:
+                    pointer, index = _subscript(pointer, index)
+                offset = pointer.offset + index
+                region = st.regions.get(pointer.region)
+                if region is not None and 0 <= offset < region.size and value.__class__ is int:
+                    region.data[offset] = ((value + sign) & mask) - sign
+                    region.poison[offset] = False
+                else:
+                    st.memory.store(pointer.region, offset, _as_int(value))
+                st.left -= 1
+                st.counts["scalar_store"] += 1
+                if st.left < 0:
+                    _over_budget(st)
             return write_element
         if isinstance(target, ast.UnaryOp) and target.op == "*":
             pointer_of = self.expr(target.operand)
@@ -684,7 +840,10 @@ class _Compiler:
                 if not isinstance(pointer, Pointer):
                     raise InterpreterError("store through a non-pointer value")
                 st.memory.store(pointer.region, pointer.offset, _as_int(value))
-                _tick(st, "scalar_store")
+                st.left -= 1
+                st.counts["scalar_store"] += 1
+                if st.left < 0:
+                    _over_budget(st)
             return write_through
         return _raiser(InterpreterError, f"unsupported assignment target {type(target).__name__}")
 
@@ -727,23 +886,27 @@ class _Compiler:
     # -- calls --------------------------------------------------------------
 
     def call(self, node: ast.Call) -> ExprFn:
-        name, args = node.func, [self.expr(arg) for arg in node.args]
+        name = node.func
         if name in ("abs", "labs", "min", "max"):
-            return self.builtin(name, args)
+            return self.builtin(name, [self.expr(arg) for arg in node.args])
         if not is_intrinsic(name):
             return _raiser(CompileError, f"call to unknown function or intrinsic {name!r}")
         spec = lookup_intrinsic(name, self.dtype)
-        if len(args) != spec.arity and spec.kind not in ("setr", "set"):
+        if len(node.args) != spec.arity and spec.kind not in ("setr", "set"):
             return _raiser(
-                CompileError, f"intrinsic {name} expects {spec.arity} arguments, got {len(args)}"
+                CompileError, f"intrinsic {name} expects {spec.arity} arguments, got {len(node.args)}"
             )
-        run = _INTRINSIC_COMPILERS.get(spec.kind, _pure_intrinsic)(spec, args)
+        run = _INTRINSIC_COMPILERS.get(spec.kind, _pure_intrinsic)(self, spec, node.args)
         kind = f"vec_{spec.kind}"
 
         def call_intrinsic(st: _Run):
-            st.counts[kind] += 1
-            st.counts["vector_op"] += 1
-            _tick(st, "vector_instr")
+            counts = st.counts
+            counts[kind] += 1
+            counts["vector_op"] += 1
+            st.left -= 1
+            counts["vector_instr"] += 1
+            if st.left < 0:
+                _over_budget(st)
             return run(st)
         return call_intrinsic
 
@@ -758,7 +921,10 @@ class _Compiler:
 
             def absolute(st: _Run):
                 value = _as_int(value_of(st))
-                _tick(st, "scalar_arith")
+                st.left -= 1
+                st.counts["scalar_arith"] += 1
+                if st.left < 0:
+                    _over_budget(st)
                 return wrap(abs(value))
             return absolute
         left, right = args
@@ -767,21 +933,41 @@ class _Compiler:
         def extreme(st: _Run):
             lhs = _as_int(left(st))
             rhs = _as_int(right(st))
-            _tick(st, "scalar_arith")
+            st.left -= 1
+            st.counts["scalar_arith"] += 1
+            if st.left < 0:
+                _over_budget(st)
             return pick(lhs, rhs)
         return extreme
 
 
+# -- operand pairs (see _Compiler.operands) ---------------------------------
+
+
+def _read_names(name: str, other: str) -> Callable[[_Run], tuple[Value, Value]]:
+    def read_names(st: _Run):
+        scope = st.scope
+        if name in scope and other in scope and st.left > 1:
+            st.left -= 2
+            st.counts["scalar_read"] += 0
+            return scope[name], scope[other]
+        return _read(name, st), _read(other, st)
+    return read_names
+
+
+def _read_name(name: str, constant: int | None,
+               right_of: ExprFn | None) -> Callable[[_Run], tuple[Value, Value]]:
+    def read_name(st: _Run):
+        scope = st.scope
+        if name in scope and st.left > 0:
+            st.left -= 1
+            st.counts["scalar_read"] += 0
+            return scope[name], constant if right_of is None else right_of(st)
+        return _read(name, st), constant if right_of is None else right_of(st)
+    return read_name
+
+
 # -- intrinsic operands ------------------------------------------------------
-
-
-def _pointer_operand(arg: ExprFn) -> Callable[[_Run], Pointer]:
-    def operand(st: _Run) -> Pointer:
-        value = arg(st)
-        if value.__class__ is not Pointer:
-            raise InterpreterError("intrinsic memory operand is not a pointer")
-        return value
-    return operand
 
 
 def _vector_operand(arg: ExprFn, lanes: int) -> Callable[[_Run], VecValue]:
@@ -810,31 +996,41 @@ def _pred_operand(arg: ExprFn, lanes: int) -> Callable[[_Run], PredValue]:
     return operand
 
 
-# -- intrinsic bodies (after the call's ticks), one compiler per spec kind ----
+# -- intrinsic bodies (after the call's step), one compiler per spec kind -----
+#
+# Memory holds values wrapped at the kernel dtype, so a whole register of
+# that dtype inside an array's declared extent is sliced in and out (a
+# store only when no lane is poison); other accesses go through Memory.
 
 
-def _load_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
-    pointer_of, lanes, dtype = _pointer_operand(args[0]), spec.lanes, spec.lane_type
+def _load_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
+    address_of, lanes, dtype = compiler.address(args[0]), spec.lanes, spec.lane_type
+    sliced = dtype is compiler.dtype
 
     def load(st: _Run):
-        pointer = pointer_of(st)
-        values, poison = st.memory.load_vector(pointer.region, pointer.offset, lanes)
+        name, offset = address_of(st)
+        region = st.regions.get(name)
+        if sliced and region is not None and 0 <= offset <= region.size - lanes:
+            end = offset + lanes
+            return VecValue(tuple(region.data[offset:end]), tuple(region.poison[offset:end]), dtype)
+        values, poison = st.memory.load_vector(name, offset, lanes)
         return VecValue.from_lanes(values, poison, dtype=dtype)
     return load
 
 
-def _maskload_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
-    pointer_of, mask_of = _pointer_operand(args[0]), _vector_operand(args[1], spec.lanes)
+def _maskload_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
+    address_of = compiler.address(args[0])
+    mask_of = _vector_operand(compiler.expr(args[1]), spec.lanes)
     lanes, dtype = spec.lanes, spec.lane_type
 
     def maskload(st: _Run):
-        pointer = pointer_of(st)
+        name, offset = address_of(st)
         mask = mask_of(st)
         values: list[int] = []
         poison: list[bool] = []
         for lane in range(lanes):
             if lane_active(mask.lanes[lane], dtype):
-                value, is_poison = st.memory.load(pointer.region, pointer.offset + lane)
+                value, is_poison = st.memory.load(name, offset + lane)
                 values.append(value)
                 poison.append(is_poison)
             else:
@@ -844,51 +1040,56 @@ def _maskload_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
     return maskload
 
 
-def _store_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
-    pointer_of, vector_of = _pointer_operand(args[0]), _vector_operand(args[1], spec.lanes)
+def _store_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
+    address_of, lanes, dtype = compiler.address(args[0]), spec.lanes, compiler.dtype
+    vector_of, clean = _vector_operand(compiler.expr(args[1]), lanes), [False] * lanes
 
     def store(st: _Run):
-        pointer = pointer_of(st)
+        name, offset = address_of(st)
         vector = vector_of(st)
-        st.memory.store_vector(pointer.region, pointer.offset, list(vector.lanes), list(vector.poison))
+        region = st.regions.get(name)
+        if (region is not None and 0 <= offset <= region.size - lanes
+                and vector.dtype is dtype and True not in vector.poison):
+            region.data[offset:offset + lanes] = vector.lanes
+            region.poison[offset:offset + lanes] = clean
+        else:
+            st.memory.store_vector(name, offset, list(vector.lanes), list(vector.poison))
         return vector
     return store
 
 
-def _maskstore_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
-    pointer_of = _pointer_operand(args[0])
-    mask_of, vector_of = _vector_operand(args[1], spec.lanes), _vector_operand(args[2], spec.lanes)
-    lanes, dtype = spec.lanes, spec.lane_type
+def _maskstore_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
+    address_of, lanes, dtype = compiler.address(args[0]), spec.lanes, spec.lane_type
+    mask_of = _vector_operand(compiler.expr(args[1]), lanes)
+    vector_of = _vector_operand(compiler.expr(args[2]), lanes)
 
     def maskstore(st: _Run):
-        pointer = pointer_of(st)
+        name, offset = address_of(st)
         mask = mask_of(st)
         vector = vector_of(st)
         for lane in range(lanes):
             if lane_active(mask.lanes[lane], dtype):
-                st.memory.store(
-                    pointer.region, pointer.offset + lane, vector.lanes[lane], vector.poison[lane]
-                )
+                st.memory.store(name, offset + lane, vector.lanes[lane], vector.poison[lane])
         return vector
     return maskstore
 
 
-def _pload_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+def _pload_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
     # Predicate-governed load: active lanes read memory (recording OOB/poison
     # like any load), inactive lanes come back zero and — the property the
     # predicated-loop legalization rests on — never touch memory at all.  A
     # poison predicate lane makes the loaded lane unreliable rather than the
     # access itself.
-    pred_of, pointer_of = _pred_operand(args[0], spec.lanes), _pointer_operand(args[1])
-    lanes, dtype = spec.lanes, spec.lane_type
+    pred_of = _pred_operand(compiler.expr(args[0]), spec.lanes)
+    address_of, lanes, dtype = compiler.address(args[1]), spec.lanes, spec.lane_type
 
     def pload(st: _Run):
         pred = pred_of(st)
-        pointer = pointer_of(st)
+        name, offset = address_of(st)
         values, poison = [], []
         for lane in range(lanes):
             if pred.lanes[lane]:
-                value, is_poison = st.memory.load(pointer.region, pointer.offset + lane)
+                value, is_poison = st.memory.load(name, offset + lane)
                 values.append(value)
                 poison.append(is_poison or pred.poison[lane])
             else:
@@ -898,29 +1099,31 @@ def _pload_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
     return pload
 
 
-def _pstore_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+def _pstore_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
     # Mirror image: active lanes store, inactive lanes leave memory untouched;
     # storing under a poison predicate lane stores poison (the checker
     # observes it as a poison-store UB event).
-    pred_of, pointer_of = _pred_operand(args[0], spec.lanes), _pointer_operand(args[1])
-    vector_of, lanes = _vector_operand(args[2], spec.lanes), spec.lanes
+    pred_of = _pred_operand(compiler.expr(args[0]), spec.lanes)
+    address_of, lanes = compiler.address(args[1]), spec.lanes
+    vector_of = _vector_operand(compiler.expr(args[2]), lanes)
 
     def pstore(st: _Run):
         pred = pred_of(st)
-        pointer = pointer_of(st)
+        name, offset = address_of(st)
         vector = vector_of(st)
         for lane in range(lanes):
             if pred.lanes[lane]:
                 st.memory.store(
-                    pointer.region, pointer.offset + lane, vector.lanes[lane],
+                    name, offset + lane, vector.lanes[lane],
                     vector.poison[lane] or pred.poison[lane],
                 )
         return vector
     return pstore
 
 
-def _extract_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
-    vector_of, lane_of, lanes = _vector_operand(args[0], spec.lanes), args[1], spec.lanes
+def _extract_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
+    vector_of, lane_of = _vector_operand(compiler.expr(args[0]), spec.lanes), compiler.expr(args[1])
+    lanes = spec.lanes
 
     def extract(st: _Run):
         vector = vector_of(st)
@@ -928,11 +1131,11 @@ def _extract_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
     return extract
 
 
-def _cast_low_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
+def _cast_low_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
     # The cast reinterprets the low register half: truncate to half the lanes
     # so narrower downstream consumers see a width-correct value (the
     # historical AVX2 reduction-tail idiom).
-    vector_of, half = _vector_operand(args[0], spec.lanes), spec.lanes // 2
+    vector_of, half = _vector_operand(compiler.expr(args[0]), spec.lanes), spec.lanes // 2
 
     def cast_low(st: _Run):
         vector = vector_of(st)
@@ -940,13 +1143,30 @@ def _cast_low_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
     return cast_low
 
 
-def _pure_intrinsic(spec, args: list[ExprFn]) -> ExprFn:
-    operands = tuple(args)
+def _pure_binary_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
+    # Two registers of the spec's width and dtype go straight to lanemath,
+    # as ``VecValue.bulk_binary`` sends them; anything else takes
+    # ``apply_pure_spec``, which raises for a bad operand.
+    left, right = compiler.expr(args[0]), compiler.expr(args[1])
+    op, lanes, dtype = spec.op, spec.lanes, spec.lane_type
+
+    def pure_binary(st: _Run):
+        a, b = left(st), right(st)
+        if (a.__class__ is VecValue and b.__class__ is VecValue and a.dtype is dtype
+                and b.dtype is dtype and len(a.lanes) == lanes == len(b.lanes)):
+            return VecValue(*binary_lanes(op, a.lanes, b.lanes, a.poison, b.poison, dtype), dtype)
+        return apply_pure_spec(spec, [a, b])
+    return pure_binary
+
+
+def _pure_intrinsic(compiler: _Compiler, spec, args: list[ast.Expr]) -> ExprFn:
+    operands = tuple(compiler.expr(arg) for arg in args)
     return lambda st: apply_pure_spec(spec, [operand(st) for operand in operands])
 
 
-#: Intrinsic kinds the interpreter executes itself (it owns the memory
-#: model); every other kind is a pure function of its operands.
+#: Intrinsic kinds compiled to their own bodies: the interpreter owns the
+#: memory model, and the commonest pure kind skips ``apply_pure_spec``'s
+#: dispatch.  Every other kind is a pure function of its operands.
 _INTRINSIC_COMPILERS = {
     "load": _load_intrinsic,
     "maskload": _maskload_intrinsic,
@@ -956,6 +1176,7 @@ _INTRINSIC_COMPILERS = {
     "pstore": _pstore_intrinsic,
     "extract": _extract_intrinsic,
     "cast_low": _cast_low_intrinsic,
+    "pure_binary": _pure_binary_intrinsic,
 }
 
 #: Compile-time dispatch on the concrete node class.

@@ -77,9 +77,9 @@ class Memory:
     def __init__(self, strict: bool = False, dtype: LaneType = INT32):
         self.regions: dict[str, ArrayRegion] = {}
         self.ub_events: list[UBEvent] = []
-        #: In strict mode every UB event raises immediately (used by the
-        #: verifier's concretization path); in permissive mode (checksum
-        #: testing) guard-zone accesses proceed with poison values.
+        #: In strict mode every UB event raises immediately; in permissive
+        #: mode, the one the interpreter runs in, guard-zone accesses
+        #: proceed with poison values and the events are only recorded.
         self.strict = strict
         #: Lane element type every stored value wraps at.
         self.dtype = dtype
@@ -159,7 +159,7 @@ class Memory:
             f"out-of-bounds write {name}[{index}] (size {region.size})", "oob-write-far"
         )
 
-    def load_vector(self, name: str, index: int, lanes: int = 8) -> tuple[list[int], list[bool]]:
+    def load_vector(self, name: str, index: int, lanes: int) -> tuple[list[int], list[bool]]:
         values: list[int] = []
         poison: list[bool] = []
         for lane in range(lanes):

@@ -25,7 +25,11 @@ unique, and duplicated declarations are renamed apart.  A ``break`` stays a
 ``break``: every copy sits inside the one ``while``, so a ``break`` in any
 copy leaves that loop exactly where the original ``break`` left the ``for``.
 (Rewriting it to ``return``, as the paper describes, would also skip what
-follows the loop and capture the ``break`` of a nested loop.)
+follows the loop and capture the ``break`` of a nested loop.)  A
+``continue`` of the main loop has no such translation: it would jump to the
+``while`` condition without the iterator step that follows its copy, so it
+raises :class:`CUnrollError`.  A ``continue`` inside a nested loop
+continues that loop and stays.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ def unroll_scalar_function(func: ast.FunctionDef, factor: int = 8) -> ast.Functi
     if not loop_info.is_canonical or loop_info.step is None:
         raise CUnrollError("the main loop is not in canonical form")
     loop = loop_info.node
+    if _continues(loop.body):
+        raise CUnrollError("a continue of the main loop would skip the iterator step after its unrolled copy")
 
     unrolled_body: list[ast.Stmt] = []
     for copy_index in range(factor):
@@ -71,6 +77,13 @@ def unroll_scalar_function(func: ast.FunctionDef, factor: int = 8) -> ast.Functi
 
     ast.replace(new_func.body, loop, replacement)
     return new_func
+
+
+def _continues(body: ast.Stmt) -> bool:
+    """Whether a ``continue`` in ``body`` continues the loop ``body`` belongs to."""
+    loops = (ast.ForLoop, ast.WhileLoop, ast.DoWhileLoop)
+    nested = {id(node) for loop in ast.walk(body) if isinstance(loop, loops) for node in ast.walk(loop)}
+    return any(isinstance(node, ast.Continue) and id(node) not in nested for node in ast.walk(body))
 
 
 def _rename_labels(stmt: ast.Stmt, copy_index: int) -> ast.Stmt:

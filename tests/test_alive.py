@@ -9,7 +9,7 @@ from repro.alive.symexec import SymbolicExecutionError
 from repro.cfront.cparser import parse_function
 from repro.llm.faults import FaultKind, apply_fault
 from repro.smt.terms import TermKind, evaluate, term_size
-from repro.transforms import unroll_scalar_function, is_spatially_splittable
+from repro.transforms import CUnrollError, unroll_scalar_function, is_spatially_splittable
 from repro.cfront.printer import to_c
 from repro.interp import run_function
 from repro.interp.checksum import checksum_testing
@@ -18,6 +18,28 @@ from repro.tsvc import load_kernel
 from repro.vectorizer import vectorize_kernel
 from repro.verdict import Verdict
 
+
+#: A ``continue`` of the main loop, which C-level unrolling cannot keep.
+CONTINUE_MAIN = """void f(int n, int *a, int *b) {
+    for (int i = 0; i < n; i++) {
+        if (a[i] < 0) continue;
+        b[i] = a[i];
+    }
+}"""
+
+#: A ``continue`` of a while loop nested inside the main loop: it continues
+#: the while, in every unrolled copy.
+NESTED_CONTINUE = """void f(int n, int *a, int *b) {
+    for (int i = 0; i < n; i++) {
+        int j = 0, s = 0;
+        while (j < 4) {
+            j++;
+            if (a[j] > a[i]) continue;
+            s += a[j];
+        }
+        b[i] = s;
+    }
+}"""
 
 #: A ``break`` in a while loop nested inside the main loop: it must leave
 #: the while, not the unrolled main loop or the function.
@@ -164,6 +186,29 @@ class TestTransforms:
                 observed = run_function(unrolled, vector.arrays, vector.scalars)
                 assert observed.outputs() == expected.outputs(), (seed, vector.scalars)
 
+    def test_c_unroll_rejects_a_continue_of_the_main_loop(self):
+        """Each copy's iterator step follows the copy inside the one
+        ``while``; a ``continue`` of the main loop would jump past it to the
+        condition, so the unrolled loop would never end."""
+        func = parse_function(CONTINUE_MAIN)
+        result = run_function(func, {"a": list(range(-8, 8)), "b": [0] * 16}, {"n": 16})
+        assert result.outputs()["b"] == [0] * 8 + list(range(8))
+        for factor in (4, 8, 16):
+            with pytest.raises(CUnrollError, match="continue of the main loop"):
+                unroll_scalar_function(func, factor=factor)
+
+    @pytest.mark.parametrize("factor", [4, 8, 16])
+    def test_c_unroll_keeps_a_continue_of_a_nested_loop(self, factor):
+        func = parse_function(NESTED_CONTINUE)
+        unrolled = unroll_scalar_function(func, factor=factor)
+        assert to_c(unrolled).count("continue;") == factor
+        spec = InputSpec.from_function(func)
+        for seed in range(4):
+            for vector in make_test_suite(spec, random.Random(seed), value_range=(-1000, 1000)):
+                expected = run_function(func, vector.arrays, vector.scalars)
+                observed = run_function(unrolled, vector.arrays, vector.scalars)
+                assert observed.outputs() == expected.outputs(), (seed, vector.scalars)
+
     def test_spatial_splitting_precondition(self):
         simple = load_kernel("s000")
         vectorized = vectorize_kernel(simple.function)
@@ -241,6 +286,12 @@ class TestVerifier:
         assert checksum_testing(kernel.source, candidate).outcome is Verdict.PLAUSIBLE
         report = self.verifier.check_with_c_unroll(kernel.source, candidate)
         assert report.outcome is not Verdict.NOT_EQUIVALENT, report.detail
+
+    def test_c_unroll_stage_is_inconclusive_on_a_continue_of_the_main_loop(self):
+        report = self.verifier.check_with_c_unroll(CONTINUE_MAIN, CONTINUE_MAIN)
+        assert report.outcome is Verdict.INCONCLUSIVE
+        assert report.detail == ("C-level unrolling failed: a continue of the main loop "
+                                 "would skip the iterator step after its unrolled copy")
 
     def test_spatial_splitting_verifies_dependence_free_kernel(self):
         kernel = load_kernel("vpvtv")

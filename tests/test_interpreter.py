@@ -224,6 +224,9 @@ class TestInterpreter:
         assert not hasattr(interpreter, "Interpreter")
         assert not hasattr(interpreter, "_STMT_HANDLERS")
         assert not hasattr(interpreter, "_EVAL_HANDLERS")
+        # Closures charge their steps inline; only the raise is shared.
+        assert not hasattr(interpreter, "_tick")
+        assert hasattr(interpreter, "_over_budget")
 
 
 class TestChecksumTesting:
