@@ -56,13 +56,11 @@ _PUBLIC_API = {
     # Targets: ISA descriptions and intrinsic spelling resolution.
     "TargetISA": "repro.targets",
     "get_target": "repro.targets",
-    "all_targets": "repro.targets",
     "ALL_TARGETS": "repro.targets",
     "DEFAULT_TARGET": "repro.targets",
     # Testing and verification stages.
     "checksum_testing": "repro.interp.checksum",
     "AliveVerifier": "repro.alive.verifier",
-    "VerifierConfig": "repro.alive.verifier",
     # Benchmark suite and reporting.
     "load_kernel": "repro.tsvc",
     "load_suite": "repro.tsvc",

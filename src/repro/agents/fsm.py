@@ -1,47 +1,35 @@
 """The finite state machine orchestrating the agents (paper Figure 3).
 
-States::
+The three agents take turns in a fixed order::
 
-    INIT -> GENERATE -> TEST -> (ACCEPTED | REPAIR | FAILED)
-                 ^                    |
-                 +----- REPAIR <------+   (up to ``max_attempts`` times)
+    user proxy --prompt--> vectorizer --candidate--> tester --plausible--> accepted
+                               ^                        |
+                               +------- feedback -------+   (at most ``max_attempts`` rounds)
 
-The FSM's two design goals from the paper are made measurable here: the
-number of LLM invocations needed to reach a plausible candidate, and whether
-the feedback loop manages to repair an initially wrong candidate.
+Each turn is one typed call, and each generate/test round is one
+:class:`AttemptRecord`.  The FSM's two design goals from the paper are made
+measurable here: the number of LLM invocations needed to reach a plausible
+candidate, and whether the feedback loop manages to repair an initially
+wrong candidate.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
-from repro.agents.base import Message
 from repro.agents.tester_agent import CompilerTesterAgent
 from repro.agents.user_proxy import UserProxyAgent
 from repro.agents.vectorizer_agent import VectorizerAgent
-from repro.llm.client import LLMClient
+from repro.llm.client import LLMClient, LLMCompletion
 from repro.runspec import RunSpec
 from repro.verdict import Verdict
 
 
-class FSMState(enum.Enum):
-    INIT = "init"
-    GENERATE = "generate"
-    TEST = "test"
-    REPAIR = "repair"
-    ACCEPTED = "accepted"
-    FAILED = "failed"
-
-
 @dataclass
 class FSMConfig:
-    """Knobs of the orchestration: the paper allows at most ten attempts."""
+    """The paper allows at most ten attempts."""
 
     max_attempts: int = 10
-    temperature: float = 1.0
-    checksum_seed: int = 0
-    trip_counts: list[int] | None = None
 
 
 @dataclass
@@ -70,7 +58,6 @@ class FSMResult:
     llm_invocations: int
     final_code: str | None
     history: list[AttemptRecord] = field(default_factory=list)
-    conversation: list[Message] = field(default_factory=list)
 
     @property
     def repaired(self) -> bool:
@@ -89,74 +76,44 @@ class VectorizationFSM:
                  config: FSMConfig | None = None, *, spec: RunSpec = RunSpec()):
         self.config = config or FSMConfig()
         self.kernel_name = kernel_name
-        self.scalar_code = scalar_code
         self.llm = llm
-        self.user_proxy = UserProxyAgent(kernel_name, scalar_code, spec=spec)
-        self.vectorizer = VectorizerAgent(llm, kernel_name, scalar_code,
-                                          self.config.temperature, spec=spec)
-        self.tester = CompilerTesterAgent(
-            scalar_code, seed=self.config.checksum_seed, trip_counts=self.config.trip_counts,
-            spec=spec,
-        )
-        self.state = FSMState.INIT
+        self.user_proxy = UserProxyAgent(scalar_code, spec=spec)
+        self.vectorizer = VectorizerAgent(llm, kernel_name, scalar_code, spec=spec)
+        self.tester = CompilerTesterAgent(scalar_code, spec=spec)
 
     def run(self) -> FSMResult:
-        conversation: list[Message] = []
         history: list[AttemptRecord] = []
         invocations_before = self.llm.invocation_count
-
-        self.state = FSMState.GENERATE
-        message = self.user_proxy.initial_message()
-        conversation.append(message)
+        prompt = self.user_proxy.opening_prompt()
 
         accepted_code: str | None = None
-        attempts = 0
-        while attempts < self.config.max_attempts:
-            attempts += 1
-            # GENERATE: the vectorizer consults the LLM.
-            candidate_msg = self.vectorizer.respond(message, conversation)
-            conversation.append(candidate_msg)
-            self.state = FSMState.TEST
-            # TEST: the tester runs checksum-based testing.
-            verdict_msg = self.tester.respond(candidate_msg, conversation)
-            conversation.append(verdict_msg)
-            static_report = verdict_msg.payload.get("static_report")
-            history.append(
-                AttemptRecord(
-                    attempt=attempts,
-                    candidate_code=candidate_msg.payload.get("candidate_code", ""),
-                    outcome=verdict_msg.payload["outcome"],
-                    llm_annotations=candidate_msg.payload.get("annotations", {}),
-                    static_flags=(static_report.rule_counts(errors_only=True)
-                                  if static_report is not None else {}),
-                    static_summary=(static_report.summary_line()
-                                    if static_report is not None else None),
-                )
-            )
-            if verdict_msg.payload.get("accepted"):
-                accepted_code = verdict_msg.payload.get("candidate_code")
-                self.state = FSMState.ACCEPTED
+        completion: LLMCompletion | None = None
+        feedback = ""
+        while len(history) < self.config.max_attempts:
+            completion = (self.vectorizer.propose(prompt) if completion is None
+                          else self.vectorizer.repair(completion.code, feedback))
+            reply = self.tester.test(completion.code)
+            static_report = reply.static_report
+            history.append(AttemptRecord(
+                attempt=len(history) + 1,
+                candidate_code=completion.code,
+                outcome=reply.outcome,
+                llm_annotations=dict(completion.annotations),
+                static_flags=(static_report.rule_counts(errors_only=True)
+                              if static_report is not None else {}),
+                static_summary=(static_report.summary_line()
+                                if static_report is not None else None),
+            ))
+            if reply.outcome is Verdict.PLAUSIBLE:
+                accepted_code = completion.code
                 break
-            # REPAIR: feed the tester's report back to the vectorizer.
-            self.state = FSMState.REPAIR
-            message = verdict_msg
-
-        if accepted_code is None:
-            self.state = FSMState.FAILED
+            feedback = reply.feedback
 
         return FSMResult(
             kernel_name=self.kernel_name,
             accepted=accepted_code is not None,
-            attempts=attempts,
+            attempts=len(history),
             llm_invocations=self.llm.invocation_count - invocations_before,
             final_code=accepted_code,
             history=history,
-            conversation=conversation,
         )
-
-
-def run_fsm_on_kernel(llm: LLMClient, kernel_name: str, scalar_code: str,
-                      config: FSMConfig | None = None, *,
-                      spec: RunSpec = RunSpec()) -> FSMResult:
-    """Convenience wrapper: build the FSM for one kernel and run it."""
-    return VectorizationFSM(llm, kernel_name, scalar_code, config, spec=spec).run()

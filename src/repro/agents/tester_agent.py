@@ -2,13 +2,34 @@
 
 from __future__ import annotations
 
-from repro.agents.base import Agent, Message
-from repro.interp.checksum import checksum_testing
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+from repro.interp.checksum import ChecksumReport, checksum_testing
 from repro.runspec import RunSpec
 from repro.verdict import Verdict
 
+if TYPE_CHECKING:
+    from repro.staticcheck import StaticReport
 
-class CompilerTesterAgent(Agent):
+
+@dataclass(frozen=True)
+class TesterReply:
+    """The tester's answer to one candidate."""
+
+    #: plausible, not_equivalent, cannot_compile or static_reject.
+    outcome: Verdict
+    #: What the vectorizer repairs from: checksum testing's report, or the
+    #: vetter's diagnostics when screen mode rejected the candidate.
+    feedback: str
+    #: Checksum testing's report (None: screen mode rejected the candidate
+    #: before it ran).
+    report: ChecksumReport | None
+    #: The vetter's report (None: vetting is off).
+    static_report: StaticReport | None
+
+
+class CompilerTesterAgent:
     """Vets the candidate statically, then runs checksum-based testing.
 
     On a mismatch (or a compile failure) the reply carries enough detail —
@@ -19,25 +40,18 @@ class CompilerTesterAgent(Agent):
 
     * ``"off"`` — not run at all;
     * ``"advisory"`` (default) — the :class:`~repro.staticcheck.StaticReport`
-      rides along in the reply payload, but acceptance is checksum testing's
-      alone, bit-identical to the pre-linter pipeline;
+      rides along in the reply, but acceptance is checksum testing's alone,
+      bit-identical to the pre-linter pipeline;
     * ``"screen"`` — a candidate with any error-severity diagnostic is
       rejected *before* any execution, with the diagnostics as the repair
       feedback; clean candidates proceed to checksum testing as usual.
     """
 
-    name = "tester"
-
-    def __init__(self, scalar_code: str, seed: int = 0,
-                 trip_counts: list[int] | None = None, *,
-                 spec: RunSpec = RunSpec()):
+    def __init__(self, scalar_code: str, *, spec: RunSpec = RunSpec()):
         self.scalar_code = scalar_code
-        self.seed = seed
-        self.trip_counts = trip_counts
         self.spec = spec
 
-    def respond(self, message: Message, history: list[Message]) -> Message:
-        candidate = message.payload.get("candidate_code", "")
+    def test(self, candidate: str) -> TesterReply:
         static_report = None
         if self.spec.static_check != "off":
             from repro.staticcheck import check_candidate
@@ -46,31 +60,7 @@ class CompilerTesterAgent(Agent):
                 candidate, target=self.spec.target, epilogue=self.spec.epilogue,
                 scalar_source=self.scalar_code)
             if self.spec.static_check == "screen" and static_report.has_errors:
-                return Message(
-                    sender=self.name,
-                    recipient="vectorizer",
-                    content=static_report.feedback_text(),
-                    payload={
-                        "outcome": Verdict.STATIC_REJECT,
-                        "accepted": False,
-                        "candidate_code": candidate,
-                        "static_report": static_report,
-                    },
-                )
-        report = checksum_testing(
-            self.scalar_code, candidate, seed=self.seed, trip_counts=self.trip_counts
-        )
-        payload = {
-            "outcome": report.outcome,
-            "accepted": report.outcome is Verdict.PLAUSIBLE,
-            "candidate_code": candidate,
-            "report": report,
-        }
-        if static_report is not None:
-            payload["static_report"] = static_report
-        return Message(
-            sender=self.name,
-            recipient="vectorizer",
-            content=report.feedback_text(),
-            payload=payload,
-        )
+                return TesterReply(Verdict.STATIC_REJECT, static_report.feedback_text(),
+                                   None, static_report)
+        report = checksum_testing(self.scalar_code, candidate)
+        return TesterReply(report.outcome, report.feedback_text(), report, static_report)

@@ -2,54 +2,33 @@
 
 from __future__ import annotations
 
-from repro.agents.base import Agent, Message
-from repro.llm.client import CompletionRequest, LLMClient
+from repro.llm.client import CompletionRequest, LLMClient, LLMCompletion
 from repro.llm.prompts import build_repair_prompt
 from repro.runspec import RunSpec
 
 
-class VectorizerAgent(Agent):
-    """Wraps the LLM client; first attempt uses the proxy's prompt, repairs
-    use the tester's feedback."""
+class VectorizerAgent:
+    """Wraps the LLM client: one completion per turn.
 
-    name = "vectorizer"
+    The first attempt sends the user proxy's prompt; a repair sends the
+    previous candidate with the tester's feedback.
+    """
 
-    def __init__(self, llm: LLMClient, kernel_name: str, scalar_code: str,
-                 temperature: float = 1.0, *, spec: RunSpec = RunSpec()):
+    def __init__(self, llm: LLMClient, kernel_name: str, scalar_code: str, *,
+                 spec: RunSpec = RunSpec()):
         self.llm = llm
         self.kernel_name = kernel_name
         self.scalar_code = scalar_code
-        self.temperature = temperature
         self.spec = spec
-        self.last_candidate: str | None = None
 
-    def respond(self, message: Message, history: list[Message]) -> Message:
-        if message.sender == "user_proxy":
-            prompt = message.content
-            feedback = ""
-        else:
-            feedback = message.content
-            prompt = build_repair_prompt(
-                self.scalar_code, self.last_candidate or "", feedback,
-                target=self.spec.target,
-            )
-        request = CompletionRequest(
-            prompt=prompt,
-            kernel_name=self.kernel_name,
-            scalar_code=self.scalar_code,
-            num_completions=1,
-            temperature=self.temperature,
-            feedback=feedback,
-            spec=self.spec,
-        )
-        completion = self.llm.complete(request)[0]
-        self.last_candidate = completion.code
-        return Message(
-            sender=self.name,
-            recipient="tester",
-            content="Here is the vectorized candidate.",
-            payload={
-                "candidate_code": completion.code,
-                "annotations": dict(completion.annotations),
-            },
-        )
+    def propose(self, prompt: str) -> LLMCompletion:
+        """One candidate for ``prompt``: the user proxy's, or a repair prompt."""
+        request = CompletionRequest(prompt=prompt, kernel_name=self.kernel_name,
+                                    scalar_code=self.scalar_code, spec=self.spec)
+        return self.llm.complete(request)[0]
+
+    def repair(self, previous: str, feedback: str) -> LLMCompletion:
+        """A corrected candidate, asked for with the ``previous`` one and the
+        tester's ``feedback`` on it."""
+        return self.propose(build_repair_prompt(self.scalar_code, previous, feedback,
+                                                target=self.spec.target))

@@ -9,7 +9,7 @@ must leave every array cell equal to the scalar program's result.
 """
 
 from repro.alive.symexec import SymbolicExecutionError, SymbolicExecutor, SymbolicState, execute_symbolically
-from repro.alive.verifier import AliveVerifier, VerifierConfig
+from repro.alive.verifier import AliveVerifier
 
 __all__ = [
     "SymbolicExecutionError",
@@ -17,5 +17,4 @@ __all__ = [
     "SymbolicState",
     "execute_symbolically",
     "AliveVerifier",
-    "VerifierConfig",
 ]

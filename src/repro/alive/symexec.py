@@ -581,11 +581,14 @@ class SymbolicExecutor:
         raise SymbolicExecutionError(f"unsupported unary operator {expr.op!r}")
 
     def _apply_increment(self, target: ast.Expr, delta: int, state: SymbolicState,
-                         return_new: bool) -> Term:
+                         return_new: bool) -> SymValue:
         old = self._read_lvalue(target, state)
-        if not isinstance(old, Term):
+        if isinstance(old, SymPointer):
+            new: SymValue = old.advanced(delta)
+        elif isinstance(old, Term):
+            new = mk(TermKind.ADD, old, bv_const(delta))
+        else:
             raise SymbolicExecutionError("increment of a non-scalar value")
-        new = mk(TermKind.ADD, old, bv_const(delta))
         self._write_lvalue(target, new, state)
         return new if return_new else old
 

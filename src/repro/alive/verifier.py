@@ -38,8 +38,6 @@ checksum testing, where the interpreter allocates every input array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.analysis.accesses import collect_accesses
 from repro.analysis.loops import find_main_loop
 from repro.cfront import ast_nodes as ast
@@ -56,34 +54,31 @@ from repro.transforms.spatial import spatial_access_summary
 from repro.verdict import Verdict
 
 
-@dataclass
-class VerifierConfig:
-    """Verification parameters.
-
-    ``trip_count`` must be a multiple of the vectorization width (the paper's
-    epilogue-elimination assumption).  Each stage's budget sets the reduced
-    width of its SAT check (:attr:`SolverBudget.sat_bitwidth`).
-    """
-
-    trip_count: int = 16
-    c_unroll_trip_count: int = 8
-    alive_budget: SolverBudget = field(default_factory=lambda: SolverBudget(
-        max_term_nodes=900, random_samples=24, sat_bitwidth=6,
-        sat_conflict_budget=2_500, sat_propagation_budget=120_000))
-    c_unroll_budget: SolverBudget = field(default_factory=lambda: SolverBudget(
-        max_term_nodes=2600, random_samples=32, sat_bitwidth=6,
-        sat_conflict_budget=8_000, sat_propagation_budget=400_000))
-    splitting_budget: SolverBudget = field(default_factory=lambda: SolverBudget(
-        max_term_nodes=1400, random_samples=32, sat_bitwidth=6,
-        sat_conflict_budget=8_000, sat_propagation_budget=400_000))
-    default_scalar_value: int = 3
+#: The bound of alive-unroll.  It must be a multiple of the vectorization
+#: width (the paper's epilogue-elimination assumption).
+TRIP_COUNT = 16
+#: The smaller bound of C-unroll and spatial splitting.
+C_UNROLL_TRIP_COUNT = 8
+#: The value of every scalar parameter other than ``n``.
+DEFAULT_SCALAR_VALUE = 3
+#: Each stage's solver budget; ``sat_bitwidth`` is the reduced width of its
+#: SAT check.
+ALIVE_BUDGET = SolverBudget(max_term_nodes=900, random_samples=24, sat_bitwidth=6,
+                            sat_conflict_budget=2_500, sat_propagation_budget=120_000)
+C_UNROLL_BUDGET = SolverBudget(max_term_nodes=2600, random_samples=32, sat_bitwidth=6,
+                               sat_conflict_budget=8_000, sat_propagation_budget=400_000)
+SPLITTING_BUDGET = SolverBudget(max_term_nodes=1400, random_samples=32, sat_bitwidth=6,
+                                sat_conflict_budget=8_000, sat_propagation_budget=400_000)
 
 
 class AliveVerifier:
-    """Checks a (scalar, vectorized) pair for refinement."""
+    """Checks a (scalar, vectorized) pair for refinement.
 
-    def __init__(self, config: VerifierConfig | None = None):
-        self.config = config or VerifierConfig()
+    ``trip_count`` is alive-unroll's bound (default :data:`TRIP_COUNT`).
+    """
+
+    def __init__(self, *, trip_count: int = TRIP_COUNT):
+        self.trip_count = trip_count
 
     # -- public methods, mirroring Algorithm 1 ----------------------------------------
 
@@ -91,8 +86,8 @@ class AliveVerifier:
                                 vectorized_code: str | ast.FunctionDef) -> EquivalenceResult:
         """Out-of-the-box bounded translation validation."""
         return self._check(scalar_code, vectorized_code,
-                           trip_count=self.config.trip_count,
-                           budget=self.config.alive_budget,
+                           trip_count=self.trip_count,
+                           budget=ALIVE_BUDGET,
                            transform_scalar=False,
                            split=False)
 
@@ -100,8 +95,8 @@ class AliveVerifier:
                             vectorized_code: str | ast.FunctionDef) -> EquivalenceResult:
         """C-level unrolling of the scalar side before validation (Section 3.2)."""
         return self._check(scalar_code, vectorized_code,
-                           trip_count=self.config.c_unroll_trip_count,
-                           budget=self.config.c_unroll_budget,
+                           trip_count=C_UNROLL_TRIP_COUNT,
+                           budget=C_UNROLL_BUDGET,
                            transform_scalar=True,
                            split=False)
 
@@ -109,8 +104,8 @@ class AliveVerifier:
                                      vectorized_code: str | ast.FunctionDef) -> EquivalenceResult:
         """Per-index equivalence queries for dependence-free kernels (Section 3.3)."""
         return self._check(scalar_code, vectorized_code,
-                           trip_count=self.config.c_unroll_trip_count,
-                           budget=self.config.splitting_budget,
+                           trip_count=C_UNROLL_TRIP_COUNT,
+                           budget=SPLITTING_BUDGET,
                            transform_scalar=False,
                            split=True)
 
@@ -241,7 +236,7 @@ class AliveVerifier:
             if param.name == "n":
                 values[param.name] = trip_count
             else:
-                values[param.name] = self.config.default_scalar_value
+                values[param.name] = DEFAULT_SCALAR_VALUE
         return values
 
 

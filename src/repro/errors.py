@@ -60,9 +60,7 @@ class UndefinedBehaviorError(InterpreterError):
     """Execution hit undefined behaviour that the memory model refuses to mask.
 
     An access past the guard zone or before it, an access to an unknown
-    region and a negative array size raise this error.  A
-    :class:`~repro.interp.memory.Memory` built with ``strict=True`` also
-    raises it for each UB event it would otherwise only record.
+    region and a negative array size raise this error.
     """
 
     def __init__(self, message: str, kind: str = "generic"):

@@ -88,8 +88,7 @@ class ChecksumEvaluation:
                 if r.first_plausible_code is not None}
 
 
-def classify_completions(scalar_code: str, codes: list[str],
-                         checksum_seed: int = 0) -> tuple[list[Verdict], int | None]:
+def classify_completions(scalar_code: str, codes: list[str]) -> tuple[list[Verdict], int | None]:
     """Classify completions by checksum testing, deduplicating identical code.
 
     Returns the per-completion outcomes plus the index of the first plausible
@@ -102,7 +101,7 @@ def classify_completions(scalar_code: str, codes: list[str],
         digest = hashlib.sha256(code.encode()).hexdigest()
         outcome = cache.get(digest)
         if outcome is None:
-            outcome = checksum_testing(scalar_code, code, seed=checksum_seed).outcome
+            outcome = checksum_testing(scalar_code, code).outcome
             cache[digest] = outcome
         outcomes.append(outcome)
         if outcome is Verdict.PLAUSIBLE and first_plausible is None:
@@ -120,13 +119,11 @@ def checksum_kernel_job(task: KernelTask) -> dict:
         kernel_name=task.kernel,
         scalar_code=task.scalar_code,
         num_completions=payload["num_completions"],
-        temperature=payload["temperature"],
         spec=spec,
     )
     completions = model.complete(request)
     outcomes, first_plausible = classify_completions(
-        task.scalar_code, [c.code for c in completions], payload["checksum_seed"]
-    )
+        task.scalar_code, [c.code for c in completions])
     return {
         "kernel": task.kernel,
         "num_completions": len(completions),
@@ -159,8 +156,6 @@ def run_checksum_evaluation(
     num_completions: int = 100,
     kernels: list[str] | None = None,
     llm: SyntheticLLM | None = None,
-    checksum_seed: int = 0,
-    temperature: float = 1.0,
     campaign: CampaignRunner | CampaignConfig | None = None,
 ) -> ChecksumEvaluation:
     """Generate ``num_completions`` per kernel and classify each by checksum testing.
@@ -178,8 +173,6 @@ def run_checksum_evaluation(
     payload = {
         "llm_config": llm_config,
         "num_completions": num_completions,
-        "checksum_seed": checksum_seed,
-        "temperature": temperature,
         "spec": spec,
     }
     # The fingerprint excludes ``num_completions`` so that a larger stored
@@ -187,9 +180,7 @@ def run_checksum_evaluation(
     # element type is already in the kernel name and source, and the static
     # check plays no part in sampling.
     config_hash = config_fingerprint(
-        {"llm": llm_config, "checksum_seed": checksum_seed, "temperature": temperature,
-         "target": spec.target, "epilogue": spec.epilogue},
-    )
+        {"llm": llm_config, "target": spec.target, "epilogue": spec.epilogue})
     tasks = runner.suite_tasks(kernels, payload, config_hash, seed=llm_config.seed)
     report = runner.run_tasks(
         checksum_kernel_job, tasks, label="checksum-eval",

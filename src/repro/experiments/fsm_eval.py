@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.agents.fsm import FSMConfig, run_fsm_on_kernel
+from repro.agents.fsm import FSMConfig, VectorizationFSM
 from repro.llm.synthetic import SyntheticLLM, suite_llm_config
 from repro.pipeline.campaign import (
     CampaignConfig,
@@ -82,8 +82,8 @@ def fsm_kernel_job(task: KernelTask) -> dict:
     """Campaign job: run the multi-agent FSM on one kernel with its derived seed."""
     payload = task.payload
     llm = SyntheticLLM(replace(payload["llm_config"], seed=task.seed))
-    result = run_fsm_on_kernel(llm, task.kernel, task.scalar_code, payload["fsm_config"],
-                               spec=payload["spec"])
+    result = VectorizationFSM(llm, task.kernel, task.scalar_code, payload["fsm_config"],
+                              spec=payload["spec"]).run()
     return {
         "kernel": task.kernel,
         "accepted": result.accepted,

@@ -10,17 +10,15 @@ Kernels are independent, so the funnel runs per kernel through the campaign
 engine: one job pushes one (scalar, candidate) pair through Algorithm 1's
 verification stages (:class:`~repro.pipeline.equivalence.EquivalencePipeline`,
 checksum testing skipped — every candidate is already plausible) until a
-technique settles it.  The cache key covers the scalar source, the
-candidate code and the verifier configuration, so a re-run (or a pass@k
-re-estimation feeding the same candidates) skips already-verified candidates
-entirely.
+technique settles it.  The cache key covers the scalar source and the
+candidate code, so a re-run (or a pass@k re-estimation feeding the same
+candidates) skips already-verified candidates entirely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alive.verifier import VerifierConfig
 from repro.pipeline.campaign import (
     CampaignConfig,
     CampaignRunner,
@@ -96,7 +94,7 @@ class VerificationFunnel:
 
 def funnel_kernel_job(task: KernelTask) -> dict:
     """Campaign job: push one candidate through the funnel until settled."""
-    report = EquivalencePipeline(task.payload["verifier_config"]).check_equivalence(
+    report = EquivalencePipeline().check_equivalence(
         task.scalar_code, task.candidate_code, skip_checksum=True)
     return {
         "kernel": task.kernel,
@@ -112,7 +110,6 @@ def run_verification_funnel(
     plausible_candidates: dict[str, str],
     scalar_sources: dict[str, str],
     total_tests: int | None = None,
-    verifier_config: VerifierConfig | None = None,
     campaign: CampaignRunner | CampaignConfig | None = None,
 ) -> VerificationFunnel:
     """Run the three-stage funnel over checksum-plausible candidates.
@@ -122,18 +119,17 @@ def run_verification_funnel(
     ``total_tests`` is the size of the full dataset (for the Checksum row);
     kernels without a plausible candidate count as refuted by checksum.
     """
-    config = verifier_config or VerifierConfig()
-    payload = {"verifier_config": config}
-    config_hash = config_fingerprint(config)
-    # The verifier is deterministic, so the seed plays no role here; pinning
-    # it keeps the content-addressed key purely (scalar, candidate, config).
+    # The verifier is deterministic and has no settings, so the seed plays
+    # no role here; pinning it keeps the content-addressed key purely
+    # (scalar, candidate).
+    config_hash = config_fingerprint({})
     tasks = [
         KernelTask(
             kernel=kernel_name,
             scalar_code=scalar_sources[kernel_name],
             seed=0,
             config_hash=config_hash,
-            payload=payload,
+            payload={},
             candidate_code=candidate,
         )
         for kernel_name, candidate in plausible_candidates.items()

@@ -617,14 +617,14 @@ class _Compiler:
         if op == "/":
             def divide(st: _Run, lhs: int, rhs: int) -> int:
                 if rhs == 0:
-                    st.memory._record(UBEvent("div-by-zero", "<scalar>", 0, "division by zero"))
+                    st.memory.ub_events.append(UBEvent("div-by-zero", "<scalar>", 0, "division by zero"))
                     return 0
                 return wrap(trunc_div(lhs, rhs))
             return divide
         if op == "%":
             def modulo(st: _Run, lhs: int, rhs: int) -> int:
                 if rhs == 0:
-                    st.memory._record(UBEvent("div-by-zero", "<scalar>", 0, "modulo by zero"))
+                    st.memory.ub_events.append(UBEvent("div-by-zero", "<scalar>", 0, "modulo by zero"))
                     return 0
                 return wrap(lhs - trunc_div(lhs, rhs) * rhs)
             return modulo
@@ -736,7 +736,14 @@ class _Compiler:
                         counts["scalar_write"] += 0
                         counts["scalar_arith"] += 1
                         return new if return_new else old
-            old = _as_int(read(st))
+            value = read(st)
+            if isinstance(value, Pointer):
+                # ``p++`` moves a pointer as ``p += 1`` does: its read and
+                # write steps, and no arithmetic step.
+                moved = value.advanced(delta)
+                write(st, moved)
+                return moved if return_new else value
+            old = _as_int(value)
             new = wrap(old + delta)
             write(st, new)
             st.left -= 1

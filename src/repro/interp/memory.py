@@ -74,13 +74,11 @@ class ArrayRegion:
 class Memory:
     """A collection of named array regions plus a UB event log."""
 
-    def __init__(self, strict: bool = False, dtype: LaneType = INT32):
+    def __init__(self, dtype: LaneType = INT32):
         self.regions: dict[str, ArrayRegion] = {}
+        #: Guard-zone accesses proceed with poison values; their events are
+        #: only recorded here.
         self.ub_events: list[UBEvent] = []
-        #: In strict mode every UB event raises immediately; in permissive
-        #: mode, the one the interpreter runs in, guard-zone accesses
-        #: proceed with poison values and the events are only recorded.
-        self.strict = strict
         #: Lane element type every stored value wraps at.
         self.dtype = dtype
         self._wrap = dtype.wrap
@@ -118,21 +116,16 @@ class Memory:
 
     # -- element access -------------------------------------------------------
 
-    def _record(self, event: UBEvent) -> None:
-        self.ub_events.append(event)
-        if self.strict:
-            raise UndefinedBehaviorError(str(event), event.kind)
-
     def load(self, name: str, index: int) -> tuple[int, bool]:
         """Load one element; returns ``(value, poison)``."""
         region = self.region(name)
         if region.in_bounds(index):
             return region.data[index], region.poison[index]
         if region.in_guard(index):
-            self._record(UBEvent("oob-read", name, index, "read in guard zone"))
+            self.ub_events.append(UBEvent("oob-read", name, index, "read in guard zone"))
             return region.data[index], True
         if -region.guard <= index < 0:
-            self._record(UBEvent("oob-read", name, index, "read before start"))
+            self.ub_events.append(UBEvent("oob-read", name, index, "read before start"))
             return 0, True
         raise UndefinedBehaviorError(
             f"out-of-bounds read {name}[{index}] (size {region.size})", "oob-read-far"
@@ -142,18 +135,18 @@ class Memory:
         """Store one element, recording UB for guard-zone or poison stores."""
         region = self.region(name)
         if poison:
-            self._record(UBEvent("poison-store", name, index, "stored a poison value"))
+            self.ub_events.append(UBEvent("poison-store", name, index, "stored a poison value"))
         if region.in_bounds(index):
             region.data[index] = self._wrap(value)
             region.poison[index] = poison
             return
         if region.in_guard(index):
-            self._record(UBEvent("oob-write", name, index, "write in guard zone"))
+            self.ub_events.append(UBEvent("oob-write", name, index, "write in guard zone"))
             region.data[index] = self._wrap(value)
             region.poison[index] = True
             return
         if -region.guard <= index < 0:
-            self._record(UBEvent("oob-write", name, index, "write before start"))
+            self.ub_events.append(UBEvent("oob-write", name, index, "write before start"))
             return
         raise UndefinedBehaviorError(
             f"out-of-bounds write {name}[{index}] (size {region.size})", "oob-write-far"

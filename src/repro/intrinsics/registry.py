@@ -35,7 +35,7 @@ from repro.targets import ALL_TARGETS, TargetISA, get_target
 
 @dataclass(frozen=True)
 class IntrinsicSpec:
-    """Description of one intrinsic: arity, kind, cost, width and generic op.
+    """Description of one intrinsic: arity, kind, width and generic op.
 
     ``kind`` is one of ``pure_binary``/``pure_unary`` (a named lane op that
     :mod:`repro.intrinsics.lanemath` evaluates; ``fn`` is None),
@@ -50,8 +50,8 @@ class IntrinsicSpec:
     first operand), ``pred_cmp`` (vectors to predicate), ``psel``
     (predicate-selected blend), ``pred_merge_binary`` (merging predicated
     arithmetic) and ``pload``/``pstore`` (predicate-governed memory, handled
-    by the interpreter).  ``cycle_cost`` is the rough reciprocal throughput
-    fed to the registry consumers; ``lanes`` is the register width in lanes
+    by the interpreter).  The simulator prices each kind through
+    :mod:`repro.perf.costmodel`.  ``lanes`` is the register width in lanes
     of the spec's element type; ``op`` is the generic operation name shared
     across targets; ``dtype`` names the lane element type the spec models.
     """
@@ -59,7 +59,6 @@ class IntrinsicSpec:
     name: str
     arity: int
     kind: str
-    cycle_cost: float
     fn: Callable | None = None
     lanes: int = 8
     op: str = ""
@@ -243,60 +242,59 @@ def _pred_merge_fn(op: str):
 # the generic operation table
 # ---------------------------------------------------------------------------
 
-#: op -> (kind, arity, base cycle cost, function).  ``arity = -1`` means one
-#: argument per lane (the set/setr constructors).  The plain lane ops
+#: op -> (kind, arity, function).  ``arity = -1`` means one argument per
+#: lane (the set/setr constructors).  The plain lane ops
 #: (``pure_binary``/``pure_unary``) and the interpreter-owned kinds have no
-#: function here.  Costs are the AVX2 base
-#: figures; targets override per op via ``intrinsic_cost_overrides``.
-_GENERIC_OPS: dict[str, tuple[str, int, float, Callable | None]] = {
-    "add": ("pure_binary", 2, 0.5, None),
-    "sub": ("pure_binary", 2, 0.5, None),
-    "mul": ("pure_binary", 2, 2.0, None),
-    "cmpgt": ("pure_binary", 2, 0.5, None),
-    "cmpeq": ("pure_binary", 2, 0.5, None),
-    "max": ("pure_binary", 2, 0.5, None),
-    "min": ("pure_binary", 2, 0.5, None),
-    "and": ("pure_binary", 2, 0.33, None),
-    "or": ("pure_binary", 2, 0.33, None),
-    "xor": ("pure_binary", 2, 0.33, None),
-    "andnot": ("pure_binary", 2, 0.33, None),
-    "abs": ("pure_unary", 1, 0.5, None),
-    "select": ("pure_vector", 3, 1.0, _select),
-    "hadd": ("pure_vector", 2, 2.0, _hadd),
-    "srl": ("pure_imm", 2, 0.5, _srl),
-    "sll": ("pure_imm", 2, 0.5, _sll),
-    "sra": ("pure_imm", 2, 0.5, _sra),
-    "shuffle": ("pure_imm", 2, 1.0, _shuffle_lanes),
-    "permute_halves": ("pure_imm2", 3, 3.0, _permute_halves),
-    "loadu": ("load", 1, 3.0, None),
-    "storeu": ("store", 2, 3.0, None),
-    "maskload": ("maskload", 2, 4.0, None),
-    "maskstore": ("maskstore", 3, 4.0, None),
-    "set1": ("set1", 1, 1.0, None),
-    "setzero": ("setzero", 0, 0.33, None),
-    "setr": ("setr", -1, 1.0, None),
-    "set": ("set", -1, 1.0, None),
-    "extract": ("extract", 2, 2.0, None),
+#: function here.
+_GENERIC_OPS: dict[str, tuple[str, int, Callable | None]] = {
+    "add": ("pure_binary", 2, None),
+    "sub": ("pure_binary", 2, None),
+    "mul": ("pure_binary", 2, None),
+    "cmpgt": ("pure_binary", 2, None),
+    "cmpeq": ("pure_binary", 2, None),
+    "max": ("pure_binary", 2, None),
+    "min": ("pure_binary", 2, None),
+    "and": ("pure_binary", 2, None),
+    "or": ("pure_binary", 2, None),
+    "xor": ("pure_binary", 2, None),
+    "andnot": ("pure_binary", 2, None),
+    "abs": ("pure_unary", 1, None),
+    "select": ("pure_vector", 3, _select),
+    "hadd": ("pure_vector", 2, _hadd),
+    "srl": ("pure_imm", 2, _srl),
+    "sll": ("pure_imm", 2, _sll),
+    "sra": ("pure_imm", 2, _sra),
+    "shuffle": ("pure_imm", 2, _shuffle_lanes),
+    "permute_halves": ("pure_imm2", 3, _permute_halves),
+    "loadu": ("load", 1, None),
+    "storeu": ("store", 2, None),
+    "maskload": ("maskload", 2, None),
+    "maskstore": ("maskstore", 3, None),
+    "set1": ("set1", 1, None),
+    "setzero": ("setzero", 0, None),
+    "setr": ("setr", -1, None),
+    "set": ("set", -1, None),
+    "extract": ("extract", 2, None),
     # Reduction tails historically extract through the low register half;
     # the cast is a free reinterpret, modelled as a width truncation.
-    "cast_low": ("cast_low", 1, 0.0, None),
+    "cast_low": ("cast_low", 1, None),
     # SVE's ramp constructor: lanes[k] = base + step * k.
-    "index": ("index", 2, 1.0, None),
+    "index": ("index", 2, None),
     # predicate construction, queries and logic (predicate-first targets)
-    "ptrue": ("ptrue", 0, 0.5, None),
-    "whilelt": ("whilelt", 2, 1.0, None),
-    "ptest_any": ("ptest", 1, 1.0, None),
-    "pnot": ("pred_unary", 2, 0.5, _pred_not),
-    "pand": ("pred_binary", 3, 0.5, _pred_logic_fn("and")),
-    "por": ("pred_binary", 3, 0.5, _pred_logic_fn("or")),
+    "ptrue": ("ptrue", 0, None),
+    "whilelt": ("whilelt", 2, None),
+    "ptest_any": ("ptest", 1, None),
+    "pnot": ("pred_unary", 2, _pred_not),
+    "pand": ("pred_binary", 3, _pred_logic_fn("and")),
+    "por": ("pred_binary", 3, _pred_logic_fn("or")),
     # predicate-producing comparisons, predicate-consuming data ops
-    "pcmpgt": ("pred_cmp", 3, 0.5, _pred_cmp_fn("cmpgt")),
-    "pcmpeq": ("pred_cmp", 3, 0.5, _pred_cmp_fn("cmpeq")),
-    "psel": ("psel", 3, 1.0, _psel),
-    "padd": ("pred_merge_binary", 3, 0.5, _pred_merge_fn("add")),
+    "pcmpgt": ("pred_cmp", 3, _pred_cmp_fn("cmpgt")),
+    "pcmpeq": ("pred_cmp", 3, _pred_cmp_fn("cmpeq")),
+    "psel": ("psel", 3, _psel),
+    "padd": ("pred_merge_binary", 3, _pred_merge_fn("add")),
     # predicate-governed memory (the interpreter owns the memory model)
-    "pload": ("pload", 2, 3.5, None),
-    "pstore": ("pstore", 3, 3.5, None),
+    "pload": ("pload", 2, None),
+    "pstore": ("pstore", 3, None),
 }
 
 
@@ -309,16 +307,14 @@ def build_registry(target: TargetISA,
         return {}
     lanes = target.lanes_for(lane_type)
     registry: dict[str, IntrinsicSpec] = {}
-    for op, (kind, arity, base_cost, fn) in _GENERIC_OPS.items():
+    for op, (kind, arity, fn) in _GENERIC_OPS.items():
         if not target.supports(op, lane_type):
             continue
         name = target.intrinsic(op, lane_type)
-        cost = target.intrinsic_cost_overrides.get(op, base_cost)
         registry[name] = IntrinsicSpec(
             name=name,
             arity=arity if arity >= 0 else lanes,
             kind=kind,
-            cycle_cost=cost,
             fn=fn,
             lanes=lanes,
             op=op,

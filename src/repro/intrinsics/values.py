@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Sequence
-from typing import ClassVar
 
 from repro.intrinsics import lanemath
 from repro.intrinsics.lanemath import whilelt_lanes
@@ -57,9 +56,6 @@ class VecValue:
     poison: tuple[bool, ...] = ()
     dtype: LaneType = INT32
 
-    #: Subclasses may pin a width so ``splat()``/``zero()`` work bare.
-    default_width: ClassVar[int | None] = None
-
     def __post_init__(self) -> None:
         if not self.poison:
             object.__setattr__(self, "poison", (False,) * len(self.lanes))
@@ -75,13 +71,6 @@ class VecValue:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _width(cls, width: int | None) -> int:
-        resolved = width if width is not None else cls.default_width
-        if resolved is None:
-            raise ValueError("a vector width is required")
-        return resolved
-
-    @classmethod
     def from_lanes(cls, lanes: Sequence[int],
                    poison: Sequence[bool] | None = None,
                    dtype: LaneType = INT32) -> "VecValue":
@@ -94,14 +83,12 @@ class VecValue:
         return cls(wrapped, flags, dtype)
 
     @classmethod
-    def splat(cls, value: int, width: int | None = None,
-              dtype: LaneType = INT32) -> "VecValue":
-        return cls.from_lanes([value] * cls._width(width), dtype=dtype)
+    def splat(cls, value: int, width: int, dtype: LaneType = INT32) -> "VecValue":
+        return cls.from_lanes([value] * width, dtype=dtype)
 
     @classmethod
-    def zero(cls, width: int | None = None,
-             dtype: LaneType = INT32) -> "VecValue":
-        return cls.from_lanes([0] * cls._width(width), dtype=dtype)
+    def zero(cls, width: int, dtype: LaneType = INT32) -> "VecValue":
+        return cls.from_lanes([0] * width, dtype=dtype)
 
     # -- queries ------------------------------------------------------------
 

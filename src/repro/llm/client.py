@@ -2,7 +2,7 @@
 
 The pipeline never talks to a model directly; it sends a
 :class:`CompletionRequest` (a natural-language prompt that embeds the scalar
-C code and, optionally, dependence-analysis feedback) to an
+C code and, optionally, dependence-analysis or testing feedback) to an
 :class:`LLMClient` and receives :class:`LLMCompletion` objects holding C
 source text.  This mirrors the paper's setup (GPT-4, temperature 1.0,
 ``n`` code completions per request) while allowing the offline synthetic
@@ -26,8 +26,6 @@ class CompletionRequest:
     scalar_code: str
     num_completions: int = 1
     temperature: float = 1.0
-    #: Extra context the agents attach (dependence analysis, test feedback).
-    feedback: str = ""
     #: The run's settings; the completion targets ``spec.target`` and uses
     #: the ``spec.epilogue`` tail strategy.
     spec: RunSpec = RunSpec()

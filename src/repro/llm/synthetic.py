@@ -129,7 +129,7 @@ class SyntheticLLM(LLMClient):
         correct_source = result.source
         fault_rate = self.config.fault_profile.fault_rate(
             has_dependence_feedback(request.prompt),
-            has_tester_feedback(request.prompt) or bool(request.feedback),
+            has_tester_feedback(request.prompt),
         )
         fault_rate = min(0.95, fault_rate * self._kernel_difficulty(request, scalar_func))
         fault_rate *= max(0.2, min(1.5, request.temperature))

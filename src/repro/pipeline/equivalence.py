@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.alive.verifier import AliveVerifier, VerifierConfig
+from repro.alive.verifier import AliveVerifier
 from repro.interp.checksum import ChecksumReport, checksum_testing
 from repro.verdict import Verdict
 
@@ -39,8 +39,8 @@ class PipelineReport:
 class EquivalencePipeline:
     """Runs Algorithm 1; construct once and reuse across kernels."""
 
-    def __init__(self, verifier_config: VerifierConfig | None = None):
-        self.verifier = AliveVerifier(verifier_config)
+    def __init__(self):
+        self.verifier = AliveVerifier()
 
     def check_equivalence(self, scalar_code: str, vectorized_code: str,
                           skip_checksum: bool = False) -> PipelineReport:

@@ -76,7 +76,7 @@ class _PolynomialBlowup(Exception):
     """Raised when ring expansion would exceed the monomial cap."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverBudget:
     """Resource limits; exhausting any of them yields Inconclusive."""
 

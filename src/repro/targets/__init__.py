@@ -25,7 +25,6 @@ from repro.targets.isa import (
     TargetISA,
     UnknownIntrinsicName,
     UnsupportedTargetOperation,
-    all_targets,
     contains_known_intrinsics,
     detect_target,
     dtype_of_spelling,
@@ -52,7 +51,6 @@ __all__ = [
     "TargetISA",
     "UnknownIntrinsicName",
     "UnsupportedTargetOperation",
-    "all_targets",
     "contains_known_intrinsics",
     "detect_target",
     "dtype_of_spelling",

@@ -285,14 +285,6 @@ class TargetISA:
     #: Cost-model category overrides (``vec_load`` ...) relative to the AVX2
     #: base table in :mod:`repro.perf.costmodel`.
     vector_cost_overrides: Mapping[str, float] = field(default_factory=dict)
-    #: Per-op cycle-cost overrides for the intrinsic registry specs, keyed by
-    #: generic op name.
-    intrinsic_cost_overrides: Mapping[str, float] = field(default_factory=dict)
-    #: True when masked loads/stores/blends are first-class instructions
-    #: (AVX-512) rather than AVX-style emulations.
-    has_native_masked_ops: bool = False
-    #: Bits per lane; the whole pipeline models 32-bit integer TSVC loops.
-    lane_bits: int = 32
     #: Header a candidate for this target conventionally includes.
     header: str = "immintrin.h"
     #: A gather spelling the target does *not* actually have; the synthetic
@@ -348,7 +340,7 @@ class TargetISA:
 
     @property
     def register_bits(self) -> int:
-        return self.lanes * self.lane_bits
+        return self.lanes * 32
 
     def supports_dtype(self, dtype: "LaneType | str | None") -> bool:
         """Whether this target has an op table for ``dtype`` at all."""
@@ -460,22 +452,10 @@ class TargetISA:
             )
         return self.vector_type
 
-    @property
-    def vector_ctype(self) -> "CType":
-        from repro.cfront.ctypes import CType
-
-        return CType(self.vector_type)
-
     def vector_ctype_for(self, dtype: "LaneType | str | None" = None) -> "CType":
         from repro.cfront.ctypes import CType
 
         return CType(self.vector_type_for(dtype))
-
-    @property
-    def vector_pointer_ctype(self) -> "CType":
-        from repro.cfront.ctypes import CType
-
-        return CType(self.vector_type, 1)
 
     def vector_pointer_ctype_for(self,
                                  dtype: "LaneType | str | None" = None) -> "CType":
@@ -512,7 +492,6 @@ SSE4 = TargetISA(
         "vec_set": 1.5,
         "vec_extract": 2.0,
     },
-    intrinsic_cost_overrides={"loadu": 2.0, "storeu": 2.0, "extract": 1.0},
     bogus_gather_spelling="_mm_gather_load_epi32",
     op_names_by_dtype={
         "int16": _x86_op_names("_mm", "si128", 16, permute_halves=""),
@@ -561,8 +540,6 @@ NEON = TargetISA(
         "vec_setr": 1.5,
         "vec_extract": 1.5,
     },
-    intrinsic_cost_overrides={"loadu": 2.0, "storeu": 2.0, "extract": 1.0,
-                              "mul": 1.5, "select": 0.5},
     bogus_gather_spelling="vgatherq_s32",
     header="arm_neon.h",
 )
@@ -598,8 +575,6 @@ SVE128 = TargetISA(
         "vec_pstore": 4.5,
         "vec_extract": 1.5,
     },
-    intrinsic_cost_overrides={"pload": 2.5, "pstore": 2.5, "extract": 1.0,
-                              "mul": 1.5, "psel": 0.5},
     bogus_gather_spelling="svgather_index_s32_vl128",
     header="arm_sve.h",
     predicate_type="svbool_t",
@@ -629,7 +604,6 @@ SVE256 = TargetISA(
         "vec_pload": 6.5,
         "vec_pstore": 6.5,
     },
-    intrinsic_cost_overrides={"mul": 1.5, "psel": 0.5},
     bogus_gather_spelling="svgather_index_s32_vl256",
     header="arm_sve.h",
     predicate_type="svbool_t",
@@ -720,9 +694,6 @@ AVX512 = TargetISA(
         "vec_set": 3.0,
         "vec_extract": 4.0,
     },
-    intrinsic_cost_overrides={"loadu": 4.0, "storeu": 4.0, "extract": 3.0,
-                              "mul": 2.5, "select": 1.0},
-    has_native_masked_ops=True,
     bogus_gather_spelling="_mm512_gather_load_epi32",
 )
 
@@ -900,10 +871,6 @@ def vector_type_lanes_for(type_name: str,
 def target_names() -> list[str]:
     """Canonical names of all registered targets, narrow to wide."""
     return [target.name for target in ALL_TARGETS]
-
-
-def all_targets() -> tuple[TargetISA, ...]:
-    return ALL_TARGETS
 
 
 def get_target(target: "TargetISA | str | None") -> TargetISA:

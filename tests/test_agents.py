@@ -1,11 +1,11 @@
 """Tests for the multi-agent FSM orchestration."""
 
 from repro.agents import CompilerTesterAgent, FSMConfig, UserProxyAgent, VectorizationFSM
-from repro.agents.base import Message
 from repro.llm.faults import FaultKind, FaultProfile
 from repro.llm.synthetic import SyntheticLLM, SyntheticLLMConfig
 from repro.tsvc import load_kernel
 from repro.vectorizer import vectorize_kernel
+from repro.verdict import Verdict
 
 
 def _llm(seed=0, **profile_kwargs):
@@ -16,11 +16,9 @@ def _llm(seed=0, **profile_kwargs):
 class TestUserProxy:
     def test_initial_message_contains_code_and_dependence_analysis(self):
         kernel = load_kernel("s212")
-        proxy = UserProxyAgent(kernel.name, kernel.source)
-        message = proxy.initial_message()
-        assert message.recipient == "vectorizer"
-        assert "a[i]" in message.content
-        assert "dependence" in message.content.lower()
+        prompt = UserProxyAgent(kernel.source).opening_prompt()
+        assert "a[i]" in prompt
+        assert "dependence" in prompt.lower()
 
 
 class TestTesterAgent:
@@ -28,16 +26,18 @@ class TestTesterAgent:
         kernel = load_kernel("s000")
         correct = vectorize_kernel(kernel.function).source
         tester = CompilerTesterAgent(kernel.source)
-        reply = tester.respond(Message("vectorizer", "tester", "", {"candidate_code": correct}), [])
-        assert reply.payload["accepted"] is True
+        reply = tester.test(correct)
+        assert reply.outcome is Verdict.PLAUSIBLE
+        assert reply.report is not None and reply.static_report is not None
 
     def test_rejects_wrong_candidate_with_feedback(self):
         kernel = load_kernel("s000")
         wrong = kernel.source.replace("+ 1", "+ 2")
         tester = CompilerTesterAgent(kernel.source)
-        reply = tester.respond(Message("vectorizer", "tester", "", {"candidate_code": wrong}), [])
-        assert reply.payload["accepted"] is False
-        assert "differs" in reply.content
+        reply = tester.test(wrong)
+        assert reply.outcome is Verdict.NOT_EQUIVALENT
+        assert "differs" in reply.feedback
+        assert reply.feedback == reply.report.feedback_text()
 
 
 class TestFSM:
@@ -72,10 +72,3 @@ class TestFSM:
         llm = _llm(seed=11)
         result = VectorizationFSM(llm, kernel.name, kernel.source, FSMConfig(max_attempts=5)).run()
         assert result.llm_invocations == result.attempts
-
-    def test_conversation_alternates_vectorizer_and_tester(self):
-        kernel = load_kernel("s000")
-        result = VectorizationFSM(_llm(), kernel.name, kernel.source).run()
-        senders = [m.sender for m in result.conversation]
-        assert senders[0] == "user_proxy"
-        assert "vectorizer" in senders and "tester" in senders

@@ -398,13 +398,36 @@ def test_interpreter_observables_are_pinned(name, pins):
     ("endless-loop", "InterpreterError"),
     ("budget-one-short", "InterpreterError"),
     ("vector-budget-one-short", "InterpreterError"),
-    ("pointer-increment", "InterpreterError"),
 ])
 def test_error_snippets_raise_what_they_are_named_for(label, expected):
     func = parse_function(SNIPPETS[label])
     for vector in _suite(func):
         outcome = _observe(func, vector, BUDGETS.get(label, 2_000_000))
         assert outcome[:2] == ("raised", expected), outcome
+
+
+#: Each ``++``/``--`` form on a pointer, and the compound assignment it must
+#: equal step for step.
+POINTER_INCREMENTS = [
+    ("p++;", "p += 1;"), ("++p;", "p += 1;"), ("p--;", "p -= 1;"), ("--p;", "p -= 1;"),
+    ("x += *(++p);", "x += *(p += 1);"), ("x += *(--p);", "x += *(p -= 1);"),
+]
+
+
+@pytest.mark.parametrize("step, twin", POINTER_INCREMENTS)
+def test_pointer_increments_observe_as_their_compound_twin(step, twin):
+    """Same outputs, UB events, steps, ``op_counts`` order and return value."""
+    template = ("int f(int *a, int *b, int n) {{\n"
+                "    int *p = &a[8];\n"
+                "    int x = 0;\n"
+                "    for (int i = 0; i < 4; i++) {{ {step} b[i] = *p + x; }}\n"
+                "    return *p;\n"
+                "}}\n")
+    func, other = (parse_function(template.format(step=s)) for s in (step, twin))
+    for vector in _suite(func):
+        outcome = _observe(func, vector)
+        assert outcome[0] != "raised", outcome
+        assert outcome == _observe(other, vector)
 
 
 @pytest.mark.parametrize("label, kinds", [

@@ -36,12 +36,6 @@ class TestMemory:
         with pytest.raises(UndefinedBehaviorError):
             memory.load("a", 100)
 
-    def test_strict_mode_raises_on_guard_access(self):
-        memory = Memory(strict=True)
-        memory.allocate("a", 4, guard=8)
-        with pytest.raises(UndefinedBehaviorError):
-            memory.load("a", 6)
-
     def test_checksum_changes_with_content(self):
         memory = Memory()
         memory.allocate("a", 4, [1, 2, 3, 4])

@@ -23,7 +23,7 @@ import random
 import pytest
 
 from repro.alive.symexec import execute_symbolically
-from repro.alive.verifier import AliveVerifier, VerifierConfig
+from repro.alive.verifier import AliveVerifier
 from repro.cfront.cparser import parse_function
 from repro.cfront.lexer import KEYWORDS, tokenize
 from repro.interp.interpreter import run_function
@@ -321,7 +321,7 @@ def test_vector_type_table_and_keywords_derive_from_targets():
         expected = SCALABLE_LANES if isa.scalable else isa.lanes
         assert VECTOR_TYPE_LANES[isa.vector_type] == expected
         assert isa.vector_type in KEYWORDS
-        assert isa.vector_ctype.vector_lanes == expected
+        assert isa.vector_ctype_for().vector_lanes == expected
     for predicate_type in PREDICATE_TYPE_NAMES:
         assert predicate_type in KEYWORDS
 
@@ -437,7 +437,7 @@ class TestMaskedTail:
         bounded validator proves equivalence at an unaligned bound."""
         loaded = load_kernel("s000")
         result = vectorize_kernel(loaded.function, "avx2", epilogue="masked")
-        verifier = AliveVerifier(VerifierConfig(trip_count=13))
+        verifier = AliveVerifier(trip_count=13)
         report = verifier.check_with_alive_unroll(loaded.source, result.source)
         assert report.outcome is Verdict.EQUIVALENT
 

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from repro.alive.verifier import VerifierConfig
 from repro.llm.client import CompletionRequest
 from repro.llm.faults import FaultKind, apply_fault
 from repro.llm.prompts import build_vectorization_prompt
@@ -225,6 +224,5 @@ class TestFunnelRecords:
                                     num_completions=index + 1)
         candidate = llm.complete(request)[index].code
         task = KernelTask(kernel=kernel, scalar_code=source, seed=0, config_hash="cfg",
-                          payload={"verifier_config": VerifierConfig()},
-                          candidate_code=candidate)
+                          payload={}, candidate_code=candidate)
         assert json.dumps(funnel_kernel_job(task)) == record

@@ -331,17 +331,14 @@ class TestScreeningIntegration:
     def test_advisory_mode_never_rejects_statically(self):
         """Advisory acceptance is checksum testing's alone."""
         from repro.agents import CompilerTesterAgent
-        from repro.agents.base import Message
         from repro.verdict import Verdict
 
         kernel, source = golden("s000")
         mutated = apply_fault(source, FaultKind.MISSING_EPILOGUE, random.Random(0))
         tester = CompilerTesterAgent(kernel.source, spec=RunSpec(static_check="advisory"))
-        reply = tester.respond(
-            Message("vectorizer", "tester", "", {"candidate_code": mutated}), [])
-        assert reply.payload["outcome"] is not Verdict.STATIC_REJECT
-        report = reply.payload["static_report"]
-        assert "missing-epilogue" in report.rule_counts(errors_only=True)
+        reply = tester.test(mutated)
+        assert reply.outcome is not Verdict.STATIC_REJECT
+        assert "missing-epilogue" in reply.static_report.rule_counts(errors_only=True)
 
 
 class TestReporting:

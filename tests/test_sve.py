@@ -27,7 +27,7 @@ import random
 import pytest
 
 from repro.alive.symexec import SymbolicExecutionError, execute_symbolically
-from repro.alive.verifier import AliveVerifier, VerifierConfig
+from repro.alive.verifier import AliveVerifier
 from repro.cfront.cparser import parse_function
 from repro.cfront.ctypes import CType
 from repro.errors import CompileError
@@ -284,7 +284,7 @@ class TestPredicatedLoop:
         loop at a trip count that is a multiple of no register width."""
         loaded = load_kernel("s000")
         result = vectorize_kernel(loaded.function, target, epilogue="predicated")
-        verifier = AliveVerifier(VerifierConfig(trip_count=13))
+        verifier = AliveVerifier(trip_count=13)
         report = verifier.check_with_alive_unroll(loaded.source, result.source)
         assert report.outcome is Verdict.EQUIVALENT
 
@@ -305,7 +305,7 @@ class TestPredicatedLoop:
             for isa in SVE_TARGETS:
                 result = vectorize_kernel(loaded.function, isa,
                                           epilogue="predicated")
-                verifier = AliveVerifier(VerifierConfig(trip_count=13))
+                verifier = AliveVerifier(trip_count=13)
                 outcomes.append(funnel(verifier, loaded.source, result.source))
             assert outcomes[0] == outcomes[1] == Verdict.EQUIVALENT
 

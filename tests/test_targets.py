@@ -51,9 +51,9 @@ class TestTargetDescriptions:
         assert AVX512.intrinsic("loadu") == "_mm512_loadu_si512"
 
     def test_vector_ctypes(self):
-        assert str(SSE4.vector_ctype) == "__m128i"
-        assert str(AVX512.vector_pointer_ctype) == "__m512i*"
-        assert AVX2.vector_ctype.vector_lanes == 8
+        assert str(SSE4.vector_ctype_for()) == "__m128i"
+        assert str(AVX512.vector_pointer_ctype_for()) == "__m512i*"
+        assert AVX2.vector_ctype_for().vector_lanes == 8
 
 
 class TestDetectTarget:
