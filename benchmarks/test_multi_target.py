@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 
-from repro.reporting.campaign import render_multi_target_summary
+from repro.reporting import render_campaign_summaries
 
 #: A representative slice across the paper's categories (linear, reduction,
 #: control flow, induction, dependence-rejected) keeps the default tier-1
@@ -49,7 +49,7 @@ def test_multi_target_campaign_shares_one_cache(bench_campaign, bench_targets):
         assert len(keys) == len(bench_targets)
 
     print()
-    print(render_multi_target_summary(reports))
+    print(render_campaign_summaries([report.summary for report in reports.values()]))
 
 
 def test_multi_target_rerun_is_fully_cached(bench_campaign, bench_targets):

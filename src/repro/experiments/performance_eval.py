@@ -27,6 +27,8 @@ from repro.pipeline.cache import config_fingerprint
 from repro.tsvc import load_kernel
 
 COMPILER_NAMES = ("GCC", "Clang", "ICC")
+#: Seed of the simulated inputs every candidate is measured on (in every task key).
+MEASUREMENT_SEED = 11
 
 
 @dataclass
@@ -116,7 +118,6 @@ def performance_kernel_job(task: KernelTask) -> dict:
 def run_performance_evaluation(
     verified_candidates: dict[str, str],
     trip_count: int = 256,
-    seed: int = 11,
     campaign: CampaignRunner | CampaignConfig | None = None,
 ) -> PerformanceEvaluation:
     """Measure every verified (kernel -> vectorized source) pair against the baselines.
@@ -126,13 +127,13 @@ def run_performance_evaluation(
     default).
     """
     runner = as_campaign_runner(campaign)
-    payload = {"trip_count": trip_count, "seed": seed, "target": runner.config.spec.target}
+    payload = {"trip_count": trip_count, "seed": MEASUREMENT_SEED, "target": runner.config.spec.target}
     config_hash = config_fingerprint(payload)
     tasks = [
         KernelTask(
             kernel=kernel_name,
             scalar_code=load_kernel(kernel_name).source,
-            seed=seed,
+            seed=MEASUREMENT_SEED,
             config_hash=config_hash,
             payload=payload,
             candidate_code=vectorized_source,

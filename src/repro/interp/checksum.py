@@ -117,16 +117,14 @@ def _scalar_suite(
     scalar_func: ast.FunctionDef,
     seed: int,
     trip_counts: list[int] | None,
-    value_range: tuple[int, int],
 ) -> tuple[list[TestVector], list[ExecutionResult]]:
     """The seeded test suite plus a lazily-filled list of scalar results."""
     def build() -> tuple[list[TestVector], list[ExecutionResult]]:
         spec = InputSpec.from_function(scalar_func)
-        suite = make_test_suite(spec, random.Random(seed), trip_counts=trip_counts,
-                                value_range=value_range)
+        suite = make_test_suite(spec, random.Random(seed), trip_counts=trip_counts)
         return suite, []
 
-    salt = (seed, tuple(trip_counts) if trip_counts is not None else None, value_range)
+    salt = (seed, tuple(trip_counts) if trip_counts is not None else None)
     return _SCALAR_MEMO.get_or_compute(scalar_func, build, salt=salt)
 
 
@@ -162,7 +160,6 @@ def checksum_testing(
     vectorized_code: str | ast.FunctionDef,
     seed: int = 0,
     trip_counts: list[int] | None = None,
-    value_range: tuple[int, int] = (-1000, 1000),
 ) -> ChecksumReport:
     """Run checksum-based testing of ``vectorized_code`` against ``scalar_code``."""
     try:
@@ -177,7 +174,7 @@ def checksum_testing(
             outcome=Verdict.CANNOT_COMPILE, compile_error=str(exc), tests_run=0
         )
 
-    suite, scalar_results = _scalar_suite(scalar_func, seed, trip_counts, value_range)
+    suite, scalar_results = _scalar_suite(scalar_func, seed, trip_counts)
 
     report = ChecksumReport(outcome=Verdict.PLAUSIBLE)
     for index, vector in enumerate(suite):

@@ -1249,7 +1249,6 @@ def run_function(
     func: ast.FunctionDef,
     arrays: Mapping[str, list[int]],
     scalars: Mapping[str, int],
-    guard: int = 16,
     max_steps: int = 2_000_000,
 ) -> ExecutionResult:
     """Execute ``func`` with the given array contents and scalar arguments.
@@ -1261,7 +1260,7 @@ def run_function(
     dtype = ast.kernel_dtype(func)
     memory = Memory(dtype=dtype)
     for name, values in arrays.items():
-        memory.allocate(name, len(values), values, guard=guard)
+        memory.allocate(name, len(values), values)
     program: _Program = _PROGRAMS.get_or_compute(func, lambda: _compile(func, dtype))
     scope: dict[str, Value] = {}
     for name, is_pointer in program.params:

@@ -24,7 +24,7 @@ from repro.errors import UndefinedBehaviorError
 from repro.lanetypes import INT32, LaneType
 
 #: Number of guard elements kept past the end of every array region.
-DEFAULT_GUARD_ELEMS = 16
+GUARD_ELEMS = 16
 
 
 @dataclass(frozen=True)
@@ -46,25 +46,24 @@ class ArrayRegion:
 
     name: str
     size: int
-    guard: int = DEFAULT_GUARD_ELEMS
     data: list[int] = field(default_factory=list)
     poison: list[bool] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        total = self.size + self.guard
+        total = self.size + GUARD_ELEMS
         if not self.data:
             self.data = [0] * total
         if len(self.data) < total:
             self.data = list(self.data) + [0] * (total - len(self.data))
         if not self.poison:
             # Guard elements hold poison: reading them is observable UB.
-            self.poison = [False] * self.size + [True] * self.guard
+            self.poison = [False] * self.size + [True] * GUARD_ELEMS
 
     def in_bounds(self, index: int) -> bool:
         return 0 <= index < self.size
 
     def in_guard(self, index: int) -> bool:
-        return self.size <= index < self.size + self.guard
+        return self.size <= index < self.size + GUARD_ELEMS
 
     def snapshot(self) -> list[int]:
         """Return the declared (non-guard) contents."""
@@ -85,8 +84,7 @@ class Memory:
 
     # -- region management ---------------------------------------------------
 
-    def allocate(self, name: str, size: int, values: Iterable[int] | None = None,
-                 guard: int = DEFAULT_GUARD_ELEMS) -> ArrayRegion:
+    def allocate(self, name: str, size: int, values: Iterable[int] | None = None) -> ArrayRegion:
         """Allocate a region named ``name`` with ``size`` declared elements.
 
         ``values`` (at most ``size`` of them are used) is copied once; the
@@ -94,15 +92,15 @@ class Memory:
         plain int already inside its range.
         """
         if values is None:
-            region = ArrayRegion(name=name, size=size, guard=guard)
+            region = ArrayRegion(name=name, size=size)
         else:
             data = list(islice(values, size))
             if data and not (set(map(type, data)) == {int}
                              and -self.dtype.sign_bit <= min(data)
                              and max(data) < self.dtype.sign_bit):
                 data = [self._wrap(v) for v in data]
-            data += [0] * (size + guard - len(data))
-            region = ArrayRegion(name=name, size=size, guard=guard, data=data)
+            data += [0] * (size + GUARD_ELEMS - len(data))
+            region = ArrayRegion(name=name, size=size, data=data)
         self.regions[name] = region
         return region
 
@@ -124,7 +122,7 @@ class Memory:
         if region.in_guard(index):
             self.ub_events.append(UBEvent("oob-read", name, index, "read in guard zone"))
             return region.data[index], True
-        if -region.guard <= index < 0:
+        if -GUARD_ELEMS <= index < 0:
             self.ub_events.append(UBEvent("oob-read", name, index, "read before start"))
             return 0, True
         raise UndefinedBehaviorError(
@@ -145,7 +143,7 @@ class Memory:
             region.data[index] = self._wrap(value)
             region.poison[index] = True
             return
-        if -region.guard <= index < 0:
+        if -GUARD_ELEMS <= index < 0:
             self.ub_events.append(UBEvent("oob-write", name, index, "write before start"))
             return
         raise UndefinedBehaviorError(
@@ -170,15 +168,6 @@ class Memory:
     def snapshot(self) -> dict[str, list[int]]:
         """Declared contents of every region, for output comparison."""
         return {name: region.snapshot() for name, region in self.regions.items()}
-
-    def checksum(self) -> int:
-        """An order-sensitive checksum over every region's declared contents."""
-        acc = 0
-        wrap = self._wrap
-        for name in sorted(self.regions):
-            for value in self.regions[name].snapshot():
-                acc = wrap(acc * 31 + value)
-        return acc
 
     @property
     def has_ub(self) -> bool:

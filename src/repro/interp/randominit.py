@@ -52,6 +52,10 @@ class InputSpec:
 #: addressing kernels crash otherwise, exactly as the real benchmark would).
 INDEX_ARRAY_NAMES = frozenset({"indx", "index", "ip", "idx"})
 
+#: The range every checksum-testing suite (:func:`make_test_suite`) draws
+#: its data values from.
+CHECKSUM_VALUE_RANGE = (-1000, 1000)
+
 
 def randints(rng: random.Random, low: int, high: int, count: int) -> list[int]:
     """``[rng.randint(low, high) for _ in range(count)]``, drawn in one loop.
@@ -81,17 +85,16 @@ def make_test_vector(
     spec: InputSpec,
     n: int,
     rng: random.Random,
-    array_size: int | None = None,
     value_range: tuple[int, int] = (-64, 64),
 ) -> TestVector:
     """Build one random test vector with trip count ``n``.
 
-    Arrays are sized ``array_size`` (default ``4 * n + 8`` so strided kernels
-    such as ``a[i * inc]`` and ``a[i + 1]`` style accesses stay in bounds for
-    the scalar program with the small random strides we generate).  Index
-    arrays (see :data:`INDEX_ARRAY_NAMES`) are filled with valid indices.
+    Arrays are sized ``4 * n + 8``, so strided kernels such as ``a[i * inc]``
+    and ``a[i + 1]`` style accesses stay in bounds for the scalar program
+    with the small random strides we generate.  Index arrays (see
+    :data:`INDEX_ARRAY_NAMES`) are filled with valid indices.
     """
-    size = array_size if array_size is not None else 4 * n + 8
+    size = 4 * n + 8
     low, high = value_range
     arrays = {}
     for name in spec.array_params:
@@ -114,7 +117,6 @@ def make_test_suite(
     spec: InputSpec,
     rng: random.Random,
     trip_counts: list[int] | None = None,
-    value_range: tuple[int, int] = (-64, 64),
 ) -> list[TestVector]:
     """Build the default battery of test vectors used by the checksum tester.
 
@@ -126,4 +128,4 @@ def make_test_suite(
     """
     if trip_counts is None:
         trip_counts = [16, 32, 64]
-    return [make_test_vector(spec, n, rng, value_range=value_range) for n in trip_counts]
+    return [make_test_vector(spec, n, rng, CHECKSUM_VALUE_RANGE) for n in trip_counts]

@@ -3,7 +3,7 @@
 from repro.verdict import Verdict
 from repro.pipeline.equivalence import EquivalencePipeline, PipelineReport
 from repro.pipeline.runner import KernelRunResult, LLMVectorizer, LLMVectorizerConfig
-from repro.pipeline.cache import config_fingerprint, content_key
+from repro.pipeline.cache import config_fingerprint, content_key, store_live_entries
 from repro.pipeline.campaign import (
     CampaignConfig,
     CampaignReport,
@@ -15,7 +15,7 @@ from repro.pipeline.campaign import (
     is_error_result,
     shard_of,
 )
-from repro.pipeline.shard import merge_stores, report_from_store, store_live_entries
+from repro.pipeline.shard import merge_stores, report_from_store
 from repro.pipeline.scheduler import ExecutionStats, next_batch_size
 from repro.pipeline.incremental import (
     CompactionStats,

@@ -23,8 +23,8 @@ engine makes the shape a first-class subsystem:
   code where one exists, the configuration fingerprint and the derived
   seed, so re-runs and pass@k re-estimation skip work that is already
   settled; with ``store_path`` set, each completed task is also appended
-  (and fsync'd) to a JSONL file, so an interrupted campaign picks up where
-  it left off;
+  (and fsync'd) to a JSONL file (:class:`~repro.pipeline.cache.ResultStore`),
+  so an interrupted campaign picks up where it left off;
 * **fault tolerance** — a raising job does not abort the campaign: the
   failure becomes a first-class error record (``verdict="error"`` with the
   message and traceback) that is persisted, counted and reported like any
@@ -48,7 +48,6 @@ and non-picklable payloads are also accepted.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import time
 import traceback as traceback_module
@@ -56,9 +55,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import KW_ONLY, dataclass, field, replace
 from pathlib import Path
 from collections.abc import Callable
-from typing import Any, BinaryIO
+from typing import Any
 
-from repro.pipeline.cache import config_fingerprint, content_key, is_result_entry, iter_jsonl_dicts
+from repro.pipeline.cache import ResultStore, config_fingerprint, content_key
 from repro.pipeline.scheduler import (
     MAX_BATCH,
     ExecutionStats,
@@ -85,6 +84,12 @@ MAX_POOL_RETRIES = 2
 def is_error_result(result: Any) -> bool:
     """True for the error records a failing job turns into (not aborts)."""
     return isinstance(result, dict) and result.get("verdict") == Verdict.ERROR.value
+
+
+def reusable(result: dict | None) -> bool:
+    """True when a stored result answers its task: any result but an error
+    record, which is retried so that one crash cannot poison every run."""
+    return result is not None and not is_error_result(result)
 
 
 def error_result(task: "KernelTask", label: str, error: BaseException,
@@ -382,7 +387,7 @@ class CampaignRunner:
         #: The one content-addressed map from cache key to result, shared by
         #: every run of this runner and backed by ``config.store_path`` when
         #: set; it parses the file once and tracks appends incrementally.
-        self.store = _ResultStore(self.config.store_path)
+        self.store = ResultStore(self.config.store_path)
         #: Every summary this runner produced, in run order — the raw
         #: material for benchmark trajectories (``REPRO_BENCH_JSON``).
         self.summaries: list[CampaignSummary] = []
@@ -417,13 +422,6 @@ class CampaignRunner:
         store = self.store
         stored = store.load()
 
-        def reusable(result: dict | None, task: KernelTask) -> bool:
-            # Error records are persisted for accounting but always retried,
-            # so one crash cannot poison every future run.
-            if result is None or is_error_result(result):
-                return False
-            return accept(result, task)
-
         def shape(result: dict, task: KernelTask) -> dict:
             # Error records have no job-specific shape for ``cache_adapt`` to
             # slice; they pass through verbatim.
@@ -439,7 +437,7 @@ class CampaignRunner:
         for task in tasks:
             key = task.cache_key(label)
             found = stored.get(key)
-            if not reusable(found, task):
+            if not (reusable(found) and accept(found, task)):
                 pending.append((task, key))
                 continue
             hits += 1
@@ -463,7 +461,7 @@ class CampaignRunner:
                                       target=resolved_target,
                                       shard=str(shard) if shard is not None else None,
                                       execution=execution)
-            store.append_summary(summary)
+            store.append_summary(summary.as_dict())
         finally:
             store.close()
         self.summaries.append(summary)
@@ -732,90 +730,3 @@ def _run_job(job: JobFn, task: KernelTask, label: str) -> dict:
     except Exception as error:
         return error_result(task, label, error,
                             traceback_text=traceback_module.format_exc())
-
-
-# ---------------------------------------------------------------------------
-# the JSONL result store
-# ---------------------------------------------------------------------------
-
-
-class _ResultStore:
-    """The runner's one content-addressed map from cache key to result.
-
-    The map always lives in memory.  With a ``path`` it is also backed by an
-    append-only JSONL file of result lines plus one summary line per run.
-    :meth:`load` parses the file at most once per instance and
-    :meth:`append` updates the map incrementally, so a runner making many
-    ``run_tasks`` calls (``run_multi_target``, the experiment harnesses)
-    re-reads nothing, while a *new* runner on the same path still sees
-    everything earlier runners appended.  Each line goes through one handle
-    that stays open for the run and is flushed and fsync'd, so even a
-    machine crash loses at most the line being written; :meth:`close` ends
-    the run.
-    """
-
-    def __init__(self, path: str | Path | None):
-        self.path = Path(path) if path is not None else None
-        self._results: dict[str, dict] | None = None
-        #: Keys read from ``path`` whose entry no run has reused yet.
-        self._unclaimed: set[str] = set()
-        self._handle: BinaryIO | None = None
-
-    def load(self) -> dict[str, dict]:
-        """Map cache key -> result for every completed task on record."""
-        if self._results is None:
-            self._results = {}
-            if self.path is not None and self.path.exists():
-                for entry in iter_jsonl_dicts(self.path):
-                    if is_result_entry(entry):
-                        self._results[entry["key"]] = entry["result"]
-            self._unclaimed = set(self._results)
-        return self._results
-
-    def claim_resumed(self, key: str) -> bool:
-        """True on the first reuse of an entry that was read from the file."""
-        if key in self._unclaimed:
-            self._unclaimed.remove(key)
-            return True
-        return False
-
-    def append(self, label: str, kernel: str, key: str, result: dict,
-               target: str | None = None) -> None:
-        self.load()[key] = result
-        self._unclaimed.discard(key)
-        entry = {"type": "result", "campaign": label, "kernel": kernel,
-                 "key": key, "result": result}
-        if target is not None:
-            entry["target"] = target
-        self._write(entry)
-
-    def append_summary(self, summary: CampaignSummary) -> None:
-        self._write({"type": "summary", **summary.as_dict()})
-
-    def close(self) -> None:
-        """Release the append handle; the next append reopens it."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def _write(self, entry: dict) -> None:
-        if self.path is None:
-            return
-        if self._handle is None:
-            self._handle = self._open()
-        self._handle.write(json.dumps(entry).encode() + b"\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
-    def _open(self) -> BinaryIO:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle = self.path.open("ab")
-        if handle.tell():
-            # A crash mid-append leaves a final line with no newline.  Start
-            # on a fresh line, or this run's first record would be glued onto
-            # the torn one and dropped with it on the next read.
-            with self.path.open("rb") as tail:
-                tail.seek(-1, os.SEEK_END)
-                if tail.read(1) != b"\n":
-                    handle.write(b"\n")
-        return handle

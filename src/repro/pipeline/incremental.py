@@ -23,25 +23,22 @@ doesn't.  This module turns that property into a workflow:
   working set with byte-identical :func:`~repro.pipeline.shard.report_from_store`
   output.
 
+Planning reads the runner's own store with the run's reuse rule, and
+compaction goes through the replay and atomic writer of
+:mod:`repro.pipeline.cache`, so neither can disagree with a run.
+
 An unchanged campaign re-verified against its own store executes **zero**
 jobs; that is the CI contract (the ``incremental`` job asserts it).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.pipeline.campaign import (
-    CampaignConfig,
-    CampaignRunner,
-    _ResultStore,
-    is_error_result,
-)
-from repro.pipeline.shard import store_live_entries
+from repro.pipeline.cache import latest_summaries, rewrite_store, store_live_entries
+from repro.pipeline.campaign import CampaignConfig, CampaignRunner, reusable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.campaign import CampaignReport
@@ -103,17 +100,17 @@ def plan_reverify(
     Builds exactly the tasks :meth:`CampaignRunner.run` would execute for
     these kernels, this vectorizer config and ``config.spec``, and checks
     which keys the store already answers.  Executes nothing and writes
-    nothing.  Error records count as *changed*: a run retries them, so the
-    plan mirrors the resume semantics.
+    nothing.  A kernel is unchanged exactly when the run would reuse its
+    stored result (:func:`~repro.pipeline.campaign.reusable`, read from the
+    runner's own store), so error records count as *changed*: a run
+    retries them.
     """
     runner = _runner_for(store_path, config)
-    tasks = runner.vectorize_tasks(names, vectorizer_config)
-    stored = _ResultStore(store_path).load()
+    stored = runner.store.load()
     unchanged: list[str] = []
     changed: list[str] = []
-    for task in tasks:
-        result = stored.get(task.cache_key(VECTORIZE_LABEL))
-        if result is not None and not is_error_result(result):
+    for task in runner.vectorize_tasks(names, vectorizer_config):
+        if reusable(stored.get(task.cache_key(VECTORIZE_LABEL))):
             unchanged.append(task.kernel)
         else:
             changed.append(task.kernel)
@@ -173,40 +170,23 @@ def compact_store(path: str | Path, out_path: str | Path | None = None) -> Compa
     superseded duplicates, retried error records and stale per-pass
     summaries.  ``report_from_store`` output is identical before and after.
 
-    With no ``out_path`` the store is replaced *atomically* (written to a
-    sibling temp file, then renamed over), so a reader or resuming campaign
-    never observes a half-compacted store.
+    With no ``out_path`` the store is replaced *atomically*
+    (:func:`~repro.pipeline.cache.rewrite_store`), so a reader or resuming
+    campaign never observes a half-compacted store.
     """
     source = Path(path)
-    results, summaries = store_live_entries(source)
-    latest_summaries: dict[tuple, dict] = {}
-    for entry in summaries:
-        latest_summaries[(entry.get("label"), entry.get("target"),
-                          entry.get("shard"))] = entry
-
-    from repro.pipeline.cache import iter_jsonl_dicts
-
-    records_before = sum(1 for entry in iter_jsonl_dicts(source)
-                         if entry.get("type") == "result")
+    live = store_live_entries(source)
+    summaries = latest_summaries(live.summaries)
     bytes_before = source.stat().st_size
     destination = Path(out_path) if out_path is not None else source
-    destination.parent.mkdir(parents=True, exist_ok=True)
-    temp = destination.with_name(destination.name + ".compact.tmp")
-    with temp.open("w", encoding="utf-8") as handle:
-        for entry in results.values():
-            handle.write(json.dumps(entry) + "\n")
-        for entry in latest_summaries.values():
-            handle.write(json.dumps(entry) + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, destination)
+    rewrite_store(destination, [*live.results.values(), *summaries])
 
     return CompactionStats(
         path=destination,
-        records_before=records_before,
-        records_kept=len(results),
-        summaries_before=len(summaries),
-        summaries_kept=len(latest_summaries),
+        records_before=live.result_lines,
+        records_kept=len(live.results),
+        summaries_before=len(live.summaries),
+        summaries_kept=len(summaries),
         bytes_before=bytes_before,
         bytes_after=destination.stat().st_size,
     )

@@ -17,17 +17,19 @@ workflow:
   canonical suite order plus an aggregated summary — from a (merged or
   single) store, entirely offline.
 
+Both read stores through the one replay of :mod:`repro.pipeline.cache`, and
+a merge writes its output through that module's atomic whole-store writer.
+
 A two-machine campaign is therefore: run shard ``0/2`` and ``1/2``, copy
 the stores together, ``merge_stores``, ``report_from_store``, render.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
-from repro.pipeline.cache import is_result_entry, iter_jsonl_dicts
+from repro.pipeline.cache import latest_summaries, rewrite_store, store_live_entries
 from repro.pipeline.scheduler import merge_counts
 from repro.targets import DEFAULT_TARGET
 from repro.pipeline.campaign import (
@@ -40,85 +42,43 @@ from repro.pipeline.campaign import (
 )
 
 
-def _iter_entries(path: Path) -> Iterator[dict]:
-    """Yield the JSON objects of one JSONL store (which must exist)."""
-    if not path.exists():
-        raise FileNotFoundError(f"no such store: {path}")
-    yield from iter_jsonl_dicts(path)
-
-
-def store_live_entries(path: str | Path) -> tuple[dict[str, dict], list[dict]]:
-    """Replay one store's appends: the live result entry per key, plus summaries.
-
-    Within one store a later entry supersedes an earlier one with the same
-    key (an error record retried into a result on resume) — the store's own
-    replay semantics, shared by resume, :func:`merge_stores`,
-    :func:`report_from_store` and store compaction
-    (:func:`repro.pipeline.incremental.compact_store`).  Keys keep
-    first-seen order; summaries come back verbatim in append order.
-    Malformed result lines are skipped (:func:`~repro.pipeline.cache.is_result_entry`).
-    """
-    results: dict[str, dict] = {}
-    summaries: list[dict] = []
-    for entry in _iter_entries(Path(path)):
-        if is_result_entry(entry):
-            results[entry["key"]] = entry
-        elif entry.get("type") == "summary":
-            summaries.append(entry)
-    return results, summaries
-
-
 def merge_stores(paths: Iterable[str | Path], out_path: str | Path) -> Path:
     """Merge shard result stores into one, deduplicating records by key.
 
-    Result entries keep first-seen order; exact duplicates (the same cache
-    key with the same result — e.g. overlapping resumed runs) collapse to
-    one, and an error record paired with a retried real result for the same
-    key resolves to the real result (the engine's own retry semantics).
+    Each store is replayed first (:func:`~repro.pipeline.cache.store_live_entries`:
+    within one store a later entry supersedes an earlier one with the same
+    key).  Result entries keep first-seen order; exact duplicates (the same
+    cache key with the same result — e.g. overlapping resumed runs) collapse
+    to one, and an error record paired with a retried real result for the
+    same key resolves to the real result (the engine's own retry semantics).
     Two stores carrying *different real* results for one key mean the
     shards did not run the same campaign, and the merge refuses.  Shard
     summaries are carried over verbatim, so :func:`report_from_store` can
-    aggregate wall clock and cache accounting across machines.
+    aggregate wall clock and cache accounting across machines.  The output
+    is written atomically (:func:`~repro.pipeline.cache.rewrite_store`), so
+    ``out_path`` may be one of the inputs.
     """
-    out = Path(out_path)
     results: dict[str, dict] = {}
-    order: list[str] = []
     summaries: list[dict] = []
     for path in paths:
-        # Within one store a later entry supersedes an earlier one with the
-        # same key (an error record retried into a result on resume) — that
-        # is the store's own replay semantics, not a conflict.
         store_results, store_summaries = store_live_entries(path)
         summaries.extend(store_summaries)
         for key, entry in store_results.items():
-            if key not in results:
-                results[key] = entry
-                order.append(key)
-                continue
-            existing = results[key]
-            if existing["result"] == entry["result"]:
-                continue
+            kept = results.setdefault(key, entry)["result"]
             # An error record and a retried success for the same key are the
             # engine's own retry semantics playing out across stores: the
             # real result wins (two distinct errors keep the first).
-            if is_error_result(existing["result"]):
-                if not is_error_result(entry["result"]):
-                    results[key] = entry
+            if kept == entry["result"] or is_error_result(entry["result"]):
                 continue
-            if is_error_result(entry["result"]):
+            if is_error_result(kept):
+                results[key] = entry
                 continue
             raise ValueError(
                 f"shard stores disagree on key {key[:16]}... "
                 f"(kernel {entry.get('kernel')!r}): the shards did not "
                 "run identical campaign configurations"
             )
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as handle:
-        for key in order:
-            handle.write(json.dumps(results[key]) + "\n")
-        for summary in summaries:
-            handle.write(json.dumps(summary) + "\n")
-    return out
+    return rewrite_store(out_path, [*results.values(), *summaries])
 
 
 def _suite_order(kernels: Iterable[str]) -> list[str]:
@@ -143,26 +103,13 @@ def report_from_store(path: str | Path, label: str | None = None,
     summary per shard (wall clock, executed and cache counters sum across
     shards; the verdict counts are recomputed from the merged records).
     """
-    results: dict[str, dict] = {}
-    summaries: list[dict] = []
-    labels_seen: list[str] = []
-    for entry in _iter_entries(Path(path)):
-        if is_result_entry(entry):
-            # A record with no campaign label stays unlabeled: stringifying
-            # it would fabricate a bogus "None" label that label inference
-            # could then "succeed" with.
-            raw_label = entry.get("campaign")
-            entry_label = str(raw_label) if raw_label is not None else None
-            if entry_label is not None and entry_label not in labels_seen:
-                labels_seen.append(entry_label)
-            if label is not None and entry_label != label:
-                continue
-            if target is not None and entry.get("target") not in (None, target):
-                continue
-            results[f"{entry_label}:{entry['key']}"] = entry
-        elif entry.get("type") == "summary":
-            summaries.append(entry)
+    results, summaries = store_live_entries(path)
     if label is None:
+        # A record with no campaign label stays unlabeled: stringifying it
+        # would fabricate a bogus "None" label that inference could then
+        # "succeed" with.
+        labels_seen = list(dict.fromkeys(str(entry["campaign"]) for entry in results.values()
+                                         if entry.get("campaign") is not None))
         if not labels_seen:
             raise ValueError(
                 "store holds no labeled campaign records; pass label= to pick one"
@@ -174,9 +121,16 @@ def report_from_store(path: str | Path, label: str | None = None,
             )
         label = labels_seen[0]
 
+    def selected(entry: dict, label_field: str) -> bool:
+        # An entry with no target on record (a pre-target-stamping store)
+        # matches any requested target, so legacy stores keep their records
+        # and accounting instead of zeroing out.
+        return (entry.get(label_field) == label
+                and (target is None or entry.get("target") in (None, target)))
+
     by_kernel: dict[str, dict] = {}
     for entry in results.values():
-        if entry.get("campaign") != label:
+        if not selected(entry, "campaign"):
             continue
         kernel = entry["kernel"]
         if kernel in by_kernel and by_kernel[kernel]["result"] != entry["result"]:
@@ -191,20 +145,7 @@ def report_from_store(path: str | Path, label: str | None = None,
         for name in _suite_order(by_kernel)
     ]
 
-    # A resumed or re-run shard appends a summary per pass; only the latest
-    # pass per (label, target, shard) reflects that shard's final state —
-    # summing all of them would double-count wall clock and cache counters.
-    latest: dict[tuple, dict] = {}
-    for entry in summaries:
-        if entry.get("label") != label:
-            continue
-        # Same tolerance as the record filter: an entry with no target on
-        # record (a pre-target-stamping store) matches any requested target,
-        # so legacy stores keep their accounting instead of zeroing out.
-        if target is not None and entry.get("target") not in (None, target):
-            continue
-        latest[(entry.get("label"), entry.get("target"), entry.get("shard"))] = entry
-    matching = list(latest.values())
+    matching = [entry for entry in latest_summaries(summaries) if selected(entry, "label")]
     targets = {s.get("target") for s in matching if s.get("target")}
     # Pre-dtype stores carry no dtype stamp; they were all int32 by
     # construction, so the merged summary says so rather than guessing.

@@ -4,9 +4,8 @@ from repro.reporting.tables import render_table, render_pass_at_k_curve
 from repro.reporting.campaign import (
     render_campaign_errors,
     render_campaign_report,
+    render_campaign_summaries,
     render_campaign_summary,
-    render_merged_report,
-    render_shard_summaries,
 )
 
 __all__ = [
@@ -14,7 +13,6 @@ __all__ = [
     "render_pass_at_k_curve",
     "render_campaign_errors",
     "render_campaign_report",
+    "render_campaign_summaries",
     "render_campaign_summary",
-    "render_merged_report",
-    "render_shard_summaries",
 ]

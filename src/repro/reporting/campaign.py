@@ -218,23 +218,10 @@ def render_campaign_report(report: CampaignReport, title: str = "") -> str:
     return per_kernel + "\n" + render_campaign_summary(report.summary)
 
 
-def render_merged_report(report: CampaignReport, title: str = "") -> str:
-    """Render a report reconstructed from merged shard stores.
-
-    Same shape as :func:`render_campaign_report`, titled as a merge — use it
-    on the output of :func:`repro.pipeline.shard.report_from_store`.
-    """
-    return render_campaign_report(
-        report, title=title or f"Merged campaign results ({report.label})")
-
-
-def render_shard_summaries(summaries: "list[CampaignSummary]", title: str = "") -> str:
-    """One row per shard summary: coverage, accounting and verdict counts."""
-    verdicts: list[str] = []
-    for summary in summaries:
-        for verdict in summary.verdict_counts:
-            if verdict not in verdicts:
-                verdicts.append(verdict)
+def render_campaign_summaries(summaries: "list[CampaignSummary]", title: str = "") -> str:
+    """One row per campaign summary (per shard, per target, ...): coverage,
+    accounting and verdict counts side by side."""
+    verdicts = sorted({verdict for summary in summaries for verdict in summary.verdict_counts})
     rows = []
     for summary in summaries:
         row: dict[str, object] = {
@@ -243,38 +230,10 @@ def render_shard_summaries(summaries: "list[CampaignSummary]", title: str = "") 
             "Dtype": summary.dtype,
             "Kernels": summary.kernels,
             "Executed": summary.executed,
-            "Wall clock": f"{summary.wall_clock_seconds:.2f}s",
-        }
-        for verdict in sorted(verdicts):
-            row[verdict] = summary.verdict_counts.get(verdict, 0)
-        rows.append(row)
-    return render_table(rows, title=title or "Per-shard campaign summaries")
-
-
-def render_multi_target_summary(reports: "dict[str, CampaignReport]",
-                                title: str = "") -> str:
-    """One row per target ISA: verdict counts and campaign accounting side by side.
-
-    ``reports`` is the mapping returned by
-    :meth:`~repro.pipeline.campaign.CampaignRunner.run_multi_target`.
-    """
-    verdicts: list[str] = []
-    for report in reports.values():
-        for verdict in report.summary.verdict_counts:
-            if verdict not in verdicts:
-                verdicts.append(verdict)
-    rows = []
-    for target, report in reports.items():
-        summary = report.summary
-        row: dict[str, object] = {
-            "Target": target,
-            "Dtype": summary.dtype,
-            "Kernels": summary.kernels,
-            "Executed": summary.executed,
             "Hit-rate": f"{summary.cache_hit_rate:.1%}",
             "Wall clock": f"{summary.wall_clock_seconds:.2f}s",
         }
-        for verdict in sorted(verdicts):
+        for verdict in verdicts:
             row[verdict] = summary.verdict_counts.get(verdict, 0)
         rows.append(row)
-    return render_table(rows, title=title or "Per-target campaign summaries")
+    return render_table(rows, title=title or "Campaign summaries")

@@ -199,7 +199,7 @@ class TestTransforms:
         assert "break;" in to_c(unrolled) and "return" not in to_c(unrolled)
         spec = InputSpec.from_function(func)
         for seed in range(4):
-            for vector in make_test_suite(spec, random.Random(seed), value_range=(-1000, 1000)):
+            for vector in make_test_suite(spec, random.Random(seed)):
                 expected = run_function(func, vector.arrays, vector.scalars)
                 observed = run_function(unrolled, vector.arrays, vector.scalars)
                 assert observed.outputs() == expected.outputs(), (seed, vector.scalars)
@@ -222,7 +222,7 @@ class TestTransforms:
         assert to_c(unrolled).count("continue;") == factor
         spec = InputSpec.from_function(func)
         for seed in range(4):
-            for vector in make_test_suite(spec, random.Random(seed), value_range=(-1000, 1000)):
+            for vector in make_test_suite(spec, random.Random(seed)):
                 expected = run_function(func, vector.arrays, vector.scalars)
                 observed = run_function(unrolled, vector.arrays, vector.scalars)
                 assert observed.outputs() == expected.outputs(), (seed, vector.scalars)

@@ -312,8 +312,7 @@ def _observe(func, vector, max_steps: int = 2_000_000) -> tuple:
 
 
 def _suite(func):
-    return make_test_suite(InputSpec.from_function(func), random.Random(0),
-                           value_range=(-1000, 1000))
+    return make_test_suite(InputSpec.from_function(func), random.Random(0))
 
 
 def _digest(runs: list) -> str:

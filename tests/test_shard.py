@@ -131,7 +131,7 @@ class TestMergedCampaign:
         assert [r.kernel for r in merged.records] == canonical
 
     def test_merged_report_renders(self, tmp_path):
-        from repro.reporting import render_merged_report, render_shard_summaries
+        from repro.reporting import render_campaign_report, render_campaign_summaries
 
         stores, summaries = [], []
         for i in range(2):
@@ -141,9 +141,10 @@ class TestMergedCampaign:
                                                    store_path=store)).run(SUBSET[:4])
             summaries.append(report.summary)
         merged = report_from_store(merge_stores(stores, tmp_path / "merged.jsonl"))
-        rendered = render_merged_report(merged)
+        rendered = render_campaign_report(merged, title="Merged campaign results")
         assert "Merged campaign results" in rendered
-        per_shard = render_shard_summaries(summaries)
+        assert all(kernel in rendered for kernel in SUBSET[:4])
+        per_shard = render_campaign_summaries(summaries)
         assert "0/2" in per_shard and "1/2" in per_shard
 
 
