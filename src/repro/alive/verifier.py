@@ -174,7 +174,7 @@ class AliveVerifier:
 
         # Refinement part 2: every observable array cell must agree.
         pairs = _output_pairs(scalar_state, vector_state, scalar_func)
-        poisoned = [name for name, (src, _tgt) in pairs.items() if contains_poison(src)]
+        poisoned = {name for name, (src, _tgt) in pairs.items() if contains_poison(src)}
         comparable = [(src, tgt) for name, (src, tgt) in pairs.items() if name not in poisoned]
         target_poison = [name for name, (src, tgt) in pairs.items()
                          if name not in poisoned and contains_poison(tgt)]

@@ -107,9 +107,10 @@ def _execute(func: ast.FunctionDef, vector: TestVector) -> ExecutionResult:
 
 #: Scalar-side memo: during a campaign the tester re-runs the *same* scalar
 #: reference over the *same* seeded test suite once per candidate attempt.
-#: The interpreter copies array contents on allocation and ``outputs()``
-#: snapshots, so suites and results are safely shareable.  Keyed by the
-#: identity of the (cache-shared) scalar AST.
+#: A suite's arrays are immutable images, checked once when drawn, which
+#: the interpreter copies on allocation, and ``outputs()`` snapshots, so
+#: suites and results are safely shareable.  Keyed by the identity of the
+#: (cache-shared) scalar AST.
 _SCALAR_MEMO = IdentityMemo(256)
 
 

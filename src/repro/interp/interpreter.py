@@ -50,7 +50,7 @@ order :meth:`repro.perf.costmodel.CostModel.cycles_for` adds them up in.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -1247,15 +1247,16 @@ _PROGRAMS = IdentityMemo(16)
 
 def run_function(
     func: ast.FunctionDef,
-    arrays: Mapping[str, list[int]],
+    arrays: Mapping[str, Sequence[int]],
     scalars: Mapping[str, int],
     max_steps: int = 2_000_000,
 ) -> ExecutionResult:
     """Execute ``func`` with the given array contents and scalar arguments.
 
-    ``arrays`` maps pointer-parameter names to initial contents; each becomes
-    an isolated memory region (plus guard zone).  ``scalars`` maps value
-    parameters such as ``n``.
+    ``arrays`` maps pointer-parameter names to initial contents; each is
+    copied into an isolated memory region (plus guard zone) on every run,
+    without a scan when it is an :class:`~repro.interp.memory.ArrayImage`.
+    ``scalars`` maps value parameters such as ``n``.
     """
     dtype = ast.kernel_dtype(func)
     memory = Memory(dtype=dtype)

@@ -40,6 +40,26 @@ class UBEvent:
         return f"UB[{self.kind}] {self.region}[{self.index}] {self.detail}".rstrip()
 
 
+class ArrayImage(tuple):
+    """An immutable array of plain ints that records its smallest and largest value.
+
+    Checksum suites hold their input arrays as images, checked once when
+    they are drawn: :meth:`Memory.allocate` then compares the recorded
+    range with the lane type's instead of scanning the values on every run.
+    """
+
+    low: int
+    high: int
+
+    def __new__(cls, values: Iterable[int]) -> ArrayImage:
+        image = super().__new__(cls, values)
+        if not set(map(type, image)) <= {int}:
+            raise TypeError("an array image holds plain ints only")
+        image.low = min(image, default=0)
+        image.high = max(image, default=0)
+        return image
+
+
 @dataclass
 class ArrayRegion:
     """A single array region: declared extent plus a guard zone."""
@@ -89,15 +109,21 @@ class Memory:
 
         ``values`` (at most ``size`` of them are used) is copied once; the
         copy is wrapped to the lane type only when some value is not a
-        plain int already inside its range.
+        plain int already inside its range.  An :class:`ArrayImage` that
+        fits is copied without a scan; any other values are scanned.
         """
         if values is None:
             region = ArrayRegion(name=name, size=size)
         else:
-            data = list(islice(values, size))
-            if data and not (set(map(type, data)) == {int}
-                             and -self.dtype.sign_bit <= min(data)
-                             and max(data) < self.dtype.sign_bit):
+            bound = self.dtype.sign_bit
+            if type(values) is ArrayImage and len(values) <= size:
+                data = list(values)
+                plain = -bound <= values.low and values.high < bound
+            else:
+                data = list(islice(values, size))
+                plain = not data or (set(map(type, data)) == {int}
+                                     and -bound <= min(data) and max(data) < bound)
+            if not plain:
                 data = [self._wrap(v) for v in data]
             data += [0] * (size + GUARD_ELEMS - len(data))
             region = ArrayRegion(name=name, size=size, data=data)

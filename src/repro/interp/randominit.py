@@ -15,13 +15,18 @@ import random
 from dataclasses import dataclass, field
 
 from repro.cfront import ast_nodes as ast
+from repro.interp.memory import ArrayImage
 
 
 @dataclass(frozen=True)
 class TestVector:
-    """One concrete input: array contents plus scalar arguments."""
+    """One concrete input: array contents plus scalar arguments.
 
-    arrays: dict[str, list[int]]
+    Each array is an :class:`~repro.interp.memory.ArrayImage`, checked once
+    when it is drawn, so every run over the vector copies it without a scan.
+    """
+
+    arrays: dict[str, ArrayImage]
     scalars: dict[str, int]
 
 
@@ -99,9 +104,9 @@ def make_test_vector(
     arrays = {}
     for name in spec.array_params:
         if name in INDEX_ARRAY_NAMES:
-            arrays[name] = randints(rng, 0, max(1, n) - 1, size)
+            arrays[name] = ArrayImage(randints(rng, 0, max(1, n) - 1, size))
         else:
-            arrays[name] = randints(rng, low, high, size)
+            arrays[name] = ArrayImage(randints(rng, low, high, size))
     scalars: dict[str, int] = {}
     for name in spec.scalar_params:
         if name == spec.trip_count_param:

@@ -105,7 +105,11 @@ def plan_reverify(
     runner's own store), so error records count as *changed*: a run
     retries them.
     """
-    runner = _runner_for(store_path, config)
+    return _plan(_runner_for(store_path, config), names, vectorizer_config)
+
+
+def _plan(runner: CampaignRunner, names: list[str] | None,
+          vectorizer_config) -> IncrementalPlan:
     stored = runner.store.load()
     unchanged: list[str] = []
     changed: list[str] = []
@@ -133,11 +137,10 @@ def reverify(
     and the returned report is bit-identical to a from-scratch run of the
     same configuration.  The plan tells you what the run is about to do;
     ``report.summary.executed`` confirms what it did (0 for an up-to-date
-    store).
+    store).  One runner plans and runs, so the store is read once.
     """
-    plan = plan_reverify(store_path, names, vectorizer_config=vectorizer_config,
-                         config=config)
     runner = _runner_for(store_path, config)
+    plan = _plan(runner, names, vectorizer_config)
     report = runner.run(names, vectorizer_config=vectorizer_config)
     return plan, report
 

@@ -105,11 +105,11 @@ def report_from_store(path: str | Path, label: str | None = None,
     """
     results, summaries = store_live_entries(path)
     if label is None:
-        # A record with no campaign label stays unlabeled: stringifying it
-        # would fabricate a bogus "None" label that inference could then
-        # "succeed" with.
-        labels_seen = list(dict.fromkeys(str(entry["campaign"]) for entry in results.values()
-                                         if entry.get("campaign") is not None))
+        # Only a string labels a record: ``selected`` below compares with
+        # the label inferred here, so inferring "7" from ``"campaign": 7``
+        # (or "None" from no label) would select none of its own records.
+        labels_seen = list(dict.fromkeys(entry["campaign"] for entry in results.values()
+                                         if isinstance(entry.get("campaign"), str)))
         if not labels_seen:
             raise ValueError(
                 "store holds no labeled campaign records; pass label= to pick one"

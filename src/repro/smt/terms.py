@@ -108,7 +108,9 @@ class Term:
 
     Equality is structural, but every node caches its structural hash at
     construction time, so hashing is O(1) and equality checks short-circuit
-    on hash inequality before falling back to a structural walk.  Nodes
+    on hash inequality before falling back to a structural walk.  It also
+    records at construction whether a ``POISON`` node is reachable from
+    it, so :func:`contains_poison` is O(1) too.  Nodes
     built through :func:`mk` are additionally hash-consed (interned):
     structurally equal terms constructed through it are pointer-equal, so
     the identity fast path below decides most comparisons.  Direct
@@ -128,6 +130,12 @@ class Term:
             raise ValueError("variable terms need a name")
         object.__setattr__(
             self, "_hash", hash((self.kind, self.args, self.value, self.name))
+        )
+        # Each argument already carries its own bit, so this looks one level
+        # down and never walks the DAG.
+        object.__setattr__(
+            self, "_poison",
+            self.kind is TermKind.POISON or any(arg._poison for arg in self.args)
         )
 
     def __hash__(self) -> int:
@@ -229,8 +237,8 @@ def mk(kind: TermKind, *args: Term) -> Term:
 
 def _mk_uncached(kind: TermKind, *args: Term) -> Term:
     if any(a.kind is TermKind.POISON for a in args):
-        # Poison propagates through every operation except ITE selection,
-        # which the executor handles explicitly before calling ``mk``.
+        # Poison propagates through every operation, ITE included: an ITE
+        # with a poison operand is poison whichever branch it selects.
         for a in args:
             if a.kind is TermKind.POISON:
                 return a
@@ -508,17 +516,11 @@ def collect_variables(term: Term) -> set[str]:
 
 
 def contains_poison(term: Term) -> bool:
-    stack = [term]
-    seen: set[int] = set()
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node.kind is TermKind.POISON:
-            return True
-        stack.extend(node.args)
-    return False
+    """Whether a ``POISON`` node is reachable from ``term``.
+
+    The answer was recorded when ``term`` was built, so this reads it.
+    """
+    return term._poison
 
 
 def term_size(term: Term) -> int:

@@ -3,6 +3,7 @@ store) and store compaction."""
 
 import json
 
+from repro.pipeline import cache
 from repro.pipeline import (
     CampaignConfig,
     CampaignRunner,
@@ -103,6 +104,24 @@ class TestReverify:
         assert report.summary.resumed == len(KERNELS)
         assert report.summary.workers == 0
         assert _signature(report) == _signature(original)
+
+    def test_one_replay_plans_and_runs(self, tmp_path, monkeypatch):
+        """Planning and running share one runner, whose store is read once."""
+        store = tmp_path / "campaign.jsonl"
+        names = KERNELS[:2] + MORE[:1]
+        _seed_store(store, KERNELS[:2])
+        expected_plan = plan_reverify(store, names)
+        scratch = CampaignRunner(CampaignConfig(workers=1)).run(names)
+        replays = []
+        replay = cache.store_live_entries
+        monkeypatch.setattr(cache, "store_live_entries",
+                            lambda path: replays.append(path) or replay(path))
+        plan, report = reverify(store, names)
+        assert replays == [store]
+        assert plan == expected_plan
+        assert plan.changed == MORE[:1]
+        assert (report.summary.executed, report.summary.resumed) == (1, 2)
+        assert _signature(report) == _signature(scratch)
 
     def test_only_changed_kernels_execute(self, tmp_path):
         store = tmp_path / "campaign.jsonl"

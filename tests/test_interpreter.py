@@ -5,10 +5,12 @@ import pytest
 from repro.cfront.cparser import parse_function
 from repro.errors import CompileError, InterpreterError, UndefinedBehaviorError
 from repro.interp.checksum import checksum_testing
-from repro.interp.memory import Memory
+from repro.interp.memory import ArrayImage, Memory
 from repro.interp import interpreter
 from repro.interp.interpreter import run_function
-from repro.interp.randominit import InputSpec, make_test_vector, randints
+from repro.interp.randominit import InputSpec, make_test_suite, make_test_vector, randints
+from repro.lanetypes import get_lane_type
+from repro.tsvc import all_kernel_names, load_kernel
 import random
 from repro.verdict import Verdict
 
@@ -35,6 +37,77 @@ class TestMemory:
         memory.allocate("a", 4)
         with pytest.raises(UndefinedBehaviorError):
             memory.load("a", 100)
+
+
+class TestSuiteRegions:
+    """A region built from a checksum suite's array is the region its values
+    build as a plain list, and a caller's list is read afresh on every run."""
+
+    @pytest.mark.parametrize("dtype", ["int16", "int32", "int64"])
+    def test_every_suite_array_builds_the_region_of_its_list(self, dtype):
+        lane_type = get_lane_type(dtype)
+        for name in all_kernel_names():
+            func = load_kernel(name, dtype).function
+            for vector in make_test_suite(InputSpec.from_function(func), random.Random(0)):
+                for array, values in vector.arrays.items():
+                    built = []
+                    for source in (values, list(values)):
+                        memory = Memory(dtype=lane_type)
+                        region = memory.allocate(array, len(values), source)
+                        guard_read = memory.load(array, region.size)
+                        built.append((region.data, region.poison, region.size,
+                                      guard_read, memory.ub_events))
+                    assert built[0] == built[1], (name, array)
+
+    def test_suite_arrays_are_images_of_their_draws(self):
+        spec = InputSpec(array_params=["a", "indx"], scalar_params=["n"])
+        vector = make_test_vector(spec, 16, random.Random(3))
+        drawn = random.Random(3)
+        assert vector.arrays == {"a": ArrayImage(randints(drawn, -64, 64, 72)),
+                                 "indx": ArrayImage(randints(drawn, 0, 15, 72))}
+        for image in vector.arrays.values():
+            assert type(image) is ArrayImage
+            assert (image.low, image.high) == (min(image), max(image))
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    def test_an_image_builds_the_region_of_its_list_at_any_size(self, size):
+        # 40000 and 2**15 leave int16's range, so both copies are wrapped.
+        values = [40000, -5, 2**15]
+        image = ArrayImage(values)
+        assert (image.low, image.high) == (-5, 40000)
+        regions = [Memory(dtype=get_lane_type("int16")).allocate("a", size, source)
+                   for source in (image, values)]
+        assert regions[0].data == regions[1].data
+        assert regions[0].poison == regions[1].poison
+        assert regions[0].snapshot() == [40000 - 2**16, -5, -2**15, 0, 0][:size]
+
+    @pytest.mark.parametrize("values", [[1, True], [1.0], [2, None]])
+    def test_an_image_holds_plain_ints_only(self, values):
+        with pytest.raises(TypeError):
+            ArrayImage(values)
+
+    def test_a_list_mutated_between_runs_is_read_fresh(self):
+        func = parse_function(
+            "void f(int n, int *a, int *b) { for (int i = 0; i < n; i++) a[i] = b[i] + 1; }")
+        arrays = {"a": [0] * 4, "b": [1, 2, 3, 4]}
+        first = run_function(func, arrays, {"n": 4})
+        arrays["b"][2] = 100
+        arrays["a"][0] = 7
+        second = run_function(func, arrays, {"n": 4})
+        assert first.outputs() == {"a": [2, 3, 4, 5], "b": [1, 2, 3, 4]}
+        assert second.outputs() == {"a": [2, 3, 101, 5], "b": [1, 2, 100, 4]}
+
+    @pytest.mark.parametrize("dtype, values, wrapped", [
+        ("int32", [2**31, -2**31 - 1, 7], [-2**31, 2**31 - 1, 7]),
+        ("int16", [40000, -40000, 5], [40000 - 2**16, 2**16 - 40000, 5]),
+        ("int64", [2**64 + 3, -2**63, 2**63], [3, -2**63, -2**63]),
+    ])
+    def test_an_out_of_range_value_in_a_list_is_wrapped(self, dtype, values, wrapped):
+        ctype = get_lane_type(dtype).c_name
+        func = parse_function(f"void f(int n, {ctype} *a, {ctype} *b) "
+                              "{ for (int i = 0; i < n; i++) a[i] = b[i]; }")
+        result = run_function(func, {"a": [0] * 3, "b": values}, {"n": 3})
+        assert result.outputs() == {"a": wrapped, "b": wrapped}
 
 
 class TestInterpreter:
@@ -332,7 +405,6 @@ def test_only_the_settings_a_caller_sets_remain():
     import inspect
 
     from repro.experiments.performance_eval import run_performance_evaluation
-    from repro.interp.randominit import make_test_suite
 
     def parameters(fn):
         return list(inspect.signature(fn).parameters)

@@ -276,6 +276,24 @@ class TestStoreMerging:
         assert report.label == "real"
         assert set(report.by_kernel()) == {"b"}
 
+    def test_a_non_string_label_is_no_label(self, tmp_path):
+        """Inference and selection read a label by one rule: only a string
+        labels a record.  Inferring ``str(7)`` and then selecting ``7 ==
+        '7'`` reported label '7' with no records."""
+        store = tmp_path / "s.jsonl"
+        numbered = {"type": "result", "campaign": 7, "kernel": "a", "key": "k0",
+                    "result": {"kernel": "a", "verdict": "equivalent"}}
+        store.write_text(json.dumps(numbered) + "\n")
+        with pytest.raises(ValueError, match="no labeled campaign records"):
+            report_from_store(store)
+        assert report_from_store(store, label="7").records == []
+        labeled = {"type": "result", "campaign": "real", "kernel": "b",
+                   "key": "k1", "result": {"kernel": "b", "verdict": "equivalent"}}
+        store.write_text(json.dumps(numbered) + "\n" + json.dumps(labeled) + "\n")
+        report = report_from_store(store)
+        assert report.label == "real"
+        assert set(report.by_kernel()) == {"b"}
+
     def test_summary_target_fallback_uses_the_default_resolution_rule(self, tmp_path):
         """A store whose summaries carry no target falls back to the
         pipeline default target, not to a hardcoded ISA name."""

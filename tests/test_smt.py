@@ -3,16 +3,19 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.smt import terms
 from repro.smt.bitblast import BitBlaster, assert_words_differ
 from repro.smt.equiv import (
     EquivalenceChecker,
     SolverBudget,
+    _alpha_canonical_pair,
     normalize_term,
     terms_structurally_equal,
 )
 from repro.smt.sat import CDCLSolver, SATResult
 from repro.smt.terms import (
-    Term, TermKind, bv_const, bv_var, evaluate, evaluate_many, mk, poison, to_signed,
+    Term, TermKind, bv_const, bv_var, contains_poison, evaluate, evaluate_many, mk, poison,
+    to_signed,
 )
 from repro.verdict import Verdict
 
@@ -311,3 +314,87 @@ class TestDeepTerms:
         chain = _chain(TermKind.ADD, 5000)
         assignment = {"x": 1, **{f"y{i}": i for i in range(7)}}
         assert evaluate(chain, assignment) == 1 + sum(level % 7 for level in range(5000))
+
+
+def _reachable_poison(term: Term) -> bool:
+    """Reference for ``contains_poison``: walk the DAG, each node once."""
+    stack, seen = [term], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.kind is TermKind.POISON:
+            return True
+        stack.extend(node.args)
+    return False
+
+
+class TestPoisonBit:
+    """``contains_poison`` answers what a walk of the term's DAG finds."""
+
+    def test_a_poison_ite_branch_is_seen_whether_or_not_mk_folds_it(self):
+        x, y = bv_var("x"), bv_var("y")
+        cond = mk(TermKind.LT, x, y)
+        built = mk(TermKind.ITE, cond, poison("oob"), x)
+        interned = terms._intern(TermKind.ITE, (cond, poison("oob"), x))
+        for term in (built, interned, mk(TermKind.ADD, interned, y),
+                     Term(TermKind.ITE, (cond, x, Term(TermKind.NEG, (poison(),))))):
+            assert contains_poison(term) is _reachable_poison(term) is True
+        clean = mk(TermKind.ITE, cond, y, x)
+        assert contains_poison(clean) is _reachable_poison(clean) is False
+
+    def test_poison_under_a_raw_node(self):
+        x, y = bv_var("x"), bv_var("y")
+        poisoned = Term(TermKind.ADD, (x, Term(TermKind.MUL, (y, poison("raw")))))
+        clean = Term(TermKind.ADD, (x, Term(TermKind.MUL, (y, x))))
+        assert contains_poison(poisoned) is _reachable_poison(poisoned) is True
+        assert contains_poison(clean) is _reachable_poison(clean) is False
+        assert contains_poison(poison()) is True
+        assert contains_poison(bv_const(3)) is contains_poison(x) is False
+
+    def test_a_renamed_pair_keeps_its_poison(self):
+        source = Term(TermKind.ADD, (bv_var("a_3"), Term(TermKind.SUB, (poison(), bv_var("b_1")))))
+        target = mk(TermKind.ADD, bv_var("b_1"), bv_var("a_3"))
+        renamed_source, renamed_target, var_map = _alpha_canonical_pair(source, target)
+        assert var_map == {"a_3": "v0", "b_1": "v1"}
+        assert contains_poison(renamed_source) is _reachable_poison(renamed_source) is True
+        assert contains_poison(renamed_target) is _reachable_poison(renamed_target) is False
+
+    @pytest.mark.parametrize("interned", [True, False])
+    def test_a_chain_ten_thousand_deep(self, interned):
+        chain = _chain(TermKind.ADD, 10_000, interned=interned)
+        assert contains_poison(chain) is _reachable_poison(chain) is False
+        term = poison("bottom")
+        for level in range(10_000):
+            term = Term(TermKind.ADD, (term, bv_var(f"y{level % 7}")))
+        assert contains_poison(term) is _reachable_poison(term) is True
+
+    @pytest.mark.parametrize("target", ["avx2", "neon"])
+    def test_every_cell_the_verifier_checks(self, target, monkeypatch):
+        """Both sides of every observable cell of a serial campaign."""
+        from repro.alive import verifier
+        from repro.llm.synthetic import SyntheticLLMConfig
+        from repro.pipeline import CampaignConfig, CampaignRunner
+        from repro.pipeline.runner import LLMVectorizerConfig
+
+        checked = {"terms": 0, "poisoned": 0, "wrong": []}
+        output_pairs = verifier._output_pairs
+
+        def recorded(*args):
+            pairs = output_pairs(*args)
+            for name, sides in pairs.items():
+                for term in sides:
+                    expected = _reachable_poison(term)
+                    checked["terms"] += 1
+                    checked["poisoned"] += expected
+                    if contains_poison(term) is not expected:
+                        checked["wrong"].append(name)
+            return pairs
+
+        monkeypatch.setattr(verifier, "_output_pairs", recorded)
+        config = LLMVectorizerConfig(llm=SyntheticLLMConfig(seed=2024))
+        CampaignRunner(CampaignConfig(workers=1, target=target)).run(vectorizer_config=config)
+        assert checked["wrong"] == []
+        assert checked["terms"] > 10_000, checked["terms"]
+        assert checked["poisoned"] > 0
