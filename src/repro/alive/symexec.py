@@ -24,7 +24,7 @@ from collections.abc import Mapping
 
 from repro.cfront import ast_nodes as ast
 from repro.intrinsics.lanemath import lane_active, shift_count, whilelt_lanes
-from repro.intrinsics.registry import is_intrinsic, lookup_intrinsic
+from repro.intrinsics.registry import find_intrinsic
 from repro.intrinsics.values import ALL_VALID_WIDTHS
 from repro.lanetypes import INT32, LaneType
 from repro.memo import Memo
@@ -652,9 +652,9 @@ class SymbolicExecutor:
             left = self._eval(expr.args[0], state)
             right = self._eval(expr.args[1], state)
             return mk(TermKind.MAX if name == "max" else TermKind.MIN, left, right)
-        if not is_intrinsic(name):
+        spec = find_intrinsic(name, self.dtype)
+        if spec is None:
             raise SymbolicExecutionError(f"call to unmodelled function {name!r}")
-        spec = lookup_intrinsic(name, self.dtype)
         if spec.kind == "load":
             pointer = self._pointer_arg(expr.args[0], state)
             return SymVector([state.load(pointer.region, pointer.offset + lane)

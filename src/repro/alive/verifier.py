@@ -43,7 +43,7 @@ from repro.analysis.loops import find_main_loop
 from repro.cfront import ast_nodes as ast
 from repro.errors import CompileError, ParseError, ReproError
 from repro.alive.symexec import SymbolicExecutionError, SymbolicState, SymRegion, execute_symbolically
-from repro.intrinsics.registry import INTRINSIC_REGISTRY, registry_for_dtype
+from repro.intrinsics.registry import find_intrinsic
 from repro.lanetypes import INT32, LaneType
 from repro.memo import IdentityMemo
 from repro.smt.equiv import EquivalenceChecker, EquivalenceResult, SolverBudget
@@ -279,11 +279,10 @@ def _candidate_lanes(vector_func: ast.FunctionDef, dtype: LaneType = INT32) -> i
 
 
 def _candidate_lanes_uncached(vector_func: ast.FunctionDef, dtype: LaneType) -> int:
-    merged = registry_for_dtype(dtype)
     lanes = 0
     for node in ast.walk(vector_func):
         if isinstance(node, ast.Call):
-            spec = merged.get(node.func) or INTRINSIC_REGISTRY.get(node.func)
+            spec = find_intrinsic(node.func, dtype)
             if spec is not None:
                 lanes = max(lanes, spec.lanes)
     return lanes or DEFAULT_TARGET.lanes

@@ -58,7 +58,7 @@ from repro.cfront import ast_nodes as ast
 from repro.errors import CompileError, InterpreterError, UndefinedBehaviorError
 from repro.interp.memory import Memory, UBEvent
 from repro.intrinsics.lanemath import binary_lanes, lane_active
-from repro.intrinsics.registry import apply_pure_spec, is_intrinsic, lookup_intrinsic
+from repro.intrinsics.registry import apply_pure_spec, find_intrinsic
 from repro.intrinsics.values import PredValue, VecValue
 from repro.lanetypes import ALL_LANE_TYPES, LaneType, trunc_div
 from repro.memo import IdentityMemo
@@ -896,9 +896,9 @@ class _Compiler:
         name = node.func
         if name in ("abs", "labs", "min", "max"):
             return self.builtin(name, [self.expr(arg) for arg in node.args])
-        if not is_intrinsic(name):
+        spec = find_intrinsic(name, self.dtype)
+        if spec is None:
             return _raiser(CompileError, f"call to unknown function or intrinsic {name!r}")
-        spec = lookup_intrinsic(name, self.dtype)
         if len(node.args) != spec.arity and spec.kind not in ("setr", "set"):
             return _raiser(
                 CompileError, f"intrinsic {name} expects {spec.arity} arguments, got {len(node.args)}"

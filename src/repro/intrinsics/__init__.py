@@ -5,8 +5,9 @@ two's-complement wraparound semantics at the lane element type's width, so
 the interpreter and the symbolic encoder share one source of truth for what
 every target's vector-multiply and friends mean.  The model is width- and
 dtype-parametric: one generic operation table is materialized per registered
-target ISA and element type under that target's own spellings, and the
-merged registry lets execution layers handle candidates of any width and
+target ISA and element type under that target's own spellings, and
+:func:`find_intrinsic` resolves any spelling through the targets' one
+spelling index, so execution layers handle candidates of any width and
 naming scheme — the lane count and element type travel with the intrinsic
 name (or, for the dtype-free x86 ``si``-typed spellings, with the kernel's
 declared element type).
@@ -22,14 +23,13 @@ from repro.lanetypes import (
     get_lane_type,
 )
 from repro.intrinsics.registry import (
-    INTRINSIC_REGISTRY,
     IntrinsicSpec,
     apply_pure_intrinsic,
     build_registry,
+    find_intrinsic,
     is_intrinsic,
     lookup_intrinsic,
     registry_for,
-    registry_for_dtype,
 )
 from repro.intrinsics.values import PredValue, VecValue
 
@@ -39,16 +39,15 @@ __all__ = [
     "INT16",
     "INT32",
     "INT64",
-    "INTRINSIC_REGISTRY",
     "IntrinsicSpec",
     "LaneType",
     "PredValue",
     "VecValue",
     "apply_pure_intrinsic",
     "build_registry",
+    "find_intrinsic",
     "get_lane_type",
     "is_intrinsic",
     "lookup_intrinsic",
     "registry_for",
-    "registry_for_dtype",
 ]

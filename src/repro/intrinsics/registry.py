@@ -5,14 +5,15 @@ Each generic operation (``add``, ``select``, ``loadu`` ...) is defined once
 materialized per :class:`~repro.targets.TargetISA` and lane element type
 under the target's concrete spellings (``repro.targets`` owns the spelling;
 :mod:`repro.intrinsics.lanemath` owns the per-lane arithmetic, which the
-plain lane ops reach by name).  The merged :data:`INTRINSIC_REGISTRY` spans
-every registered target, so the interpreter and the symbolic executor can
-execute candidates of any width and naming scheme without being told which
-backend produced them: the width travels with the intrinsic name.  The element type
-travels with the name too for dtype-suffixed spellings (``_epi16``,
-``_s64`` ...); the x86 ``si``-typed spellings are element-type-free and
-resolve through the kernel's declared element type
-(:func:`lookup_intrinsic`'s ``dtype`` argument).
+plain lane ops reach by name).  Each spec exists once, in its
+(target, dtype) registry.  :func:`find_intrinsic` reaches it from a bare
+spelling through :data:`repro.targets.SPELLING_INDEX`, so the interpreter
+and the symbolic executor can execute candidates of any width and naming
+scheme without being told which backend produced them: the width travels
+with the intrinsic name.  The element type travels with the name too for
+dtype-suffixed spellings (``_epi16``, ``_s64`` ...); the x86 ``si``-typed
+spellings are element-type-free and resolve through the kernel's declared
+element type (the ``dtype`` argument).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.lanetypes import (
     LaneType,
     get_lane_type,
 )
-from repro.targets import ALL_TARGETS, TargetISA, get_target
+from repro.targets import ALL_TARGETS, SPELLING_INDEX, TargetISA, get_target
 
 
 @dataclass(frozen=True)
@@ -324,19 +325,6 @@ def build_registry(target: TargetISA,
     return registry
 
 
-def _build_merged_registry(lane_type: LaneType) -> dict[str, IntrinsicSpec]:
-    merged: dict[str, IntrinsicSpec] = {}
-    for target in ALL_TARGETS:
-        for name, spec in build_registry(target, lane_type).items():
-            existing = merged.get(name)
-            if existing is not None and existing.op != spec.op:
-                raise RuntimeError(
-                    f"intrinsic name collision across targets: {name}"
-                )
-            merged[name] = spec
-    return merged
-
-
 #: (target name, dtype name) -> registry; one entry per supported pairing.
 _TARGET_REGISTRIES_BY_DTYPE: dict[tuple[str, str], dict[str, IntrinsicSpec]] = {
     (target.name, lane_type.name): build_registry(target, lane_type)
@@ -344,19 +332,6 @@ _TARGET_REGISTRIES_BY_DTYPE: dict[tuple[str, str], dict[str, IntrinsicSpec]] = {
     for lane_type in ALL_LANE_TYPES
     if target.supports_dtype(lane_type)
 }
-
-#: dtype name -> cross-target merged registry.  Shared (element-type-free)
-#: x86 spellings appear in several of these with dtype-appropriate specs;
-#: dtype-suffixed spellings appear in exactly one.
-_MERGED_BY_DTYPE: dict[str, dict[str, IntrinsicSpec]] = {
-    lane_type.name: _build_merged_registry(lane_type)
-    for lane_type in ALL_LANE_TYPES
-}
-
-#: The historical merged view: every intrinsic at the default (int32) dtype.
-INTRINSIC_REGISTRY: dict[str, IntrinsicSpec] = _MERGED_BY_DTYPE[
-    DEFAULT_LANE_TYPE.name
-]
 
 
 def registry_for(target: "TargetISA | str | None",
@@ -372,40 +347,43 @@ def registry_for(target: "TargetISA | str | None",
         ) from None
 
 
-def registry_for_dtype(dtype: "LaneType | str | None",
-                       ) -> dict[str, IntrinsicSpec]:
-    """The cross-target merged registry at one lane element type."""
-    return _MERGED_BY_DTYPE[get_lane_type(dtype).name]
-
-
 def is_intrinsic(name: str) -> bool:
     """Return True if ``name`` is a modelled SIMD intrinsic (any target,
     any lane element type)."""
-    return any(name in registry for registry in _MERGED_BY_DTYPE.values())
+    return name in SPELLING_INDEX
+
+
+def find_intrinsic(name: str,
+                   dtype: "LaneType | str | None" = None,
+                   ) -> IntrinsicSpec | None:
+    """The spec for ``name`` from its owning target's registry, or ``None``
+    for a spelling no target emits.
+
+    ``dtype`` is the kernel's element-type context (default int32): it
+    decides how the x86 ``si``-typed (element-type-free) spellings are
+    modelled.  A spelling the context's table does not spell resolves at
+    int32 when int32 spells it, else at the narrowest dtype that does, so a
+    lookup never needs the context to be right to find a suffixed name.
+    """
+    entry = SPELLING_INDEX.get(name)
+    if entry is None:
+        return None
+    target, _op, dtypes = entry
+    spelled_at = get_lane_type(dtype).name
+    if spelled_at not in dtypes:
+        spelled_at = (DEFAULT_LANE_TYPE.name if DEFAULT_LANE_TYPE.name in dtypes
+                      else dtypes[0])
+    return _TARGET_REGISTRIES_BY_DTYPE[(target.name, spelled_at)][name]
 
 
 def lookup_intrinsic(name: str,
                      dtype: "LaneType | str | None" = None,
                      ) -> IntrinsicSpec:
-    """Return the spec for ``name``; raises ``KeyError`` for unknown intrinsics.
-
-    ``dtype`` is the kernel's element-type context: it decides how the x86
-    ``si``-typed (element-type-free) spellings are modelled.  Spellings that
-    carry their own dtype suffix resolve regardless of the context, so a
-    lookup never needs the context to be right to find a suffixed name.
-    """
-    if dtype is not None:
-        spec = _MERGED_BY_DTYPE[get_lane_type(dtype).name].get(name)
-        if spec is not None:
-            return spec
-    spec = INTRINSIC_REGISTRY.get(name)
-    if spec is not None:
-        return spec
-    for registry in _MERGED_BY_DTYPE.values():
-        spec = registry.get(name)
-        if spec is not None:
-            return spec
-    raise KeyError(name)
+    """:func:`find_intrinsic`, raising ``KeyError`` for unknown intrinsics."""
+    spec = find_intrinsic(name, dtype)
+    if spec is None:
+        raise KeyError(name)
+    return spec
 
 
 def apply_pure_intrinsic(name: str, args: list,

@@ -166,13 +166,13 @@ def run_task_batch(job: "JobFn", tasks: "list[KernelTask]", label: str) -> dict:
 
     before = plancache.stats.as_dict()
     solver_before = solvecache.stats.as_dict()
-    journal_mark = solvecache.journal_position()
-    results = [_run_job(job, task, label) for task in tasks]
+    with solvecache.batch_journal() as discovered:
+        results = [_run_job(job, task, label) for task in tasks]
     return {
         "results": results,
         "plan_cache": counter_delta(before, plancache.stats.as_dict()),
         "solver": counter_delta(solver_before, solvecache.stats.as_dict()),
-        "solve_cache": solvecache.entries_since(journal_mark),
+        "solve_cache": discovered,
     }
 
 

@@ -25,8 +25,9 @@ the fleet-wide solver counters (decisions/conflicts/learned/restarts) that
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from repro.memo import Memo
 from repro.smt.sat import SATStatistics
@@ -74,9 +75,10 @@ class SolveCacheStats:
 stats = SolveCacheStats()
 
 _CACHE = Memo(8192)
-#: Append-only journal of (key, record) stores, so a worker can ship the
-#: entries it discovered during one batch back to the campaign parent.
-_journal: list[tuple[str, dict]] = []
+#: The (key, record) stores of the batch a worker is running, so it can ship
+#: them back to the campaign parent; ``None`` outside a batch, so a serial
+#: process journals nothing.
+_journal: list[tuple[str, dict]] | None = None
 
 
 def query_key(pairs: "list[tuple[Term, Term]]", bitwidth: int,
@@ -112,18 +114,22 @@ def lookup(key: str) -> dict | None:
 def store(key: str, record: dict) -> None:
     """Store one solved batch record (a JSON-serializable dict)."""
     _CACHE.put(key, record)
-    _journal.append((key, record))
+    if _journal is not None:
+        _journal.append((key, record))
     stats.cache_stores += 1
 
 
-def journal_position() -> int:
-    """Marker for :func:`entries_since` (workers snapshot it per batch)."""
-    return len(_journal)
-
-
-def entries_since(position: int) -> list[tuple[str, dict]]:
-    """Every (key, record) stored after ``position`` was taken."""
-    return _journal[position:]
+@contextlib.contextmanager
+def batch_journal() -> Iterator[list[tuple[str, dict]]]:
+    """Collect every (key, record) stored inside the ``with`` block (one
+    worker batch) into the list it yields; stores outside one are not kept."""
+    global _journal
+    entries: list[tuple[str, dict]] = []
+    _journal = entries
+    try:
+        yield entries
+    finally:
+        _journal = None
 
 
 def export_entries() -> list[tuple[str, dict]]:
@@ -145,7 +151,6 @@ def seed_entries(entries: "Iterable[tuple[str, dict]]") -> None:
 def clear_caches() -> None:
     """Drop every entry and reset the counters (tests measure from zero)."""
     _CACHE.clear()
-    _journal.clear()
     stats.cache_hits = stats.cache_misses = stats.cache_stores = 0
     stats.decisions = stats.propagations = 0
     stats.conflicts = stats.learned_clauses = stats.restarts = 0

@@ -69,27 +69,25 @@ def check_candidate(source: str, *,
     if cached is not None:
         return cached
 
+    isa = get_target(target) if target is not None else detect_target(source)
     try:
         func = cached_parse(source)
     except ReproError as exc:
         location = getattr(exc, "location", None)
         span = (location.line, location.column) if location else (0, 0)
-        isa = detect_target(source, default=target)
         report = StaticReport(target=isa.name,
                               dtype=get_lane_type(dtype).name, checked=False)
         report.diagnostics.append(Diagnostic(
             rule_id="parse-error", severity=Severity.ERROR,
             message=f"candidate does not parse: {exc}", node_span=span))
     else:
-        isa = get_target(target) if target is not None \
-            else detect_target(source)
         lane_type = _resolve_dtype(dtype, func)
         report = StaticReport(target=isa.name, dtype=lane_type.name)
         run_typeflow(func, isa, lane_type, report)
-        run_loopshape(func, isa, lane_type, report, epilogue=epilogue)
-        run_deadmask(func, isa, lane_type, report)
+        run_loopshape(func, lane_type, report, epilogue=epilogue)
+        run_deadmask(func, lane_type, report)
         run_predicates(func, isa, lane_type, report)
         if scalar_source:
-            run_drift(func, isa, lane_type, report,
+            run_drift(func, lane_type, report,
                       scalar_func=_parse_scalar(scalar_source))
     return _REPORTS.put(key, report)

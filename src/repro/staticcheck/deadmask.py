@@ -19,19 +19,17 @@ from __future__ import annotations
 from repro.cfront import ast_nodes as ast
 from repro.lanetypes import LaneType
 from repro.staticcheck.diagnostics import Severity, StaticReport
-from repro.staticcheck.loopshape import _spec_of
-from repro.intrinsics.registry import registry_for
-from repro.targets import TargetISA
+from repro.intrinsics.registry import find_intrinsic
 
 #: Generic ops whose results are masks/predicates feeding a blend.
 _COMPARE_OPS = {"cmpgt", "cmpeq", "pcmpgt", "pcmpeq"}
 
 
-def _is_zero_vector(expr: ast.Expr | None, registry, dtype: LaneType) -> bool:
+def _is_zero_vector(expr: ast.Expr | None, dtype: LaneType) -> bool:
     """Whether ``expr`` constructs an all-zeros vector (setzero / set1(0))."""
     if not isinstance(expr, ast.Call):
         return False
-    spec = _spec_of(expr.func, registry, dtype)
+    spec = find_intrinsic(expr.func, dtype)
     if spec is None:
         return False
     if spec.kind == "setzero":
@@ -42,20 +40,15 @@ def _is_zero_vector(expr: ast.Expr | None, registry, dtype: LaneType) -> bool:
     return False
 
 
-def run_deadmask(func: ast.FunctionDef, target: TargetISA, dtype: LaneType,
+def run_deadmask(func: ast.FunctionDef, dtype: LaneType,
                  report: StaticReport) -> None:
     """Flag comparison results assigned to variables that are never read."""
-    try:
-        registry = registry_for(target, dtype)
-    except KeyError:
-        registry = {}
-
     for call in ast.collect(func, ast.Call):
-        spec = _spec_of(call.func, registry, dtype)
+        spec = find_intrinsic(call.func, dtype)
         if spec is None or spec.op not in ("add", "padd"):
             continue
         operands = call.args[1:3] if spec.op == "padd" else call.args[:2]
-        if any(_is_zero_vector(arg, registry, dtype) for arg in operands):
+        if any(_is_zero_vector(arg, dtype) for arg in operands):
             report.add(
                 "noop-arith", Severity.ERROR,
                 f"{spec.name} adds an all-zeros vector — a no-op the "
@@ -64,7 +57,7 @@ def run_deadmask(func: ast.FunctionDef, target: TargetISA, dtype: LaneType,
 
     def compare_call(expr: ast.Expr | None) -> ast.Call | None:
         if isinstance(expr, ast.Call):
-            spec = _spec_of(expr.func, registry, dtype)
+            spec = find_intrinsic(expr.func, dtype)
             if spec is not None and spec.op in _COMPARE_OPS:
                 return expr
         return None

@@ -20,11 +20,9 @@ mutations are statically visible, from both directions:
 from __future__ import annotations
 
 from repro.cfront import ast_nodes as ast
-from repro.intrinsics.registry import IntrinsicSpec, registry_for
+from repro.intrinsics.registry import find_intrinsic
 from repro.lanetypes import LaneType
 from repro.staticcheck.diagnostics import Severity, StaticReport
-from repro.staticcheck.loopshape import _spec_of
-from repro.targets import TargetISA
 
 #: Vector ops checkable against scalar operator usage.  Maps the generic
 #: op to the scalar spellings that justify it.
@@ -122,20 +120,16 @@ def _value_operators(scalar_func: ast.FunctionDef) -> set[str]:
     return operators
 
 
-def run_drift(func: ast.FunctionDef, target: TargetISA, dtype: LaneType,
+def run_drift(func: ast.FunctionDef, dtype: LaneType,
               report: StaticReport,
               scalar_func: ast.FunctionDef | None = None) -> None:
     """Flag candidate vector ops with no scalar-source justification."""
     if scalar_func is None:
         return
-    try:
-        registry = registry_for(target, dtype)
-    except KeyError:
-        return
     scalar_ops = _scalar_operators(scalar_func)
     flagged: set[str] = set()
     for call in ast.collect(func, ast.Call):
-        spec = _spec_of(call.func, registry, dtype)
+        spec = find_intrinsic(call.func, dtype)
         if spec is None or spec.op not in _JUSTIFICATIONS:
             continue
         if spec.op in flagged:
@@ -151,12 +145,10 @@ def run_drift(func: ast.FunctionDef, target: TargetISA, dtype: LaneType,
             f"scalar kernel never uses {wanted}; an operator was swapped",
             call)
 
-    _check_loss(func, registry, dtype, report, scalar_func)
+    _check_loss(func, dtype, report, scalar_func)
 
 
-def _check_loss(func: ast.FunctionDef, registry: dict[str, IntrinsicSpec],
-                dtype: LaneType,
-                report: StaticReport,
+def _check_loss(func: ast.FunctionDef, dtype: LaneType, report: StaticReport,
                 scalar_func: ast.FunctionDef) -> None:
     value_ops = _value_operators(scalar_func)
     demanded = [op for op, spellings in _LOSS_OPS.items()
@@ -171,7 +163,7 @@ def _check_loss(func: ast.FunctionDef, registry: dict[str, IntrinsicSpec],
         for node in ast.walk(loop):
             if not isinstance(node, ast.Call):
                 continue
-            spec = _spec_of(node.func, registry, dtype)
+            spec = find_intrinsic(node.func, dtype)
             if spec is not None:
                 ops.add(spec.op)
                 kinds.add(spec.kind)

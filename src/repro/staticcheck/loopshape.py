@@ -28,10 +28,9 @@ from __future__ import annotations
 from repro.analysis.accesses import affine_index
 from repro.cfront import ast_nodes as ast
 from repro.cfront.printer import expr_to_c
-from repro.intrinsics.registry import IntrinsicSpec, lookup_intrinsic, registry_for
+from repro.intrinsics.registry import find_intrinsic
 from repro.lanetypes import LaneType
 from repro.staticcheck.diagnostics import Severity, StaticReport
-from repro.targets import TargetISA
 
 #: Spec kinds that move whole registers through memory.
 _FULL_WIDTH_MEMORY = {"load", "store"}
@@ -40,32 +39,15 @@ _PREDICATED_MEMORY = {"pload", "pstore"}
 _MEMORY_KINDS = _FULL_WIDTH_MEMORY | _MASKED_MEMORY | _PREDICATED_MEMORY
 
 
-def _spec_of(name: str, registry: dict[str, IntrinsicSpec],
-             dtype: LaneType) -> IntrinsicSpec | None:
-    spec = registry.get(name)
-    if spec is not None:
-        return spec
-    try:
-        return lookup_intrinsic(name, dtype)
-    except KeyError:
-        return None
-
-
 class LoopShape:
     """One instance checks one function's loops and ramps."""
 
-    def __init__(self, func: ast.FunctionDef, target: TargetISA,
-                 dtype: LaneType, report: StaticReport,
+    def __init__(self, func: ast.FunctionDef, dtype: LaneType, report: StaticReport,
                  epilogue: str | None = None) -> None:
         self.func = func
-        self.target = target
         self.dtype = dtype
         self.report = report
         self.epilogue = epilogue
-        try:
-            self.registry = registry_for(target, dtype)
-        except KeyError:
-            self.registry = {}
 
     def run(self) -> None:
         self._check_ramps()
@@ -76,7 +58,7 @@ class LoopShape:
 
     def _check_ramps(self) -> None:
         for call in ast.collect(self.func, ast.Call):
-            spec = _spec_of(call.func, self.registry, self.dtype)
+            spec = find_intrinsic(call.func, self.dtype)
             if spec is None:
                 continue
             if spec.kind in ("setr", "set") and len(call.args) >= 2:
@@ -166,7 +148,7 @@ class LoopShape:
         for node in nodes:
             if not isinstance(node, ast.Call):
                 continue
-            spec = _spec_of(node.func, self.registry, self.dtype)
+            spec = find_intrinsic(node.func, self.dtype)
             if spec is None:
                 continue
             if spec.op in ("whilelt", "ptest_any"):
@@ -239,7 +221,7 @@ class LoopShape:
                                      ast.DoWhileLoop)):
                     return True
                 if isinstance(node, ast.Call):
-                    spec = _spec_of(node.func, self.registry, self.dtype)
+                    spec = find_intrinsic(node.func, self.dtype)
                     if spec is not None and spec.kind in (
                             _MASKED_MEMORY | _PREDICATED_MEMORY):
                         return True
@@ -255,7 +237,7 @@ class LoopShape:
         kinds = set()
         ops = set()
         for call in calls:
-            spec = _spec_of(call.func, self.registry, self.dtype)
+            spec = find_intrinsic(call.func, self.dtype)
             if spec is not None:
                 kinds.add(spec.kind)
                 ops.add(spec.op)
@@ -273,7 +255,7 @@ class LoopShape:
                 "a loop predicate (no whilelt)", self.func)
 
 
-def run_loopshape(func: ast.FunctionDef, target: TargetISA, dtype: LaneType,
+def run_loopshape(func: ast.FunctionDef, dtype: LaneType,
                   report: StaticReport, epilogue: str | None = None) -> None:
     """The pass entry point: induction, ramp and tail-coverage rules."""
-    LoopShape(func, target, dtype, report, epilogue=epilogue).run()
+    LoopShape(func, dtype, report, epilogue=epilogue).run()

@@ -12,10 +12,9 @@ over-read is unsafe but does not corrupt results by itself).
 from __future__ import annotations
 
 from repro.cfront import ast_nodes as ast
-from repro.intrinsics.registry import registry_for
+from repro.intrinsics.registry import find_intrinsic
 from repro.lanetypes import LaneType
 from repro.staticcheck.diagnostics import Severity, StaticReport
-from repro.staticcheck.loopshape import _spec_of
 from repro.targets import TargetISA
 
 
@@ -24,14 +23,10 @@ def run_predicates(func: ast.FunctionDef, target: TargetISA, dtype: LaneType,
     """Flag all-true-governed memory inside loop-predicated loops."""
     if not target.predicate_type:
         return
-    try:
-        registry = registry_for(target, dtype)
-    except KeyError:
-        return
 
     def op_of(expr: ast.Expr) -> str | None:
         if isinstance(expr, ast.Call):
-            spec = _spec_of(expr.func, registry, dtype)
+            spec = find_intrinsic(expr.func, dtype)
             if spec is not None:
                 return spec.op
         return None
@@ -79,7 +74,7 @@ def run_predicates(func: ast.FunctionDef, target: TargetISA, dtype: LaneType,
         if not governed:
             continue
         for call in ast.collect(loop.body, ast.Call):
-            spec = _spec_of(call.func, registry, dtype)
+            spec = find_intrinsic(call.func, dtype)
             if spec is None or spec.kind not in ("pload", "pstore") \
                     or not call.args:
                 continue

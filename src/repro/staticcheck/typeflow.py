@@ -33,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cfront import ast_nodes as ast
-from repro.intrinsics.registry import IntrinsicSpec, lookup_intrinsic, registry_for
+from repro.intrinsics.registry import IntrinsicSpec, is_intrinsic, lookup_intrinsic, registry_for
 from repro.lanetypes import LaneType
 from repro.staticcheck.diagnostics import Severity, StaticReport
 from repro.targets import (
     TargetISA,
     dtype_of_spelling,
-    known_intrinsic_spellings,
     resolve_intrinsic,
     vector_type_lanes_for,
 )
@@ -125,7 +124,6 @@ class TypeFlow:
         self.assigned: set[str] = set()
         self._flagged_uninit: set[str] = set()
         self._flagged_calls: set[str] = set()
-        self._known_spellings = known_intrinsic_spellings()
 
     # -- entry point --------------------------------------------------------
 
@@ -347,7 +345,7 @@ class TypeFlow:
             for arg in call.args:
                 self._eval(arg)
             return SCALAR
-        if name not in self._known_spellings:
+        if not is_intrinsic(name):
             if name not in self._flagged_calls:
                 self._flagged_calls.add(name)
                 self.report.add(
@@ -378,12 +376,7 @@ class TypeFlow:
             # Same header family at another register width (AVX2 reduction
             # tails extracting through the SSE4 low half): legitimate
             # auxiliary — type-check against its own spec.
-            spec = self._auxiliary_spec(name)
-            if spec is not None:
-                return self._check_against(call, spec)
-            for arg in call.args:
-                self._eval(arg)
-            return UNKNOWN
+            return self._check_against(call, lookup_intrinsic(name, self.dtype))
         if name not in self._flagged_calls:
             self._flagged_calls.add(name)
             if self.target.supports(op, self.dtype):
@@ -400,12 +393,6 @@ class TypeFlow:
         for arg in call.args:
             self._eval(arg)
         return UNKNOWN
-
-    def _auxiliary_spec(self, name: str) -> IntrinsicSpec | None:
-        try:
-            return lookup_intrinsic(name, self.dtype)
-        except KeyError:
-            return None
 
     def _check_against(self, call: ast.Call, spec: IntrinsicSpec) -> Value:
         values = [self._eval(arg) for arg in call.args]

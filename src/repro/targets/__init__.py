@@ -17,6 +17,7 @@ from repro.targets.isa import (
     NEON,
     PREDICATE_TYPE_NAMES,
     SCALABLE_LANES,
+    SPELLING_INDEX,
     SSE4,
     SVE128,
     SVE256,
@@ -43,6 +44,7 @@ __all__ = [
     "NEON",
     "PREDICATE_TYPE_NAMES",
     "SCALABLE_LANES",
+    "SPELLING_INDEX",
     "SSE4",
     "SVE128",
     "SVE256",

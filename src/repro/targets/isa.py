@@ -11,11 +11,14 @@ Every other layer speaks in *generic operation* names (``add``, ``mul``,
 is owned by the target:
 
 * ``TargetISA.intrinsic(op)`` spells a generic op for the target;
-* ``TargetISA.op_of(name)`` inverts one target's spelling;
-* :func:`resolve_intrinsic` inverts any registered target's spelling and
-  raises :class:`UnknownIntrinsicName` for spellings no target emits —
-  callers must never guess or silently coerce an unknown name into some
-  other ISA's grammar.
+* :data:`SPELLING_INDEX` is the one way back: it maps every spelling to
+  its owning target, its generic op and the lane element types whose
+  tables spell it.  ``TargetISA.op_of(name)``, :func:`resolve_intrinsic`,
+  :func:`dtype_of_spelling`, :func:`known_intrinsic_spellings` and the
+  intrinsic registry's spec lookup all read it, and raise
+  :class:`UnknownIntrinsicName` (the registry: ``KeyError``) for spellings
+  no target emits — callers must never guess or silently coerce an unknown
+  name into some other ISA's grammar.
 
 Six concrete instances ship here:
 
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
-from repro.lanetypes import INT32, LaneType, get_lane_type
+from repro.lanetypes import ALL_LANE_TYPES, INT32, LaneType, get_lane_type
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cfront derives
     from repro.cfront.ctypes import CType  # its vector types from this module)
@@ -276,9 +279,6 @@ class TargetISA:
     lanes: int
     #: The C vector type the backend's candidates declare.
     vector_type: str
-    #: Intrinsic name prefix; informational (prompts, docs) — spelling goes
-    #: through ``op_names``, never through string surgery on the prefix.
-    prefix: str
     #: Generic operation -> concrete intrinsic name.  An op absent from this
     #: mapping is unavailable on the target.
     op_names: Mapping[str, str] = field(default_factory=dict)
@@ -311,30 +311,6 @@ class TargetISA:
     #: ``__m256i`` is element-type-free and used for every dtype, so x86
     #: targets leave this empty.
     vector_types_by_dtype: Mapping[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        reverse: dict[str, str] = {}
-        for op, spelled in self.op_names.items():
-            if spelled in reverse:
-                raise ValueError(
-                    f"{self.display_name}: spelling {spelled!r} assigned to both "
-                    f"{reverse[spelled]!r} and {op!r}"
-                )
-            reverse[spelled] = op
-        object.__setattr__(self, "_ops_by_name", reverse)
-        # Spellings across every dtype table (op identity is dtype-free:
-        # one spelling may recur across dtype tables — the x86 ``si``-typed
-        # names do — but always for the same generic op).
-        all_spellings: dict[str, str] = dict(reverse)
-        for table in self.op_names_by_dtype.values():
-            for op, spelled in table.items():
-                prior = all_spellings.setdefault(spelled, op)
-                if prior != op:
-                    raise ValueError(
-                        f"{self.display_name}: spelling {spelled!r} assigned "
-                        f"to both {prior!r} and {op!r}"
-                    )
-        object.__setattr__(self, "_ops_by_name_all", all_spellings)
 
     # -- capability queries -------------------------------------------------
 
@@ -418,10 +394,10 @@ class TargetISA:
 
     def op_of(self, name: str) -> str:
         """Generic op of one of *this* target's spellings (raises otherwise)."""
-        try:
-            return self._ops_by_name_all[name]
-        except KeyError:
-            raise UnknownIntrinsicName(name) from None
+        owner, op, _dtypes = _spelling(name)
+        if owner.name != self.name:
+            raise UnknownIntrinsicName(name)
+        return op
 
     def zero_call(self, dtype: "LaneType | str | None" = None,
                   ) -> tuple[str, tuple[int, ...]]:
@@ -480,7 +456,6 @@ SSE4 = TargetISA(
     display_name="SSE4",
     lanes=4,
     vector_type="__m128i",
-    prefix="_mm",
     op_names=_x86_op_names("_mm", "si128", permute_halves=""),
     vector_cost_overrides={
         # 128-bit memory ops move half the data of the AVX2 base figures.
@@ -524,7 +499,6 @@ NEON = TargetISA(
     display_name="NEON",
     lanes=4,
     vector_type="int32x4_t",
-    prefix="v",
     op_names=_neon_op_names(),
     op_names_by_dtype={
         "int16": _neon_op_names(16),
@@ -559,7 +533,6 @@ SVE128 = TargetISA(
     display_name="SVE (VL128)",
     lanes=4,
     vector_type="svint32_t",
-    prefix="sv",
     op_names=_sve_op_names(128),
     op_names_by_dtype={
         "int16": _sve_op_names(128, 16),
@@ -591,7 +564,6 @@ SVE256 = TargetISA(
     display_name="SVE (VL256)",
     lanes=8,
     vector_type="svint32_t",
-    prefix="sv",
     op_names=_sve_op_names(256),
     op_names_by_dtype={
         "int16": _sve_op_names(256, 16),
@@ -619,7 +591,6 @@ AVX2 = TargetISA(
     display_name="AVX2",
     lanes=8,
     vector_type="__m256i",
-    prefix="_mm256",
     op_names=_x86_op_names("_mm256", "si256",
                            cast_low="_mm256_castsi256_si128"),
     bogus_gather_spelling="_mm256_gather_load_epi32",
@@ -647,7 +618,6 @@ AVX512 = TargetISA(
     display_name="AVX-512",
     lanes=16,
     vector_type="__m512i",
-    prefix="_mm512",
     op_names=_x86_op_names(
         "_mm512", "si512",
         select="_mm512_mask_blend_epi32",
@@ -716,53 +686,39 @@ _ALIASES = {
 _BY_NAME = {target.name: target for target in ALL_TARGETS}
 
 
-def _build_spelling_index() -> dict[str, tuple[str, str]]:
-    """Intrinsic spelling -> (target name, generic op), across all targets
-    and lane element types."""
-    index: dict[str, tuple[str, str]] = {}
+def _build_spelling_index() -> dict[str, tuple[TargetISA, str, tuple[str, ...]]]:
+    """Invert every target's op tables (``op_names`` and
+    ``op_names_by_dtype``).  A spelling belongs to one target and names one
+    op; anything else raises at import."""
+    index: dict[str, tuple[TargetISA, str, tuple[str, ...]]] = {}
     for target in ALL_TARGETS:
-        tables = [target.op_names, *target.op_names_by_dtype.values()]
-        for table in tables:
-            for op, spelled in table.items():
-                existing = index.get(spelled)
-                if existing is not None and existing[1] != op:
+        for lane_type in ALL_LANE_TYPES:
+            if not target.supports_dtype(lane_type):
+                continue
+            for op, spelled in target.op_table(lane_type).items():
+                owner, owned_op, dtypes = index.get(spelled, (target, op, ()))
+                if owner is not target or owned_op != op:
                     raise RuntimeError(
-                        f"intrinsic spelling collision across targets: {spelled!r} "
-                        f"is {existing[1]!r} on {existing[0]} but {op!r} on {target.name}"
+                        f"intrinsic spelling {spelled!r} is {owned_op!r} on "
+                        f"{owner.name} but {op!r} on {target.name}"
                     )
-                if existing is None:
-                    index[spelled] = (target.name, op)
+                index[spelled] = (target, op, dtypes + (lane_type.name,))
     return index
 
 
-_SPELLING_INDEX = _build_spelling_index()
+#: Intrinsic spelling -> (owning target, generic op, names of the lane
+#: element types whose tables spell it, narrow to wide): the one reverse map
+#: of the registered targets' op tables.  Most spellings carry their element
+#: type (``_epi16``, ``_s64`` ...); the x86 ``si``-typed names, the byte
+#: blend and SVE's predicate logic are spelled at every dtype.
+SPELLING_INDEX = _build_spelling_index()
 
 
-def _build_spelling_dtypes() -> dict[str, str]:
-    """Spelling -> dtype name, for spellings dedicated to one element type.
-
-    Dtype-free spellings (x86 ``si``-typed names, the byte blend, SVE
-    predicate logic) are absent: their element type travels with the
-    kernel's declared C types, not with the intrinsic name.
-    """
-    dedicated: dict[str, str] = {}
-    shared: set[str] = set()
-    for target in ALL_TARGETS:
-        tables = {INT32.name: target.op_names, **target.op_names_by_dtype}
-        for dtype_name, table in tables.items():
-            for spelled in table.values():
-                prior = dedicated.get(spelled)
-                if spelled in shared:
-                    continue
-                if prior is None:
-                    dedicated[spelled] = dtype_name
-                elif prior != dtype_name:
-                    dedicated.pop(spelled)
-                    shared.add(spelled)
-    return dedicated
-
-
-_SPELLING_DTYPES = _build_spelling_dtypes()
+def _spelling(name: str) -> tuple[TargetISA, str, tuple[str, ...]]:
+    try:
+        return SPELLING_INDEX[name]
+    except KeyError:
+        raise UnknownIntrinsicName(name) from None
 
 
 def dtype_of_spelling(name: str) -> "LaneType | None":
@@ -771,10 +727,8 @@ def dtype_of_spelling(name: str) -> "LaneType | None":
 
     Raises :class:`UnknownIntrinsicName` for spellings no target emits.
     """
-    if name not in _SPELLING_INDEX:
-        raise UnknownIntrinsicName(name)
-    dtype_name = _SPELLING_DTYPES.get(name)
-    return None if dtype_name is None else get_lane_type(dtype_name)
+    _owner, _op, dtypes = _spelling(name)
+    return get_lane_type(dtypes[0]) if len(dtypes) == 1 else None
 
 
 #: Lane count recorded for scalable vector types: the width is simulated
@@ -889,25 +843,21 @@ def get_target(target: "TargetISA | str | None") -> TargetISA:
 def resolve_intrinsic(name: str) -> tuple[TargetISA, str]:
     """Invert an intrinsic spelling: ``(owning target, generic op)``.
 
-    Spellings shared by several targets resolve to the first registrant.
     Raises :class:`UnknownIntrinsicName` for spellings no target emits —
     never coerces an unknown name into another ISA's grammar.
     """
-    entry = _SPELLING_INDEX.get(name)
-    if entry is None:
-        raise UnknownIntrinsicName(name)
-    target_name, op = entry
-    return _BY_NAME[target_name], op
+    owner, op, _dtypes = _spelling(name)
+    return owner, op
 
 
 def known_intrinsic_spellings() -> frozenset[str]:
     """Every intrinsic spelling any registered target emits."""
-    return frozenset(_SPELLING_INDEX)
+    return frozenset(SPELLING_INDEX)
 
 
 def contains_known_intrinsics(source: str) -> bool:
     """Whether ``source`` mentions any registered target's intrinsics."""
-    return any(name in source for name in _SPELLING_INDEX)
+    return any(name in source for name in SPELLING_INDEX)
 
 
 def detect_target(source: str, default: "TargetISA | str | None" = None) -> TargetISA:

@@ -286,6 +286,25 @@ class TestVerifier:
         assert result.method == "concrete"
         assert result.counterexample
 
+    @pytest.mark.parametrize("stage", ["check_with_alive_unroll", "check_with_c_unroll",
+                                       "check_with_spatial_splitting"])
+    def test_another_dtypes_spelling_is_inconclusive_at_its_own_width(self, stage):
+        # ``_mm256_add_epi16`` is spelled at int16 alone, so in an int32
+        # kernel it resolves to its 16-lane int16 spec, the one symexec
+        # runs: the candidate's width reads 16, and symexec refuses the
+        # 8-lane operands.
+        from repro.alive.verifier import _candidate_lanes
+        from repro.lanetypes import INT32
+
+        kernel = load_kernel("s000")
+        mixed = vectorize_kernel(kernel.function).source.replace(
+            "_mm256_add_epi32", "_mm256_add_epi16")
+        assert _candidate_lanes(parse_function(mixed), INT32) == 16
+        result = getattr(self.verifier, stage)(kernel.source, mixed)
+        assert result.outcome is Verdict.INCONCLUSIVE
+        assert result.detail == ("symbolic execution failed: intrinsic vector operand "
+                                 "has 8 lanes, expected 16")
+
     def test_unparseable_candidate_is_inconclusive(self):
         kernel = load_kernel("s000")
         report = self.verifier.check_with_alive_unroll(kernel.source, "not C at all {")

@@ -617,15 +617,17 @@ class TestOneTimingInstrument:
         parameters = inspect.signature(EquivalencePipeline).parameters
         assert not {"checksum_seed", "checksum_trip_counts"} & set(parameters)
         # One lane evaluator: no second copy of the lane arithmetic.
-        from repro.intrinsics import ALL_LANE_TYPES, LaneType, VecValue, registry_for_dtype
+        from repro.intrinsics import ALL_LANE_TYPES, LaneType, VecValue, registry_for
+        from repro.targets import ALL_TARGETS
 
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module("repro.intrinsics.purelanes")
         init_fields = [f.name for f in dataclasses.fields(LaneType) if f.init]
         assert init_fields == ["name", "bits", "c_name"]
-        for dtype in ALL_LANE_TYPES:
-            for spec in registry_for_dtype(dtype).values():
-                if spec.kind in ("pure_binary", "pure_unary"):
-                    assert spec.fn is None, spec.name
+        for target in ALL_TARGETS:
+            for dtype in ALL_LANE_TYPES:
+                for spec in registry_for(target, dtype).values():
+                    if spec.kind in ("pure_binary", "pure_unary"):
+                        assert spec.fn is None, spec.name
         assert not hasattr(VecValue, "map_binary")
         assert not hasattr(VecValue, "map_unary")

@@ -16,7 +16,6 @@ import pytest
 from repro.cfront.cparser import parse_function
 from repro.interp.interpreter import run_function
 from repro.intrinsics import (
-    INTRINSIC_REGISTRY,
     PredValue,
     VecValue,
     apply_pure_intrinsic,
@@ -25,7 +24,7 @@ from repro.intrinsics import (
     registry_for,
 )
 from repro.lanetypes import INT32
-from repro.targets import ALL_TARGETS, AVX2, get_target
+from repro.targets import ALL_TARGETS, AVX2, get_target, known_intrinsic_spellings, resolve_intrinsic
 
 
 @pytest.fixture(params=[t.name for t in ALL_TARGETS])
@@ -365,10 +364,17 @@ class TestRegistry:
             assert costs[f"vec_{lookup_intrinsic(isa.intrinsic(op)).kind}"] > 0
 
     def test_every_registered_intrinsic_has_consistent_spec(self):
-        for name, spec in INTRINSIC_REGISTRY.items():
-            assert spec.name == name
+        for target in ALL_TARGETS:
+            for name, spec in registry_for(target).items():
+                assert spec.name == name
+                assert spec.arity >= 0
+                assert spec.lanes in (4, 8, 16)
+        for name in known_intrinsic_spellings():
+            spec = lookup_intrinsic(name)
+            owner, op = resolve_intrinsic(name)
+            assert (spec.name, spec.op, spec.target) == (name, op, owner.name)
             assert spec.arity >= 0
-            assert spec.lanes in (4, 8, 16)
+            assert spec.lanes == owner.lanes_for(spec.dtype)
 
 
 class TestOneLaneEvaluator:

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.memo import clear_all
 from repro.pipeline.campaign import CampaignSummary
 from repro.smt import solvecache
 from repro.smt.equiv import (
@@ -257,12 +258,21 @@ class TestSolveCache:
         assert solvecache.stats.cache_misses == 0
 
     def test_journal_ships_batch_deltas(self):
-        mark = solvecache.journal_position()
-        EquivalenceChecker(SolverBudget(sat_bitwidth=5))._sat_check_batch([self.pair()])
-        entries = solvecache.entries_since(mark)
+        with solvecache.batch_journal() as entries:
+            EquivalenceChecker(SolverBudget(sat_bitwidth=5))._sat_check_batch([self.pair()])
         assert len(entries) == 1
         key, record = entries[0]
         assert isinstance(key, str) and isinstance(record, dict)
+
+    def test_no_journal_outside_a_batch(self):
+        # A serial process stores every solve but never ships one, so it
+        # must not keep them twice: once in the cache is enough, and a
+        # journal kept across campaigns grew without bound.
+        for width in (5, 6, 7):
+            clear_all()
+            EquivalenceChecker(SolverBudget(sat_bitwidth=width))._sat_check_batch([self.pair()])
+            assert len(solvecache.export_entries()) == 1
+            assert not solvecache._journal
 
 
 class TestSummaryAggregation:

@@ -386,11 +386,41 @@ class TestReporting:
         assert payload["campaigns"][0]["static_flags"] == {"tail-overrun": 2}
 
 
+class TestExplicitTarget:
+    """An explicit target is the one a report judges against, whether or not
+    the candidate parses; only ``target=None`` infers one from spellings."""
+
+    BROKEN = "void f(int *a, int n) { __m256i v = _mm512_add_epi32(a, ; }"
+
+    def test_unparseable_candidate_keeps_the_explicit_target(self):
+        report = check_candidate(self.BROKEN, target="avx2")
+        assert not report.checked
+        assert report.target == "avx2"
+
+    def test_parsed_candidate_keeps_the_explicit_target(self):
+        _, source = golden("s000", "avx512")
+        assert check_candidate(source, target="avx2").target == "avx2"
+
+    def test_no_target_still_detects(self):
+        assert check_candidate(self.BROKEN).target == "avx512"
+        _, source = golden("s000", "avx512")
+        assert check_candidate(source).target == "avx512"
+
+
 class TestCLI:
     def _write(self, tmp_path, name, text):
         path = tmp_path / name
         path.write_text(text)
         return str(path)
+
+    def test_explicit_target_survives_a_parse_error(self, tmp_path, capsys):
+        from repro.staticcheck.__main__ import main
+
+        path = self._write(tmp_path, "broken.c", TestExplicitTarget.BROKEN)
+        assert main([path, "--target", "avx2"]) == 1
+        out = capsys.readouterr().out
+        assert "parse-error" in out
+        assert "[avx2/int32]" in out
 
     def test_clean_candidate_exits_zero(self, tmp_path, capsys):
         from repro.staticcheck.__main__ import main
